@@ -28,6 +28,9 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     LatticeMap,
+    _closed_family,
+    _lattice_of_sets,
+    _set_label,
     find_isomorphism,
     is_homomorphism,
     opposite,
@@ -39,7 +42,6 @@ from .proximity import (
     round_ideal_masks,
 )
 from .relations import Relation
-from ._util import _closed_sets_lattice, set_label
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,8 @@ def concept_lattice(p: Polarity, labels_x: Optional[list[str]] = None) -> Concep
     """
     _, r, closure = galois_maps(p)
     labels = labels_x or [f"x{i}" for i in range(p.nx)]
-    lat, extents = _closed_sets_lattice(p.nx, closure, labels)
+    extents = tuple(_closed_family(p.nx, closure))
+    lat = _lattice_of_sets(extents, labels)
     position = {m: i for i, m in enumerate(extents)}
     f = tuple(position[closure(1 << x)] for x in range(p.nx))
     g = tuple(position[r(1 << y)] for y in range(p.ny))
@@ -115,21 +118,23 @@ def concept_lattice(p: Polarity, labels_x: Optional[list[str]] = None) -> Concep
     return cl
 
 
+def _join_below(lat: FiniteLattice, elems, u: int) -> int:
+    """Join of the members of elems that lie below u."""
+    out = lat.bot
+    for x in elems:
+        if lat.leq(x, u):
+            out = lat.join[out][x]
+    return out
+
+
 def _assert_generation(cl: ConceptLattice) -> None:
     lat = cl.lattice
+    lat_op = opposite(lat)
     for u in range(lat.size):
-        jn = lat.bot
-        for x in range(cl.polarity.nx):
-            if lat.leq(cl.f[x], u):
-                jn = lat.join[jn][cl.f[x]]
-        if jn != u:
+        if _join_below(lat, cl.f, u) != u:
             raise InternalCheckError("filter images fail to join-generate",
                                      witness=u)
-        mt = lat.top
-        for y in range(cl.polarity.ny):
-            if lat.leq(u, cl.g[y]):
-                mt = lat.meet[mt][cl.g[y]]
-        if mt != u:
+        if _join_below(lat_op, cl.g, u) != u:
             raise InternalCheckError("ideal images fail to meet-generate",
                                      witness=u)
     for x in range(cl.polarity.nx):
@@ -201,13 +206,6 @@ class CanonicalExtension:
         return tuple(sorted(set(self.g)))
 
 
-def _meet_of_image(lat: FiniteLattice, embed, mask: int) -> int:
-    out = lat.top
-    for a in bits(mask):
-        out = lat.meet[out][embed[a]]
-    return out
-
-
 def _join_of_image(lat: FiniteLattice, embed, mask: int) -> int:
     out = lat.bot
     for a in bits(mask):
@@ -215,12 +213,21 @@ def _join_of_image(lat: FiniteLattice, embed, mask: int) -> int:
     return out
 
 
+def _first_unpreserved(lat: FiniteLattice, embed, rows) -> Optional[int]:
+    """First a whose embedding is not the join of the embedded rows[a]."""
+    for a, row in enumerate(rows):
+        if embed[a] != _join_of_image(lat, embed, row):
+            return a
+    return None
+
+
 def make_extension(kind: str, source: ProximityLattice, c: FiniteLattice,
                    embed, extents=None, op_pi=None) -> CanonicalExtension:
     """Assemble a CanonicalExtension, deriving the round-subset images."""
     filters = round_filter_masks(source)
     ideals = round_ideal_masks(source)
-    f = tuple(_meet_of_image(c, embed, fm) for fm in filters)
+    c_op = opposite(c)
+    f = tuple(_join_of_image(c_op, embed, fm) for fm in filters)
     g = tuple(_join_of_image(c, embed, im) for im in ideals)
     return CanonicalExtension(kind=kind, source=source, C=c,
                               embed=tuple(embed), filters=filters,
@@ -248,7 +255,7 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     if not p.join_strong:
         raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
     polarity, filters, ideals = intersection_polarity(p)
-    labels_x = [set_label(fm, p.lattice.labels) for fm in filters]
+    labels_x = [_set_label(fm, p.lattice.labels) for fm in filters]
     cl = concept_lattice(polarity, labels_x)
 
     cols = p.R.converse().rows
@@ -291,11 +298,10 @@ def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
     c = opposite(epi.C)
     ext = make_extension("sigma", p, c, epi.embed, extents=epi.extents,
                          op_pi=epi)
-    for a in range(p.size):
-        wanted = _meet_of_image(c, ext.embed, p.R.rows[a])
-        if ext.embed[a] != wanted:  # pragma: no cover - theorem guard
-            raise InternalCheckError("sigma embedding is not R-meet-preserving",
-                                     witness=a)
+    bad = _first_unpreserved(epi.C, ext.embed, p.R.rows)
+    if bad is not None:  # pragma: no cover - theorem guard
+        raise InternalCheckError("sigma embedding is not R-meet-preserving",
+                                 witness=bad)
     return ext
 
 
@@ -312,7 +318,7 @@ def sigma_extension_explicit(p: ProximityLattice) -> CanonicalExtension:
         for im in ideals)
     polarity = Polarity(len(ideals), len(filters),
                         Relation(len(ideals), len(filters), rows))
-    labels_x = [set_label(im, p.lattice.labels) for im in ideals]
+    labels_x = [_set_label(im, p.lattice.labels) for im in ideals]
     cl = concept_lattice(polarity, labels_x)
     filter_index = {fm: i for i, fm in enumerate(filters)}
     embed = tuple(cl.g[filter_index[p.R.rows[a]]] for a in range(p.size))
@@ -381,20 +387,13 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
         if not increasing:
             break
 
-    fe = [_meet_of_image(c, embed, fm) for fm in ext.filters]
+    c_op = opposite(c)
+    fe = [_join_of_image(c_op, embed, fm) for fm in ext.filters]
     ie = [_join_of_image(c, embed, im) for im in ext.ideals]
 
     dense = True
     for u in range(c.size):
-        jn = c.bot
-        for x in fe:
-            if c.leq(x, u):
-                jn = c.join[jn][x]
-        mt = c.top
-        for y in ie:
-            if c.leq(u, y):
-                mt = c.meet[mt][y]
-        if jn != u or mt != u:
+        if _join_below(c, fe, u) != u or _join_below(c_op, ie, u) != u:
             dense = False
             witnesses.append(("dense", (u,)))
             break
@@ -409,27 +408,18 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
         if not compact:
             break
 
-    cols = p.R.converse().rows
-    join_preserving = True
-    for a in range(p.size):
-        if embed[a] != _join_of_image(c, embed, cols[a]):
-            join_preserving = False
-            witnesses.append(("join_preserving", (a,)))
-            break
-
-    meet_preserving = True
-    for a in range(p.size):
-        if embed[a] != _meet_of_image(c, embed, p.R.rows[a]):
-            meet_preserving = False
-            witnesses.append(("meet_preserving", (a,)))
-            break
+    join_bad = _first_unpreserved(c, embed, p.R.converse().rows)
+    meet_bad = _first_unpreserved(c_op, embed, p.R.rows)
+    for name, bad in (("join_preserving", join_bad), ("meet_preserving", meet_bad)):
+        if bad is not None:
+            witnesses.append((name, (bad,)))
 
     return ExtensionReport(
         increasing=increasing,
         dense=dense,
         compact=compact,
-        join_preserving=join_preserving,
-        meet_preserving=meet_preserving,
+        join_preserving=join_bad is None,
+        meet_preserving=meet_bad is None,
         witnesses=tuple(witnesses),
     )
 

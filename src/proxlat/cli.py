@@ -21,6 +21,7 @@ from .errors import ProxlatError
 from .formats import (
     ParseError,
     axiom_report_to_doc,
+    carrier_from_doc,
     diagnostic_doc,
     dot_lattice,
     dot_space,
@@ -36,29 +37,25 @@ from .formats import (
     space_to_doc,
     spectrum_to_doc,
 )
-from .lattice import opposite
 from .morphext import check_preservation, extend_pi
-from .proximity import proximity_lattice, verify_axioms
+from .proximity import opposite_proximity, verify_axioms
 from .spectra import canext_via_duality, co_compact_dual, spectrum
 
 PARSE_FAILURE = 2
 PROPERTY_FAILURE = 1
 
 
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
 def _load_doc(path: str) -> dict:
     if path.upper() in fixtures.CORPUS:
-        from importlib import resources
-        raw = resources.files("proxlat").joinpath(
-            "fixtures", path.lower() + ".json").read_text()
-        return json.loads(raw)
-    return _load_json(path)
+        return fixtures.document(path)
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, "
+                         f"not {type(doc).__name__}")
+    return doc
 
 
 def _emit(args, text: str) -> None:
@@ -78,9 +75,7 @@ def cmd_check(args) -> int:
         t = morphism_from_doc(doc)
         _emit(args, dumps(morphism_report_to_doc(t.report)))
         return 0 if t.is_proximity else PROPERTY_FAILURE
-    lat = lattice_from_doc(doc["lattice"])
-    from .formats import _pairs_to_relation
-    rel = _pairs_to_relation(lat.labels, lat.labels, doc["R"])
+    lat, rel = carrier_from_doc(doc)
     report = verify_axioms(lat, rel)
     _emit(args, dumps(axiom_report_to_doc(report, lat.labels)))
     return 0 if report.axioms_ok else PROPERTY_FAILURE
@@ -120,8 +115,7 @@ def cmd_dualize(args) -> int:
         _emit(args, dumps(space_to_doc(dual)))
         return 0
     p = proximity_from_doc(doc)
-    out = proximity_lattice(opposite(p.lattice), p.R.converse())
-    _emit(args, dumps(proximity_to_doc(out)))
+    _emit(args, dumps(proximity_to_doc(opposite_proximity(p))))
     return 0
 
 

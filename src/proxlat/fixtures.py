@@ -22,13 +22,18 @@ from .proximity import ProximityLattice
 CORPUS = ("C2", "C3", "B2", "M3", "FULL2", "C3R")
 
 
-def load(name: str) -> ProximityLattice:
-    from .formats import proximity_from_doc
+def document(name: str) -> dict:
+    """The JSON document of a fixture, by case-insensitive name."""
     key = name.upper()
     if key not in CORPUS:
         raise KeyError(f"unknown fixture {name!r}; expected one of {CORPUS}")
     path = resources.files(__package__).joinpath("fixtures", key.lower() + ".json")
-    return proximity_from_doc(json.loads(path.read_text()))
+    return json.loads(path.read_text())
+
+
+def load(name: str) -> ProximityLattice:
+    from .formats import proximity_from_doc
+    return proximity_from_doc(document(name))
 
 
 def corpus() -> dict[str, ProximityLattice]:

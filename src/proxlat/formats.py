@@ -14,7 +14,7 @@ from typing import Any, Sequence
 from .bitset import bits
 from .canext import CanonicalExtension, ExtensionReport
 from .errors import ProxlatError
-from .lattice import FiniteLattice, lattice_from_up
+from .lattice import FiniteLattice, _set_label, lattice_from_up
 from .morphext import ExtendedMap, PreservationReport
 from .proximity import (
     AxiomReport,
@@ -120,14 +120,18 @@ def proximity_to_doc(p: ProximityLattice) -> dict:
     }
 
 
-def proximity_from_doc(doc: dict) -> ProximityLattice:
+def carrier_from_doc(doc: dict) -> tuple[FiniteLattice, Relation]:
+    """The lattice and relation of a proximity document, axioms unchecked."""
     try:
         lat = lattice_from_doc(doc["lattice"])
         raw_r = doc["R"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed proximity document: {exc}") from None
-    rel = _pairs_to_relation(lat.labels, lat.labels, raw_r)
-    return proximity_lattice(lat, rel)
+    return lat, _pairs_to_relation(lat.labels, lat.labels, raw_r)
+
+
+def proximity_from_doc(doc: dict) -> ProximityLattice:
+    return proximity_lattice(*carrier_from_doc(doc))
 
 
 def morphism_to_doc(t: ProximityMorphism) -> dict:
@@ -226,19 +230,14 @@ def extension_to_doc(ext: CanonicalExtension,
         "ideal_elements": [ext.C.labels[i] for i in ext.g],
     }
     if ext.extents is not None:
-        gen_labels = ([_round_set_labels(m, labels) for m in ext.filters]
-                      if ext.kind == "pi"
-                      else [_round_set_labels(m, labels) for m in ext.ideals])
+        gen_labels = [_set_label(m, labels)
+                      for m in (ext.filters if ext.kind == "pi" else ext.ideals)]
         doc["closed_sets"] = [
             sorted(gen_labels[i] for i in bits(extent))
             for extent in ext.extents]
     if report is not None:
         doc["report"] = report.flags()
     return doc
-
-
-def _round_set_labels(mask: int, labels) -> str:
-    return "{" + ",".join(labels[i] for i in bits(mask)) + "}"
 
 
 def spectrum_to_doc(result: SpectrumResult) -> dict:

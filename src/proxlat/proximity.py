@@ -20,6 +20,19 @@ then join-closed and contain bottom), but the induction step from the
 binary case to larger sets is not obvious; ``exhaustive=True`` checks
 every subset directly and the test suite uses it to validate the
 reduction on small carriers.
+
+Every meet-side check is the join-side check run on (L^op, R^-1): the
+meets of L are the joins of L^op, and R^-1 swaps rows and columns. The
+join-side witnesses come back in the opposite's terms and are rotated
+into the original orientation: meet-compatibility (b, b2, a) becomes
+(a, b, b2) and (top, a) becomes (a, top); meet-strongness (a, b1, b2)
+becomes (b1, b2, a), and the same rotation moves the point to the end
+of an exhaustive witness. Meet-approximability of T is
+join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1). For
+the same reason the opposite of a proximity lattice needs no new check:
+(L^op, R^-1) is again a proximity lattice, its join side is the old
+meet side and vice versa, and only the increasing witness, which
+depends on the row order, is recomputed.
 """
 
 from __future__ import annotations
@@ -42,9 +55,10 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     LatticeMap,
+    _lattice_of_sets,
     is_distributive,
     is_homomorphism,
-    lattice_from_up,
+    opposite,
 )
 from .relations import Relation, compose, order_relation
 
@@ -117,8 +131,8 @@ def verify_axioms(lat: FiniteLattice, rel: Relation, *,
     """
     if rel.source_size != lat.size or rel.target_size != lat.size:
         raise DimensionMismatch("relation carrier does not match the lattice")
-    n = lat.size
-    fullmask = lat.full
+    if exhaustive and lat.size > _EXHAUSTIVE_LIMIT:
+        raise ValueError("exhaustive mode is limited to small carriers")
     rows = rel.rows
     cols = rel.converse().rows
     witnesses: list[tuple[str, tuple[int, ...]]] = []
@@ -128,78 +142,27 @@ def verify_axioms(lat: FiniteLattice, rel: Relation, *,
     if not idempotent:
         witnesses.append(("idempotent", _first_diff(comp, rel)))
 
-    join_compatible = True
-    if rows[lat.bot] != fullmask:
-        join_compatible = False
-        missing = fullmask & ~rows[lat.bot]
-        witnesses.append(("join_compatible",
-                          (lat.bot, (missing & -missing).bit_length() - 1)))
-    if join_compatible:
-        for a in range(n):
-            for a2 in range(a, n):
-                want = rows[a] & rows[a2]
-                got = rows[lat.join[a][a2]]
-                if got != want:
-                    delta = got ^ want
-                    witnesses.append(
-                        ("join_compatible",
-                         (a, a2, (delta & -delta).bit_length() - 1)))
-                    join_compatible = False
-                    break
-            if not join_compatible:
-                break
-
-    meet_compatible = True
-    if cols[lat.top] != fullmask:
-        meet_compatible = False
-        missing = fullmask & ~cols[lat.top]
-        witnesses.append(("meet_compatible",
-                          ((missing & -missing).bit_length() - 1, lat.top)))
-    if meet_compatible:
-        for b in range(n):
-            for b2 in range(b, n):
-                want = cols[b] & cols[b2]
-                got = cols[lat.meet[b][b2]]
-                if got != want:
-                    delta = got ^ want
-                    witnesses.append(
-                        ("meet_compatible",
-                         ((delta & -delta).bit_length() - 1, b, b2)))
-                    meet_compatible = False
-                    break
-            if not meet_compatible:
-                break
-
+    lat_op = opposite(lat)
+    join_compatible, jc_wit = _join_compatible(lat, rows)
+    meet_compatible, mc_wit = _join_compatible(lat_op, cols)
     if exhaustive:
-        if n > _EXHAUSTIVE_LIMIT:
-            raise ValueError("exhaustive mode is limited to small carriers")
-        join_strong, js_wit = _join_strong_exhaustive(lat, rows, cols)
-        meet_strong, ms_wit = _meet_strong_exhaustive(lat, rows, cols)
-        join_compatible, meet_compatible = _compat_exhaustive(
-            lat, rows, cols, join_compatible, meet_compatible)
+        join_compatible = join_compatible and \
+            _join_compatible_exhaustive(lat, rows, cols)
+        meet_compatible = meet_compatible and \
+            _join_compatible_exhaustive(lat_op, cols, rows)
+        strong = _join_strong_exhaustive
     else:
-        join_strong, js_wit = _join_strong_binary(lat, rows, cols)
-        meet_strong, ms_wit = _meet_strong_binary(lat, rows, cols)
-    if not join_strong and js_wit is not None:
-        witnesses.append(("join_strong", js_wit))
-    if not meet_strong and ms_wit is not None:
-        witnesses.append(("meet_strong", ms_wit))
+        strong = _join_strong_binary
+    join_strong, js_wit = strong(lat, rows, cols)
+    meet_strong, ms_wit = strong(lat_op, cols, rows)
+    for name, wit in (("join_compatible", jc_wit),
+                      ("meet_compatible", mc_wit and mc_wit[-1:] + mc_wit[:-1]),
+                      ("join_strong", js_wit),
+                      ("meet_strong", ms_wit and ms_wit[1:] + ms_wit[:1])):
+        if wit is not None:
+            witnesses.append((name, wit))
 
-    increasing = True
-    for a in range(n):
-        stray = rows[a] & ~lat.up[a]
-        if stray:
-            increasing = False
-            witnesses.append(("increasing", (a, (stray & -stray).bit_length() - 1)))
-            break
-
-    reflexive = True
-    for a in range(n):
-        if not rows[a] >> a & 1:
-            reflexive = False
-            witnesses.append(("reflexive", (a,)))
-            break
-
+    increasing, reflexive = _order_flags(lat, rows, witnesses)
     return AxiomReport(
         idempotent=idempotent,
         join_compatible=join_compatible,
@@ -211,6 +174,52 @@ def verify_axioms(lat: FiniteLattice, rel: Relation, *,
         distributive=is_distributive(lat),
         witnesses=tuple(witnesses),
     )
+
+
+def _join_compatible(lat, rows):
+    """bot R b for every b, and (a v a2) R b iff a R b and a2 R b; the
+    least witness, or None."""
+    n = lat.size
+    fullmask = lat.full
+    if rows[lat.bot] != fullmask:
+        missing = fullmask & ~rows[lat.bot]
+        return False, (lat.bot, (missing & -missing).bit_length() - 1)
+    for a in range(n):
+        for a2 in range(a, n):
+            want = rows[a] & rows[a2]
+            got = rows[lat.join[a][a2]]
+            if got != want:
+                delta = got ^ want
+                return False, (a, a2, (delta & -delta).bit_length() - 1)
+    return True, None
+
+
+def _join_compatible_exhaustive(lat, rows, cols):
+    joins = _join_table(lat)
+    for mask in range(1 << lat.size):
+        for b in range(lat.size):
+            if bool(rows[joins[mask]] >> b & 1) != is_subset(mask, cols[b]):
+                return False
+    return True
+
+
+def _order_flags(lat, rows, witnesses):
+    """increasing (R inside <=) and reflexive; appends their witnesses."""
+    increasing = True
+    for a in range(lat.size):
+        stray = rows[a] & ~lat.up[a]
+        if stray:
+            increasing = False
+            witnesses.append(("increasing", (a, (stray & -stray).bit_length() - 1)))
+            break
+
+    reflexive = True
+    for a in range(lat.size):
+        if not rows[a] >> a & 1:
+            reflexive = False
+            witnesses.append(("reflexive", (a,)))
+            break
+    return increasing, reflexive
 
 
 def _join_strong_binary(lat, rows, cols):
@@ -232,52 +241,12 @@ def _join_strong_binary(lat, rows, cols):
     return True, None
 
 
-def _meet_strong_binary(lat, rows, cols):
-    n = lat.size
-    meet = lat.meet
-    for a1 in range(n):
-        for a2 in range(a1, n):
-            what = rows[meet[a1][a2]]
-            if not what:
-                continue
-            met = 0
-            for u in bits(rows[a1]):
-                for v in bits(rows[a2]):
-                    met |= 1 << meet[u][v]
-            for b in bits(what):
-                if not cols[b] & met:
-                    return False, (a1, a2, b)
-    return True, None
-
-
 def _join_table(lat: FiniteLattice) -> list[int]:
     out = [lat.bot] * (1 << lat.size)
     for mask in range(1, 1 << lat.size):
         low = (mask & -mask).bit_length() - 1
         out[mask] = lat.join[out[mask & (mask - 1)]][low]
     return out
-
-
-def _meet_table(lat: FiniteLattice) -> list[int]:
-    out = [lat.top] * (1 << lat.size)
-    for mask in range(1, 1 << lat.size):
-        low = (mask & -mask).bit_length() - 1
-        out[mask] = lat.meet[out[mask & (mask - 1)]][low]
-    return out
-
-
-def _compat_exhaustive(lat, rows, cols, jc, mc):
-    n = lat.size
-    joins = _join_table(lat)
-    meets = _meet_table(lat)
-    for mask in range(1 << n):
-        for b in range(n):
-            if bool(rows[joins[mask]] >> b & 1) != is_subset(mask, cols[b]):
-                jc = False
-        for a in range(n):
-            if bool(rows[a] >> meets[mask] & 1) != is_subset(mask, rows[a]):
-                mc = False
-    return jc, mc
 
 
 def _join_strong_exhaustive(lat, rows, cols):
@@ -290,19 +259,6 @@ def _join_strong_exhaustive(lat, rows, cols):
         for a in bits(cols[joins[bmask]]):
             if not any(rows[a] >> joins[sub] & 1 for sub in submasks(pre)):
                 return False, (a,) + tuple(bits(bmask))
-    return True, None
-
-
-def _meet_strong_exhaustive(lat, rows, cols):
-    n = lat.size
-    meets = _meet_table(lat)
-    for amask in range(1 << n):
-        post = 0
-        for a in bits(amask):
-            post |= rows[a]
-        for b in bits(rows[meets[amask]]):
-            if not any(cols[b] >> meets[sub] & 1 for sub in submasks(post)):
-                return False, tuple(bits(amask)) + (b,)
     return True, None
 
 
@@ -363,34 +319,56 @@ def order_proximity(lat: FiniteLattice) -> ProximityLattice:
 
 
 def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
-    """(L^op, R^-1); swaps join-strong with meet-strong."""
-    from .lattice import opposite
-    return proximity_lattice(opposite(p.lattice), p.R.converse())
+    """(L^op, R^-1); swaps join-strong with meet-strong.
+
+    The report is p's with the join and meet sides swapped (see the
+    module docstring), so the axioms are not checked again; p must
+    satisfy them, as every carrier built by proximity_lattice does.
+    """
+    lat = opposite(p.lattice)
+    rel = p.R.converse()
+    r = p.report
+    js_wit = r.witness("meet_strong")
+    ms_wit = r.witness("join_strong")
+    witnesses = []
+    for name, wit in (("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
+                      ("meet_strong", ms_wit and ms_wit[1:] + ms_wit[:1])):
+        if wit is not None:
+            witnesses.append((name, wit))
+    increasing, reflexive = _order_flags(lat, rel.rows, witnesses)
+    report = AxiomReport(
+        idempotent=r.idempotent,
+        join_compatible=r.meet_compatible,
+        meet_compatible=r.join_compatible,
+        join_strong=r.meet_strong,
+        meet_strong=r.join_strong,
+        increasing=increasing,
+        reflexive=reflexive,
+        distributive=r.distributive,
+        witnesses=tuple(witnesses),
+    )
+    return ProximityLattice(lat, rel, report)
 
 
 def is_round_ideal(p: ProximityLattice, mask: int) -> bool:
     """Definition check: nonempty, R-preimage fixpoint, join-closed."""
+    return _is_round_ideal(p.lattice, p.R, mask)
+
+
+def _is_round_ideal(lat: FiniteLattice, rel: Relation, mask: int) -> bool:
     if mask == 0:
         return False
-    if p.R.preimage(mask) != mask:
+    if rel.preimage(mask) != mask:
         return False
     for a in bits(mask):
         for b in bits(mask):
-            if not mask >> p.lattice.join[a][b] & 1:
+            if not mask >> lat.join[a][b] & 1:
                 return False
     return True
 
 
 def is_round_filter(p: ProximityLattice, mask: int) -> bool:
-    if mask == 0:
-        return False
-    if p.R.image(mask) != mask:
-        return False
-    for a in bits(mask):
-        for b in bits(mask):
-            if not mask >> p.lattice.meet[a][b] & 1:
-                return False
-    return True
+    return is_round_ideal(opposite_proximity(p), mask)
 
 
 def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
@@ -410,12 +388,7 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
 
 
 def round_filter_masks(p: ProximityLattice) -> tuple[int, ...]:
-    out = []
-    for m in range(p.size):
-        mask = p.lattice.up[m]
-        if p.R.image(mask) == mask:
-            out.append(mask)
-    return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
+    return round_ideal_masks(opposite_proximity(p))
 
 
 def round_subsets_slow(p: ProximityLattice, kind: str) -> tuple[int, ...]:
@@ -423,8 +396,8 @@ def round_subsets_slow(p: ProximityLattice, kind: str) -> tuple[int, ...]:
     image fixpoint condition. Exponential; small carriers only."""
     if p.size > 16:
         raise ValueError("slow enumeration is limited to small carriers")
-    test = is_round_ideal if kind == "ideal" else is_round_filter
-    found = [m for m in range(1, 1 << p.size) if test(p, m)]
+    q = p if kind == "ideal" else opposite_proximity(p)
+    found = [m for m in range(1, 1 << p.size) if is_round_ideal(q, m)]
     return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
@@ -494,15 +467,8 @@ def round_ideal_lattice(p: ProximityLattice) -> RoundIdealLattice:
     """
     ideals = round_ideal_masks(p)
     n = len(ideals)
-    up = [0] * n
-    for i, mi in enumerate(ideals):
-        for j, mj in enumerate(ideals):
-            if is_subset(mi, mj):
-                up[i] |= 1 << j
-    labels = ["{" + ",".join(p.lattice.labels[x] for x in bits(m)) + "}"
-              for m in ideals]
     try:
-        lat = lattice_from_up(labels, up)
+        lat = _lattice_of_sets(ideals, p.lattice.labels)
     except NotALattice as exc:  # pragma: no cover - theorem guard
         raise InternalCheckError(
             "round ideals failed to form a lattice", exc.witness) from exc
@@ -564,7 +530,9 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
     cols = rel.converse().rows
 
     raw = True
-    left = compose(src.R.converse(), rel)
+    src_op = opposite(src.lattice)
+    src_conv = src.R.converse()
+    left = compose(src_conv, rel)
     if left.rows != rows:
         raw = False
         witnesses.append(("left_composition", _first_diff(left, rel)))
@@ -578,24 +546,23 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
             witnesses.append(("row_ideal", (a,)))
             break
     for b, col in enumerate(cols):
-        if not _is_lattice_filter(src.lattice, col):
+        if not _is_lattice_ideal(src_op, col):
             raw = False
             witnesses.append(("column_filter", (b,)))
             break
 
     via = all(is_round_ideal(tgt, row) for row in rows) and \
-        all(is_round_filter(src, col) for col in cols)
+        all(_is_round_ideal(src_op, src_conv, col) for col in cols)
     if raw != via:
         raise InternalCheckError(
             "raw morphism axioms and round-subset characterisation disagree",
             witness=tuple(witnesses))
 
-    if exhaustive:
-        japprox, j_wit = _join_approx_exhaustive(src, tgt, rows, cols)
-        mapprox, m_wit = _meet_approx_exhaustive(src, tgt, rows, cols)
-    else:
-        japprox, j_wit = _join_approx_binary(src, tgt, rows, cols)
-        mapprox, m_wit = _meet_approx_binary(src, tgt, rows, cols)
+    # meet-approximability of T is join-approximability of its converse
+    # from (tgt^op, S^-1) to (src^op, R^-1)
+    approx = _join_approx_exhaustive if exhaustive else _join_approx_binary
+    japprox, j_wit = approx(src.lattice, tgt.lattice, tgt.R.rows, rows)
+    mapprox, m_wit = approx(opposite(tgt.lattice), src_op, src_conv.rows, cols)
     if not japprox and j_wit is not None:
         witnesses.append(("join_approximable", j_wit))
     if not mapprox and m_wit is not None:
@@ -623,24 +590,11 @@ def _is_lattice_ideal(lat: FiniteLattice, mask: int) -> bool:
     return True
 
 
-def _is_lattice_filter(lat: FiniteLattice, mask: int) -> bool:
-    if not mask >> lat.top & 1:
-        return False
-    for a in bits(mask):
-        if not is_subset(lat.up[a], mask):
-            return False
-        for a2 in bits(mask):
-            if not mask >> lat.meet[a][a2] & 1:
-                return False
-    return True
-
-
-def _join_approx_binary(src, tgt, rows, cols):
+def _join_approx_binary(sl, tl, tgt_rows, rows):
     """(b1 v b2) T m demands u in T[b1], v in T[b2] with m S (u v v);
     the empty instance demands m S bot for every m in T[bot]."""
-    sl, tl = src.lattice, tgt.lattice
     for m in bits(rows[sl.bot]):
-        if not tgt.R.rows[m] >> tl.bot & 1:
+        if not tgt_rows[m] >> tl.bot & 1:
             return False, (m,)
     for b1 in range(sl.size):
         for b2 in range(b1, sl.size):
@@ -652,34 +606,12 @@ def _join_approx_binary(src, tgt, rows, cols):
                 for v in bits(rows[b2]):
                     joined |= 1 << tl.join[u][v]
             for m in bits(targets):
-                if not tgt.R.rows[m] & joined:
+                if not tgt_rows[m] & joined:
                     return False, (b1, b2, m)
     return True, None
 
 
-def _meet_approx_binary(src, tgt, rows, cols):
-    sl, tl = src.lattice, tgt.lattice
-    src_cols = src.R.converse().rows
-    for b in bits(cols[tl.top]):
-        if not src_cols[b] >> sl.top & 1:
-            return False, (b,)
-    for a1 in range(tl.size):
-        for a2 in range(a1, tl.size):
-            sources = cols[tl.meet[a1][a2]]
-            if not sources:
-                continue
-            met = 0
-            for u in bits(cols[a1]):
-                for v in bits(cols[a2]):
-                    met |= 1 << sl.meet[u][v]
-            for b in bits(sources):
-                if not src_cols[b] & met:
-                    return False, (a1, a2, b)
-    return True, None
-
-
-def _join_approx_exhaustive(src, tgt, rows, cols):
-    sl, tl = src.lattice, tgt.lattice
+def _join_approx_exhaustive(sl, tl, tgt_rows, rows):
     if sl.size > _EXHAUSTIVE_LIMIT or tl.size > _EXHAUSTIVE_LIMIT:
         raise ValueError("exhaustive mode is limited to small carriers")
     src_joins = _join_table(sl)
@@ -689,27 +621,9 @@ def _join_approx_exhaustive(src, tgt, rows, cols):
         for b in bits(bmask):
             img |= rows[b]
         for m in bits(rows[src_joins[bmask]]):
-            if not any(tgt.R.rows[m] >> tgt_joins[sub] & 1
+            if not any(tgt_rows[m] >> tgt_joins[sub] & 1
                        for sub in submasks(img)):
                 return False, tuple(bits(bmask)) + (m,)
-    return True, None
-
-
-def _meet_approx_exhaustive(src, tgt, rows, cols):
-    sl, tl = src.lattice, tgt.lattice
-    if sl.size > _EXHAUSTIVE_LIMIT or tl.size > _EXHAUSTIVE_LIMIT:
-        raise ValueError("exhaustive mode is limited to small carriers")
-    tgt_meets = _meet_table(tl)
-    src_meets = _meet_table(sl)
-    src_cols = src.R.converse().rows
-    for amask in range(1 << tl.size):
-        pre = 0
-        for a in bits(amask):
-            pre |= cols[a]
-        for b in bits(cols[tgt_meets[amask]]):
-            if not any(src_cols[b] >> src_meets[sub] & 1
-                       for sub in submasks(pre)):
-                return False, tuple(bits(amask)) + (b,)
     return True, None
 
 

@@ -32,7 +32,13 @@ from .errors import (
     NotT0,
     ProxlatError,
 )
-from .lattice import FiniteLattice, LatticeMap, lattice_from_up
+from .lattice import (
+    FiniteLattice,
+    LatticeMap,
+    _lattice_of_sets,
+    _set_label,
+    lattice_from_up,
+)
 from .proximity import (
     ProximityLattice,
     ProximityMorphism,
@@ -109,19 +115,7 @@ def saturated_sets(space: FiniteSpace) -> tuple[int, ...]:
 
 def saturated_lattice(space: FiniteSpace) -> FiniteLattice:
     """The complete lattice of saturated sets under inclusion."""
-    sats = saturated_sets(space)
-    n = len(sats)
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if is_subset(sats[i], sats[j]):
-                up[i] |= 1 << j
-    labels = [_point_set_label(m, space.labels) for m in sats]
-    return lattice_from_up(labels, up)
-
-
-def _point_set_label(mask: int, labels) -> str:
-    return "{" + ",".join(labels[i] for i in bits(mask)) + "}"
+    return _lattice_of_sets(saturated_sets(space), space.labels)
 
 
 def co_compact_dual(space: FiniteSpace) -> FiniteSpace:
@@ -282,7 +276,7 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
             if basic[p.lattice.join[d][e]] != basic[d] | basic[e]:
                 raise InternalCheckError("primality broke unions",
                                          witness=(d, e))
-    labels = [_point_set_label(fm, p.lattice.labels) for fm in points]
+    labels = [_set_label(fm, p.lattice.labels) for fm in points]
     space = finite_space(labels, set(basic) | {0, (1 << k) - 1})
     return SpectrumResult(p, space, points, basic)
 
@@ -309,16 +303,10 @@ def open_basis_presentation(space: FiniteSpace) -> ProximityLattice:
             if any(is_subset(d, k) and is_subset(k, e) for k in sats):
                 row |= 1 << j
         rows.append(row)
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if is_subset(opens[i], opens[j]):
-                up[i] |= 1 << j
-    if tuple(rows) != tuple(up):
+    lat = _lattice_of_sets(opens, space.labels)
+    if tuple(rows) != lat.up:
         raise InternalCheckError("interpolation relation is not inclusion "
                                  "on a finite carrier")
-    labels = [_point_set_label(m, space.labels) for m in opens]
-    lat = lattice_from_up(labels, up)
     p = proximity_lattice(lat, Relation(n, n, tuple(rows)))
     if not (p.join_strong and p.increasing and p.distributive):
         raise InternalCheckError("open-basis presentation lost expected flags")
@@ -357,8 +345,8 @@ def pairs_presentation(space: FiniteSpace) -> ProximityLattice:
         for j, (d2, e2) in enumerate(elems):
             if is_subset(e, d2):
                 rows[i] |= 1 << j
-    labels = [f"({_point_set_label(d, space.labels)}"
-              f",{_point_set_label(e, space.labels)})" for d, e in elems]
+    labels = [f"({_set_label(d, space.labels)}"
+              f",{_set_label(e, space.labels)})" for d, e in elems]
     lat = lattice_from_up(labels, up)
     p = proximity_lattice(lat, Relation(n, n, tuple(rows)))
     if not (p.doubly_strong and p.distributive):
@@ -547,21 +535,14 @@ def spectral_case_check(p: ProximityLattice, *,
     spec_res = spectrum(p)
     opens = spec_res.space.opens
     n_e = len(opens)
-    up = [0] * n_e
-    for i in range(n_e):
-        for j in range(n_e):
-            if is_subset(opens[i], opens[j]):
-                up[i] |= 1 << j
-    labels = [_point_set_label(m, spec_res.space.labels) for m in opens]
-    e = proximity_lattice(lattice_from_up(labels, up),
-                          Relation(n_e, n_e, tuple(up)))
+    lat = _lattice_of_sets(opens, spec_res.space.labels)
+    e = proximity_lattice(lat, Relation(n_e, n_e, lat.up))
 
     def iso_pair(phi: ProximityMorphism, psi: ProximityMorphism) -> bool:
         return (phi.is_j and psi.is_j
                 and compose(phi.T, psi.T) == p.R.converse()
                 and compose(psi.T, phi.T) == e.R.converse())
 
-    position = {m: i for i, m in enumerate(opens)}
     phi_rows = tuple(
         sum(1 << i for i, u in enumerate(opens)
             if is_subset(u, spec_res.basic_open[d]))

@@ -127,3 +127,17 @@ def test_determinism_across_runs(capsys, verb, extra):
         code2, out2, _ = run(capsys, verb, name, *extra)
         assert code1 == code2 == 0
         assert out1.encode() == out2.encode(), (verb, name)
+
+
+@pytest.mark.parametrize("verb", ["check", "dualize", "export-dot"])
+@pytest.mark.parametrize("items", [0, 1])
+def test_non_object_document_is_a_parse_error(tmp_path, capsys, verb, items):
+    from proxlat import fixtures
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([fixtures.document("C3")] * items))
+    code, out, err = run(capsys, verb, str(path))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["status"] == "parse-error"
+    assert diag["error"] == "ParseError"

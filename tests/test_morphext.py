@@ -1,11 +1,13 @@
 """Extension of morphisms to the canonical extensions."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import KindMismatch, NotAProximityMorphism
+from proxlat.lattice import lattice_from_up
 from proxlat.morphext import (
     check_preservation,
     compare_with_dual,
@@ -17,6 +19,7 @@ from proxlat.proximity import (
     all_proximity_morphisms,
     identity_morphism,
     morph_compose,
+    order_proximity,
     proximity_morphism,
 )
 from proxlat.relations import full_relation
@@ -163,3 +166,23 @@ def test_sigma_extension_of_m_morphisms(distributive_corpus):
                 assert m.table[sigma_exts[na].embed[x]] == expected
             checked += 1
     assert checked > 0
+
+
+def test_directed_joins_fail_for_a_non_monotone_map(corpus):
+    # swapping the images of two comparable ideal elements breaks the
+    # directed family {y, g}; the 16-chain has more than 14 of them
+    n = 16
+    chain16 = lattice_from_up([f"c{i}" for i in range(n)],
+                              [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
+    for p in (corpus["C3"], order_proximity(chain16)):
+        ext = pi_extension(p)
+        m = extend_pi(identity_morphism(p), ext, ext)
+        assert check_preservation(m).directed_ideal_joins
+        y, g = ext.g[0], ext.g[-1]
+        assert ext.C.leq(y, g) and y != g
+        table = list(m.table)
+        table[y], table[g] = table[g], table[y]
+        rep = check_preservation(dataclasses.replace(m, table=tuple(table)))
+        assert not rep.directed_ideal_joins
+        y2, g2 = dict(rep.witnesses)["directed_ideal_joins"]
+        assert ext.C.leq(y2, g2) and not ext.C.leq(table[y2], table[g2])
