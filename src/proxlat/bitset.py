@@ -7,7 +7,7 @@ arithmetic on these masks.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -30,3 +30,21 @@ def submasks(mask: int) -> Iterator[int]:
 
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
+
+
+def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The bit matrix read by columns: out[b] = {a : b in rows[a]}."""
+    cols = [0] * width
+    for a, row in enumerate(rows):
+        for b in bits(row):
+            cols[b] |= 1 << a
+    return tuple(cols)
+
+
+def preimage(table: Sequence[int], mask: int) -> int:
+    """The positions x with table[x] in `mask`, as a mask."""
+    out = 0
+    for x, y in enumerate(table):
+        if mask >> y & 1:
+            out |= 1 << x
+    return out

@@ -65,8 +65,9 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _diag(status: str, kind: str, detail: str, witnesses=None) -> None:
-    sys.stderr.write(dumps(diagnostic_doc(status, kind, detail, witnesses)))
+def _diag(status: str, kind: str, detail: str, witnesses=(), labels=()) -> None:
+    sys.stderr.write(dumps(diagnostic_doc(status, kind, detail,
+                                          witnesses, labels)))
 
 
 def cmd_check(args) -> int:
@@ -198,11 +199,8 @@ def main(argv=None) -> int:
         _diag("parse-error", type(exc).__name__, str(exc))
         return PARSE_FAILURE
     except ProxlatError as exc:
-        witnesses = getattr(exc, "witnesses", None)
-        doc = None
-        if witnesses:
-            doc = {name: list(w) for name, w in witnesses}
-        _diag("property-failure", type(exc).__name__, str(exc), doc)
+        _diag("property-failure", type(exc).__name__, str(exc),
+              exc.witnesses, exc.labels)
         return PROPERTY_FAILURE
 
 

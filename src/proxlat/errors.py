@@ -2,7 +2,15 @@
 
 
 class ProxlatError(Exception):
-    """Base class for every error raised by proxlat."""
+    """Base class for every error raised by proxlat.
+
+    `witnesses` holds (name, element indices) pairs and `labels` the
+    element names the indices refer to; both are empty unless the error
+    carries witnesses.
+    """
+
+    witnesses: tuple = ()
+    labels: tuple = ()
 
 
 class NotAPartialOrder(ProxlatError):
@@ -13,13 +21,16 @@ class NotALattice(ProxlatError):
     """Raised when an order has a pair without a meet or join.
 
     `witness` is the offending pair of element indices, `missing` is
-    "meet" or "join".
+    "meet" or "join"; `witnesses` names the pair by what is missing.
     """
 
-    def __init__(self, message, witness=None, missing=None):
+    def __init__(self, message, witness=None, missing=None, labels=()):
         super().__init__(message)
         self.witness = witness
         self.missing = missing
+        self.labels = tuple(labels)
+        if witness is not None:
+            self.witnesses = ((missing, tuple(witness)),)
 
 
 class DimensionMismatch(ProxlatError):
@@ -29,9 +40,10 @@ class DimensionMismatch(ProxlatError):
 class NotAProximityLattice(ProxlatError):
     """The relation violates idempotence or join/meet compatibility."""
 
-    def __init__(self, message, witnesses=()):
+    def __init__(self, message, witnesses=(), labels=()):
         super().__init__(message)
         self.witnesses = tuple(witnesses)
+        self.labels = tuple(labels)
 
 
 class InvalidRoundSubset(ProxlatError):

@@ -11,10 +11,16 @@ from __future__ import annotations
 import json
 from typing import Any, Sequence
 
-from .bitset import bits
+from .bitset import bits, transpose
 from .canext import CanonicalExtension, ExtensionReport
 from .errors import ProxlatError
-from .lattice import FiniteLattice, _set_label, lattice_from_up
+from .lattice import (
+    FiniteLattice,
+    _set_label,
+    antisymmetry_witness,
+    covers,
+    lattice_from_up,
+)
 from .morphext import ExtendedMap, PreservationReport
 from .proximity import (
     AxiomReport,
@@ -74,22 +80,15 @@ def lattice_from_doc(doc: dict) -> FiniteLattice:
             raise ParseError(f"bad order pair {pair!r}")
         a, b = (_resolve(labels, x) for x in pair)
         up[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):  # Warshall: close through each k in turn
         for a in range(n):
-            out = up[a]
-            for b in bits(up[a]):
-                out |= up[b]
-            if out != up[a]:
-                up[a] = out
-                changed = True
-    for a in range(n):
-        for b in bits(up[a]):
-            if a != b and up[b] >> a & 1:
-                raise ParseError(
-                    f"order closure is not antisymmetric at "
-                    f"({labels[a]!r},{labels[b]!r})")
+            if up[a] >> k & 1:
+                up[a] |= up[k]
+    witness = antisymmetry_witness(up)
+    if witness is not None:
+        a, b = witness
+        raise ParseError(f"order closure is not antisymmetric at "
+                         f"({labels[a]!r},{labels[b]!r})")
     return lattice_from_up(labels, up)
 
 
@@ -273,11 +272,13 @@ def extended_map_to_doc(m: ExtendedMap,
 
 
 def diagnostic_doc(status: str, kind: str, detail: str,
-                   witnesses: dict | None = None) -> dict:
+                   witnesses=(), labels=()) -> dict:
+    """`witnesses` are (name, element indices) pairs, written with the
+    element names in `labels`."""
     doc = {"schema": SCHEMA, "kind": "diagnostic", "status": status,
            "error": kind, "detail": detail}
     if witnesses:
-        doc["witnesses"] = witnesses
+        doc["witnesses"] = _witnesses_doc(witnesses, labels)
     return doc
 
 
@@ -306,15 +307,7 @@ def dot_space(space: FiniteSpace, name: str = "space") -> str:
     lines = [f"digraph {json.dumps(name)} {{", "  rankdir=BT;"]
     for x in range(space.points):
         lines.append(f"  n{x} [label={json.dumps(space.labels[x])}];")
-    for x in range(space.points):
-        strict = up[x] & ~(1 << x)
-        for y in bits(strict):
-            between = False
-            for z in bits(strict & ~(1 << y)):
-                if up[z] >> y & 1:
-                    between = True
-                    break
-            if not between:
-                lines.append(f"  n{x} -> n{y};")
+    for x, y in covers(up, transpose(up, space.points)):
+        lines.append(f"  n{x} -> n{y};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bitset import bits, is_subset
+from .bitset import bits, is_subset, transpose
 from .errors import NotALattice, NotAPartialOrder
 
 
@@ -34,13 +34,6 @@ class FiniteLattice:
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 
-    def meet_mask(self, mask: int) -> int:
-        """Meet of a subset given as a bitmask; the empty meet is top."""
-        out = self.top
-        for a in bits(mask):
-            out = self.meet[out][a]
-        return out
-
     def join_mask(self, mask: int) -> int:
         """Join of a subset given as a bitmask; the empty join is bot."""
         out = self.bot
@@ -50,14 +43,7 @@ class FiniteLattice:
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a < b and nothing strictly between."""
-        out = []
-        for a in range(self.size):
-            strict = self.up[a] & ~(1 << a)
-            for b in bits(strict):
-                between = strict & self.down[b] & ~(1 << b)
-                if between == 0:
-                    out.append((a, b))
-        return out
+        return covers(self.up, self.down)
 
     def label(self, a: int) -> str:
         return self.labels[a]
@@ -87,11 +73,7 @@ class Preorder:
         return bool(self.up[a] >> b & 1)
 
     def down_masks(self) -> tuple[int, ...]:
-        d = [0] * self.size
-        for a in range(self.size):
-            for b in bits(self.up[a]):
-                d[b] |= 1 << a
-        return tuple(d)
+        return transpose(self.up, self.size)
 
 
 def _order_masks(n: int, pairs) -> list[int]:
@@ -101,6 +83,28 @@ def _order_masks(n: int, pairs) -> list[int]:
             raise NotAPartialOrder(f"pair ({a},{b}) outside carrier of size {n}")
         up[a] |= 1 << b
     return up
+
+
+def antisymmetry_witness(up: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first pair (a, b), a != b, with a <= b and b <= a in the
+    relation given by up-set masks; None when it is antisymmetric."""
+    for a, row in enumerate(up):
+        for b in bits(row & ~(1 << a)):
+            if up[b] >> a & 1:
+                return (a, b)
+    return None
+
+
+def covers(up: Sequence[int], down: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs (a, b) with a < b and nothing strictly between, read off
+    the up-set and down-set masks of a preorder."""
+    out = []
+    for a, row in enumerate(up):
+        strict = row & ~(1 << a)
+        for b in bits(strict):
+            if not strict & down[b] & ~(1 << b):
+                out.append((a, b))
+    return out
 
 
 def _check_preorder(n: int, up: Sequence[int]) -> None:
@@ -133,24 +137,20 @@ def lattice_from_order(labels: Sequence[str], pairs) -> FiniteLattice:
     a witness pair, if some pair of elements has no meet or no join.
     """
     n = len(labels)
-    if n == 0:
-        raise NotALattice("a bounded lattice needs at least one element")
     up = _order_masks(n, pairs)
     _check_preorder(n, up)
-    for a in range(n):
-        for b in bits(up[a]):
-            if a != b and up[b] >> a & 1:
-                raise NotAPartialOrder(f"antisymmetry fails at ({a},{b})")
+    witness = antisymmetry_witness(up)
+    if witness is not None:
+        raise NotAPartialOrder("antisymmetry fails at ({},{})".format(*witness))
     return lattice_from_up(labels, up)
 
 
 def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
     """Like lattice_from_order but from validated up-set masks."""
     n = len(labels)
-    down = [0] * n
-    for a in range(n):
-        for b in bits(up[a]):
-            down[b] |= 1 << a
+    if n == 0:
+        raise NotALattice("a bounded lattice needs at least one element")
+    down = transpose(up, n)
 
     def bound(a: int, b: int, cone: Sequence[int], kind: str) -> int:
         common = cone[a] & cone[b]
@@ -159,7 +159,7 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
                 return m
         raise NotALattice(
             f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
-            witness=(a, b), missing=kind)
+            witness=(a, b), missing=kind, labels=labels)
 
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
@@ -177,7 +177,7 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
     return FiniteLattice(
         size=n,
         up=tuple(up),
-        down=tuple(down),
+        down=down,
         meet=tuple(tuple(r) for r in meet),
         join=tuple(tuple(r) for r in join),
         bot=bot,
@@ -215,18 +215,34 @@ def opposite(lat: FiniteLattice) -> FiniteLattice:
     )
 
 
+def _unpreserved_join(src: FiniteLattice, tgt: FiniteLattice,
+                      table: Sequence[int], elems: Sequence[int],
+                      empty: bool = True) -> Optional[tuple[int, ...]]:
+    """The first join over `elems` that `table` does not carry to the
+    join of the images in `tgt`, or None.
+
+    The empty join comes first, as (src.bot,), unless `empty` is False;
+    then the binary joins (a, b), a no later than b in `elems`. Binary
+    and empty instances give every finite join by induction. Meet
+    preservation is this check on the opposite lattices.
+    """
+    if empty and table[src.bot] != tgt.bot:
+        return (src.bot,)
+    join, tjoin = src.join, tgt.join
+    for i, a in enumerate(elems):
+        row, trow = join[a], tjoin[table[a]]
+        for b in elems[i:]:
+            if table[row[b]] != trow[table[b]]:
+                return (a, b)
+    return None
+
+
 def is_homomorphism(f: LatticeMap) -> bool:
     """True iff f preserves binary meets and joins and both bounds."""
     src, tgt, t = f.source, f.target, f.table
-    if t[src.bot] != tgt.bot or t[src.top] != tgt.top:
-        return False
-    for a in range(src.size):
-        for b in range(a, src.size):
-            if t[src.meet[a][b]] != tgt.meet[t[a]][t[b]]:
-                return False
-            if t[src.join[a][b]] != tgt.join[t[a]][t[b]]:
-                return False
-    return True
+    every = range(src.size)
+    return (_unpreserved_join(src, tgt, t, every) is None
+            and _unpreserved_join(opposite(src), opposite(tgt), t, every) is None)
 
 
 def compose_maps(f: LatticeMap, g: LatticeMap) -> LatticeMap:
@@ -321,69 +337,55 @@ def dedekind_macneille(q: Preorder) -> MacNeilleCompletion:
 # Isomorphism search
 # ---------------------------------------------------------------------------
 
-def find_isomorphism(a: FiniteLattice, b: FiniteLattice,
-                     pins: Optional[dict[int, int]] = None) -> Optional[LatticeMap]:
-    """Order isomorphism a -> b found by backtracking, or None.
+def _order_isomorphism(up_a: Sequence[int], up_b: Sequence[int],
+                       pins: Optional[dict[int, int]] = None
+                       ) -> Optional[tuple[int, ...]]:
+    """A bijection t with x <= y iff t(x) <= t(y), between two preorders
+    given by up-set masks, found by backtracking; None if absent.
 
-    `pins` forces values on some source elements; conflicting or
-    non-injective pins make the search fail immediately. An order
-    isomorphism between lattices preserves meets and joins, so nothing
-    more needs checking.
+    `pins` forces values on some elements; non-injective pins make the
+    search fail immediately.
     """
-    if a.size != b.size:
+    n = len(up_a)
+    if n != len(up_b):
         return None
-
-    def profile(lat: FiniteLattice, x: int) -> tuple[int, int]:
-        return (lat.down[x].bit_count(), lat.up[x].bit_count())
-
-    prof_a = [profile(a, x) for x in range(a.size)]
-    prof_b = [profile(b, x) for x in range(b.size)]
+    down_a, down_b = transpose(up_a, n), transpose(up_b, n)
+    prof_a = [(down_a[x].bit_count(), up_a[x].bit_count()) for x in range(n)]
+    prof_b = [(down_b[y].bit_count(), up_b[y].bit_count()) for y in range(n)]
     if sorted(prof_a) != sorted(prof_b):
         return None
 
-    table: list[int] = [-1] * a.size
-    used = [False] * b.size
-    if pins:
-        for x, y in pins.items():
-            if table[x] not in (-1, y):
-                return None
-            if table[x] == -1 and used[y]:
-                return None
-            if table[x] == -1:
-                table[x] = y
-                used[y] = True
+    table: list[int] = [-1] * n
+    used = [False] * n
 
-    assigned = [x for x in range(a.size) if table[x] != -1]
-    for x in assigned:
-        y = table[x]
-        if prof_a[x] != prof_b[y]:
+    def fits(x: int, y: int) -> bool:
+        """x -> y agrees both ways with every value assigned so far."""
+        ua, da, ub, db = up_a[x], down_a[x], up_b[y], down_b[y]
+        for x2, y2 in enumerate(table):
+            if y2 != -1 and (ua >> x2 & 1 != ub >> y2 & 1
+                             or da >> x2 & 1 != db >> y2 & 1):
+                return False
+        return True
+
+    for x, y in (pins or {}).items():
+        if used[y]:
             return None
-        for x2 in assigned:
-            if a.leq(x, x2) != b.leq(y, table[x2]):
-                return None
-            if a.leq(x2, x) != b.leq(table[x2], y):
-                return None
+        table[x] = y
+        used[y] = True
+    if any(prof_a[x] != prof_b[y] or not fits(x, y)
+           for x, y in enumerate(table) if y != -1):
+        return None
 
     # rarest profiles first keeps the branching factor low
-    order = sorted((x for x in range(a.size) if table[x] == -1),
-                   key=lambda x: (sum(1 for p in prof_b if p == prof_a[x]), x))
+    order = sorted((x for x in range(n) if table[x] == -1),
+                   key=lambda x: (prof_b.count(prof_a[x]), x))
 
     def extend(k: int) -> bool:
         if k == len(order):
             return True
         x = order[k]
-        for y in range(b.size):
-            if used[y] or prof_b[y] != prof_a[x]:
-                continue
-            ok = True
-            for x2 in range(a.size):
-                y2 = table[x2]
-                if y2 == -1:
-                    continue
-                if a.leq(x, x2) != b.leq(y, y2) or a.leq(x2, x) != b.leq(y2, y):
-                    ok = False
-                    break
-            if ok:
+        for y in range(n):
+            if not used[y] and prof_b[y] == prof_a[x] and fits(x, y):
                 table[x] = y
                 used[y] = True
                 if extend(k + 1):
@@ -392,9 +394,19 @@ def find_isomorphism(a: FiniteLattice, b: FiniteLattice,
                 used[y] = False
         return False
 
-    if not extend(0):
-        return None
-    return LatticeMap(a, b, tuple(table))
+    return tuple(table) if extend(0) else None
+
+
+def find_isomorphism(a: FiniteLattice, b: FiniteLattice,
+                     pins: Optional[dict[int, int]] = None) -> Optional[LatticeMap]:
+    """Order isomorphism a -> b found by backtracking, or None.
+
+    `pins` forces values on some source elements; non-injective pins
+    make the search fail immediately. An order isomorphism between
+    lattices preserves meets and joins, so nothing more needs checking.
+    """
+    table = _order_isomorphism(a.up, b.up, pins)
+    return None if table is None else LatticeMap(a, b, table)
 
 
 def lattice_laws_hold(lat: FiniteLattice) -> bool:

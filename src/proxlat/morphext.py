@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits
+from .bitset import bits, preimage
 from .canext import CanonicalExtension, _join_of_image
 from .errors import (
     InternalCheckError,
@@ -26,7 +26,7 @@ from .errors import (
     NotAProximityMorphism,
     NotDistributive,
 )
-from .lattice import FiniteLattice, opposite
+from .lattice import FiniteLattice, _unpreserved_join, opposite
 from .proximity import ProximityMorphism
 from .relations import Relation
 
@@ -46,10 +46,7 @@ def _pi_table(rel: Relation, e_src: CanonicalExtension,
     ideal_elems = e_src.ideal_elements()
     stage1: dict[int, int] = {}
     for y in ideal_elems:
-        pre = 0
-        for a in range(e_src.source.size):
-            if c_src.leq(e_src.embed[a], y):
-                pre |= 1 << a
+        pre = preimage(e_src.embed, c_src.down[y])
         stage1[y] = _join_of_image(c_tgt, e_tgt.embed, rel.image(pre))
     table = []
     for u in range(c_src.size):
@@ -153,10 +150,13 @@ class PreservationReport:
 def check_preservation(m: ExtendedMap) -> PreservationReport:
     """Quantify the preservation properties over the finite extension.
 
-    Arbitrary meets reduce to the binary and empty instances. Directed
-    joins of round ideal elements reduce to monotonicity on them: a
-    finite directed family D has a greatest member g, so its join is g,
-    and the map preserves it exactly when every y in D has
+    Arbitrary meets and joins reduce to the empty and binary instances,
+    and finite joins of round ideal elements to the binary ones. Each
+    failed property gets one witness, its first failed instance: the
+    empty meet (join) as (top,) ((bot,)) before any binary pair (u, v).
+    Directed joins of round ideal elements reduce to monotonicity on
+    them: a finite directed family D has a greatest member g, so its
+    join is g, and the map preserves it exactly when every y in D has
     table[y] <= table[g]. Every pair y <= g of ideal elements is such a
     family, so the check over pairs is exact at every size.
     """
@@ -170,60 +170,26 @@ def check_preservation(m: ExtendedMap) -> PreservationReport:
         ideal_elems = tuple(sorted(set(m.source_ext.f)))
         approx = m.morphism.is_m
     table = m.table
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
+    every = range(c_src.size)
 
-    all_meets = table[c_src.top] == c_tgt.top
-    if not all_meets:
-        witnesses.append(("all_meets", (c_src.top,)))
-    for u in range(c_src.size):
-        for v in range(u, c_src.size):
-            if table[c_src.meet[u][v]] != c_tgt.meet[table[u]][table[v]]:
-                all_meets = False
-                witnesses.append(("all_meets", (u, v)))
-                break
-        if not all_meets:
-            break
+    directed = next(((y, g) for y in ideal_elems for g in ideal_elems
+                     if c_src.leq(y, g) and not c_tgt.leq(table[y], table[g])),
+                    None)
 
-    directed = True
-    for y in ideal_elems:
-        for g in ideal_elems:
-            if c_src.leq(y, g) and not c_tgt.leq(table[y], table[g]):
-                directed = False
-                witnesses.append(("directed_ideal_joins", (y, g)))
-                break
-        if not directed:
-            break
-
-    finite_joins = True
-    for y1 in ideal_elems:
-        for y2 in ideal_elems:
-            if table[c_src.join[y1][y2]] != c_tgt.join[table[y1]][table[y2]]:
-                finite_joins = False
-                witnesses.append(("finite_ideal_joins", (y1, y2)))
-                break
-        if not finite_joins:
-            break
-
-    all_joins = table[c_src.bot] == c_tgt.bot
-    if not all_joins:
-        witnesses.append(("all_joins", (c_src.bot,)))
-    for u in range(c_src.size):
-        for v in range(u, c_src.size):
-            if table[c_src.join[u][v]] != c_tgt.join[table[u]][table[v]]:
-                all_joins = False
-                witnesses.append(("all_joins", (u, v)))
-                break
-        if not all_joins:
-            break
-
+    found = (
+        ("all_meets", _unpreserved_join(opposite(c_src), opposite(c_tgt),
+                                        table, every)),
+        ("directed_ideal_joins", directed),
+        ("finite_ideal_joins", _unpreserved_join(c_src, c_tgt, table,
+                                                 ideal_elems, empty=False)),
+        ("all_joins", _unpreserved_join(c_src, c_tgt, table, every)),
+    )
+    flags = {name: witness is None for name, witness in found}
     return PreservationReport(
         kind=m.kind,
         approximable=approx,
-        all_meets=all_meets,
-        directed_ideal_joins=directed,
-        finite_ideal_joins=finite_joins,
-        all_joins=all_joins,
-        witnesses=tuple(witnesses),
+        witnesses=tuple((name, w) for name, w in found if w is not None),
+        **flags,
     )
 
 
@@ -248,10 +214,7 @@ def compare_with_dual(m: ExtendedMap, dual) -> bool:
 
     for u in range(m.source_ext.C.size):
         sat_u = d_src.sat_sets[d_src.iso.table[u]]
-        pre = 0
-        for q, image_point in enumerate(dual.point_map):
-            if sat_u >> image_point & 1:
-                pre |= 1 << q
-        if d_tgt.sat_sets[d_tgt.iso.table[m.table[u]]] != pre:
+        if d_tgt.sat_sets[d_tgt.iso.table[m.table[u]]] != preimage(
+                dual.point_map, sat_u):
             return False
     return True

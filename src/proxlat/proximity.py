@@ -45,7 +45,6 @@ from .bitset import bits, is_subset, submasks
 from .errors import (
     DimensionMismatch,
     InternalCheckError,
-    InvalidRoundSubset,
     NotAJMorphism,
     NotALattice,
     NotAProximityLattice,
@@ -309,7 +308,8 @@ def proximity_lattice(lat: FiniteLattice, rel: Relation) -> ProximityLattice:
     report = verify_axioms(lat, rel)
     if not report.axioms_ok:
         raise NotAProximityLattice(
-            "relation violates the proximity axioms", report.witnesses)
+            "relation violates the proximity axioms", report.witnesses,
+            lat.labels)
     return ProximityLattice(lat, rel, report)
 
 
@@ -406,13 +406,6 @@ class RoundSubset:
     carrier: ProximityLattice
     members: int
     kind: str  # "ideal" | "filter"
-
-
-def round_subset(p: ProximityLattice, members: int, kind: str) -> RoundSubset:
-    ok = is_round_ideal(p, members) if kind == "ideal" else is_round_filter(p, members)
-    if not ok:
-        raise InvalidRoundSubset(f"{members:#x} is not a round {kind}")
-    return RoundSubset(p, members, kind)
 
 
 def round_subsets(p: ProximityLattice, kind: str) -> tuple[RoundSubset, ...]:
@@ -578,16 +571,9 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
 
 
 def _is_lattice_ideal(lat: FiniteLattice, mask: int) -> bool:
-    """Down-closed, join-closed, contains bottom."""
-    if not mask >> lat.bot & 1:
-        return False
-    for b in bits(mask):
-        if not is_subset(lat.down[b], mask):
-            return False
-        for b2 in bits(mask):
-            if not mask >> lat.join[b][b2] & 1:
-                return False
-    return True
+    """Nonempty, down-closed and join-closed. In a finite lattice these
+    are exactly the principal down-sets, each the down-set of its join."""
+    return mask == lat.down[lat.join_mask(mask)]
 
 
 def _join_approx_binary(sl, tl, tgt_rows, rows):
@@ -800,17 +786,11 @@ def increasing_presentation(p: ProximityLattice) -> IncreasingPresentation:
         raise InternalCheckError("way-below output lost expected flags")
 
     cols = p.R.converse().rows
-    wb = ridl.way_below
+    wb_conv = ridl.way_below.converse()
     n_i = len(ridl.ideals)
-    phi_rows = []
-    for a in range(p.size):
-        target_ideal = ridl.index_of(cols[a])  # R^-1[a] is always round
-        row = 0
-        for i in range(n_i):
-            if wb.has(i, target_ideal):
-                row |= 1 << i
-        phi_rows.append(row)
-    phi = proximity_morphism(p, out, Relation(p.size, n_i, tuple(phi_rows)))
+    # R^-1[a] is always round; its row is the way-below column there
+    phi_rows = tuple(wb_conv.rows[ridl.index_of(cols[a])] for a in range(p.size))
+    phi = proximity_morphism(p, out, Relation(p.size, n_i, phi_rows))
 
     psi_rows = tuple(ridl.ideals)
     psi = proximity_morphism(out, p, Relation(n_i, p.size, psi_rows))
@@ -819,7 +799,7 @@ def increasing_presentation(p: ProximityLattice) -> IncreasingPresentation:
         raise InternalCheckError("presentation morphisms are not j-morphisms")
     if compose(phi.T, psi.T) != p.R.converse():
         raise InternalCheckError("Phi;Psi is not R^-1")
-    if compose(psi.T, phi.T) != wb.converse():
+    if compose(psi.T, phi.T) != wb_conv:
         raise InternalCheckError("Psi;Phi is not the converse of way-below")
     return IncreasingPresentation(out, ridl, phi, psi)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitset import bits
+from .bitset import bits, transpose
 from .errors import DimensionMismatch
 from .lattice import FiniteLattice
 
@@ -32,11 +32,8 @@ class Relation:
                 yield (a, b)
 
     def converse(self) -> "Relation":
-        cols = [0] * self.target_size
-        for a, row in enumerate(self.rows):
-            for b in bits(row):
-                cols[b] |= 1 << a
-        return Relation(self.target_size, self.source_size, tuple(cols))
+        return Relation(self.target_size, self.source_size,
+                        transpose(self.rows, self.target_size))
 
     def image(self, mask: int) -> int:
         """R[A] = union of rows over a in A."""

@@ -12,11 +12,10 @@ scale. What remains testable is everything on the lattice side.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .bitset import bits, is_subset
+from .bitset import bits, is_subset, preimage, transpose
 from .canext import (
     CanonicalExtension,
     check_uniqueness,
@@ -36,7 +35,9 @@ from .lattice import (
     FiniteLattice,
     LatticeMap,
     _lattice_of_sets,
+    _order_isomorphism,
     _set_label,
+    antisymmetry_witness,
     lattice_from_up,
 )
 from .proximity import (
@@ -99,12 +100,7 @@ def specialization(space: FiniteSpace) -> tuple[int, ...]:
 
 
 def is_t0(space: FiniteSpace) -> bool:
-    up = specialization(space)
-    for x in range(space.points):
-        for y in bits(up[x]):
-            if x != y and up[y] >> x & 1:
-                return False
-    return True
+    return antisymmetry_witness(specialization(space)) is None
 
 
 def saturated_sets(space: FiniteSpace) -> tuple[int, ...]:
@@ -140,18 +136,9 @@ def all_posets(n: int) -> Iterator[tuple[int, ...]]:
         for k in bits(choice):
             a, b = pairs[k]
             up[a] |= 1 << b
-        ok = True
-        for a in range(n):
-            for b in bits(up[a]):
-                if a != b and up[b] >> a & 1:
-                    ok = False
-                    break
-                if up[b] & ~up[a]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        transitive = all(is_subset(up[b], up[a])
+                         for a in range(n) for b in bits(up[a]))
+        if transitive and antisymmetry_witness(up) is None:
             yield tuple(up)
 
 
@@ -170,19 +157,16 @@ def all_t0_spaces(n: int) -> Iterator[FiniteSpace]:
 
 
 def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> Optional[tuple[int, ...]]:
-    """A bijection carrying opens onto opens, by search; None if absent."""
-    if a.points != b.points or len(a.opens) != len(b.opens):
-        return None
-    for perm in itertools.permutations(range(b.points)):
-        mapped = set()
-        for u in a.opens:
-            img = 0
-            for x in bits(u):
-                img |= 1 << perm[x]
-            mapped.add(img)
-        if mapped == set(b.opens):
-            return perm
-    return None
+    """A bijection carrying opens onto opens, by search; None if absent.
+
+    The opens of a finite space, T0 or not, are exactly the up-sets of
+    its specialization preorder, and a bijection carries the up-sets of
+    one preorder onto those of another exactly when it is an isomorphism
+    of the preorders. So the search is an order-isomorphism search on
+    the two specialization preorders. It returns some homeomorphism,
+    not necessarily the lexicographically first.
+    """
+    return _order_isomorphism(specialization(a), specialization(b))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +249,7 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
         raise NotDistributive("spectra need distributive carriers")
     points = prime_round_filters(p)
     k = len(points)
-    basic = tuple(
-        sum(1 << i for i, fm in enumerate(points) if fm >> d & 1)
-        for d in range(p.size))
+    basic = transpose(points, p.size)
     for d in range(p.size):
         for e in range(p.size):
             if basic[p.lattice.meet[d][e]] != basic[d] & basic[e]:
@@ -429,11 +411,7 @@ def dual_map(t: ProximityMorphism) -> DualMap:
                 "preimage of a prime filter is not a prime filter", witness=fm)
         point_map.append(position[pre])
     for d in range(t.source.size):
-        pre_open = 0
-        for q, img in enumerate(point_map):
-            if cod.basic_open[d] >> img & 1:
-                pre_open |= 1 << q
-        if not dom.space.is_open(pre_open):
+        if not dom.space.is_open(preimage(point_map, cod.basic_open[d])):
             raise InternalCheckError("dual map is not continuous", witness=d)
     return DualMap(t, dom, cod, tuple(point_map))
 
@@ -451,14 +429,7 @@ class SpectralProximitySpace:
 
 
 def _continuous(dom: FiniteSpace, cod: FiniteSpace, g) -> bool:
-    for u in cod.opens:
-        pre = 0
-        for x in range(dom.points):
-            if u >> g[x] & 1:
-                pre |= 1 << x
-        if not dom.is_open(pre):
-            return False
-    return True
+    return all(dom.is_open(preimage(g, u)) for u in cod.opens)
 
 
 def spectral_proximity_space(space: FiniteSpace, f) -> SpectralProximitySpace:
@@ -491,16 +462,8 @@ def retract_image(x: SpectralProximitySpace) -> FiniteSpace:
     """The image of the retraction with the subspace topology; at this
     scale the result is again a finite T0 space."""
     image = sorted(set(x.f))
-    reindex = {p: i for i, p in enumerate(image)}
-    opens = set()
-    for u in x.space.opens:
-        m = 0
-        for p in image:
-            if u >> p & 1:
-                m |= 1 << reindex[p]
-        opens.add(m)
     labels = [x.space.labels[p] for p in image]
-    return finite_space(labels, opens)
+    return finite_space(labels, {preimage(image, u) for u in x.space.opens})
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_roundtrip_corrupted_relation(tmp_path, capsys):
     assert code == 1
     diag = json.loads(err)
     assert diag["status"] == "property-failure"
-    assert "idempotent" in diag["witnesses"]
+    assert diag["witnesses"]["idempotent"] == ["p", "p"]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -141,3 +141,33 @@ def test_non_object_document_is_a_parse_error(tmp_path, capsys, verb, items):
     diag = json.loads(err)
     assert diag["status"] == "parse-error"
     assert diag["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("verb,kind", [
+    (verb, "proximity") for verb in ("check", "canext", "spectrum", "dualize",
+                                     "roundtrip", "export-dot")
+] + [("export-dot", "lattice")])
+def test_empty_carrier_is_refused(tmp_path, capsys, verb, kind):
+    empty = {"elements": [], "leq": []}
+    doc = {"lattice": empty, "R": []} if kind == "proximity" else empty
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(dict(doc, schema="proxlat/1", kind=kind)))
+    code, out, err = run(capsys, verb, str(path))
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["status"] == "property-failure"
+    assert diag["error"] == "NotALattice"
+
+
+def test_missing_join_is_named_by_labels(tmp_path, capsys):
+    doc = {"schema": "proxlat/1", "kind": "lattice",
+           "elements": ["0", "a", "b"], "leq": [["0", "a"], ["0", "b"]]}
+    path = tmp_path / "no_join.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "export-dot", str(path))
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "NotALattice"
+    assert diag["witnesses"] == {"join": ["a", "b"]}

@@ -2,12 +2,13 @@
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import KindMismatch, NotAProximityMorphism
-from proxlat.lattice import lattice_from_up
+from proxlat.lattice import LatticeMap, is_homomorphism, lattice_from_up, opposite
 from proxlat.morphext import (
     check_preservation,
     compare_with_dual,
@@ -29,6 +30,11 @@ from proxlat.spectra import dual_map
 @pytest.fixture(scope="module")
 def pi_exts(distributive_corpus):
     return {k: pi_extension(v) for k, v in distributive_corpus.items()}
+
+
+def chain(n):
+    return lattice_from_up([f"c{i}" for i in range(n)],
+                           [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
 
 
 def test_identity_extends_to_identity(corpus, pi_exts):
@@ -171,10 +177,7 @@ def test_sigma_extension_of_m_morphisms(distributive_corpus):
 def test_directed_joins_fail_for_a_non_monotone_map(corpus):
     # swapping the images of two comparable ideal elements breaks the
     # directed family {y, g}; the 16-chain has more than 14 of them
-    n = 16
-    chain16 = lattice_from_up([f"c{i}" for i in range(n)],
-                              [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
-    for p in (corpus["C3"], order_proximity(chain16)):
+    for p in (corpus["C3"], order_proximity(chain(16))):
         ext = pi_extension(p)
         m = extend_pi(identity_morphism(p), ext, ext)
         assert check_preservation(m).directed_ideal_joins
@@ -186,3 +189,100 @@ def test_directed_joins_fail_for_a_non_monotone_map(corpus):
         assert not rep.directed_ideal_joins
         y2, g2 = dict(rep.witnesses)["directed_ideal_joins"]
         assert ext.C.leq(y2, g2) and not ext.C.leq(table[y2], table[g2])
+
+
+def test_one_witness_per_failed_property():
+    # the swapped map above fails the empty meet and the empty join; each
+    # property reports its first failed instance and no other
+    p = order_proximity(chain(16))
+    ext = pi_extension(p)
+    m = extend_pi(identity_morphism(p), ext, ext)
+    table = list(m.table)
+    y, g = ext.g[0], ext.g[-1]
+    table[y], table[g] = table[g], table[y]
+    rep = check_preservation(dataclasses.replace(m, table=tuple(table)))
+    names = [name for name, _ in rep.witnesses]
+    assert len(names) == len(set(names))
+    assert dict(rep.witnesses)["all_meets"] == (ext.C.top,)
+    assert dict(rep.witnesses)["all_joins"] == (ext.C.bot,)
+
+
+def loop_witnesses(src, tgt, table, ideal_elems):
+    """The meet and join loops check_preservation ran before it shared
+    one join-side kernel, kept as its oracle: every witness they record,
+    in order, for all_meets, finite_ideal_joins and all_joins."""
+    witnesses = []
+    all_meets = table[src.top] == tgt.top
+    if not all_meets:
+        witnesses.append(("all_meets", (src.top,)))
+    for u in range(src.size):
+        for v in range(u, src.size):
+            if table[src.meet[u][v]] != tgt.meet[table[u]][table[v]]:
+                all_meets = False
+                witnesses.append(("all_meets", (u, v)))
+                break
+        if not all_meets:
+            break
+    finite_joins = True
+    for y1 in ideal_elems:
+        for y2 in ideal_elems:
+            if table[src.join[y1][y2]] != tgt.join[table[y1]][table[y2]]:
+                finite_joins = False
+                witnesses.append(("finite_ideal_joins", (y1, y2)))
+                break
+        if not finite_joins:
+            break
+    all_joins = table[src.bot] == tgt.bot
+    if not all_joins:
+        witnesses.append(("all_joins", (src.bot,)))
+    for u in range(src.size):
+        for v in range(u, src.size):
+            if table[src.join[u][v]] != tgt.join[table[u]][table[v]]:
+                all_joins = False
+                witnesses.append(("all_joins", (u, v)))
+                break
+        if not all_joins:
+            break
+    return witnesses
+
+
+def loop_is_homomorphism(src, tgt, t):
+    if t[src.bot] != tgt.bot or t[src.top] != tgt.top:
+        return False
+    for a in range(src.size):
+        for b in range(a, src.size):
+            if t[src.meet[a][b]] != tgt.meet[t[a]][t[b]]:
+                return False
+            if t[src.join[a][b]] != tgt.join[t[a]][t[b]]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("a,b", [("C3", "B2"), ("B2", "B2"), ("M3", "C3"),
+                                 ("C3", "M3")])
+def test_preservation_kernel_against_loops(corpus, a, b):
+    # every map between the two carriers, read as an extended map of
+    # either kind; the pi reading takes every element as an ideal
+    # element, the sigma reading those of even index
+    src, tgt = corpus[a].lattice, corpus[b].lattice
+    families = {"pi": tuple(range(src.size)),
+                "sigma": tuple(range(0, src.size, 2))}
+    for table in itertools.product(range(tgt.size), repeat=src.size):
+        assert is_homomorphism(LatticeMap(src, tgt, table)) == \
+            loop_is_homomorphism(src, tgt, table)
+        for kind, family in families.items():
+            ext = SimpleNamespace(C=src, f=family, ideal_elements=lambda: family)
+            m = SimpleNamespace(kind=kind, source_ext=ext,
+                                target_ext=SimpleNamespace(C=tgt),
+                                morphism=SimpleNamespace(is_j=True, is_m=True),
+                                table=table)
+            rep = check_preservation(m)
+            c_src, c_tgt = ((src, tgt) if kind == "pi"
+                            else (opposite(src), opposite(tgt)))
+            first = {}
+            for name, witness in loop_witnesses(c_src, c_tgt, table, family):
+                first.setdefault(name, witness)
+            got = {k: v for k, v in rep.witnesses if k != "directed_ideal_joins"}
+            assert got == first, (kind, table)
+            for name in ("all_meets", "finite_ideal_joins", "all_joins"):
+                assert getattr(rep, name) == (name not in first)

@@ -184,6 +184,55 @@ def test_canext_via_duality_on_fixtures(distributive_corpus):
                 result.extension.embed[a]
 
 
+def all_topologies(n):
+    """Every topology on n labelled points, T0 or not."""
+    full = (1 << n) - 1
+    middle = range(1, full)
+    for choice in range(1 << len(middle)):
+        fam = {0, full} | {u for i, u in enumerate(middle) if choice >> i & 1}
+        if all(u | v in fam and u & v in fam for u in fam for v in fam):
+            yield finite_space([str(i) for i in range(n)], fam)
+
+
+def image(perm, mask):
+    return sum(1 << perm[x] for x in bits(mask))
+
+
+def homeomorphism_by_permutations(a, b):
+    """The first bijection, in lexicographic order, carrying opens onto
+    opens: the search find_homeomorphism ran before it compared
+    specialization orders, kept as its oracle."""
+    if a.points != b.points:
+        return None
+    for perm in itertools.permutations(range(b.points)):
+        if {image(perm, u) for u in a.opens} == set(b.opens):
+            return perm
+    return None
+
+
+def test_find_homeomorphism_against_permutation_search():
+    spaces = list(all_topologies(3))
+    assert len(spaces) == 29
+    for a in spaces:
+        for b in spaces:
+            found = find_homeomorphism(a, b)
+            assert (found is None) == (homeomorphism_by_permutations(a, b) is None)
+            if found is not None:
+                assert sorted(found) == [0, 1, 2]
+                assert {image(found, u) for u in a.opens} == set(b.opens)
+
+
+def test_find_homeomorphism_of_a_chain_and_its_reverse():
+    # the only homeomorphism is the last permutation in lexicographic
+    # order, which the permutation search reaches after 9! - 1 others
+    n = 9
+    labels = [str(i) for i in range(n)]
+    full = (1 << n) - 1
+    ups = finite_space(labels, [full & ~((1 << i) - 1) for i in range(n + 1)])
+    downs = finite_space(labels, [(1 << i) - 1 for i in range(n + 1)])
+    assert find_homeomorphism(ups, downs) == tuple(reversed(range(n)))
+
+
 def test_spectrum_roundtrip_exhaustive():
     for n in range(5):
         for sp in all_t0_spaces(n):
