@@ -189,15 +189,28 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
 def is_distributive(lat: FiniteLattice) -> bool:
     """True iff meet distributes over join on the whole carrier.
 
-    The law is symmetric in b and c and holds at b = c, so c > b suffices.
+    Send x to the set of join-irreducibles below it. In a finite lattice
+    this map is injective (x is the join of that set) and carries meets
+    to intersections; the lattice is distributive iff it also carries
+    binary joins to unions. If it does, it embeds the lattice in a
+    powerset. If the lattice is distributive and j <= x v y for a
+    join-irreducible j, then j = (j ^ x) v (j ^ y), so j <= x or j <= y.
+    An element is join-irreducible iff the elements strictly below it
+    have a greatest one, that is, form a principal down-set.
     """
     n = lat.size
-    meet, join = lat.meet, lat.join
-    for a in range(n):
-        for b in range(n):
-            for c in range(b + 1, n):
-                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                    return False
+    down, join = lat.down, lat.join
+    principal = set(down)
+    irreducible = 0
+    for x, d in enumerate(down):
+        if d & ~(1 << x) in principal:
+            irreducible |= 1 << x
+    below = [d & irreducible for d in down]
+    for x in range(n):
+        row, bx = join[x], below[x]
+        for y in range(x + 1, n):
+            if below[row[y]] != bx | below[y]:
+                return False
     return True
 
 

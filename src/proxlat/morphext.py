@@ -119,6 +119,12 @@ class PreservationReport:
 
     For sigma maps the checks run on the opposite lattices, so each
     field names the order-dual property of the original orientation.
+
+    `finite_ideal_joins` is about nonempty finite joins of round ideal
+    elements, checked at the binary instances. The empty join, the
+    bottom of C, is an ideal element too, but it is not required: the
+    full relation on C2 is a proximity morphism whose extension sends
+    that bottom to the top. `all_joins` does include the empty join.
     """
 
     kind: str
@@ -151,9 +157,10 @@ def check_preservation(m: ExtendedMap) -> PreservationReport:
     """Quantify the preservation properties over the finite extension.
 
     Arbitrary meets and joins reduce to the empty and binary instances,
-    and finite joins of round ideal elements to the binary ones. Each
-    failed property gets one witness, its first failed instance: the
-    empty meet (join) as (top,) ((bot,)) before any binary pair (u, v).
+    and nonempty finite joins of round ideal elements to the binary
+    ones. Each failed property gets one witness, its first failed
+    instance: the empty meet (join) as (top,) ((bot,)) before any
+    binary pair (u, v).
     Directed joins of round ideal elements reduce to monotonicity on
     them: a finite directed family D has a greatest member g, so its
     join is g, and the map preserves it exactly when every y in D has

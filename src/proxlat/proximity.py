@@ -33,6 +33,41 @@ the same reason the opposite of a proximity lattice needs no new check:
 (L^op, R^-1) is again a proximity lattice, its join side is the old
 meet side and vice versa, and only the increasing witness, which
 depends on the row order, is recomputed.
+
+Once both compatibility checks pass, R is read off one map. Write
+R^-1[b] for the column {a : a R b}. Join-compatibility makes every
+column hold bot, be down-closed ((a v a2) R b gives a R b when
+a <= a2) and be join-closed, so it is the principal ideal down mu(b),
+mu(b) being the join of the column. Meet-compatibility makes
+R^-1[top] everything and R^-1[b ^ b2] = R^-1[b] cap R^-1[b2], so mu
+preserves finite meets and is monotone, and the rows of R are up-sets.
+Since a R;R c iff a <= mu(b) <= mu(mu(c)) for some b, R is idempotent
+iff mu o mu = mu. Conversely, a meet-preserving mu makes
+a R b iff a <= mu(b) compatible on both sides. So the compatible
+relations are exactly the meet-preserving maps mu, and the proximity
+relations exactly the idempotent ones. The rest follows from the rows
+being up-sets and mu being monotone:
+
+* Join-strongness at (b1, b2) asks for each a R (b1 v b2) some u R b1
+  and v R b2 with a R (u v v). Every such u is below mu(b1) and every
+  v below mu(b2), so u = mu(b1), v = mu(b2) is the best choice, and
+  the instance fails exactly for a in
+  down mu(b1 v b2) minus down mu(mu(b1) v mu(b2)). The least such a
+  is the witness the loop over row pairs finds. Meet-strongness is
+  the same test on (L^op, R^-1), whose map takes a to the meet of R[a].
+* A proximity morphism T from (L, R) to (M, S) has principal rows,
+  T[b] = down tau(b). By the same argument join-approximability at
+  (b1, b2) fails exactly for m in T[b1 v b2] minus
+  down mu_S(tau(b1) v tau(b2)), and its empty instance for m in T[bot]
+  minus down mu_S(bot).
+* R^-1[down m] = down mu(m), so down m is a round ideal iff mu(m) = m:
+  the round ideals are the down-sets of the fixed points of mu.
+* For round ideals I = down i and J = down j, I << J asks for some
+  d <= j with i <= mu(d); mu is monotone, so I << J iff i <= mu(j).
+
+The loops over row pairs remain for relations that fail a
+compatibility axiom, whose reports still carry strongness flags and
+witnesses, and for ``exhaustive=True``.
 """
 
 from __future__ import annotations
@@ -41,7 +76,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitset import bits, is_subset, submasks
+from .bitset import bits, is_subset, submasks, transpose
 from .errors import (
     DimensionMismatch,
     InternalCheckError,
@@ -150,6 +185,8 @@ def verify_axioms(lat: FiniteLattice, rel: Relation, *,
         meet_compatible = meet_compatible and \
             _join_compatible_exhaustive(lat_op, cols, rows)
         strong = _join_strong_exhaustive
+    elif join_compatible and meet_compatible:
+        strong = _join_strong_mu
     else:
         strong = _join_strong_binary
     join_strong, js_wit = strong(lat, rows, cols)
@@ -237,6 +274,27 @@ def _join_strong_binary(lat, rows, cols):
             for a in bits(who):
                 if not rows[a] & joined:
                     return False, (a, b1, b2)
+    return True, None
+
+
+def _mu(lat: FiniteLattice, cols) -> list[int]:
+    """The join of each mask in `cols`; for the columns of a
+    join-compatible relation, the map mu with R^-1[b] = down mu(b)."""
+    return [lat.join_mask(col) for col in cols]
+
+
+def _join_strong_mu(lat, rows, cols):
+    """_join_strong_binary for a relation compatible on both sides: at
+    (b1, b2) it fails for a in R^-1[b1 v b2] minus R^-1[mu(b1) v mu(b2)]
+    (module docstring)."""
+    mu = _mu(lat, cols)
+    join = lat.join
+    for b1, m1 in enumerate(mu):
+        row, mrow = join[b1], join[m1]
+        for b2 in range(b1, lat.size):
+            stray = cols[row[b2]] & ~cols[mrow[mu[b2]]]
+            if stray:
+                return False, ((stray & -stray).bit_length() - 1, b1, b2)
     return True, None
 
 
@@ -375,9 +433,10 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
     """All round ideals, each as a member mask, in canonical order.
 
     A round ideal is a lattice ideal, and a lattice ideal of a finite
-    lattice is a principal down-set, so only down-sets need testing
-    against the fixpoint condition. ``round_subsets_slow`` filters all
-    subsets instead and is kept as the validation oracle.
+    lattice is a principal down-set down m. Its R-preimage is
+    R^-1[m] = down mu(m), so it is round exactly when mu(m) = m (module
+    docstring). ``round_subsets_slow`` filters all subsets instead and
+    is kept as the validation oracle.
     """
     out = []
     for m in range(p.size):
@@ -466,15 +525,12 @@ def round_ideal_lattice(p: ProximityLattice) -> RoundIdealLattice:
         raise InternalCheckError(
             "round ideals failed to form a lattice", exc.witness) from exc
 
+    # I << J iff top(I) <= mu(top(J)), that is, I inside R^-1[top(J)]
     cols = p.R.converse().rows
-    wb_rows = []
-    for mi in ideals:
-        row = 0
-        for j, mj in enumerate(ideals):
-            if any(is_subset(mi, cols[d]) for d in bits(mj)):
-                row |= 1 << j
-        wb_rows.append(row)
-    return RoundIdealLattice(p, lat, ideals, Relation(n, n, tuple(wb_rows)))
+    below = [cols[p.lattice.join_mask(mj)] for mj in ideals]
+    wb_rows = tuple(sum(1 << j for j, bj in enumerate(below) if is_subset(mi, bj))
+                    for mi in ideals)
+    return RoundIdealLattice(p, lat, ideals, Relation(n, n, wb_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +609,10 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
 
     # meet-approximability of T is join-approximability of its converse
     # from (tgt^op, S^-1) to (src^op, R^-1)
-    approx = _join_approx_exhaustive if exhaustive else _join_approx_binary
+    if exhaustive:
+        approx = _join_approx_exhaustive
+    else:
+        approx = _join_approx_mu if raw else _join_approx_binary
     japprox, j_wit = approx(src.lattice, tgt.lattice, tgt.R.rows, rows)
     mapprox, m_wit = approx(opposite(tgt.lattice), src_op, src_conv.rows, cols)
     if not japprox and j_wit is not None:
@@ -594,6 +653,25 @@ def _join_approx_binary(sl, tl, tgt_rows, rows):
             for m in bits(targets):
                 if not tgt_rows[m] & joined:
                     return False, (b1, b2, m)
+    return True, None
+
+
+def _join_approx_mu(sl, tl, tgt_rows, rows):
+    """_join_approx_binary for T with principal rows T[b] = down tau(b)
+    between proximity lattices: at (b1, b2) it fails for m in
+    T[b1 v b2] minus S^-1[tau(b1) v tau(b2)] (module docstring)."""
+    tau = _mu(tl, rows)
+    s_cols = transpose(tgt_rows, tl.size)
+    stray = rows[sl.bot] & ~s_cols[tl.bot]
+    if stray:
+        return False, ((stray & -stray).bit_length() - 1,)
+    join, tjoin = sl.join, tl.join
+    for b1, t1 in enumerate(tau):
+        row, trow = join[b1], tjoin[t1]
+        for b2 in range(b1, sl.size):
+            stray = rows[row[b2]] & ~s_cols[trow[tau[b2]]]
+            if stray:
+                return False, (b1, b2, (stray & -stray).bit_length() - 1)
     return True, None
 
 

@@ -1,23 +1,31 @@
-"""Meet-side checks are join-side checks on (L^op, R^-1).
+"""Meet-side checks are join-side checks on (L^op, R^-1), and the checks
+read off the map mu agree with the loops over row pairs.
 
 The reports below are pinned by digest, flags and witnesses alike, so
-any change to how a meet-side flag or witness is found shows up here.
+any change to how a flag or witness is found shows up here.
 """
 
 import hashlib
 import itertools
 import random
 
+from proxlat.bitset import bits, is_subset
 from proxlat.fixtures import CORPUS
 from proxlat.lattice import lattice_from_up, opposite
 from proxlat.proximity import (
     ProximityLattice,
+    _join_approx_binary,
+    _join_approx_mu,
+    _join_strong_binary,
+    _join_strong_mu,
     opposite_proximity,
+    round_ideal_lattice,
     round_ideal_masks,
+    round_subsets_slow,
     verify_axioms,
     verify_morphism,
 )
-from proxlat.relations import Relation
+from proxlat.relations import Relation, order_relation
 
 # sha256 of the reports below, computed before the meet-side kernels
 # were derived from the join-side ones
@@ -25,11 +33,29 @@ REPORTS_SHA256 = (
     "1ad27f63efd799320bd5157792f59116f67f8079ad2925aa8d2b38a219c631fc")
 EXHAUSTIVE_SHA256 = (
     "4aca45cf7644ab79887445f11d2abaed04fc298f905d823fcb825b23fa1c26f6")
+# sha256 of verify_morphism on every map into the principal down-sets,
+# computed before approximability was read off mu
+PRINCIPAL_SHA256 = (
+    "106b4ebe9056e17ac627c7352c06e76f6e82c8a712325b9e18eee2362f9f10a5")
 
 
 def chain(n):
     return lattice_from_up([f"c{i}" for i in range(n)],
                            [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
+
+
+def boolean(k):
+    n = 1 << k
+    return lattice_from_up([f"s{i}" for i in range(n)],
+                           [sum(1 << j for j in range(n) if i & j == i)
+                            for i in range(n)])
+
+
+def c3r_style(lat):
+    """x R y iff x is bottom or y is top."""
+    return Relation(lat.size, lat.size,
+                    tuple(lat.full if a == lat.bot else 1 << lat.top
+                          for a in range(lat.size)))
 
 
 def relations(lat, count, seed):
@@ -45,25 +71,37 @@ def relations(lat, count, seed):
         yield Relation(n, n, tuple(code >> (a * n) & full for a in range(n)))
 
 
-def proximity_lattices(lat):
-    """Every proximity relation on lat. Join-compatibility makes each
-    R^-1[b] a principal ideal, so R is fixed by the map b -> top of it."""
+def compatible_relations(lat):
+    """Every relation on lat compatible on both sides, with its report.
+    Join-compatibility makes each R^-1[b] a principal ideal, so R is
+    fixed by the map b -> top of it."""
     n = lat.size
     for mu in itertools.product(range(n), repeat=n):
         cols = Relation(n, n, tuple(lat.down[m] for m in mu))
         rel = cols.converse()
         report = verify_axioms(lat, rel)
-        if report.axioms_ok:
+        if report.join_compatible and report.meet_compatible:
+            yield rel, report
+
+
+def proximity_lattices(lat):
+    """Every proximity relation on lat."""
+    for rel, report in compatible_relations(lat):
+        if report.idempotent:
             yield ProximityLattice(lat, rel, report)
 
 
-def morphism_candidates(corpus):
-    """Every relation whose rows are round ideals of the target, for
-    every ordered pair of corpus fixtures."""
-    for a, b in itertools.product(CORPUS, repeat=2):
+def morphism_candidates(corpus, values=round_ideal_masks):
+    """Every relation whose rows are taken from values(target), by
+    default its round ideals, for every ordered pair in corpus."""
+    for a, b in itertools.product(corpus, repeat=2):
         src, tgt = corpus[a], corpus[b]
-        for rows in itertools.product(round_ideal_masks(tgt), repeat=src.size):
+        for rows in itertools.product(values(tgt), repeat=src.size):
             yield src, tgt, Relation(src.size, tgt.size, rows)
+
+
+def principal_down_sets(p):
+    return p.lattice.down
 
 
 def digest(reports):
@@ -88,11 +126,8 @@ def pinned_exhaustive_reports(corpus):
         for rel in relations(lat, count, seed=lat.size):
             yield verify_axioms(lat, rel, exhaustive=True)
     small = {k: corpus[k] for k in ("C2", "C3", "FULL2", "C3R")}
-    for a, b in itertools.product(small, repeat=2):
-        src, tgt = small[a], small[b]
-        for rows in itertools.product(round_ideal_masks(tgt), repeat=src.size):
-            yield verify_morphism(src, tgt, Relation(src.size, tgt.size, rows),
-                                  exhaustive=True)
+    for src, tgt, rel in morphism_candidates(small):
+        yield verify_morphism(src, tgt, rel, exhaustive=True)
 
 
 def test_reports_are_pinned(corpus):
@@ -104,17 +139,64 @@ def test_exhaustive_reports_are_pinned(corpus):
 
 
 def test_opposite_report_is_the_swapped_report(corpus):
-    c3r16 = chain(16)
-    c3r_rows = tuple(c3r16.full if a == c3r16.bot else 1 << c3r16.top
-                     for a in range(16))
+    c16 = chain(16)
     carriers = list(corpus.values())
     for lat in (chain(3), chain(4), corpus["B2"].lattice):
         carriers.extend(proximity_lattices(lat))
     assert len(carriers) == len(CORPUS) + 29
-    for rows in (c3r16.up, c3r_rows):
-        rel = Relation(16, 16, rows)
-        carriers.append(ProximityLattice(c3r16, rel, verify_axioms(c3r16, rel)))
+    for rel in (order_relation(c16), c3r_style(c16)):
+        carriers.append(ProximityLattice(c16, rel, verify_axioms(c16, rel)))
     for p in carriers:
         assert p.report.axioms_ok
         expected = verify_axioms(opposite(p.lattice), p.R.converse())
         assert opposite_proximity(p).report == expected, p.R.rows
+
+
+def test_mu_strongness_against_the_loops(corpus):
+    cases = []
+    for lat in (chain(3), chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
+        cases.extend((lat, rel) for rel, _ in compatible_relations(lat))
+    for lat in (chain(16), boolean(4)):
+        cases.extend((lat, rel) for rel in (order_relation(lat), c3r_style(lat)))
+    verdicts = set()
+    for lat, rel in cases:
+        rows, cols = rel.rows, rel.converse().rows
+        for side in ((lat, rows, cols), (opposite(lat), cols, rows)):
+            found = _join_strong_mu(*side)
+            assert found == _join_strong_binary(*side), (lat.size, rows)
+            verdicts.add(found[0])
+    assert verdicts == {True, False}
+
+
+def test_principal_map_reports_are_pinned(corpus):
+    """Every map into the principal down-sets of the target; on the
+    proximity morphisms among them approximability is read off mu."""
+    reports = []
+    hits = 0
+    for src, tgt, rel in morphism_candidates(corpus, principal_down_sets):
+        report = verify_morphism(src, tgt, rel)
+        reports.append(report)
+        if not report.proximity:
+            continue
+        hits += 1
+        for side in ((src.lattice, tgt.lattice, tgt.R.rows, rel.rows),
+                     (opposite(tgt.lattice), opposite(src.lattice),
+                      src.R.converse().rows, rel.converse().rows)):
+            assert _join_approx_mu(*side) == _join_approx_binary(*side)
+    assert (len(reports), hits, sum(r.j_morphism for r in reports)) == (6426, 231, 56)
+    assert digest(reports) == PRINCIPAL_SHA256
+
+
+def test_round_ideals_against_the_definition(corpus):
+    carriers = list(corpus.values())
+    for lat in (chain(3), chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
+        carriers.extend(proximity_lattices(lat))
+    for p in carriers:
+        for q in (p, opposite_proximity(p)):
+            assert round_ideal_masks(q) == round_subsets_slow(q, "ideal")
+            ridl = round_ideal_lattice(q)
+            cols = q.R.converse().rows
+            for i, mi in enumerate(ridl.ideals):
+                for j, mj in enumerate(ridl.ideals):
+                    below = any(is_subset(mi, cols[d]) for d in bits(mj))
+                    assert ridl.way_below.has(i, j) == below

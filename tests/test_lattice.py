@@ -1,5 +1,7 @@
 """Lattice construction, order primitives, and the MacNeille completion."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from proxlat.bitset import bits
 from proxlat.errors import NotALattice, NotAPartialOrder
 from proxlat.lattice import (
     LatticeMap,
+    _lattice_of_sets,
     dedekind_macneille,
     find_isomorphism,
     is_distributive,
@@ -57,6 +60,31 @@ def test_distributivity(corpus):
     assert is_distributive(corpus["C2"].lattice)
     assert is_distributive(corpus["B2"].lattice)
     assert not is_distributive(corpus["M3"].lattice)
+
+
+def distributive_by_the_law(lat):
+    """a ^ (b v c) = (a ^ b) v (a ^ c) over every triple: the reference
+    for is_distributive."""
+    meet, join = lat.meet, lat.join
+    every = range(lat.size)
+    return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+               for a in every for b in every for c in every)
+
+
+def test_distributivity_against_the_law():
+    # a family of subsets of a 5-set that holds the whole set and is
+    # closed under intersection is a lattice under inclusion
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(1000):
+        family = {0b11111}
+        for _ in range(rng.randint(1, 7)):
+            new = rng.getrandbits(5)
+            family |= {new & old for old in family}
+        lat = _lattice_of_sets(sorted(family), "abcde")
+        verdicts.append(is_distributive(lat))
+        assert verdicts[-1] == distributive_by_the_law(lat), sorted(family)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_opposite_swaps_and_involutes(corpus):

@@ -93,6 +93,19 @@ def test_preservation_for_j_morphisms(distributive_corpus, pi_exts):
             assert rep.all_joins, (na, nb)
 
 
+def test_finite_ideal_joins_leave_out_the_empty_join(corpus, pi_exts):
+    # the full relation on C2 sends the bottom of C, an ideal element,
+    # to the top: only all_joins, which has the empty join, fails
+    c2 = corpus["C2"]
+    e = pi_exts["C2"]
+    m = extend_pi(proximity_morphism(c2, c2, full_relation(2, 2)), e, e)
+    bot = e.C.bot
+    assert bot in e.ideal_elements() and m.table[bot] != bot
+    rep = check_preservation(m)
+    assert rep.finite_ideal_joins
+    assert rep.witnesses == (("all_joins", (bot,)),)
+
+
 def test_preservation_for_non_j_morphisms(distributive_corpus, pi_exts):
     # proximity morphisms that are not j-morphisms must still preserve
     # meets and directed ideal joins; finite ideal joins may fail
