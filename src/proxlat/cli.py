@@ -11,6 +11,7 @@ stdout (or --out) and are byte-identical across runs on equal inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -146,7 +147,11 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that;
+    nothing changes it once built and each parse_args call returns a
+    fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="proxlat",
         description="finite proximity lattices, canonical extensions, spectra")

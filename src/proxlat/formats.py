@@ -58,27 +58,38 @@ def lattice_to_doc(lat: FiniteLattice) -> dict:
     }
 
 
-def _resolve(labels: Sequence[str], name: Any) -> int:
+def _name_index(names: Sequence[Any], what: str) -> dict[str, int]:
+    """{name: position} for a list of element or point names, which must
+    be distinct strings."""
+    for name in names:
+        if not isinstance(name, str):
+            raise ParseError(f"{what} name {name!r} is not a string")
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise ParseError(f"duplicate {what} names")
+    return index
+
+
+def _resolve(index: dict[str, int], name: Any) -> int:
     try:
-        return labels.index(name)
-    except ValueError:
+        return index[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable reference
         raise ParseError(f"unknown element {name!r}") from None
 
 
 def lattice_from_doc(doc: dict) -> FiniteLattice:
     try:
-        labels = [str(x) for x in doc["elements"]]
+        labels = list(doc["elements"])
         raw_pairs = doc["leq"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed lattice document: {exc}") from None
-    if len(set(labels)) != len(labels):
-        raise ParseError("duplicate element names")
+    index = _name_index(labels, "element")
     n = len(labels)
     up = [1 << a for a in range(n)]
     for pair in raw_pairs:
         if len(pair) != 2:
             raise ParseError(f"bad order pair {pair!r}")
-        a, b = (_resolve(labels, x) for x in pair)
+        a, b = (_resolve(index, x) for x in pair)
         up[a] |= 1 << b
     for k in range(n):  # Warshall: close through each k in turn
         for a in range(n):
@@ -97,11 +108,13 @@ def lattice_from_doc(doc: dict) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 def _pairs_to_relation(labels_a, labels_b, raw) -> Relation:
+    index_a = _name_index(labels_a, "element")
+    index_b = _name_index(labels_b, "element")
     pairs = []
     for pair in raw:
         if len(pair) != 2:
             raise ParseError(f"bad relation pair {pair!r}")
-        pairs.append((_resolve(labels_a, pair[0]), _resolve(labels_b, pair[1])))
+        pairs.append((_resolve(index_a, pair[0]), _resolve(index_b, pair[1])))
     return relation_from_pairs(len(labels_a), len(labels_b), pairs)
 
 
@@ -172,17 +185,16 @@ def space_to_doc(space: FiniteSpace) -> dict:
 
 def space_from_doc(doc: dict) -> FiniteSpace:
     try:
-        labels = [str(x) for x in doc["points"]]
+        labels = list(doc["points"])
         raw_opens = doc["opens"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed space document: {exc}") from None
-    if len(set(labels)) != len(labels):
-        raise ParseError("duplicate point names")
+    index = _name_index(labels, "point")
     opens = []
     for u in raw_opens:
         mask = 0
         for name in u:
-            mask |= 1 << _resolve(labels, name)
+            mask |= 1 << _resolve(index, name)
         opens.append(mask)
     try:
         return finite_space(labels, opens)

@@ -2,8 +2,12 @@
 
 A lattice lives on the carrier 0..n-1. The order is stored twice, as
 up-set masks and down-set masks, so that bound computations are single
-AND operations; meet and join are precomputed tables. All values are
-immutable after construction and every function here is pure.
+AND operations; meet and join are precomputed tables. Each table entry
+is one cone lookup: the join of a and b is the element whose up-set is
+up[a] & up[b], found in a table from up-set masks to elements (the
+lowest index wins where a preorder repeats a mask), and the meet
+likewise from down-sets. All values are immutable after construction
+and every function here is pure.
 """
 
 from __future__ import annotations
@@ -146,29 +150,41 @@ def lattice_from_order(labels: Sequence[str], pairs) -> FiniteLattice:
 
 
 def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
-    """Like lattice_from_order but from validated up-set masks."""
+    """Like lattice_from_order but from validated up-set masks.
+
+    The join of a and b is the element whose up-set is up[a] & up[b],
+    and the meet the element whose down-set is down[a] & down[b]; each
+    is one lookup in a table from masks to elements, so a build is
+    O(n^2). For a preorder (equal masks on distinct elements) the
+    lowest index with the mask wins. NotALattice names the first pair
+    (a, b), a <= b, without a bound, the meet tested before the join.
+    """
     n = len(labels)
     if n == 0:
         raise NotALattice("a bounded lattice needs at least one element")
     down = transpose(up, n)
-
-    def bound(a: int, b: int, cone: Sequence[int], kind: str) -> int:
-        common = cone[a] & cone[b]
-        for m in bits(common):
-            if is_subset(common, cone[m]):
-                return m
-        raise NotALattice(
-            f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
-            witness=(a, b), missing=kind, labels=labels)
-
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
+    up_of: dict[int, int] = {}
+    down_of: dict[int, int] = {}
     for a in range(n):
-        for b in range(a, n):
-            m = bound(a, b, down, "meet")
-            j = bound(a, b, up, "join")
-            meet[a][b] = meet[b][a] = m
-            join[a][b] = join[b][a] = j
+        up_of.setdefault(up[a], a)
+        down_of.setdefault(down[a], a)
+
+    meet = []
+    join = []
+    for a in range(n):
+        ua, da = up[a], down[a]
+        mrow = [down_of.get(da & d) for d in down]
+        jrow = [up_of.get(ua & u) for u in up]
+        if None in mrow or None in jrow:
+            # pairs (b, a) with b < a were found in earlier rows
+            b = next(b for b in range(a, n)
+                     if mrow[b] is None or jrow[b] is None)
+            kind = "meet" if mrow[b] is None else "join"
+            raise NotALattice(
+                f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
+                witness=(a, b), missing=kind, labels=labels)
+        meet.append(tuple(mrow))
+        join.append(tuple(jrow))
     bot = 0
     top = 0
     for a in range(n):
@@ -178,8 +194,8 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
         size=n,
         up=tuple(up),
         down=down,
-        meet=tuple(tuple(r) for r in meet),
-        join=tuple(tuple(r) for r in join),
+        meet=tuple(meet),
+        join=tuple(join),
         bot=bot,
         top=top,
         labels=tuple(labels),

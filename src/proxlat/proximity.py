@@ -418,9 +418,11 @@ def _is_round_ideal(lat: FiniteLattice, rel: Relation, mask: int) -> bool:
         return False
     if rel.preimage(mask) != mask:
         return False
-    for a in bits(mask):
-        for b in bits(mask):
-            if not mask >> lat.join[a][b] & 1:
+    members = list(bits(mask))
+    for i, a in enumerate(members):
+        row = lat.join[a]
+        for b in members[i + 1:]:  # a v a = a; a v b = b v a
+            if not mask >> row[b] & 1:
                 return False
     return True
 

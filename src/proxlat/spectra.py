@@ -126,20 +126,30 @@ def co_compact_dual(space: FiniteSpace) -> FiniteSpace:
 
 
 def all_posets(n: int) -> Iterator[tuple[int, ...]]:
-    """All partial orders on 0..n-1 as up-set masks (labelled, exhaustive)."""
-    if n == 0:
-        yield ()
-        return
+    """All partial orders on 0..n-1 as up-set masks (labelled, exhaustive).
+
+    The strict pairs (a, b), a != b, are numbered in lexicographic order
+    and each order is read as the binary number of the pairs it holds;
+    orders come in increasing order of that number. The search sets the
+    highest-numbered pair first and never holds both (a, b) and (b, a).
+    """
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    for choice in range(1 << len(pairs)):
-        up = [1 << a for a in range(n)]
-        for k in bits(choice):
-            a, b = pairs[k]
+    up = [1 << a for a in range(n)]
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        if k < 0:
+            if all(is_subset(up[b], up[a])
+                   for a in range(n) for b in bits(up[a])):
+                yield tuple(up)
+            return
+        yield from extend(k - 1)
+        a, b = pairs[k]
+        if not up[b] >> a & 1:
             up[a] |= 1 << b
-        transitive = all(is_subset(up[b], up[a])
-                         for a in range(n) for b in bits(up[a]))
-        if transitive and antisymmetry_witness(up) is None:
-            yield tuple(up)
+            yield from extend(k - 1)
+            up[a] &= ~(1 << b)
+
+    yield from extend(len(pairs) - 1)
 
 
 def all_t0_spaces(n: int) -> Iterator[FiniteSpace]:

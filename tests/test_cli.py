@@ -171,3 +171,42 @@ def test_missing_join_is_named_by_labels(tmp_path, capsys):
     diag = json.loads(err)
     assert diag["error"] == "NotALattice"
     assert diag["witnesses"] == {"join": ["a", "b"]}
+
+
+@pytest.mark.parametrize("verb,doc,detail", [
+    ("export-dot", {"kind": "lattice", "elements": [0, 1], "leq": [[0, 1]]},
+     "element name 0 is not a string"),
+    ("export-dot", {"kind": "lattice", "elements": [0, 1], "leq": []},
+     "element name 0 is not a string"),
+    ("check", {"kind": "proximity", "R": [],
+               "lattice": {"elements": ["a", 1.5], "leq": []}},
+     "element name 1.5 is not a string"),
+    ("dualize", {"kind": "space", "points": ["x", None], "opens": [[], ["x"]]},
+     "point name None is not a string"),
+])
+def test_non_string_names_are_refused(tmp_path, capsys, verb, doc, detail):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(dict(doc, schema="proxlat/1")))
+    code, out, err = run(capsys, verb, str(path))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err)
+    assert (diag["error"], diag["detail"]) == ("ParseError", detail)
+
+
+@pytest.mark.parametrize("verb,doc", [
+    ("export-dot", {"kind": "lattice", "elements": ["a", "b"],
+                    "leq": [["a", ["b"]]]}),
+    ("check", {"kind": "proximity", "R": [[{"a": 0}, "b"]],
+               "lattice": {"elements": ["a", "b"], "leq": [["a", "b"]]}}),
+    ("dualize", {"kind": "space", "points": ["x"], "opens": [[], [["x"]]]}),
+])
+def test_unhashable_reference_is_a_parse_error(tmp_path, capsys, verb, doc):
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps(dict(doc, schema="proxlat/1")))
+    code, out, err = run(capsys, verb, str(path))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "ParseError"
+    assert diag["detail"].startswith("unknown element ")

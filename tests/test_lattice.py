@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxlat.bitset import bits
+from proxlat.bitset import bits, transpose
+from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import NotALattice, NotAPartialOrder
 from proxlat.lattice import (
     LatticeMap,
@@ -16,11 +17,15 @@ from proxlat.lattice import (
     is_distributive,
     is_homomorphism,
     lattice_from_order,
+    lattice_from_up,
     lattice_laws_hold,
     opposite,
     preorder,
     preorder_from_up,
 )
+from proxlat.proximity import proximity_lattice, round_ideal_lattice
+from proxlat.relations import Relation
+from proxlat.spectra import all_posets
 
 
 def chain_pairs(n):
@@ -54,6 +59,117 @@ def test_not_a_partial_order_rejected():
         lattice_from_order(["0", "1"], [(0, 1)])  # not reflexive
     with pytest.raises(NotAPartialOrder):
         lattice_from_order(["0", "1"], [(0, 0), (1, 1), (0, 1), (1, 0)])
+
+
+def tables_by_cone_scan(labels, up):
+    """Meet and join tables, bot and top, found the way lattice_from_up
+    did before its mask lookup, kept as its oracle: a bound of (a, b) is
+    the first element of the common cone whose own cone holds the whole
+    common cone. Raises NotALattice at the first pair (a, b), a <= b,
+    without one, the meet tested before the join."""
+    n = len(up)
+    down = transpose(up, n)
+
+    def bound(a, b, cone, kind):
+        common = cone[a] & cone[b]
+        for m in bits(common):
+            if common & ~cone[m] == 0:
+                return m
+        raise NotALattice(
+            f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
+            witness=(a, b), missing=kind, labels=labels)
+
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            meet[a][b] = meet[b][a] = bound(a, b, down, "meet")
+            join[a][b] = join[b][a] = bound(a, b, up, "join")
+    bot = top = 0
+    for a in range(n):
+        bot, top = meet[bot][a], join[top][a]
+    return (tuple(map(tuple, meet)), tuple(map(tuple, join)), bot, top)
+
+
+def build_matches_cone_scan(labels, up):
+    """Assert that lattice_from_up agrees with the cone scan, tables or
+    failure; True when up is a lattice."""
+    try:
+        expected = tables_by_cone_scan(labels, up)
+    except NotALattice as want:
+        with pytest.raises(NotALattice) as got:
+            lattice_from_up(labels, up)
+        assert (str(got.value), got.value.witness, got.value.missing,
+                got.value.labels, got.value.witnesses) == \
+            (str(want), want.witness, want.missing, want.labels,
+             want.witnesses), up
+        return False
+    lat = lattice_from_up(labels, up)
+    assert (lat.meet, lat.join, lat.bot, lat.top) == expected, up
+    return True
+
+
+def inclusion_up(masks):
+    """The up-set masks of a family of sets under inclusion, as
+    _lattice_of_sets orders it; equal sets give equal masks."""
+    return [sum(1 << j for j, other in enumerate(masks) if m & ~other == 0)
+            for m in masks]
+
+
+def test_build_against_cone_scan_on_small_posets():
+    lattices = others = 0
+    for n in range(1, 6):
+        labels = [f"p{i}" for i in range(n)]
+        for up in all_posets(n):
+            if build_matches_cone_scan(labels, up):
+                lattices += 1
+            else:
+                others += 1
+    assert lattices > 0 and others > 0
+
+
+def test_build_against_cone_scan_on_set_families():
+    # seeded families of subsets of a 4-set, each with a repeated set,
+    # so that the up-set masks are a preorder with equal masks; adding
+    # the empty and the whole set to some makes lattices likely
+    rng = random.Random(11)
+    verdicts = []
+    for trial in range(400):
+        family = [rng.getrandbits(4) for _ in range(rng.randint(1, 7))]
+        if trial % 2:
+            family += [0, 0b1111]
+        family.append(rng.choice(family))
+        rng.shuffle(family)
+        up = inclusion_up(family)
+        labels = [f"s{i}" for i in range(len(family))]
+        verdicts.append(build_matches_cone_scan(labels, up))
+        if verdicts[-1]:
+            lat = _lattice_of_sets(family, "abcd")
+            assert (lat.meet, lat.join, lat.bot, lat.top) == \
+                tables_by_cone_scan(lat.labels, up)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_build_against_cone_scan_at_64_elements():
+    n = 64
+    chain_up = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
+    b6_up = [sum(1 << j for j in range(n) if i & j == i) for i in range(n)]
+    # the C3R-style carrier: a 64-chain listed in a seeded order, with
+    # x R y iff x is bottom or y is top
+    order = list(range(n))
+    random.Random(64).shuffle(order)
+    pos = {old: new for new, old in enumerate(order)}
+    c3r_up = [sum(1 << pos[b] for b in bits(chain_up[old])) for old in order]
+    labels = [f"e{i}" for i in range(n)]
+    for up in (chain_up, b6_up, c3r_up):
+        assert build_matches_cone_scan(labels, up)
+    lat = lattice_from_up(labels, c3r_up)
+    rel = Relation(n, n, tuple(lat.full if a == lat.bot else 1 << lat.top
+                               for a in range(n)))
+    p = proximity_lattice(lat, rel)
+    for built in (pi_extension(p).C, sigma_extension(p).C,
+                  round_ideal_lattice(p).lattice):
+        assert build_matches_cone_scan(built.labels, built.up)
 
 
 def test_distributivity(corpus):

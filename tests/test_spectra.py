@@ -7,7 +7,7 @@ import pytest
 
 from proxlat.bitset import bits
 from proxlat.errors import NotDistributive, NotT0, ProxlatError
-from proxlat.lattice import find_isomorphism
+from proxlat.lattice import antisymmetry_witness, find_isomorphism
 from proxlat.proximity import (
     all_j_morphisms,
     identity_morphism,
@@ -16,6 +16,7 @@ from proxlat.proximity import (
 )
 from proxlat.relations import order_relation
 from proxlat.spectra import (
+    all_posets,
     all_t0_spaces,
     canext_via_duality,
     co_compact_dual,
@@ -182,6 +183,28 @@ def test_canext_via_duality_on_fixtures(distributive_corpus):
         for a in range(p.size):
             assert result.iso.table[result.pi_ext.embed[a]] == \
                 result.extension.embed[a]
+
+
+def posets_by_choice_loop(n):
+    """Every choice of strict pairs, in increasing order of its number,
+    kept when reflexive closure makes it a partial order: the loop
+    all_posets ran before it pruned, kept as its oracle."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    for choice in range(1 << len(pairs)):
+        up = [1 << a for a in range(n)]
+        for k in bits(choice):
+            a, b = pairs[k]
+            up[a] |= 1 << b
+        if all(up[b] & ~up[a] == 0 for a in range(n) for b in bits(up[a])) \
+                and antisymmetry_witness(up) is None:
+            yield tuple(up)
+
+
+def test_all_posets_against_the_choice_loop():
+    for n in range(5):
+        assert list(all_posets(n)) == list(posets_by_choice_loop(n))
+    assert [sum(1 for _ in all_posets(n)) for n in range(6)] == \
+        [1, 1, 3, 19, 219, 4231]  # OEIS A001035
 
 
 def all_topologies(n):
