@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bitset import bits, is_subset
+from .bitset import bits, is_subset, preimage, transpose
 from .errors import (
     ExtensionError,
     InternalCheckError,
@@ -28,7 +28,7 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     LatticeMap,
-    _closed_family,
+    _intersection_closure,
     _lattice_of_sets,
     _set_label,
     find_isomorphism,
@@ -95,53 +95,56 @@ class ConceptLattice:
     f: tuple[int, ...]         # x in X -> element index of closure({x})
     g: tuple[int, ...]         # y in Y -> element index of the polar of {y}
 
-    def index_of(self, extent: int) -> int:
-        return self.extents.index(extent)
-
 
 def concept_lattice(p: Polarity, labels_x: Optional[list[str]] = None) -> ConceptLattice:
     """All Galois-closed subsets of X ordered by inclusion.
 
+    The closed sets are X and the intersections of the polars r({y}).
     The generator maps join- and meet-generate the result, and
     f(x) <= g(y) holds exactly when x Z y; violations would be bugs and
     raise InternalCheckError.
     """
-    _, r, closure = galois_maps(p)
+    _, r, _ = galois_maps(p)
     labels = labels_x or [f"x{i}" for i in range(p.nx)]
-    extents = tuple(_closed_family(p.nx, closure))
+    polars = [r(1 << y) for y in range(p.ny)]
+    extents = tuple(_intersection_closure(r(0), polars))
     lat = _lattice_of_sets(extents, labels)
     position = {m: i for i, m in enumerate(extents)}
-    f = tuple(position[closure(1 << x)] for x in range(p.nx))
-    g = tuple(position[r(1 << y)] for y in range(p.ny))
+    f = tuple(position[r(row)] for row in p.z.rows)  # closure({x}) = r(l({x}))
+    g = tuple(position[v] for v in polars)
     cl = ConceptLattice(p, lat, extents, f, g)
     _assert_generation(cl)
     return cl
 
 
-def _join_below(lat: FiniteLattice, elems, u: int) -> int:
-    """Join of the members of elems that lie below u."""
-    out = lat.bot
+def _mask_of(elems) -> int:
+    out = 0
     for x in elems:
-        if lat.leq(x, u):
-            out = lat.join[out][x]
+        out |= 1 << x
     return out
+
+
+def _join_below(lat: FiniteLattice, mask: int, u: int) -> int:
+    """Join of the members of mask that lie below u."""
+    return lat.join_mask(lat.down[u] & mask)
 
 
 def _assert_generation(cl: ConceptLattice) -> None:
     lat = cl.lattice
     lat_op = opposite(lat)
+    fmask, gmask = _mask_of(cl.f), _mask_of(cl.g)
     for u in range(lat.size):
-        if _join_below(lat, cl.f, u) != u:
+        if _join_below(lat, fmask, u) != u:
             raise InternalCheckError("filter images fail to join-generate",
                                      witness=u)
-        if _join_below(lat_op, cl.g, u) != u:
+        if _join_below(lat_op, gmask, u) != u:
             raise InternalCheckError("ideal images fail to meet-generate",
                                      witness=u)
-    for x in range(cl.polarity.nx):
-        for y in range(cl.polarity.ny):
-            if lat.leq(cl.f[x], cl.g[y]) != cl.polarity.z.has(x, y):
-                raise InternalCheckError("generator order disagrees with Z",
-                                         witness=(x, y))
+    for x, row in enumerate(cl.polarity.z.rows):
+        wrong = preimage(cl.g, lat.up[cl.f[x]]) ^ row
+        if wrong:
+            raise InternalCheckError("generator order disagrees with Z",
+                                     witness=(x, next(bits(wrong))))
 
 
 def polarity_preorder_pairs(p: Polarity) -> list[tuple[int, int]]:
@@ -270,8 +273,7 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     embed = tuple(embed)
 
     # explicit description: the extent of embed(a) is {F : a in F}
-    for a in range(p.size):
-        wanted = sum(1 << i for i, fm in enumerate(filters) if fm >> a & 1)
+    for a, wanted in enumerate(transpose(filters, p.size)):
         if cl.extents[embed[a]] != wanted:  # pragma: no cover - theorem guard
             raise InternalCheckError("embedding disagrees with membership",
                                      witness=a)
@@ -303,27 +305,6 @@ def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
         raise InternalCheckError("sigma embedding is not R-meet-preserving",
                                  witness=bad)
     return ext
-
-
-def sigma_extension_explicit(p: ProximityLattice) -> CanonicalExtension:
-    """Alternative sigma construction used as a test oracle: the polarity
-    of round ideals against round filters, with the carrier sent to the
-    polar of its R-image filter, all read in the opposite order."""
-    if not p.meet_strong:
-        raise NotMeetStrong("sigma extension needs a meet-strong proximity lattice")
-    filters = round_filter_masks(p)
-    ideals = round_ideal_masks(p)
-    rows = tuple(
-        sum(1 << j for j, fm in enumerate(filters) if im & fm)
-        for im in ideals)
-    polarity = Polarity(len(ideals), len(filters),
-                        Relation(len(ideals), len(filters), rows))
-    labels_x = [_set_label(im, p.lattice.labels) for im in ideals]
-    cl = concept_lattice(polarity, labels_x)
-    filter_index = {fm: i for i, fm in enumerate(filters)}
-    embed = tuple(cl.g[filter_index[p.R.rows[a]]] for a in range(p.size))
-    return make_extension("sigma", p, opposite(cl.lattice), embed,
-                          extents=cl.extents)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +373,17 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
     ie = [_join_of_image(c, embed, im) for im in ext.ideals]
 
     dense = True
+    fmask, imask = _mask_of(fe), _mask_of(ie)
     for u in range(c.size):
-        if _join_below(c, fe, u) != u or _join_below(c_op, ie, u) != u:
+        if _join_below(c, fmask, u) != u or _join_below(c_op, imask, u) != u:
             dense = False
             witnesses.append(("dense", (u,)))
             break
 
     compact = True
     for i, fm in enumerate(ext.filters):
-        for j, im in enumerate(ext.ideals):
-            if c.leq(fe[i], ie[j]) and not fm & im:
+        for j in bits(preimage(ie, c.up[fe[i]])):
+            if not fm & ext.ideals[j]:
                 compact = False
                 witnesses.append(("compact", (i, j)))
                 break
@@ -434,17 +416,13 @@ def _generator_iso(c1: FiniteLattice, f1, g1, c2: FiniteLattice, f2, g2,
     candidate determined on joins of filter images verifies."""
     table = []
     for u in range(c1.size):
-        v = c2.bot
-        for i, x in enumerate(f1):
-            if c1.leq(x, u):
-                v = c2.join[v][f2[i]]
-        table.append(v)
+        below = preimage(f1, c1.down[u])
+        table.append(c2.join_mask(_mask_of(f2[i] for i in bits(below))))
     if sorted(table) != list(range(c2.size)):
         return None
     for u in range(c1.size):
-        for w in range(c1.size):
-            if c1.leq(u, w) != c2.leq(table[u], table[w]):
-                return None
+        if preimage(table, c2.up[table[u]]) != c1.up[u]:
+            return None
     for i in range(len(f1)):
         if table[f1[i]] != f2[i]:
             return None

@@ -20,6 +20,7 @@ from . import fixtures
 from .canext import pi_extension, sigma_extension, verify_extension
 from .errors import ProxlatError
 from .formats import (
+    SCHEMA,
     ParseError,
     axiom_report_to_doc,
     carrier_from_doc,
@@ -56,6 +57,9 @@ def _load_doc(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object, "
                          f"not {type(doc).__name__}")
+    # nested documents carry no tag, so a missing one is accepted
+    if doc.get("schema", SCHEMA) != SCHEMA:
+        raise ParseError(f"{path}: schema {doc['schema']!r} is not {SCHEMA!r}")
     return doc
 
 

@@ -70,6 +70,14 @@ def _name_index(names: Sequence[Any], what: str) -> dict[str, int]:
     return index
 
 
+def _pair(pair: Any, what: str) -> list:
+    """An order or relation pair, which must be a JSON array of two
+    names; a two-character string is not one."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ParseError(f"bad {what} pair {pair!r}")
+    return pair
+
+
 def _resolve(index: dict[str, int], name: Any) -> int:
     try:
         return index[name]
@@ -87,9 +95,7 @@ def lattice_from_doc(doc: dict) -> FiniteLattice:
     n = len(labels)
     up = [1 << a for a in range(n)]
     for pair in raw_pairs:
-        if len(pair) != 2:
-            raise ParseError(f"bad order pair {pair!r}")
-        a, b = (_resolve(index, x) for x in pair)
+        a, b = (_resolve(index, x) for x in _pair(pair, "order"))
         up[a] |= 1 << b
     for k in range(n):  # Warshall: close through each k in turn
         for a in range(n):
@@ -112,9 +118,8 @@ def _pairs_to_relation(labels_a, labels_b, raw) -> Relation:
     index_b = _name_index(labels_b, "element")
     pairs = []
     for pair in raw:
-        if len(pair) != 2:
-            raise ParseError(f"bad relation pair {pair!r}")
-        pairs.append((_resolve(index_a, pair[0]), _resolve(index_b, pair[1])))
+        a, b = _pair(pair, "relation")
+        pairs.append((_resolve(index_a, a), _resolve(index_b, b)))
     return relation_from_pairs(len(labels_a), len(labels_b), pairs)
 
 

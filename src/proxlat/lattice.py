@@ -12,7 +12,6 @@ and every function here is pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -292,21 +291,24 @@ class MacNeilleCompletion:
     embed: tuple[int, ...]     # q in Q -> cut index of the principal cut
 
 
-def _closed_family(n: int, close) -> list[int]:
-    """All fixpoints of a closure operator on subsets of 0..n-1.
+def _intersection_closure(top: int, gens: Sequence[int]) -> list[int]:
+    """`top` and every intersection of it with members of `gens`,
+    sorted by (popcount, mask).
 
-    Found by saturating closure(seed | {x}) from closure(0); complete
-    because any closed set is reached by adding its members one at a
-    time (each step stays inside the target, closure being monotone).
+    The closed sets of a polarity are the intersections of the polars
+    of single points (the empty intersection being the whole carrier),
+    so this is the closed family of a Galois closure with those polars
+    as `gens`. A worklist adds f & g for every set f found so far and
+    every generator g; each intersection is reached one generator at a
+    time.
     """
-    start = close(0)
-    seen = {start}
-    queue = [start]
+    gens = set(gens)
+    seen = {top}
+    queue = [top]
     while queue:
         cur = queue.pop()
-        rest = ((1 << n) - 1) & ~cur
-        for x in bits(rest):
-            nxt = close(cur | 1 << x)
+        for g in gens:
+            nxt = cur & g
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -319,46 +321,25 @@ def _set_label(mask: int, labels: Sequence[str]) -> str:
 
 def _lattice_of_sets(masks: Sequence[int], labels: Sequence[str]) -> FiniteLattice:
     """Lattice of a family of sets under inclusion."""
-    idx = range(len(masks))
-    up = [0] * len(masks)
-    for i in idx:
-        for j in idx:
-            if is_subset(masks[i], masks[j]):
-                up[i] |= 1 << j
+    up = [sum(1 << j for j, other in enumerate(masks) if not m & ~other)
+          for m in masks]
     return lattice_from_up([_set_label(m, labels) for m in masks], up)
 
 
 def dedekind_macneille(q: Preorder) -> MacNeilleCompletion:
     """Complete lattice of cuts of a preorder, with the canonical map.
 
-    A cut is a subset closed under lower-bounds-of-upper-bounds; each
-    element maps to the cut it generates, which for a preorder is its
-    down-set. Every cut is a join of embedded elements below it and a
-    meet of embedded elements above it.
+    A cut is a subset closed under lower-bounds-of-upper-bounds, that
+    is, an intersection of principal down-sets; each element maps to
+    the cut it generates, which for a preorder is its down-set. Every
+    cut is a join of embedded elements below it and a meet of embedded
+    elements above it.
     """
-    n = q.size
-    full = (1 << n) - 1
     down = q.down_masks()
-
-    def ub(mask: int) -> int:
-        out = full
-        for x in bits(mask):
-            out &= q.up[x]
-        return out
-
-    def lb(mask: int) -> int:
-        out = full
-        for x in bits(mask):
-            out &= down[x]
-        return out
-
-    def close(mask: int) -> int:
-        return lb(ub(mask))
-
-    cuts = _closed_family(n, close)
+    cuts = _intersection_closure((1 << q.size) - 1, down)
     position = {m: i for i, m in enumerate(cuts)}
     lat = _lattice_of_sets(cuts, q.labels)
-    embed = tuple(position[close(1 << x)] for x in range(n))
+    embed = tuple(position[d] for d in down)
     return MacNeilleCompletion(lattice=lat, cuts=tuple(cuts), embed=embed)
 
 
@@ -436,23 +417,3 @@ def find_isomorphism(a: FiniteLattice, b: FiniteLattice,
     """
     table = _order_isomorphism(a.up, b.up, pins)
     return None if table is None else LatticeMap(a, b, table)
-
-
-def lattice_laws_hold(lat: FiniteLattice) -> bool:
-    """Commutativity, associativity, idempotence and absorption of the tables."""
-    n = lat.size
-    meet, join = lat.meet, lat.join
-    for a in range(n):
-        if meet[a][a] != a or join[a][a] != a:
-            return False
-        for b in range(n):
-            if meet[a][b] != meet[b][a] or join[a][b] != join[b][a]:
-                return False
-            if meet[a][join[a][b]] != a or join[a][meet[a][b]] != a:
-                return False
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
-            return False
-        if join[join[a][b]][c] != join[a][join[b][c]]:
-            return False
-    return True

@@ -437,8 +437,7 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
     A round ideal is a lattice ideal, and a lattice ideal of a finite
     lattice is a principal down-set down m. Its R-preimage is
     R^-1[m] = down mu(m), so it is round exactly when mu(m) = m (module
-    docstring). ``round_subsets_slow`` filters all subsets instead and
-    is kept as the validation oracle.
+    docstring).
     """
     out = []
     for m in range(p.size):
@@ -450,16 +449,6 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
 
 def round_filter_masks(p: ProximityLattice) -> tuple[int, ...]:
     return round_ideal_masks(opposite_proximity(p))
-
-
-def round_subsets_slow(p: ProximityLattice, kind: str) -> tuple[int, ...]:
-    """Filter every nonempty join-closed (meet-closed) subset through the
-    image fixpoint condition. Exponential; small carriers only."""
-    if p.size > 16:
-        raise ValueError("slow enumeration is limited to small carriers")
-    q = p if kind == "ideal" else opposite_proximity(p)
-    found = [m for m in range(1, 1 << p.size) if is_round_ideal(q, m)]
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,210 @@
+"""Slow reference implementations that the tests compare the library
+against. None of them is part of the library: each is the direct,
+definitional version of a routine that src computes faster.
+"""
+
+import itertools
+from typing import Optional
+
+from proxlat.bitset import bits
+from proxlat.canext import (
+    CanonicalExtension,
+    ConceptLattice,
+    ExtensionReport,
+    Polarity,
+    _first_unpreserved,
+    _join_of_image,
+    concept_lattice,
+    make_extension,
+)
+from proxlat.errors import InternalCheckError, NotMeetStrong
+from proxlat.lattice import FiniteLattice, LatticeMap, _set_label, opposite
+from proxlat.proximity import (
+    ProximityLattice,
+    is_round_ideal,
+    opposite_proximity,
+    round_filter_masks,
+    round_ideal_masks,
+)
+from proxlat.relations import Relation
+
+
+def closed_family(n: int, close) -> list[int]:
+    """All fixpoints of a closure operator on subsets of 0..n-1, sorted
+    by (popcount, mask).
+
+    Found by saturating close(seed | {x}) from close(0); complete
+    because any closed set is reached by adding its members one at a
+    time (each step stays inside the target, closure being monotone).
+    """
+    start = close(0)
+    seen = {start}
+    queue = [start]
+    while queue:
+        cur = queue.pop()
+        rest = ((1 << n) - 1) & ~cur
+        for x in bits(rest):
+            nxt = close(cur | 1 << x)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return sorted(seen, key=lambda m: (m.bit_count(), m))
+
+
+def round_subsets_slow(p: ProximityLattice, kind: str) -> tuple[int, ...]:
+    """Filter every nonempty join-closed (meet-closed) subset through the
+    image fixpoint condition. Exponential; small carriers only."""
+    if p.size > 16:
+        raise ValueError("slow enumeration is limited to small carriers")
+    q = p if kind == "ideal" else opposite_proximity(p)
+    found = [m for m in range(1, 1 << p.size) if is_round_ideal(q, m)]
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+
+
+def sigma_extension_explicit(p: ProximityLattice) -> CanonicalExtension:
+    """Alternative sigma construction: the polarity of round ideals
+    against round filters, with the carrier sent to the polar of its
+    R-image filter, all read in the opposite order."""
+    if not p.meet_strong:
+        raise NotMeetStrong("sigma extension needs a meet-strong proximity lattice")
+    filters = round_filter_masks(p)
+    ideals = round_ideal_masks(p)
+    rows = tuple(
+        sum(1 << j for j, fm in enumerate(filters) if im & fm)
+        for im in ideals)
+    polarity = Polarity(len(ideals), len(filters),
+                        Relation(len(ideals), len(filters), rows))
+    labels_x = [_set_label(im, p.lattice.labels) for im in ideals]
+    cl = concept_lattice(polarity, labels_x)
+    filter_index = {fm: i for i, fm in enumerate(filters)}
+    embed = tuple(cl.g[filter_index[p.R.rows[a]]] for a in range(p.size))
+    return make_extension("sigma", p, opposite(cl.lattice), embed,
+                          extents=cl.extents)
+
+
+def lattice_laws_hold(lat: FiniteLattice) -> bool:
+    """Commutativity, associativity, idempotence and absorption of the tables."""
+    n = lat.size
+    meet, join = lat.meet, lat.join
+    for a in range(n):
+        if meet[a][a] != a or join[a][a] != a:
+            return False
+        for b in range(n):
+            if meet[a][b] != meet[b][a] or join[a][b] != join[b][a]:
+                return False
+            if meet[a][join[a][b]] != a or join[a][meet[a][b]] != a:
+                return False
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
+            return False
+        if join[join[a][b]][c] != join[a][join[b][c]]:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The order checks of canext as loops over pairs of elements
+# ---------------------------------------------------------------------------
+
+def join_below_by_loop(lat: FiniteLattice, elems, u: int) -> int:
+    """Join of the members of elems that lie below u."""
+    out = lat.bot
+    for x in elems:
+        if lat.leq(x, u):
+            out = lat.join[out][x]
+    return out
+
+
+def assert_generation_by_loops(cl: ConceptLattice) -> None:
+    lat = cl.lattice
+    lat_op = opposite(lat)
+    for u in range(lat.size):
+        if join_below_by_loop(lat, cl.f, u) != u:
+            raise InternalCheckError("filter images fail to join-generate",
+                                     witness=u)
+        if join_below_by_loop(lat_op, cl.g, u) != u:
+            raise InternalCheckError("ideal images fail to meet-generate",
+                                     witness=u)
+    for x in range(cl.polarity.nx):
+        for y in range(cl.polarity.ny):
+            if lat.leq(cl.f[x], cl.g[y]) != cl.polarity.z.has(x, y):
+                raise InternalCheckError("generator order disagrees with Z",
+                                         witness=(x, y))
+
+
+def verify_extension_by_loops(ext: CanonicalExtension) -> ExtensionReport:
+    p = ext.source
+    c = ext.C
+    embed = ext.embed
+    witnesses: list[tuple[str, tuple[int, ...]]] = []
+
+    increasing = True
+    for a in range(p.size):
+        for b in bits(p.R.rows[a]):
+            if not c.leq(embed[a], embed[b]):
+                increasing = False
+                witnesses.append(("increasing", (a, b)))
+                break
+        if not increasing:
+            break
+
+    c_op = opposite(c)
+    fe = [_join_of_image(c_op, embed, fm) for fm in ext.filters]
+    ie = [_join_of_image(c, embed, im) for im in ext.ideals]
+
+    dense = True
+    for u in range(c.size):
+        if (join_below_by_loop(c, fe, u) != u
+                or join_below_by_loop(c_op, ie, u) != u):
+            dense = False
+            witnesses.append(("dense", (u,)))
+            break
+
+    compact = True
+    for i, fm in enumerate(ext.filters):
+        for j, im in enumerate(ext.ideals):
+            if c.leq(fe[i], ie[j]) and not fm & im:
+                compact = False
+                witnesses.append(("compact", (i, j)))
+                break
+        if not compact:
+            break
+
+    join_bad = _first_unpreserved(c, embed, p.R.converse().rows)
+    meet_bad = _first_unpreserved(c_op, embed, p.R.rows)
+    for name, bad in (("join_preserving", join_bad), ("meet_preserving", meet_bad)):
+        if bad is not None:
+            witnesses.append((name, (bad,)))
+
+    return ExtensionReport(
+        increasing=increasing,
+        dense=dense,
+        compact=compact,
+        join_preserving=join_bad is None,
+        meet_preserving=meet_bad is None,
+        witnesses=tuple(witnesses),
+    )
+
+
+def generator_iso_by_loops(c1: FiniteLattice, f1, g1, c2: FiniteLattice, f2, g2,
+                           ) -> Optional[LatticeMap]:
+    table = []
+    for u in range(c1.size):
+        v = c2.bot
+        for i, x in enumerate(f1):
+            if c1.leq(x, u):
+                v = c2.join[v][f2[i]]
+        table.append(v)
+    if sorted(table) != list(range(c2.size)):
+        return None
+    for u in range(c1.size):
+        for w in range(c1.size):
+            if c1.leq(u, w) != c2.leq(table[u], table[w]):
+                return None
+    for i in range(len(f1)):
+        if table[f1[i]] != f2[i]:
+            return None
+    for j in range(len(g1)):
+        if table[g1[j]] != g2[j]:
+            return None
+    return LatticeMap(c1, c2, tuple(table))

@@ -1,11 +1,23 @@
 """Polarities, concept lattices, extensions, uniqueness, and the
 pi/sigma dichotomy."""
 
+import dataclasses
+import itertools
+import random
+
 import pytest
 
+from oracles import (
+    assert_generation_by_loops,
+    closed_family,
+    generator_iso_by_loops,
+    sigma_extension_explicit,
+    verify_extension_by_loops,
+)
 from proxlat.bitset import bits
 from proxlat.canext import (
     CanonicalExtension,
+    Polarity,
     _generator_iso,
     check_uniqueness,
     concept_lattice,
@@ -16,17 +28,200 @@ from proxlat.canext import (
     pi_sigma_comparison,
     polarity_preorder_pairs,
     sigma_extension,
-    sigma_extension_explicit,
     verify_extension,
 )
-from proxlat.errors import ExtensionError, NotJoinStrong, NotMeetStrong
-from proxlat.lattice import dedekind_macneille, find_isomorphism, preorder
-from proxlat.proximity import round_filter_masks
+from proxlat.errors import (
+    ExtensionError,
+    InternalCheckError,
+    NotJoinStrong,
+    NotMeetStrong,
+)
+from proxlat.lattice import (
+    _intersection_closure,
+    dedekind_macneille,
+    find_isomorphism,
+    lattice_from_up,
+    preorder,
+)
+from proxlat.proximity import (
+    opposite_proximity,
+    proximity_lattice,
+    round_filter_masks,
+)
+from proxlat.relations import Relation, order_relation
 
 
 def polarity_of(p):
     pol, _, _ = intersection_polarity(p)
     return pol
+
+
+def carriers_64():
+    """The 64-chain and B6 with their orders, and the C3R-style carrier:
+    a 64-chain listed in a seeded order, x R y iff x is bottom or y is
+    top."""
+    n = 64
+    chain_up = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
+    b6_up = [sum(1 << j for j in range(n) if i & j == i) for i in range(n)]
+    order = list(range(n))
+    random.Random(64).shuffle(order)
+    pos = {old: new for new, old in enumerate(order)}
+    c3r_up = [sum(1 << pos[b] for b in bits(chain_up[old])) for old in order]
+    labels = [f"e{i}" for i in range(n)]
+    chain, b6, c3r = (lattice_from_up(labels, up)
+                      for up in (chain_up, b6_up, c3r_up))
+    c3r_rel = Relation(n, n, tuple(c3r.full if a == c3r.bot else 1 << c3r.top
+                                   for a in range(n)))
+    return [proximity_lattice(chain, order_relation(chain)),
+            proximity_lattice(b6, order_relation(b6)),
+            proximity_lattice(c3r, c3r_rel)]
+
+
+def assert_closed_sets_against_oracle(pol):
+    """The closed sets and generator maps of concept_lattice against the
+    closure saturated one point at a time."""
+    _, r, close = galois_maps(pol)
+    want = closed_family(pol.nx, close)
+    polars = [r(1 << y) for y in range(pol.ny)]
+    assert _intersection_closure((1 << pol.nx) - 1, polars) == want
+    cl = concept_lattice(pol)
+    assert cl.extents == tuple(want)
+    assert cl.f == tuple(want.index(close(1 << x)) for x in range(pol.nx))
+    assert cl.g == tuple(want.index(v) for v in polars)
+
+
+def test_closed_sets_of_every_relation_on_3x3():
+    for rows in itertools.product(range(8), repeat=3):
+        assert_closed_sets_against_oracle(Polarity(3, 3, Relation(3, 3, rows)))
+
+
+def test_closed_sets_of_seeded_relations():
+    rng = random.Random(2000)
+    for _ in range(2000):
+        nx, ny = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.random()
+        rows = tuple(sum(1 << y for y in range(ny) if rng.random() < density)
+                     for _ in range(nx))
+        assert_closed_sets_against_oracle(Polarity(nx, ny, Relation(nx, ny, rows)))
+
+
+def test_closed_sets_of_pi_and_sigma_polarities(corpus):
+    for p in list(corpus.values()) + carriers_64():
+        for q in (p, opposite_proximity(p)):  # pi, and sigma read upside down
+            assert_closed_sets_against_oracle(polarity_of(q))
+
+
+def perturbed(values, size):
+    """Every copy of `values` with one entry moved to another element of
+    0..size-1, and every copy with two distinct entries swapped."""
+    values = tuple(values)
+    for i, v in enumerate(values):
+        for w in range(size):
+            if w != v:
+                yield values[:i] + (w,) + values[i + 1:]
+    for i, j in itertools.combinations(range(len(values)), 2):
+        if values[i] != values[j]:
+            out = list(values)
+            out[i], out[j] = out[j], out[i]
+            yield tuple(out)
+
+
+def chain(n):
+    return lattice_from_up([f"c{i}" for i in range(n)],
+                           [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
+
+
+def small_carriers(corpus):
+    """The corpus, the 4- and 6-chain and B3 with their orders, and the
+    6-chain with the C3R-style relation."""
+    four, six = chain(4), chain(6)
+    b3 = lattice_from_up([f"s{i}" for i in range(8)],
+                         [sum(1 << j for j in range(8) if i & j == i)
+                          for i in range(8)])
+    c3r6 = Relation(6, 6, tuple(six.full if a == six.bot else 1 << six.top
+                                for a in range(6)))
+    return list(corpus.values()) + [
+        proximity_lattice(four, order_relation(four)),
+        proximity_lattice(six, order_relation(six)),
+        proximity_lattice(b3, order_relation(b3)),
+        proximity_lattice(six, c3r6)]
+
+
+def test_verify_extension_against_the_loops(corpus):
+    # every embed entry moved to every other element of C, and every
+    # pair of distinct entries swapped
+    failed = set()
+    for p in small_carriers(corpus):
+        for ext in (pi_extension(p), sigma_extension(p)):
+            for embed in itertools.chain([ext.embed],
+                                         perturbed(ext.embed, ext.C.size)):
+                bad = dataclasses.replace(ext, embed=embed)
+                report = verify_extension(bad)
+                assert report == verify_extension_by_loops(bad), embed
+                failed.update(name for name, _ in report.witnesses)
+    assert failed == {"increasing", "dense", "compact", "join_preserving",
+                      "meet_preserving"}
+
+
+def raised(check, cl):
+    try:
+        check(cl)
+    except InternalCheckError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def test_assert_generation_against_the_loops(corpus):
+    # every f and g entry moved to every other element, and every pair
+    # of distinct entries swapped
+    from proxlat.canext import _assert_generation
+    seen = set()
+    for p in small_carriers(corpus):
+        for q in (p, opposite_proximity(p)):
+            cl = concept_lattice(polarity_of(q))
+            size = cl.lattice.size
+            cases = [dataclasses.replace(cl, f=f) for f in perturbed(cl.f, size)]
+            cases += [dataclasses.replace(cl, g=g) for g in perturbed(cl.g, size)]
+            for case in cases:
+                got = raised(_assert_generation, case)
+                assert got == raised(assert_generation_by_loops, case)
+                seen.add(got and got[0])
+    assert seen == {"filter images fail to join-generate",
+                    "ideal images fail to meet-generate",
+                    "generator order disagrees with Z"}
+
+
+def test_generator_iso_against_the_loops(corpus):
+    # the concept lattice against its cut completion with the
+    # completion's generators perturbed, and every pair of extensions
+    # of equal size with the second's filter images perturbed (B2
+    # against the 4-chain gives bijections that are not isomorphisms)
+    cases = []
+    for p in small_carriers(corpus):
+        pol = polarity_of(p)
+        cl = concept_lattice(pol)
+        labels = [f"F{i}" for i in range(pol.nx)] + \
+                 [f"I{j}" for j in range(pol.ny)]
+        mc = dedekind_macneille(preorder(labels, polarity_preorder_pairs(pol)))
+        f2, g2 = tuple(mc.embed[: pol.nx]), tuple(mc.embed[pol.nx:])
+        size = mc.lattice.size
+        for f, g in itertools.chain(
+                [(f2, g2)], ((f, g2) for f in perturbed(f2, size)),
+                ((f2, g) for g in perturbed(g2, size))):
+            cases.append((cl.lattice, cl.f, cl.g, mc.lattice, f, g))
+    exts = [e for p in small_carriers(corpus)
+            for e in (pi_extension(p), sigma_extension(p))]
+    for e1, e2 in itertools.product(exts, exts):
+        if e1.C.size == e2.C.size:
+            for f in itertools.chain([e2.f], perturbed(e2.f, e2.C.size)):
+                cases.append((e1.C, e1.f, e1.g, e2.C, f, e2.g))
+    tables = 0
+    for args in cases:
+        got = _generator_iso(*args)
+        want = generator_iso_by_loops(*args)
+        assert (got and got.table) == (want and want.table), args[4:]
+        tables += got is not None
+    assert 0 < tables < len(cases)
 
 
 def test_galois_maps_boundary_cases(corpus):

@@ -210,3 +210,54 @@ def test_unhashable_reference_is_a_parse_error(tmp_path, capsys, verb, doc):
     diag = json.loads(err)
     assert diag["error"] == "ParseError"
     assert diag["detail"].startswith("unknown element ")
+
+
+C2_LATTICE = {"elements": ["0", "1"], "leq": [["0", "1"]]}
+
+
+@pytest.mark.parametrize("verb,doc,detail", [
+    ("export-dot", {"kind": "lattice", "elements": ["0", "a"], "leq": ["0a"]},
+     "bad order pair '0a'"),
+    ("export-dot", {"kind": "lattice", "elements": ["0", "a"], "leq": [1]},
+     "bad order pair 1"),
+    ("check", {"kind": "proximity", "lattice": C2_LATTICE,
+               "R": [["0", "0"], "01", ["1", "1"]]},
+     "bad relation pair '01'"),
+    ("check", {"kind": "morphism",
+               "source": {"lattice": C2_LATTICE, "R": [["0", "0"], ["0", "1"], ["1", "1"]]},
+               "target": {"lattice": C2_LATTICE, "R": [["0", "0"], ["0", "1"], ["1", "1"]]},
+               "T": [["0", "0"], "11"]},
+     "bad relation pair '11'"),
+])
+def test_pairs_must_be_arrays_of_two(tmp_path, capsys, verb, doc, detail):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(dict(doc, schema="proxlat/1")))
+    code, out, err = run(capsys, verb, str(path))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err)
+    assert (diag["error"], diag["detail"]) == ("ParseError", detail)
+
+
+@pytest.mark.parametrize("schema", ["bogus/9", "proxlat/2", 1, None])
+@pytest.mark.parametrize("verb", ["check", "canext", "export-dot"])
+def test_unknown_schema_is_a_parse_error(tmp_path, capsys, verb, schema):
+    from proxlat import fixtures
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(dict(fixtures.document("C3"), schema=schema)))
+    code, out, err = run(capsys, verb, str(path))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "ParseError"
+    assert diag["detail"].endswith(f"schema {schema!r} is not 'proxlat/1'")
+
+
+@pytest.mark.parametrize("verb", ["check", "canext", "export-dot"])
+def test_missing_schema_is_accepted(tmp_path, capsys, verb):
+    from proxlat import fixtures
+    doc = fixtures.document("C3")
+    del doc["schema"]
+    path = tmp_path / "untagged.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, verb, str(path)) == run(capsys, verb, "C3")

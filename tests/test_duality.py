@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import random
 
+from oracles import round_subsets_slow
 from proxlat.bitset import bits, is_subset
 from proxlat.fixtures import CORPUS
 from proxlat.lattice import lattice_from_up, opposite
@@ -21,7 +22,6 @@ from proxlat.proximity import (
     opposite_proximity,
     round_ideal_lattice,
     round_ideal_masks,
-    round_subsets_slow,
     verify_axioms,
     verify_morphism,
 )

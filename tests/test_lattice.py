@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import closed_family, lattice_laws_hold
 from proxlat.bitset import bits, transpose
 from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import NotALattice, NotAPartialOrder
@@ -18,7 +19,6 @@ from proxlat.lattice import (
     is_homomorphism,
     lattice_from_order,
     lattice_from_up,
-    lattice_laws_hold,
     opposite,
     preorder,
     preorder_from_up,
@@ -298,6 +298,47 @@ def test_macneille_density():
             if lat.leq(u, e):
                 mt = lat.meet[mt][e]
         assert jn == u and mt == u
+
+
+def preorders(n):
+    """Every reflexive transitive relation on n points, as up-set masks."""
+    off = [(a, b) for a in range(n) for b in range(n) if a != b]
+    for choice in range(1 << len(off)):
+        up = [1 << a for a in range(n)]
+        for k, (a, b) in enumerate(off):
+            if choice >> k & 1:
+                up[a] |= 1 << b
+        if all(up[b] & ~up[a] == 0 for a in range(n) for b in bits(up[a])):
+            yield up
+
+
+def test_macneille_cuts_against_the_closure():
+    # the cuts are the sets closed under lower-bounds-of-upper-bounds,
+    # saturated one point at a time, on every preorder with at most 4
+    # points (1, 4, 29, 355 of them)
+    counts = []
+    for n in range(1, 5):
+        counts.append(0)
+        for up in preorders(n):
+            counts[-1] += 1
+            q = preorder_from_up([f"q{i}" for i in range(n)], up)
+            down = q.down_masks()
+
+            def close(mask):
+                ub = lb = (1 << n) - 1
+                for x in bits(mask):
+                    ub &= up[x]
+                for y in bits(ub):
+                    lb &= down[y]
+                return lb
+
+            cuts = closed_family(n, close)
+            mc = dedekind_macneille(q)
+            assert mc.cuts == tuple(cuts), up
+            assert mc.embed == tuple(cuts.index(close(1 << x))
+                                     for x in range(n)), up
+            assert mc.lattice.up == tuple(inclusion_up(cuts)), up
+    assert counts == [1, 4, 29, 355]
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,10 +18,10 @@ from proxlat.proximity import (
     round_ideal_lattice,
     round_ideal_masks,
     round_subsets,
-    round_subsets_slow,
     smallest_round_ideal_containing,
     verify_axioms,
 )
+from oracles import round_subsets_slow
 from proxlat.relations import (
     Relation,
     compose,
