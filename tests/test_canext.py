@@ -18,6 +18,7 @@ from proxlat.bitset import bits
 from proxlat.canext import (
     CanonicalExtension,
     Polarity,
+    _assert_generation,
     _generator_iso,
     check_uniqueness,
     concept_lattice,
@@ -56,23 +57,28 @@ def polarity_of(p):
     return pol
 
 
+def chain(n):
+    return lattice_from_up([f"c{i}" for i in range(n)],
+                           [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
+
+
 def carriers_64():
     """The 64-chain and B6 with their orders, and the C3R-style carrier:
     a 64-chain listed in a seeded order, x R y iff x is bottom or y is
     top."""
     n = 64
-    chain_up = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
-    b6_up = [sum(1 << j for j in range(n) if i & j == i) for i in range(n)]
+    chain64 = chain(n)
+    labels = [f"e{i}" for i in range(n)]
+    b6 = lattice_from_up(labels, [sum(1 << j for j in range(n) if i & j == i)
+                                  for i in range(n)])
     order = list(range(n))
     random.Random(64).shuffle(order)
     pos = {old: new for new, old in enumerate(order)}
-    c3r_up = [sum(1 << pos[b] for b in bits(chain_up[old])) for old in order]
-    labels = [f"e{i}" for i in range(n)]
-    chain, b6, c3r = (lattice_from_up(labels, up)
-                      for up in (chain_up, b6_up, c3r_up))
+    c3r = lattice_from_up(labels, [sum(1 << pos[b] for b in bits(chain64.up[old]))
+                                   for old in order])
     c3r_rel = Relation(n, n, tuple(c3r.full if a == c3r.bot else 1 << c3r.top
                                    for a in range(n)))
-    return [proximity_lattice(chain, order_relation(chain)),
+    return [proximity_lattice(chain64, order_relation(chain64)),
             proximity_lattice(b6, order_relation(b6)),
             proximity_lattice(c3r, c3r_rel)]
 
@@ -126,11 +132,6 @@ def perturbed(values, size):
             yield tuple(out)
 
 
-def chain(n):
-    return lattice_from_up([f"c{i}" for i in range(n)],
-                           [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
-
-
 def small_carriers(corpus):
     """The corpus, the 4- and 6-chain and B3 with their orders, and the
     6-chain with the C3R-style relation."""
@@ -174,7 +175,6 @@ def raised(check, cl):
 def test_assert_generation_against_the_loops(corpus):
     # every f and g entry moved to every other element, and every pair
     # of distinct entries swapped
-    from proxlat.canext import _assert_generation
     seen = set()
     for p in small_carriers(corpus):
         for q in (p, opposite_proximity(p)):
