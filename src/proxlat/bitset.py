@@ -10,8 +10,19 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 
+# the positions of every byte-sized mask, so small carriers skip the loop
+_SMALL = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
 def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of `mask` in increasing order."""
+    """The set bit positions of `mask` in increasing order, as an
+    iterator; masks below 256 are read off a table."""
+    if 0 <= mask < 256:
+        return iter(_SMALL[mask])
+    return _bits(mask)
+
+
+def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -78,6 +78,18 @@ def _pair(pair: Any, what: str) -> list:
     return pair
 
 
+def _array(doc: Any, key: str, kind: str) -> list:
+    """doc[key], which must be a JSON array: a string or an object
+    would be read one character or one key at a time."""
+    try:
+        value = doc[key]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed {kind} document: {exc}") from None
+    if not isinstance(value, list):
+        raise ParseError(f"malformed {kind} document: {key!r} is not an array")
+    return value
+
+
 def _resolve(index: dict[str, int], name: Any) -> int:
     try:
         return index[name]
@@ -86,11 +98,8 @@ def _resolve(index: dict[str, int], name: Any) -> int:
 
 
 def lattice_from_doc(doc: dict) -> FiniteLattice:
-    try:
-        labels = list(doc["elements"])
-        raw_pairs = doc["leq"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed lattice document: {exc}") from None
+    labels = _array(doc, "elements", "lattice")
+    raw_pairs = _array(doc, "leq", "lattice")
     index = _name_index(labels, "element")
     n = len(labels)
     up = [1 << a for a in range(n)]
@@ -141,9 +150,9 @@ def carrier_from_doc(doc: dict) -> tuple[FiniteLattice, Relation]:
     """The lattice and relation of a proximity document, axioms unchecked."""
     try:
         lat = lattice_from_doc(doc["lattice"])
-        raw_r = doc["R"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed proximity document: {exc}") from None
+    raw_r = _array(doc, "R", "proximity")
     return lat, _pairs_to_relation(lat.labels, lat.labels, raw_r)
 
 
@@ -168,9 +177,9 @@ def morphism_from_doc(doc: dict) -> ProximityMorphism:
     try:
         src = proximity_from_doc(doc["source"])
         tgt = proximity_from_doc(doc["target"])
-        raw_t = doc["T"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed morphism document: {exc}") from None
+    raw_t = _array(doc, "T", "morphism")
     rel = _pairs_to_relation(src.lattice.labels, tgt.lattice.labels, raw_t)
     return proximity_morphism(src, tgt, rel)
 
@@ -189,14 +198,13 @@ def space_to_doc(space: FiniteSpace) -> dict:
 
 
 def space_from_doc(doc: dict) -> FiniteSpace:
-    try:
-        labels = list(doc["points"])
-        raw_opens = doc["opens"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed space document: {exc}") from None
+    labels = _array(doc, "points", "space")
+    raw_opens = _array(doc, "opens", "space")
     index = _name_index(labels, "point")
     opens = []
     for u in raw_opens:
+        if not isinstance(u, list):
+            raise ParseError(f"open {u!r} is not an array")
         mask = 0
         for name in u:
             mask |= 1 << _resolve(index, name)

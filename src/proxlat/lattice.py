@@ -7,12 +7,13 @@ is one cone lookup: the join of a and b is the element whose up-set is
 up[a] & up[b], found in a table from up-set masks to elements (the
 lowest index wins where a preorder repeats a mask), and the meet
 likewise from down-sets. All values are immutable after construction
-and every function here is pure.
+and every function here is pure; a lattice keeps its opposite and its
+distributivity verdict once asked for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .bitset import bits, is_subset, transpose
@@ -29,6 +30,11 @@ class FiniteLattice:
     bot: int
     top: int
     labels: tuple[str, ...]
+    # memo slots, filled by opposite() and is_distributive()
+    _opposite: Optional["FiniteLattice"] = field(
+        default=None, init=False, repr=False, compare=False)
+    _distributive: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def full(self) -> int:
@@ -202,6 +208,14 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
+    """True iff meet distributes over join on the whole carrier; found
+    once per lattice by `_distributive_law` and kept on it."""
+    if lat._distributive is None:
+        object.__setattr__(lat, "_distributive", _distributive_law(lat))
+    return lat._distributive
+
+
+def _distributive_law(lat: FiniteLattice) -> bool:
     """True iff meet distributes over join on the whole carrier.
 
     Send x to the set of join-irreducibles below it. In a finite lattice
@@ -230,17 +244,14 @@ def is_distributive(lat: FiniteLattice) -> bool:
 
 
 def opposite(lat: FiniteLattice) -> FiniteLattice:
-    """Same carrier with the order reversed; an involution."""
-    return FiniteLattice(
-        size=lat.size,
-        up=lat.down,
-        down=lat.up,
-        meet=lat.join,
-        join=lat.meet,
-        bot=lat.top,
-        top=lat.bot,
-        labels=lat.labels,
-    )
+    """Same carrier with the order reversed; an involution. Built once
+    per lattice and kept on it; the opposite keeps no link back, so the
+    two form no reference cycle."""
+    if lat._opposite is None:
+        object.__setattr__(lat, "_opposite", FiniteLattice(
+            size=lat.size, up=lat.down, down=lat.up, meet=lat.join,
+            join=lat.meet, bot=lat.top, top=lat.bot, labels=lat.labels))
+    return lat._opposite
 
 
 def _unpreserved_join(src: FiniteLattice, tgt: FiniteLattice,

@@ -11,6 +11,15 @@ Join-strongness additionally lets R decompose joins on the right: from
 a R (join B) one can find B' inside R^{-1}[B] with a R (join B').
 Meet-strongness is the order dual.
 
+Join-strongness of (L, R) is join-approximability of R^-1 as a
+morphism from (L, R) to itself, which is why R^-1 is the identity
+j-morphism: with T = R^-1 and S = R, (join B) T a says a R (join B),
+and a finite B' inside T[B] with a S (join B') is what strongness asks
+for. The empty instance, a R bot for every a in T[bot], always holds.
+So one kernel per form (binary, mu, exhaustive) decides both
+properties: verify_axioms runs it on (L, L, R, R^-1) and rotates the
+witness (b1, b2, a) to (a, b1, b2).
+
 Quantifiers over finite subsets are checked at the empty and binary
 instances. For the compatibility axioms this is exact: they are
 biconditionals and the general instance follows by induction on the
@@ -25,9 +34,11 @@ Every meet-side check is the join-side check run on (L^op, R^-1): the
 meets of L are the joins of L^op, and R^-1 swaps rows and columns. The
 join-side witnesses come back in the opposite's terms and are rotated
 into the original orientation: meet-compatibility (b, b2, a) becomes
-(a, b, b2) and (top, a) becomes (a, top); meet-strongness (a, b1, b2)
-becomes (b1, b2, a), and the same rotation moves the point to the end
-of an exhaustive witness. Meet-approximability of T is
+(a, b, b2) and (top, a) becomes (a, top). Meet-strongness is the
+approximability kernel on (L^op, L^op, R^-1, R), whose witness
+(b1, b2, a) already has the orientation of a meet-strong one, the point
+last; join-strongness moves the point to the front, of an exhaustive
+witness too. Meet-approximability of T is
 join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1). For
 the same reason the opposite of a proximity lattice needs no new check:
 (L^op, R^-1) is again a proximity lattice, its join side is the old
@@ -48,18 +59,19 @@ relations are exactly the meet-preserving maps mu, and the proximity
 relations exactly the idempotent ones. The rest follows from the rows
 being up-sets and mu being monotone:
 
-* Join-strongness at (b1, b2) asks for each a R (b1 v b2) some u R b1
-  and v R b2 with a R (u v v). Every such u is below mu(b1) and every
-  v below mu(b2), so u = mu(b1), v = mu(b2) is the best choice, and
-  the instance fails exactly for a in
-  down mu(b1 v b2) minus down mu(mu(b1) v mu(b2)). The least such a
-  is the witness the loop over row pairs finds. Meet-strongness is
-  the same test on (L^op, R^-1), whose map takes a to the meet of R[a].
 * A proximity morphism T from (L, R) to (M, S) has principal rows,
-  T[b] = down tau(b). By the same argument join-approximability at
-  (b1, b2) fails exactly for m in T[b1 v b2] minus
-  down mu_S(tau(b1) v tau(b2)), and its empty instance for m in T[bot]
+  T[b] = down tau(b). Join-approximability at (b1, b2) asks for each
+  m in T[b1 v b2] some u in T[b1] and v in T[b2] with m S (u v v).
+  Every such u is below tau(b1) and every v below tau(b2), and the
+  rows of S are up-sets, so u = tau(b1), v = tau(b2) is the best
+  choice, and the instance fails exactly for m in T[b1 v b2] minus
+  down mu_S(tau(b1) v tau(b2)); the least such m is the witness the
+  loop over row pairs finds. The empty instance fails for m in T[bot]
   minus down mu_S(bot).
+* Join-strongness is this test for T = R^-1, whose tau is mu: at
+  (b1, b2) it fails exactly for a in down mu(b1 v b2) minus
+  down mu(mu(b1) v mu(b2)). Meet-strongness is the same test on
+  (L^op, R^-1), whose map takes a to the meet of R[a].
 * R^-1[down m] = down mu(m), so down m is a round ideal iff mu(m) = m:
   the round ideals are the down-sets of the fixed points of mu.
 * For round ideals I = down i and J = down j, I << J asks for some
@@ -161,20 +173,27 @@ def verify_axioms(lat: FiniteLattice, rel: Relation, *,
     Never raises on failures; everything is reported with witnesses.
     With ``exhaustive=True`` (carrier <= 10) the finite-subset
     quantifiers are checked over every subset instead of the
-    empty+binary reduction.
+    empty+binary reduction. Strongness is approximability of R^-1
+    from (L, R) to itself (module docstring).
     """
     if rel.source_size != lat.size or rel.target_size != lat.size:
         raise DimensionMismatch("relation carrier does not match the lattice")
     if exhaustive and lat.size > _EXHAUSTIVE_LIMIT:
         raise ValueError("exhaustive mode is limited to small carriers")
     rows = rel.rows
-    cols = rel.converse().rows
+    cols = transpose(rows, lat.size)
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 
-    comp = compose(rel, rel)
-    idempotent = comp.rows == rel.rows
-    if not idempotent:
-        witnesses.append(("idempotent", _first_diff(comp, rel)))
+    idempotent = True
+    for a, row in enumerate(rows):  # R;R = R, row by row
+        twice = 0
+        for b in bits(row):
+            twice |= rows[b]
+        if twice != row:
+            idempotent = False
+            delta = twice ^ row
+            witnesses.append(("idempotent", (a, (delta & -delta).bit_length() - 1)))
+            break
 
     lat_op = opposite(lat)
     join_compatible, jc_wit = _join_compatible(lat, rows)
@@ -184,17 +203,17 @@ def verify_axioms(lat: FiniteLattice, rel: Relation, *,
             _join_compatible_exhaustive(lat, rows, cols)
         meet_compatible = meet_compatible and \
             _join_compatible_exhaustive(lat_op, cols, rows)
-        strong = _join_strong_exhaustive
+        approx = _join_approx_exhaustive
     elif join_compatible and meet_compatible:
-        strong = _join_strong_mu
+        approx = _join_approx_mu
     else:
-        strong = _join_strong_binary
-    join_strong, js_wit = strong(lat, rows, cols)
-    meet_strong, ms_wit = strong(lat_op, cols, rows)
+        approx = _join_approx_binary
+    join_strong, js_wit = approx(lat, lat, rows, cols, cols)
+    meet_strong, ms_wit = approx(lat_op, lat_op, cols, rows, rows)
     for name, wit in (("join_compatible", jc_wit),
                       ("meet_compatible", mc_wit and mc_wit[-1:] + mc_wit[:-1]),
-                      ("join_strong", js_wit),
-                      ("meet_strong", ms_wit and ms_wit[1:] + ms_wit[:1])):
+                      ("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
+                      ("meet_strong", ms_wit)):
         if wit is not None:
             witnesses.append((name, wit))
 
@@ -258,65 +277,12 @@ def _order_flags(lat, rows, witnesses):
     return increasing, reflexive
 
 
-def _join_strong_binary(lat, rows, cols):
-    """a R (b1 v b2) demands u R b1, v R b2 with a R (u v v)."""
-    n = lat.size
-    join = lat.join
-    for b1 in range(n):
-        for b2 in range(b1, n):
-            who = cols[join[b1][b2]]
-            if not who:
-                continue
-            joined = 0
-            for u in bits(cols[b1]):
-                for v in bits(cols[b2]):
-                    joined |= 1 << join[u][v]
-            for a in bits(who):
-                if not rows[a] & joined:
-                    return False, (a, b1, b2)
-    return True, None
-
-
-def _mu(lat: FiniteLattice, cols) -> list[int]:
-    """The join of each mask in `cols`; for the columns of a
-    join-compatible relation, the map mu with R^-1[b] = down mu(b)."""
-    return [lat.join_mask(col) for col in cols]
-
-
-def _join_strong_mu(lat, rows, cols):
-    """_join_strong_binary for a relation compatible on both sides: at
-    (b1, b2) it fails for a in R^-1[b1 v b2] minus R^-1[mu(b1) v mu(b2)]
-    (module docstring)."""
-    mu = _mu(lat, cols)
-    join = lat.join
-    for b1, m1 in enumerate(mu):
-        row, mrow = join[b1], join[m1]
-        for b2 in range(b1, lat.size):
-            stray = cols[row[b2]] & ~cols[mrow[mu[b2]]]
-            if stray:
-                return False, ((stray & -stray).bit_length() - 1, b1, b2)
-    return True, None
-
-
 def _join_table(lat: FiniteLattice) -> list[int]:
     out = [lat.bot] * (1 << lat.size)
     for mask in range(1, 1 << lat.size):
         low = (mask & -mask).bit_length() - 1
         out[mask] = lat.join[out[mask & (mask - 1)]][low]
     return out
-
-
-def _join_strong_exhaustive(lat, rows, cols):
-    n = lat.size
-    joins = _join_table(lat)
-    for bmask in range(1 << n):
-        pre = 0
-        for b in bits(bmask):
-            pre |= cols[b]
-        for a in bits(cols[joins[bmask]]):
-            if not any(rows[a] >> joins[sub] & 1 for sub in submasks(pre)):
-                return False, (a,) + tuple(bits(bmask))
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -466,30 +432,6 @@ def round_subsets(p: ProximityLattice, kind: str) -> tuple[RoundSubset, ...]:
     return tuple(RoundSubset(p, m, kind) for m in masks)
 
 
-def smallest_round_ideal_containing(p: ProximityLattice, seed: int) -> int:
-    """Closure iteration: join-closure then R-preimage, until stable.
-
-    Sound when the seed is a union of round ideals (each step is then
-    inflationary); used for joins in the round-ideal lattice.
-    """
-    joins = p.lattice.join
-    cur = seed
-    while True:
-        jc = cur
-        while True:
-            nxt = jc
-            for a in bits(jc):
-                for b in bits(jc):
-                    nxt |= 1 << joins[a][b]
-            if nxt == jc:
-                break
-            jc = nxt
-        nxt = p.R.preimage(jc)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 @dataclass(frozen=True)
 class RoundIdealLattice:
     carrier: ProximityLattice
@@ -572,11 +514,12 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
     raw = True
     src_op = opposite(src.lattice)
     src_conv = src.R.converse()
+    tgt_conv = tgt.R.converse()
     left = compose(src_conv, rel)
     if left.rows != rows:
         raw = False
         witnesses.append(("left_composition", _first_diff(left, rel)))
-    right = compose(rel, tgt.R.converse())
+    right = compose(rel, tgt_conv)
     if right.rows != rows:
         raw = False
         witnesses.append(("right_composition", _first_diff(right, rel)))
@@ -604,8 +547,10 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
         approx = _join_approx_exhaustive
     else:
         approx = _join_approx_mu if raw else _join_approx_binary
-    japprox, j_wit = approx(src.lattice, tgt.lattice, tgt.R.rows, rows)
-    mapprox, m_wit = approx(opposite(tgt.lattice), src_op, src_conv.rows, cols)
+    japprox, j_wit = approx(src.lattice, tgt.lattice, tgt.R.rows,
+                            tgt_conv.rows, rows)
+    mapprox, m_wit = approx(opposite(tgt.lattice), src_op, src_conv.rows,
+                            src.R.rows, cols)
     if not japprox and j_wit is not None:
         witnesses.append(("join_approximable", j_wit))
     if not mapprox and m_wit is not None:
@@ -626,47 +571,54 @@ def _is_lattice_ideal(lat: FiniteLattice, mask: int) -> bool:
     return mask == lat.down[lat.join_mask(mask)]
 
 
-def _join_approx_binary(sl, tl, tgt_rows, rows):
+def _join_approx_binary(sl, tl, tgt_rows, tgt_cols, rows):
     """(b1 v b2) T m demands u in T[b1], v in T[b2] with m S (u v v);
-    the empty instance demands m S bot for every m in T[bot]."""
+    the empty instance demands m S bot for every m in T[bot].
+
+    Every approximability kernel takes the rows and the columns of S
+    and the rows of T; this one has no use for the columns.
+    """
     for m in bits(rows[sl.bot]):
         if not tgt_rows[m] >> tl.bot & 1:
             return False, (m,)
-    for b1 in range(sl.size):
+    members = [tuple(bits(row)) for row in rows]
+    tjoin = tl.join
+    for b1, row in enumerate(sl.join):
+        ujoins = [tjoin[u] for u in members[b1]]
         for b2 in range(b1, sl.size):
-            targets = rows[sl.join[b1][b2]]
+            targets = members[row[b2]]
             if not targets:
                 continue
+            vs = members[b2]
             joined = 0
-            for u in bits(rows[b1]):
-                for v in bits(rows[b2]):
-                    joined |= 1 << tl.join[u][v]
-            for m in bits(targets):
+            for ujoin in ujoins:
+                for v in vs:
+                    joined |= 1 << ujoin[v]
+            for m in targets:
                 if not tgt_rows[m] & joined:
                     return False, (b1, b2, m)
     return True, None
 
 
-def _join_approx_mu(sl, tl, tgt_rows, rows):
+def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows):
     """_join_approx_binary for T with principal rows T[b] = down tau(b)
     between proximity lattices: at (b1, b2) it fails for m in
     T[b1 v b2] minus S^-1[tau(b1) v tau(b2)] (module docstring)."""
-    tau = _mu(tl, rows)
-    s_cols = transpose(tgt_rows, tl.size)
-    stray = rows[sl.bot] & ~s_cols[tl.bot]
+    tau = [tl.join_mask(row) for row in rows]
+    stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return False, ((stray & -stray).bit_length() - 1,)
     join, tjoin = sl.join, tl.join
     for b1, t1 in enumerate(tau):
         row, trow = join[b1], tjoin[t1]
         for b2 in range(b1, sl.size):
-            stray = rows[row[b2]] & ~s_cols[trow[tau[b2]]]
+            stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
             if stray:
                 return False, (b1, b2, (stray & -stray).bit_length() - 1)
     return True, None
 
 
-def _join_approx_exhaustive(sl, tl, tgt_rows, rows):
+def _join_approx_exhaustive(sl, tl, tgt_rows, tgt_cols, rows):
     if sl.size > _EXHAUSTIVE_LIMIT or tl.size > _EXHAUSTIVE_LIMIT:
         raise ValueError("exhaustive mode is limited to small carriers")
     src_joins = _join_table(sl)

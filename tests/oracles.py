@@ -6,7 +6,7 @@ definitional version of a routine that src computes faster.
 import itertools
 from typing import Optional
 
-from proxlat.bitset import bits
+from proxlat.bitset import bits, submasks
 from proxlat.canext import (
     CanonicalExtension,
     ConceptLattice,
@@ -21,6 +21,7 @@ from proxlat.errors import InternalCheckError, NotMeetStrong
 from proxlat.lattice import FiniteLattice, LatticeMap, _set_label, opposite
 from proxlat.proximity import (
     ProximityLattice,
+    _join_table,
     is_round_ideal,
     opposite_proximity,
     round_filter_masks,
@@ -59,6 +60,31 @@ def round_subsets_slow(p: ProximityLattice, kind: str) -> tuple[int, ...]:
     q = p if kind == "ideal" else opposite_proximity(p)
     found = [m for m in range(1, 1 << p.size) if is_round_ideal(q, m)]
     return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+
+
+def smallest_round_ideal_containing(p: ProximityLattice, seed: int) -> int:
+    """Closure iteration: join-closure then R-preimage, until stable.
+
+    Sound when the seed is a union of round ideals (each step is then
+    inflationary); the join of two round ideals is this closure of
+    their union.
+    """
+    joins = p.lattice.join
+    cur = seed
+    while True:
+        jc = cur
+        while True:
+            nxt = jc
+            for a in bits(jc):
+                for b in bits(jc):
+                    nxt |= 1 << joins[a][b]
+            if nxt == jc:
+                break
+            jc = nxt
+        nxt = p.R.preimage(jc)
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 def sigma_extension_explicit(p: ProximityLattice) -> CanonicalExtension:
@@ -100,6 +126,59 @@ def lattice_laws_hold(lat: FiniteLattice) -> bool:
         if join[join[a][b]][c] != join[a][join[b][c]]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Join-strongness checked directly, before it was read as approximability
+# ---------------------------------------------------------------------------
+
+def join_strong_binary(lat: FiniteLattice, rows, cols):
+    """a R (b1 v b2) demands u R b1, v R b2 with a R (u v v); the least
+    witness (a, b1, b2), or None."""
+    n = lat.size
+    join = lat.join
+    for b1 in range(n):
+        for b2 in range(b1, n):
+            who = cols[join[b1][b2]]
+            if not who:
+                continue
+            joined = 0
+            for u in bits(cols[b1]):
+                for v in bits(cols[b2]):
+                    joined |= 1 << join[u][v]
+            for a in bits(who):
+                if not rows[a] & joined:
+                    return False, (a, b1, b2)
+    return True, None
+
+
+def join_strong_mu(lat: FiniteLattice, rows, cols):
+    """join_strong_binary for a relation compatible on both sides: at
+    (b1, b2) it fails for a in R^-1[b1 v b2] minus R^-1[mu(b1) v mu(b2)]."""
+    mu = [lat.join_mask(col) for col in cols]
+    join = lat.join
+    for b1, m1 in enumerate(mu):
+        row, mrow = join[b1], join[m1]
+        for b2 in range(b1, lat.size):
+            stray = cols[row[b2]] & ~cols[mrow[mu[b2]]]
+            if stray:
+                return False, ((stray & -stray).bit_length() - 1, b1, b2)
+    return True, None
+
+
+def join_strong_exhaustive(lat: FiniteLattice, rows, cols):
+    """Every finite B: a R (join B) demands a subset of R^-1[B] whose
+    join a relates to; the witness is (a,) followed by B."""
+    n = lat.size
+    joins = _join_table(lat)
+    for bmask in range(1 << n):
+        pre = 0
+        for b in bits(bmask):
+            pre |= cols[b]
+        for a in bits(cols[joins[bmask]]):
+            if not any(rows[a] >> joins[sub] & 1 for sub in submasks(pre)):
+                return False, (a,) + tuple(bits(bmask))
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -261,3 +261,44 @@ def test_missing_schema_is_accepted(tmp_path, capsys, verb):
     path = tmp_path / "untagged.json"
     path.write_text(json.dumps(doc))
     assert run(capsys, verb, str(path)) == run(capsys, verb, "C3")
+
+
+C2_PROXIMITY = {"lattice": C2_LATTICE, "R": [["0", "0"], ["0", "1"], ["1", "1"]]}
+
+
+@pytest.mark.parametrize("verb,doc,detail", [
+    ("export-dot", {"kind": "lattice", "elements": ["0", "a"], "leq": 5},
+     "malformed lattice document: 'leq' is not an array"),
+    ("export-dot", {"kind": "lattice", "elements": "ab", "leq": [["a", "b"]]},
+     "malformed lattice document: 'elements' is not an array"),
+    ("export-dot", {"kind": "lattice", "elements": {"a": 1, "b": 2},
+                    "leq": [["a", "b"]]},
+     "malformed lattice document: 'elements' is not an array"),
+    ("check", {"kind": "proximity", "lattice": C2_LATTICE, "R": 5},
+     "malformed proximity document: 'R' is not an array"),
+    ("check", {"kind": "proximity", "lattice": C2_LATTICE, "R": {"0": "1"}},
+     "malformed proximity document: 'R' is not an array"),
+    ("check", {"kind": "proximity", "R": [],
+               "lattice": {"elements": ["0", "1"], "leq": "01"}},
+     "malformed lattice document: 'leq' is not an array"),
+    ("check", {"kind": "morphism", "source": C2_PROXIMITY,
+               "target": C2_PROXIMITY, "T": 5},
+     "malformed morphism document: 'T' is not an array"),
+    ("check", {"kind": "morphism", "source": C2_PROXIMITY,
+               "target": C2_PROXIMITY, "T": {}},
+     "malformed morphism document: 'T' is not an array"),
+    ("dualize", {"kind": "space", "points": ["x"], "opens": 5},
+     "malformed space document: 'opens' is not an array"),
+    ("dualize", {"kind": "space", "points": "xy", "opens": [[], ["x", "y"]]},
+     "malformed space document: 'points' is not an array"),
+    ("export-dot", {"kind": "space", "points": ["x"], "opens": [[], "x"]},
+     "open 'x' is not an array"),
+])
+def test_containers_must_be_arrays(tmp_path, capsys, verb, doc, detail):
+    path = tmp_path / "containers.json"
+    path.write_text(json.dumps(dict(doc, schema="proxlat/1")))
+    code, out, err = run(capsys, verb, str(path))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err)
+    assert (diag["error"], diag["detail"]) == ("ParseError", detail)

@@ -9,16 +9,20 @@ import hashlib
 import itertools
 import random
 
-from oracles import round_subsets_slow
+from oracles import (
+    join_strong_binary,
+    join_strong_exhaustive,
+    join_strong_mu,
+    round_subsets_slow,
+)
 from proxlat.bitset import bits, is_subset
 from proxlat.fixtures import CORPUS
 from proxlat.lattice import lattice_from_up, opposite
 from proxlat.proximity import (
     ProximityLattice,
     _join_approx_binary,
+    _join_approx_exhaustive,
     _join_approx_mu,
-    _join_strong_binary,
-    _join_strong_mu,
     opposite_proximity,
     round_ideal_lattice,
     round_ideal_masks,
@@ -104,6 +108,13 @@ def principal_down_sets(p):
     return p.lattice.down
 
 
+def strong_by_approx(kernel, lat, rows, cols):
+    """Join-strongness as join-approximability of R^-1 from (L, R) to
+    itself, the witness rotated from (b1, b2, a) to (a, b1, b2)."""
+    found, wit = kernel(lat, lat, rows, cols, cols)
+    return found, wit and wit[-1:] + wit[:-1]
+
+
 def digest(reports):
     h = hashlib.sha256()
     for report in reports:
@@ -162,10 +173,36 @@ def test_mu_strongness_against_the_loops(corpus):
     for lat, rel in cases:
         rows, cols = rel.rows, rel.converse().rows
         for side in ((lat, rows, cols), (opposite(lat), cols, rows)):
-            found = _join_strong_mu(*side)
-            assert found == _join_strong_binary(*side), (lat.size, rows)
+            found = join_strong_mu(*side)
+            assert found == join_strong_binary(*side), (lat.size, rows)
+            for kernel in (_join_approx_mu, _join_approx_binary):
+                assert strong_by_approx(kernel, *side) == found, (lat.size, rows)
             verdicts.add(found[0])
     assert verdicts == {True, False}
+
+
+def test_strongness_is_approximability_of_the_converse(corpus):
+    """The binary and exhaustive approximability kernels, run on
+    (L, L, R, R^-1), give the flags and witnesses of the direct
+    strongness loops, on every relation, compatible or not."""
+    cases = [(chain(3), None)] + [
+        (lat, 5000) for lat in (chain(4), corpus["B2"].lattice,
+                                corpus["M3"].lattice)]
+    verdicts = set()
+    for lat, count in cases:
+        for rel in relations(lat, count, seed=lat.size + 1):
+            rows, cols = rel.rows, rel.converse().rows
+            for side in ((lat, rows, cols), (opposite(lat), cols, rows)):
+                found = join_strong_binary(*side)
+                assert strong_by_approx(_join_approx_binary, *side) == found, \
+                    (lat.size, rows)
+                exhaustive = join_strong_exhaustive(*side)
+                assert strong_by_approx(_join_approx_exhaustive, *side) == \
+                    exhaustive, (lat.size, rows)
+                verdicts.add((found[0], exhaustive[0]))
+    # off the compatible relations an instance of every size may pass
+    # where the binary one fails, so (False, True) occurs too
+    assert verdicts >= {(True, True), (False, False)}
 
 
 def test_principal_map_reports_are_pinned(corpus):
@@ -179,9 +216,10 @@ def test_principal_map_reports_are_pinned(corpus):
         if not report.proximity:
             continue
         hits += 1
-        for side in ((src.lattice, tgt.lattice, tgt.R.rows, rel.rows),
+        for side in ((src.lattice, tgt.lattice, tgt.R.rows,
+                      tgt.R.converse().rows, rel.rows),
                      (opposite(tgt.lattice), opposite(src.lattice),
-                      src.R.converse().rows, rel.converse().rows)):
+                      src.R.converse().rows, src.R.rows, rel.converse().rows)):
             assert _join_approx_mu(*side) == _join_approx_binary(*side)
     assert (len(reports), hits, sum(r.j_morphism for r in reports)) == (6426, 231, 56)
     assert digest(reports) == PRINCIPAL_SHA256

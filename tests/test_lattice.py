@@ -1,5 +1,6 @@
 """Lattice construction, order primitives, and the MacNeille completion."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import NotALattice, NotAPartialOrder
 from proxlat.lattice import (
     LatticeMap,
+    _distributive_law,
     _lattice_of_sets,
     dedekind_macneille,
     find_isomorphism,
@@ -187,20 +189,33 @@ def distributive_by_the_law(lat):
                for a in every for b in every for c in every)
 
 
-def test_distributivity_against_the_law():
-    # a family of subsets of a 5-set that holds the whole set and is
-    # closed under intersection is a lattice under inclusion
+def intersection_lattices():
+    """Lattices of families of subsets of a 5-set that hold the whole
+    set and are closed under intersection, under inclusion."""
     rng = random.Random(5)
-    verdicts = []
     for _ in range(1000):
         family = {0b11111}
         for _ in range(rng.randint(1, 7)):
             new = rng.getrandbits(5)
             family |= {new & old for old in family}
-        lat = _lattice_of_sets(sorted(family), "abcde")
+        yield _lattice_of_sets(sorted(family), "abcde")
+
+
+def test_distributivity_against_the_law():
+    verdicts = []
+    for lat in intersection_lattices():
         verdicts.append(is_distributive(lat))
-        assert verdicts[-1] == distributive_by_the_law(lat), sorted(family)
+        assert verdicts[-1] == distributive_by_the_law(lat), lat.labels
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_distributivity_is_kept_on_the_lattice():
+    for lat in intersection_lattices():
+        assert lat._distributive is None
+        first = is_distributive(lat)
+        assert lat._distributive is first
+        assert is_distributive(lat) is first
+        assert first == _distributive_law(lat) == distributive_by_the_law(lat)
 
 
 def test_opposite_swaps_and_involutes(corpus):
@@ -209,6 +224,17 @@ def test_opposite_swaps_and_involutes(corpus):
         op = opposite(lat)
         assert op.bot == lat.top and op.top == lat.bot
         assert op.meet == lat.join
+        assert opposite(op) == lat
+
+
+def test_opposite_is_built_once(corpus):
+    lattices = [p.lattice for p in corpus.values()]
+    lattices += list(itertools.islice(intersection_lattices(), 50))
+    for lat in lattices:
+        op = opposite(lat)
+        assert opposite(lat) is op
+        assert op == lattice_from_up(lat.labels, lat.down)
+        assert lat == lattice_from_up(lat.labels, lat.up)
         assert opposite(op) == lat
 
 

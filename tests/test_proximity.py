@@ -18,10 +18,9 @@ from proxlat.proximity import (
     round_ideal_lattice,
     round_ideal_masks,
     round_subsets,
-    smallest_round_ideal_containing,
     verify_axioms,
 )
-from oracles import round_subsets_slow
+from oracles import round_subsets_slow, smallest_round_ideal_containing
 from proxlat.relations import (
     Relation,
     compose,
