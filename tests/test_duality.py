@@ -184,7 +184,8 @@ def test_mu_strongness_against_the_loops(corpus):
 def test_strongness_is_approximability_of_the_converse(corpus):
     """The binary and exhaustive approximability kernels, run on
     (L, L, R, R^-1), give the flags and witnesses of the direct
-    strongness loops, on every relation, compatible or not."""
+    strongness loops, compatible relation or not: every relation on C3
+    and seeded samples on C4, B2 and M3."""
     cases = [(chain(3), None)] + [
         (lat, 5000) for lat in (chain(4), corpus["B2"].lattice,
                                 corpus["M3"].lattice)]

@@ -13,7 +13,6 @@ from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import NotALattice, NotAPartialOrder
 from proxlat.lattice import (
     LatticeMap,
-    _distributive_law,
     _lattice_of_sets,
     dedekind_macneille,
     find_isomorphism,
@@ -204,38 +203,27 @@ def intersection_lattices():
 def test_distributivity_against_the_law():
     verdicts = []
     for lat in intersection_lattices():
+        assert lat._distributive is None
         verdicts.append(is_distributive(lat))
         assert verdicts[-1] == distributive_by_the_law(lat), lat.labels
+        # the verdict is kept on the lattice and read back from there
+        assert lat._distributive is verdicts[-1]
+        assert is_distributive(lat) is verdicts[-1]
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_distributivity_is_kept_on_the_lattice():
-    for lat in intersection_lattices():
-        assert lat._distributive is None
-        first = is_distributive(lat)
-        assert lat._distributive is first
-        assert is_distributive(lat) is first
-        assert first == _distributive_law(lat) == distributive_by_the_law(lat)
-
-
 def test_opposite_swaps_and_involutes(corpus):
-    for name, p in corpus.items():
-        lat = p.lattice
-        op = opposite(lat)
-        assert op.bot == lat.top and op.top == lat.bot
-        assert op.meet == lat.join
-        assert opposite(op) == lat
-
-
-def test_opposite_is_built_once(corpus):
     lattices = [p.lattice for p in corpus.values()]
     lattices += list(itertools.islice(intersection_lattices(), 50))
     for lat in lattices:
         op = opposite(lat)
+        assert op.bot == lat.top and op.top == lat.bot
+        assert op.meet == lat.join
+        assert opposite(op) == lat
+        # built once, kept on the lattice, equal to a fresh build
         assert opposite(lat) is op
         assert op == lattice_from_up(lat.labels, lat.down)
         assert lat == lattice_from_up(lat.labels, lat.up)
-        assert opposite(op) == lat
 
 
 def test_opposite_single_examples(corpus):
