@@ -52,6 +52,27 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def compose_rows(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
+    """The bit matrix product: out[a] is the union of second[b] over the
+    b in first[a]."""
+    out = []
+    for row in first:
+        acc = 0
+        for b in bits(row):
+            acc |= second[b]
+        out.append(acc)
+    return tuple(out)
+
+
+def meeting_rows(rows: Sequence[int], mask: int) -> int:
+    """The positions a with rows[a] meeting `mask`, as a mask."""
+    out = 0
+    for a, row in enumerate(rows):
+        if row & mask:
+            out |= 1 << a
+    return out
+
+
 def preimage(table: Sequence[int], mask: int) -> int:
     """The positions x with table[x] in `mask`, as a mask."""
     out = 0

@@ -76,6 +76,20 @@ being up-sets and mu being monotone:
   the round ideals are the down-sets of the fixed points of mu.
 * For round ideals I = down i and J = down j, I << J asks for some
   d <= j with i <= mu(d); mu is monotone, so I << J iff i <= mu(j).
+* The rows of a proximity morphism are round ideals of the target. A
+  relation T from (L, R) to (M, S) whose rows are round ideals,
+  T[a] = down tau(a) with tau(a) a fixed point of mu_S, is a proximity
+  morphism exactly when tau preserves finite meets and
+  tau o mu_R = tau. Column m of T is {a : m <= tau(a)}. Every column
+  is a filter exactly when tau(top) = top (top lies in every column),
+  tau is monotone (every column is an up-set) and
+  tau(a) ^ tau(b) <= tau(a ^ b) (the column of tau(a) ^ tau(b) holds
+  a ^ b), that is, when tau preserves finite meets. For monotone tau,
+  row a of R^-1;T is the union of down tau(b) over b <= mu_R(a), which
+  is down tau(mu_R(a)), so R^-1;T = T iff tau o mu_R = tau. Row a of
+  T;S^-1 is the union of down mu_S(m) over m <= tau(a), which is
+  down mu_S(tau(a)) = down tau(a), and the rows are principal, so
+  nothing else is asked. all_proximity_morphisms searches these tau.
 
 The loops over row pairs remain for relations that fail a
 compatibility axiom, whose reports still carry strongness flags and
@@ -84,11 +98,17 @@ witnesses, and for ``exhaustive=True``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitset import bits, is_subset, submasks, transpose
+from .bitset import (
+    bits,
+    compose_rows,
+    is_subset,
+    meeting_rows,
+    submasks,
+    transpose,
+)
 from .errors import (
     DimensionMismatch,
     InternalCheckError,
@@ -158,9 +178,9 @@ class AxiomReport:
         }
 
 
-def _first_diff(r1: Relation, r2: Relation) -> tuple[int, int]:
-    for a in range(r1.source_size):
-        delta = r1.rows[a] ^ r2.rows[a]
+def _first_diff(rows1, rows2) -> tuple[int, int]:
+    for a, (row1, row2) in enumerate(zip(rows1, rows2)):
+        delta = row1 ^ row2
         if delta:
             return (a, (delta & -delta).bit_length() - 1)
     raise ValueError("relations are equal")
@@ -376,13 +396,13 @@ def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
 
 def is_round_ideal(p: ProximityLattice, mask: int) -> bool:
     """Definition check: nonempty, R-preimage fixpoint, join-closed."""
-    return _is_round_ideal(p.lattice, p.R, mask)
+    return _is_round_ideal(p.lattice, p.R.rows, mask)
 
 
-def _is_round_ideal(lat: FiniteLattice, rel: Relation, mask: int) -> bool:
+def _is_round_ideal(lat: FiniteLattice, rows, mask: int) -> bool:
     if mask == 0:
         return False
-    if rel.preimage(mask) != mask:
+    if meeting_rows(rows, mask) != mask:
         return False
     members = list(bits(mask))
     for i, a in enumerate(members):
@@ -509,20 +529,20 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
         raise DimensionMismatch("relation does not match the two carriers")
     witnesses: list[tuple[str, tuple[int, ...]]] = []
     rows = rel.rows
-    cols = rel.converse().rows
+    cols = transpose(rows, tgt.size)
+    src_cols = transpose(src.R.rows, src.size)  # the rows of R^-1
+    tgt_cols = transpose(tgt.R.rows, tgt.size)  # the rows of S^-1
 
     raw = True
     src_op = opposite(src.lattice)
-    src_conv = src.R.converse()
-    tgt_conv = tgt.R.converse()
-    left = compose(src_conv, rel)
-    if left.rows != rows:
+    left = compose_rows(src_cols, rows)  # R^-1;T
+    if left != rows:
         raw = False
-        witnesses.append(("left_composition", _first_diff(left, rel)))
-    right = compose(rel, tgt_conv)
-    if right.rows != rows:
+        witnesses.append(("left_composition", _first_diff(left, rows)))
+    right = compose_rows(rows, tgt_cols)  # T;S^-1
+    if right != rows:
         raw = False
-        witnesses.append(("right_composition", _first_diff(right, rel)))
+        witnesses.append(("right_composition", _first_diff(right, rows)))
     for a, row in enumerate(rows):
         if not _is_lattice_ideal(tgt.lattice, row):
             raw = False
@@ -535,7 +555,7 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
             break
 
     via = all(is_round_ideal(tgt, row) for row in rows) and \
-        all(_is_round_ideal(src_op, src_conv, col) for col in cols)
+        all(_is_round_ideal(src_op, src_cols, col) for col in cols)
     if raw != via:
         raise InternalCheckError(
             "raw morphism axioms and round-subset characterisation disagree",
@@ -548,8 +568,8 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
     else:
         approx = _join_approx_mu if raw else _join_approx_binary
     japprox, j_wit = approx(src.lattice, tgt.lattice, tgt.R.rows,
-                            tgt_conv.rows, rows)
-    mapprox, m_wit = approx(opposite(tgt.lattice), src_op, src_conv.rows,
+                            tgt_cols, rows)
+    mapprox, m_wit = approx(opposite(tgt.lattice), src_op, src_cols,
                             src.R.rows, cols)
     if not japprox and j_wit is not None:
         witnesses.append(("join_approximable", j_wit))
@@ -835,18 +855,62 @@ def all_proximity_morphisms(src: ProximityLattice, tgt: ProximityLattice,
 
     Rows of a proximity morphism are round ideals of the target, so the
     search space is the functions from the source carrier into the
-    (principal) round ideals, filtered through verify_morphism.
+    (principal) round ideals, and `limit` bounds its size. The search
+    visits only morphisms: with T[a] = down tau(a), T is one exactly
+    when tau preserves finite meets and tau o mu_R = tau (module
+    docstring). It assigns tau(0), tau(1), ... in element order, tries
+    the tops of the round ideals in their canonical order, and leaves a
+    branch as soon as an assigned meet or mu_R pair breaks, so the
+    morphisms come in the order of the product of the round ideals.
+    Each one is still classified by verify_morphism.
     """
     ideals = round_ideal_masks(tgt)
     total = len(ideals) ** src.size
     if total > limit:
         raise ValueError(f"search space {total} exceeds limit {limit}")
+    sl, tl, n = src.lattice, tgt.lattice, src.size
+    tmeet = tl.meet
+    options = tuple((im, tl.join_mask(im)) for im in ideals)
+    mu = [sl.join_mask(col) for col in transpose(src.R.rows, n)]
+    # the meet triples and mu_R pairs, each filed under its largest element
+    meets: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    fixes: list[list[int]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            c = sl.meet[a][b]
+            meets[max(b, c)].append((a, b, c))
+        if mu[a] != a:
+            fixes[max(a, mu[a])].append(a)
+
     found = []
-    for rows in itertools.product(ideals, repeat=src.size):
-        rel = Relation(src.size, tgt.size, rows)
+    tau = [0] * n
+    rows = [0] * n
+    tried = [0] * n  # options tried at each level of the current branch
+    k = 0
+    while k >= 0:
+        i = tried[k]
+        if i == len(options):
+            tried[k] = 0
+            k -= 1
+            continue
+        tried[k] = i + 1
+        rows[k], tau[k] = options[i]
+        if k == sl.top and tau[k] != tl.top:
+            continue
+        if any(tmeet[tau[a]][tau[b]] != tau[c] for a, b, c in meets[k]):
+            continue
+        if any(tau[a] != tau[mu[a]] for a in fixes[k]):
+            continue
+        if k + 1 < n:
+            k += 1
+            continue
+        rel = Relation(n, tgt.size, tuple(rows))
         report = verify_morphism(src, tgt, rel)
-        if report.proximity:
-            found.append(ProximityMorphism(src, tgt, rel, report))
+        if not report.proximity:  # pragma: no cover - theorem guard
+            raise InternalCheckError(
+                "a meet-preserving tau fixed by mu_R is not a proximity morphism",
+                witness=tuple(rows))
+        found.append(ProximityMorphism(src, tgt, rel, report))
     return found
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitset import bits, transpose
+from .bitset import bits, compose_rows, meeting_rows, transpose
 from .errors import DimensionMismatch
 from .lattice import FiniteLattice
 
@@ -44,11 +44,7 @@ class Relation:
 
     def preimage(self, mask: int) -> int:
         """R^{-1}[B] = {a : row a meets B}."""
-        out = 0
-        for a, row in enumerate(self.rows):
-            if row & mask:
-                out |= 1 << a
-        return out
+        return meeting_rows(self.rows, mask)
 
     def is_empty(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -82,10 +78,4 @@ def compose(r: Relation, s: Relation) -> Relation:
     if r.target_size != s.source_size:
         raise DimensionMismatch(
             f"cannot compose {r.target_size}-target with {s.source_size}-source")
-    rows = []
-    for row in r.rows:
-        out = 0
-        for b in bits(row):
-            out |= s.rows[b]
-        rows.append(out)
-    return Relation(r.source_size, s.target_size, tuple(rows))
+    return Relation(r.source_size, s.target_size, compose_rows(r.rows, s.rows))

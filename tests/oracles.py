@@ -21,11 +21,13 @@ from proxlat.errors import InternalCheckError, NotMeetStrong
 from proxlat.lattice import FiniteLattice, LatticeMap, _set_label, opposite
 from proxlat.proximity import (
     ProximityLattice,
+    ProximityMorphism,
     _join_table,
     is_round_ideal,
     opposite_proximity,
     round_filter_masks,
     round_ideal_masks,
+    verify_morphism,
 )
 from proxlat.relations import Relation
 
@@ -287,3 +289,21 @@ def generator_iso_by_loops(c1: FiniteLattice, f1, g1, c2: FiniteLattice, f2, g2,
         if table[g1[j]] != g2[j]:
             return None
     return LatticeMap(c1, c2, tuple(table))
+
+
+def proximity_morphisms_by_filter(src: ProximityLattice, tgt: ProximityLattice,
+                                  *, limit: int = 200_000) -> list[ProximityMorphism]:
+    """Every proximity morphism src -> tgt: each function from the source
+    carrier into the round ideals of the target, in product order,
+    filtered through verify_morphism."""
+    ideals = round_ideal_masks(tgt)
+    total = len(ideals) ** src.size
+    if total > limit:
+        raise ValueError(f"search space {total} exceeds limit {limit}")
+    found = []
+    for rows in itertools.product(ideals, repeat=src.size):
+        rel = Relation(src.size, tgt.size, rows)
+        report = verify_morphism(src, tgt, rel)
+        if report.proximity:
+            found.append(ProximityMorphism(src, tgt, rel, report))
+    return found
