@@ -64,15 +64,6 @@ def compose_rows(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]
     return tuple(out)
 
 
-def meeting_rows(rows: Sequence[int], mask: int) -> int:
-    """The positions a with rows[a] meeting `mask`, as a mask."""
-    out = 0
-    for a, row in enumerate(rows):
-        if row & mask:
-            out |= 1 << a
-    return out
-
-
 def preimage(table: Sequence[int], mask: int) -> int:
     """The positions x with table[x] in `mask`, as a mask."""
     out = 0

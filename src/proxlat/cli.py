@@ -204,9 +204,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _diag("parse-error", type(exc).__name__, str(exc))
         return PARSE_FAILURE
-    except (KeyError, TypeError) as exc:
-        _diag("parse-error", type(exc).__name__, str(exc))
-        return PARSE_FAILURE
     except ProxlatError as exc:
         _diag("property-failure", type(exc).__name__, str(exc),
               exc.witnesses, exc.labels)

@@ -73,7 +73,10 @@ being up-sets and mu being monotone:
   down mu(mu(b1) v mu(b2)). Meet-strongness is the same test on
   (L^op, R^-1), whose map takes a to the meet of R[a].
 * R^-1[down m] = down mu(m), so down m is a round ideal iff mu(m) = m:
-  the round ideals are the down-sets of the fixed points of mu.
+  the round ideals are the down-sets of the fixed points of mu. Since
+  down mu(m) is also column m of R, that is, row m of R^-1, which
+  Relation.converse() computes once per relation, round_ideal_masks
+  keeps down q for each q whose column is down q.
 * For round ideals I = down i and J = down j, I << J asks for some
   d <= j with i <= mu(d); mu is monotone, so I << J iff i <= mu(j).
 * The rows of a proximity morphism are round ideals of the target. A
@@ -105,7 +108,6 @@ from .bitset import (
     bits,
     compose_rows,
     is_subset,
-    meeting_rows,
     submasks,
     transpose,
 )
@@ -396,13 +398,14 @@ def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
 
 def is_round_ideal(p: ProximityLattice, mask: int) -> bool:
     """Definition check: nonempty, R-preimage fixpoint, join-closed."""
-    return _is_round_ideal(p.lattice, p.R.rows, mask)
+    return _is_round_ideal(p.lattice, p.R.converse(), mask)
 
 
-def _is_round_ideal(lat: FiniteLattice, rows, mask: int) -> bool:
+def _is_round_ideal(lat: FiniteLattice, pre: Relation, mask: int) -> bool:
+    """is_round_ideal with the R-preimage read as the image under `pre`."""
     if mask == 0:
         return False
-    if meeting_rows(rows, mask) != mask:
+    if pre.image(mask) != mask:
         return False
     members = list(bits(mask))
     for i, a in enumerate(members):
@@ -421,15 +424,12 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
     """All round ideals, each as a member mask, in canonical order.
 
     A round ideal is a lattice ideal, and a lattice ideal of a finite
-    lattice is a principal down-set down m. Its R-preimage is
-    R^-1[m] = down mu(m), so it is round exactly when mu(m) = m (module
-    docstring).
+    lattice is a principal down-set down q. Its R-preimage is
+    R^-1[q] = down mu(q), the column of q, so it is round exactly when
+    that column is down q, that is, when mu(q) = q (module docstring).
     """
-    out = []
-    for m in range(p.size):
-        mask = p.lattice.down[m]
-        if p.R.preimage(mask) == mask:
-            out.append(mask)
+    cols, down = p.R.converse().rows, p.lattice.down
+    out = [down[q] for q in range(p.size) if cols[q] == down[q]]
     return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
 
 
@@ -529,9 +529,9 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
         raise DimensionMismatch("relation does not match the two carriers")
     witnesses: list[tuple[str, tuple[int, ...]]] = []
     rows = rel.rows
-    cols = transpose(rows, tgt.size)
-    src_cols = transpose(src.R.rows, src.size)  # the rows of R^-1
-    tgt_cols = transpose(tgt.R.rows, tgt.size)  # the rows of S^-1
+    cols = transpose(rows, tgt.size)  # a one-shot candidate: no memo
+    src_cols = src.R.converse().rows
+    tgt_cols = tgt.R.converse().rows
 
     raw = True
     src_op = opposite(src.lattice)
@@ -555,7 +555,7 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
             break
 
     via = all(is_round_ideal(tgt, row) for row in rows) and \
-        all(_is_round_ideal(src_op, src_cols, col) for col in cols)
+        all(_is_round_ideal(src_op, src.R, col) for col in cols)
     if raw != via:
         raise InternalCheckError(
             "raw morphism axioms and round-subset characterisation disagree",
@@ -871,7 +871,7 @@ def all_proximity_morphisms(src: ProximityLattice, tgt: ProximityLattice,
     sl, tl, n = src.lattice, tgt.lattice, src.size
     tmeet = tl.meet
     options = tuple((im, tl.join_mask(im)) for im in ideals)
-    mu = [sl.join_mask(col) for col in transpose(src.R.rows, n)]
+    mu = [sl.join_mask(col) for col in src.R.converse().rows]
     # the meet triples and mu_R pairs, each filed under its largest element
     meets: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     fixes: list[list[int]] = [[] for _ in range(n)]

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
-from .bitset import bits, compose_rows, meeting_rows, transpose
+from .bitset import bits, compose_rows, transpose
 from .errors import DimensionMismatch
 from .lattice import FiniteLattice
 
@@ -15,6 +15,9 @@ class Relation:
     source_size: int
     target_size: int
     rows: tuple[int, ...]  # rows[a] = {b : a R b}
+    # memo slot, filled by converse()
+    _converse: Optional["Relation"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != self.source_size:
@@ -32,8 +35,14 @@ class Relation:
                 yield (a, b)
 
     def converse(self) -> "Relation":
-        return Relation(self.target_size, self.source_size,
-                        transpose(self.rows, self.target_size))
+        """R^-1, whose rows are the columns of R. Built once per
+        relation and kept on it; the converse keeps no link back, so the
+        two form no reference cycle."""
+        if self._converse is None:
+            object.__setattr__(self, "_converse", Relation(
+                self.target_size, self.source_size,
+                transpose(self.rows, self.target_size)))
+        return self._converse
 
     def image(self, mask: int) -> int:
         """R[A] = union of rows over a in A."""
@@ -43,8 +52,8 @@ class Relation:
         return out
 
     def preimage(self, mask: int) -> int:
-        """R^{-1}[B] = {a : row a meets B}."""
-        return meeting_rows(self.rows, mask)
+        """R^{-1}[B] = {a : row a meets B}, the image under R^-1."""
+        return self.converse().image(mask)
 
     def is_empty(self) -> bool:
         return all(r == 0 for r in self.rows)

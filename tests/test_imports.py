@@ -1,0 +1,65 @@
+"""Every name a library module imports is used in it.
+
+No linter runs on this repository, so a refactor can leave an import
+behind; this reads each module's syntax tree with the stdlib instead.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "proxlat"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """{bound name: line} for every import outside __future__."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name the module refers to, in quoted annotations too."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in filter(None, _annotations(tree)):
+        for node in ast.walk(ann):
+            # a forward reference such as Optional["FiniteLattice"]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted)
+                            if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    unused = sorted((line, name) for name, line in _imported(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("from typing import Iterator, Optional\n"
+                     "x: 'Optional[int]' = None\n"
+                     "y = 'Iterator'\n")
+    assert set(_imported(tree)) - _used(tree) == {"Iterator"}

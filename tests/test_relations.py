@@ -1,0 +1,32 @@
+"""The converse a relation keeps once asked for it."""
+
+from proxlat.bitset import transpose
+from proxlat.relations import Relation, relation_from_pairs
+
+
+def test_converse_is_kept_and_equals_a_fresh_transpose(corpus):
+    for name, p in corpus.items():
+        r = Relation(p.size, p.size, p.R.rows)
+        conv = r.converse()
+        assert r.converse() is conv, name
+        assert conv == Relation(p.size, p.size, transpose(r.rows, p.size)), name
+        # the converse holds no link back to r until it is asked itself
+        assert conv._converse is None, name
+
+
+def test_memo_is_invisible_to_equality_and_hash():
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    asked = relation_from_pairs(3, 3, pairs)
+    asked.converse()
+    fresh = relation_from_pairs(3, 3, pairs)
+    assert fresh._converse is None
+    assert asked == fresh and hash(asked) == hash(fresh)
+    assert asked.converse().converse() == fresh
+
+
+def test_converse_of_a_rectangular_relation():
+    r = relation_from_pairs(2, 3, [(0, 2), (1, 0), (1, 2)])
+    conv = r.converse()
+    assert (conv.source_size, conv.target_size) == (3, 2)
+    assert sorted(conv.pairs()) == [(0, 1), (2, 0), (2, 1)]
+    assert r.preimage(0b100) == conv.image(0b100) == 0b11
