@@ -130,6 +130,21 @@ def lattice_laws_hold(lat: FiniteLattice) -> bool:
     return True
 
 
+def is_prime_filter_by_pairs(lat: FiniteLattice, mask: int) -> bool:
+    """Membership of a finite join forces membership of a member; the
+    empty join rules out bottom. Binary plus empty imply all finite
+    instances by induction. Every pair is tried, so `mask` need not be
+    an up-set."""
+    if mask >> lat.bot & 1:
+        return False
+    for a in range(lat.size):
+        for b in range(a, lat.size):
+            if mask >> lat.join[a][b] & 1:
+                if not (mask >> a & 1 or mask >> b & 1):
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Join-strongness checked directly, before it was read as approximability
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in it.
+"""Every name a library module imports is used in it, and every private
+module-level function or class is used somewhere in the library.
 
-No linter runs on this repository, so a refactor can leave an import
-behind; this reads each module's syntax tree with the stdlib instead.
+No linter runs on this repository, so a refactor can leave an import or
+a helper behind; this reads each module's syntax tree with the stdlib
+instead. A private helper only the tests call belongs in tests/.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "proxlat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -63,3 +66,35 @@ def test_the_check_sees_an_unused_import():
                      "x: 'Optional[int]' = None\n"
                      "y = 'Iterator'\n")
     assert set(_imported(tree)) - _used(tree) == {"Iterator"}
+
+
+def _unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name of each private top-level function or class that no
+    top-level statement of any module uses, its own definition aside."""
+    private = []
+    used = set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            names = _used(stmt) | {n.attr for n in ast.walk(stmt)
+                                   if isinstance(n, ast.Attribute)}
+            if isinstance(stmt, DEFS) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                private.append((module, stmt.name))
+                names.discard(stmt.name)
+            used |= names
+    return sorted(f"{m}.{name}" for m, name in private if name not in used)
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    unused = _unreferenced_private(trees)
+    assert not unused, f"private definitions used nowhere in src: {unused}"
+
+
+def test_the_check_sees_an_unreferenced_private_definition():
+    trees = {"a": ast.parse("def _loop(x):\n    return _loop(x - 1)\n"
+                            "def _used():\n    pass\n"
+                            "class _Kept:\n    pass\n"
+                            "def public():\n    return _Kept\n"),
+             "b": ast.parse("from a import _used\n_used()\n")}
+    assert _unreferenced_private(trees) == ["a._loop"]

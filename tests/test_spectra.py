@@ -5,13 +5,16 @@ import itertools
 
 import pytest
 
-from proxlat.bitset import bits
-from proxlat.errors import NotDistributive, NotT0, ProxlatError
-from proxlat.lattice import antisymmetry_witness, find_isomorphism
+from oracles import is_prime_filter_by_pairs
+from proxlat.bitset import bits, is_subset
+from proxlat.errors import NotALattice, NotDistributive, NotT0, ProxlatError
+from proxlat.lattice import antisymmetry_witness, find_isomorphism, lattice_from_up
 from proxlat.proximity import (
     all_j_morphisms,
     identity_morphism,
     morph_compose,
+    order_proximity,
+    round_filter_masks,
     round_subsets,
 )
 from proxlat.relations import order_relation
@@ -27,6 +30,7 @@ from proxlat.spectra import (
     karoubi_check,
     open_basis_presentation,
     pairs_presentation,
+    _is_prime_filter_mask,
     prime_filter_between,
     prime_round_filters,
     retract_image,
@@ -55,6 +59,44 @@ def test_prime_round_filters(corpus):
     with pytest.raises(NotDistributive):
         prime_round_filters(corpus["M3"])
     assert prime_round_filters(corpus["M3"], allow_nondistributive=True) == ()
+
+
+def test_prime_check_against_the_pair_loop():
+    """The one-join check agrees with the pair loop on every up-set of
+    every labelled lattice with at most 5 elements, M3 and N5 shapes
+    included."""
+    lattices = upsets = 0
+    for n in range(1, 6):
+        labels = [str(i) for i in range(n)]
+        for up in all_posets(n):
+            try:
+                lat = lattice_from_up(labels, up)
+            except NotALattice:
+                continue
+            lattices += 1
+            for mask in range(1 << n):
+                if all(is_subset(up[a], mask) for a in bits(mask)):
+                    upsets += 1
+                    assert _is_prime_filter_mask(lat, mask) == \
+                        is_prime_filter_by_pairs(lat, mask), (up, mask)
+    assert (lattices, upsets) == (425, 2944)
+
+
+def test_prime_round_filters_against_the_pair_loop(corpus):
+    chain32 = lattice_from_up([f"c{i}" for i in range(32)],
+                              [(1 << 32) - (1 << i) for i in range(32)])
+    boolean5 = lattice_from_up([f"s{i}" for i in range(32)],
+                               [sum(1 << j for j in range(32) if i & j == i)
+                                for i in range(32)])
+    # the prime filters of (L, <=) are the up-sets of the join-primes
+    cases = [(order_proximity(chain32), False, 31),
+             (order_proximity(boolean5), False, 5),
+             (corpus["M3"], True, 0)]
+    for p, explore, count in cases:
+        expected = tuple(m for m in round_filter_masks(p)
+                         if is_prime_filter_by_pairs(p.lattice, m))
+        assert prime_round_filters(p, allow_nondistributive=explore) == expected
+        assert len(expected) == count
 
 
 def test_prime_filters_exclude_bottom_contain_top(corpus):
