@@ -33,7 +33,7 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def _wide_bits(mask: int) -> Iterator[int]:
-    """bits for masks of 256 or more, kept apart so that the table
+    """bits for masks outside 0..255, kept apart so that the table
     lookup above runs in a frame with one local. Zero bytes are
     skipped; the positions of byte k come from the table for byte
     position k, or for k >= 8 from the byte's own positions plus 8k."""

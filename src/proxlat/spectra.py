@@ -195,10 +195,9 @@ def _is_prime_filter_mask(lat: FiniteLattice, mask: int) -> bool:
     D; conversely the join of a nonempty D is a finite join of members.
     So the up-set is prime iff bot is not in it (D is nonempty) and the
     join of D is not in it, one O(n) join instead of O(n^2) pairs. The
-    argument uses no distributivity.
+    first condition needs no test of its own: if bot is in the up-set,
+    D is empty and its join is bot. The argument uses no distributivity.
     """
-    if mask >> lat.bot & 1:
-        return False
     return not mask >> lat.join_mask(lat.full & ~mask) & 1
 
 

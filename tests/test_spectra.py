@@ -19,6 +19,7 @@ from proxlat.proximity import (
 )
 from proxlat.relations import order_relation
 from proxlat.spectra import (
+    _is_prime_filter_mask,
     all_posets,
     all_t0_spaces,
     canext_via_duality,
@@ -30,7 +31,6 @@ from proxlat.spectra import (
     karoubi_check,
     open_basis_presentation,
     pairs_presentation,
-    _is_prime_filter_mask,
     prime_filter_between,
     prime_round_filters,
     retract_image,
