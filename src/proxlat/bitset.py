@@ -50,16 +50,6 @@ def _wide_bits(mask: int) -> Iterator[int]:
     return iter(out)
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of `mask`, including 0 and `mask` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

@@ -16,19 +16,15 @@ morphism from (L, R) to itself, which is why R^-1 is the identity
 j-morphism: with T = R^-1 and S = R, (join B) T a says a R (join B),
 and a finite B' inside T[B] with a S (join B') is what strongness asks
 for. The empty instance, a R bot for every a in T[bot], always holds.
-So one kernel per form (binary, mu, exhaustive) decides both
-properties: verify_axioms runs it on (L, L, R, R^-1) and rotates the
-witness (b1, b2, a) to (a, b1, b2).
+So one kernel per form (binary, mu) decides both properties:
+verify_axioms runs it on (L, L, R, R^-1) and rotates the witness
+(b1, b2, a) to (a, b1, b2).
 
 Quantifiers over finite subsets are checked at the empty and binary
 instances. For the compatibility axioms this is exact: they are
 biconditionals and the general instance follows by induction on the
-subset. For the strongness axioms the binary instance is the natural
-reduction once the compatibility axioms hold (preimages R^{-1}[b] are
-then join-closed and contain bottom), but the induction step from the
-binary case to larger sets is not obvious; ``exhaustive=True`` checks
-every subset directly and the test suite uses it to validate the
-reduction on small carriers.
+subset. For strongness and approximability on proximity lattices and
+their morphisms it is exact too, by the induction in the bullets below.
 
 Every meet-side check is the join-side check run on (L^op, R^-1): the
 meets of L are the joins of L^op, and R^-1 swaps rows and columns. The
@@ -37,10 +33,9 @@ into the original orientation: meet-compatibility (b, b2, a) becomes
 (a, b, b2) and (top, a) becomes (a, top). Meet-strongness is the
 approximability kernel on (L^op, L^op, R^-1, R), whose witness
 (b1, b2, a) already has the orientation of a meet-strong one, the point
-last; join-strongness moves the point to the front, of an exhaustive
-witness too. Meet-approximability of T is
-join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1). For
-the same reason the opposite of a proximity lattice needs no new check:
+last; join-strongness moves the point to the front. Meet-approximability
+of T is join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1).
+For the same reason the opposite of a proximity lattice needs no new check:
 (L^op, R^-1) is again a proximity lattice, its join side is the old
 meet side and vice versa, and only the increasing witness, which
 depends on the row order, is recomputed.
@@ -60,18 +55,35 @@ relations exactly the idempotent ones. The rest follows from the rows
 being up-sets and mu being monotone:
 
 * A proximity morphism T from (L, R) to (M, S) has principal rows,
-  T[b] = down tau(b). Join-approximability at (b1, b2) asks for each
-  m in T[b1 v b2] some u in T[b1] and v in T[b2] with m S (u v v).
-  Every such u is below tau(b1) and every v below tau(b2), and the
-  rows of S are up-sets, so u = tau(b1), v = tau(b2) is the best
-  choice, and the instance fails exactly for m in T[b1 v b2] minus
-  down mu_S(tau(b1) v tau(b2)); the least such m is the witness the
-  loop over row pairs finds. The empty instance fails for m in T[bot]
-  minus down mu_S(bot).
+  T[b] = down tau(b). Join-approximability at a finite B asks for each
+  m in T[join B] a finite B' inside T[B] with m S (join B'). Every
+  member of T[b] is below tau(b) and the rows of S are up-sets, so
+  B' = tau[B] is the best choice: with J the join of tau[B], the
+  instance holds iff tau(join B) <= mu_S(J). At (b1, b2) it fails
+  exactly for m in T[b1 v b2] minus down mu_S(tau(b1) v tau(b2)); the
+  least such m is the witness the loop over row pairs finds. The empty
+  instance fails for m in T[bot] minus down mu_S(bot).
+* The empty and binary instances give every finite one. Each tau(z) is
+  a fixed point of mu_S (the rows of T are round ideals, see below),
+  and mu_S is monotone with mu_S o mu_S = mu_S. If the instance holds
+  at B, with x = join B and J the join of tau[B], then for every z
+      tau(x v z) <= mu_S(tau(x) v tau(z))          binary at (x, z)
+                 <= mu_S(mu_S(J) v mu_S(tau(z)))   instance at B
+                 <= mu_S(mu_S(J v tau(z)))         mu_S monotone
+                  = mu_S(J v tau(z))               idempotence,
+  the instance at B + {z}; from B empty this reaches every finite B.
 * Join-strongness is this test for T = R^-1, whose tau is mu: at
   (b1, b2) it fails exactly for a in down mu(b1 v b2) minus
   down mu(mu(b1) v mu(b2)). Meet-strongness is the same test on
-  (L^op, R^-1), whose map takes a to the meet of R[a].
+  (L^op, R^-1), whose map takes a to the meet of R[a]. On a proximity
+  lattice mu(z) is a fixed point of mu, so the induction applies;
+  the meet sides are join-approximability on the opposites, which are
+  again proximity lattices and proximity morphisms.
+  The proof stops at idempotence: on a relation compatible on both
+  sides but not idempotent verify_axioms also runs the mu kernel, which
+  equals the loop over row pairs there (the first bullet uses only
+  compatibility), but that the binary instances give the larger ones
+  is not proved; the tests check it against every finite instance.
 * R^-1[down m] = down mu(m), so down m is a round ideal iff mu(m) = m:
   the round ideals are the down-sets of the fixed points of mu. Since
   down mu(m) is also column m of R, that is, row m of R^-1, which
@@ -96,7 +108,7 @@ being up-sets and mu being monotone:
 
 The loops over row pairs remain for relations that fail a
 compatibility axiom, whose reports still carry strongness flags and
-witnesses, and for ``exhaustive=True``.
+witnesses: there the flags are the binary instances by definition.
 """
 
 from __future__ import annotations
@@ -108,7 +120,6 @@ from .bitset import (
     bits,
     compose_rows,
     is_subset,
-    submasks,
     transpose,
 )
 from .errors import (
@@ -129,8 +140,6 @@ from .lattice import (
     opposite,
 )
 from .relations import Relation, compose, order_relation
-
-_EXHAUSTIVE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -188,20 +197,18 @@ def _first_diff(rows1, rows2) -> tuple[int, int]:
     raise ValueError("relations are equal")
 
 
-def verify_axioms(lat: FiniteLattice, rel: Relation, *,
-                  exhaustive: bool = False) -> AxiomReport:
+def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     """Check the proximity axioms and the strongness/shape flags.
 
     Never raises on failures; everything is reported with witnesses.
-    With ``exhaustive=True`` (carrier <= 10) the finite-subset
-    quantifiers are checked over every subset instead of the
-    empty+binary reduction. Strongness is approximability of R^-1
-    from (L, R) to itself (module docstring).
+    The finite-subset quantifiers are checked at their empty and binary
+    instances, which decide them on every relation that satisfies the
+    axioms; on one that fails a compatibility axiom the strongness
+    flags are the binary instances by definition. Strongness is
+    approximability of R^-1 from (L, R) to itself (module docstring).
     """
     if rel.source_size != lat.size or rel.target_size != lat.size:
         raise DimensionMismatch("relation carrier does not match the lattice")
-    if exhaustive and lat.size > _EXHAUSTIVE_LIMIT:
-        raise ValueError("exhaustive mode is limited to small carriers")
     rows = rel.rows
     cols = transpose(rows, lat.size)
     witnesses: list[tuple[str, tuple[int, ...]]] = []
@@ -220,16 +227,8 @@ def verify_axioms(lat: FiniteLattice, rel: Relation, *,
     lat_op = opposite(lat)
     join_compatible, jc_wit = _join_compatible(lat, rows)
     meet_compatible, mc_wit = _join_compatible(lat_op, cols)
-    if exhaustive:
-        join_compatible = join_compatible and \
-            _join_compatible_exhaustive(lat, rows, cols)
-        meet_compatible = meet_compatible and \
-            _join_compatible_exhaustive(lat_op, cols, rows)
-        approx = _join_approx_exhaustive
-    elif join_compatible and meet_compatible:
-        approx = _join_approx_mu
-    else:
-        approx = _join_approx_binary
+    approx = _join_approx_mu if join_compatible and meet_compatible \
+        else _join_approx_binary
     join_strong, js_wit = approx(lat, lat, rows, cols, cols)
     meet_strong, ms_wit = approx(lat_op, lat_op, cols, rows, rows)
     for name, wit in (("join_compatible", jc_wit),
@@ -271,15 +270,6 @@ def _join_compatible(lat, rows):
     return True, None
 
 
-def _join_compatible_exhaustive(lat, rows, cols):
-    joins = _join_table(lat)
-    for mask in range(1 << lat.size):
-        for b in range(lat.size):
-            if bool(rows[joins[mask]] >> b & 1) != is_subset(mask, cols[b]):
-                return False
-    return True
-
-
 def _order_flags(lat, rows, witnesses):
     """increasing (R inside <=) and reflexive; appends their witnesses."""
     increasing = True
@@ -297,14 +287,6 @@ def _order_flags(lat, rows, witnesses):
             witnesses.append(("reflexive", (a,)))
             break
     return increasing, reflexive
-
-
-def _join_table(lat: FiniteLattice) -> list[int]:
-    out = [lat.bot] * (1 << lat.size)
-    for mask in range(1, 1 << lat.size):
-        low = (mask & -mask).bit_length() - 1
-        out[mask] = lat.join[out[mask & (mask - 1)]][low]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +379,14 @@ def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
 
 
 def is_round_ideal(p: ProximityLattice, mask: int) -> bool:
-    """Definition check: nonempty, R-preimage fixpoint, join-closed."""
+    """Definition check: a nonempty subset of the carrier, R-preimage
+    fixpoint, join-closed; any other mask is not one."""
     return _is_round_ideal(p.lattice, p.R.converse(), mask)
 
 
 def _is_round_ideal(lat: FiniteLattice, pre: Relation, mask: int) -> bool:
     """is_round_ideal with the R-preimage read as the image under `pre`."""
-    if mask == 0:
+    if not 0 < mask <= lat.full:
         return False
     if pre.image(mask) != mask:
         return False
@@ -515,7 +498,7 @@ class MorphismReport:
 
 
 def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
-                    rel: Relation, *, exhaustive: bool = False) -> MorphismReport:
+                    rel: Relation) -> MorphismReport:
     """Classify a relation between two proximity lattices.
 
     Proximity morphisms are checked two ways and the outcomes must
@@ -563,10 +546,7 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
 
     # meet-approximability of T is join-approximability of its converse
     # from (tgt^op, S^-1) to (src^op, R^-1)
-    if exhaustive:
-        approx = _join_approx_exhaustive
-    else:
-        approx = _join_approx_mu if raw else _join_approx_binary
+    approx = _join_approx_mu if raw else _join_approx_binary
     japprox, j_wit = approx(src.lattice, tgt.lattice, tgt.R.rows,
                             tgt_cols, rows)
     mapprox, m_wit = approx(opposite(tgt.lattice), src_op, src_cols,
@@ -635,22 +615,6 @@ def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows):
             stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
             if stray:
                 return False, (b1, b2, (stray & -stray).bit_length() - 1)
-    return True, None
-
-
-def _join_approx_exhaustive(sl, tl, tgt_rows, tgt_cols, rows):
-    if sl.size > _EXHAUSTIVE_LIMIT or tl.size > _EXHAUSTIVE_LIMIT:
-        raise ValueError("exhaustive mode is limited to small carriers")
-    src_joins = _join_table(sl)
-    tgt_joins = _join_table(tl)
-    for bmask in range(1 << sl.size):
-        img = 0
-        for b in bits(bmask):
-            img |= rows[b]
-        for m in bits(rows[src_joins[bmask]]):
-            if not any(tgt_rows[m] >> tgt_joins[sub] & 1
-                       for sub in submasks(img)):
-                return False, tuple(bits(bmask)) + (m,)
     return True, None
 
 

@@ -3,10 +3,11 @@ against. None of them is part of the library: each is the direct,
 definitional version of a routine that src computes faster.
 """
 
+import dataclasses
 import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
-from proxlat.bitset import bits, submasks
+from proxlat.bitset import bits, is_subset
 from proxlat.canext import (
     CanonicalExtension,
     ConceptLattice,
@@ -20,13 +21,15 @@ from proxlat.canext import (
 from proxlat.errors import InternalCheckError, NotMeetStrong
 from proxlat.lattice import FiniteLattice, LatticeMap, _set_label, opposite
 from proxlat.proximity import (
+    AxiomReport,
+    MorphismReport,
     ProximityLattice,
     ProximityMorphism,
-    _join_table,
     is_round_ideal,
     opposite_proximity,
     round_filter_masks,
     round_ideal_masks,
+    verify_axioms,
     verify_morphism,
 )
 from proxlat.relations import Relation
@@ -187,7 +190,7 @@ def join_strong_exhaustive(lat: FiniteLattice, rows, cols):
     """Every finite B: a R (join B) demands a subset of R^-1[B] whose
     join a relates to; the witness is (a,) followed by B."""
     n = lat.size
-    joins = _join_table(lat)
+    joins = join_table(lat)
     for bmask in range(1 << n):
         pre = 0
         for b in bits(bmask):
@@ -196,6 +199,114 @@ def join_strong_exhaustive(lat: FiniteLattice, rows, cols):
             if not any(rows[a] >> joins[sub] & 1 for sub in submasks(pre)):
                 return False, (a,) + tuple(bits(bmask))
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Every finite subset checked directly, the instances the library reduces
+# to empty and binary ones
+# ---------------------------------------------------------------------------
+
+EXHAUSTIVE_LIMIT = 10
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """All submasks of `mask`, including 0 and `mask` itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def join_table(lat: FiniteLattice) -> list[int]:
+    """The join of every subset of the carrier, indexed by its mask."""
+    out = [lat.bot] * (1 << lat.size)
+    for mask in range(1, 1 << lat.size):
+        low = (mask & -mask).bit_length() - 1
+        out[mask] = lat.join[out[mask & (mask - 1)]][low]
+    return out
+
+
+def join_compatible_exhaustive(lat: FiniteLattice, rows, cols) -> bool:
+    """(join A) R b iff a R b for every a in A, for every subset A."""
+    joins = join_table(lat)
+    for mask in range(1 << lat.size):
+        for b in range(lat.size):
+            if bool(rows[joins[mask]] >> b & 1) != is_subset(mask, cols[b]):
+                return False
+    return True
+
+
+def join_approx_exhaustive(sl, tl, tgt_rows, tgt_cols, rows):
+    """Join-approximability at every finite B, with the arguments of the
+    library's approximability kernels: for each m in T[join B] some
+    subset of T[B] whose join m S-relates to. The witness is B followed
+    by m."""
+    if sl.size > EXHAUSTIVE_LIMIT or tl.size > EXHAUSTIVE_LIMIT:
+        raise ValueError("exhaustive mode is limited to small carriers")
+    src_joins = join_table(sl)
+    tgt_joins = join_table(tl)
+    for bmask in range(1 << sl.size):
+        img = 0
+        for b in bits(bmask):
+            img |= rows[b]
+        for m in bits(rows[src_joins[bmask]]):
+            if not any(tgt_rows[m] >> tgt_joins[sub] & 1
+                       for sub in submasks(img)):
+                return False, tuple(bits(bmask)) + (m,)
+    return True, None
+
+
+def verify_axioms_exhaustive(lat: FiniteLattice, rel: Relation) -> AxiomReport:
+    """verify_axioms with the finite-subset quantifiers checked over
+    every subset: the compatibility flags also need every instance, and
+    the strongness flags and witnesses come from join_approx_exhaustive
+    on (L, R) and (L^op, R^-1), the join-strong witness rotated to put
+    the point first. Carriers of at most EXHAUSTIVE_LIMIT elements."""
+    report = verify_axioms(lat, rel)
+    rows, cols = rel.rows, rel.converse().rows
+    lat_op = opposite(lat)
+    join_strong, js_wit = join_approx_exhaustive(lat, lat, rows, cols, cols)
+    meet_strong, ms_wit = join_approx_exhaustive(lat_op, lat_op, cols, rows, rows)
+    found = dict(report.witnesses)
+    found["join_strong"] = js_wit and js_wit[-1:] + js_wit[:-1]
+    found["meet_strong"] = ms_wit
+    order = ("idempotent", "join_compatible", "meet_compatible",
+             "join_strong", "meet_strong", "increasing", "reflexive")
+    return dataclasses.replace(
+        report,
+        join_compatible=report.join_compatible
+        and join_compatible_exhaustive(lat, rows, cols),
+        meet_compatible=report.meet_compatible
+        and join_compatible_exhaustive(lat_op, cols, rows),
+        join_strong=join_strong,
+        meet_strong=meet_strong,
+        witnesses=tuple((name, found[name]) for name in order
+                        if found.get(name) is not None))
+
+
+def verify_morphism_exhaustive(src: ProximityLattice, tgt: ProximityLattice,
+                               rel: Relation) -> MorphismReport:
+    """verify_morphism with approximability checked at every finite B
+    by join_approx_exhaustive, meet-approximability as
+    join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1)."""
+    report = verify_morphism(src, tgt, rel)
+    rows, cols = rel.rows, rel.converse().rows
+    src_cols, tgt_cols = src.R.converse().rows, tgt.R.converse().rows
+    japprox, j_wit = join_approx_exhaustive(
+        src.lattice, tgt.lattice, tgt.R.rows, tgt_cols, rows)
+    mapprox, m_wit = join_approx_exhaustive(
+        opposite(tgt.lattice), opposite(src.lattice), src_cols, src.R.rows, cols)
+    witnesses = [(name, wit) for name, wit in report.witnesses
+                 if name not in ("join_approximable", "meet_approximable")]
+    if not japprox:
+        witnesses.append(("join_approximable", j_wit))
+    if not mapprox:
+        witnesses.append(("meet_approximable", m_wit))
+    return dataclasses.replace(report, join_approximable=japprox,
+                               meet_approximable=mapprox,
+                               witnesses=tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

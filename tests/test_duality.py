@@ -10,10 +10,13 @@ import itertools
 import random
 
 from oracles import (
+    join_approx_exhaustive,
     join_strong_binary,
     join_strong_exhaustive,
     join_strong_mu,
     round_subsets_slow,
+    verify_axioms_exhaustive,
+    verify_morphism_exhaustive,
 )
 from proxlat.bitset import bits, is_subset
 from proxlat.fixtures import CORPUS
@@ -21,7 +24,6 @@ from proxlat.lattice import lattice_from_up, opposite
 from proxlat.proximity import (
     ProximityLattice,
     _join_approx_binary,
-    _join_approx_exhaustive,
     _join_approx_mu,
     opposite_proximity,
     round_ideal_lattice,
@@ -135,10 +137,10 @@ def pinned_exhaustive_reports(corpus):
     c3, b2, m3 = (corpus[k].lattice for k in ("C3", "B2", "M3"))
     for lat, count in ((c3, None), (b2, 500), (m3, 500)):
         for rel in relations(lat, count, seed=lat.size):
-            yield verify_axioms(lat, rel, exhaustive=True)
+            yield verify_axioms_exhaustive(lat, rel)
     small = {k: corpus[k] for k in ("C2", "C3", "FULL2", "C3R")}
     for src, tgt, rel in morphism_candidates(small):
-        yield verify_morphism(src, tgt, rel, exhaustive=True)
+        yield verify_morphism_exhaustive(src, tgt, rel)
 
 
 def test_reports_are_pinned(corpus):
@@ -198,7 +200,7 @@ def test_strongness_is_approximability_of_the_converse(corpus):
                 assert strong_by_approx(_join_approx_binary, *side) == found, \
                     (lat.size, rows)
                 exhaustive = join_strong_exhaustive(*side)
-                assert strong_by_approx(_join_approx_exhaustive, *side) == \
+                assert strong_by_approx(join_approx_exhaustive, *side) == \
                     exhaustive, (lat.size, rows)
                 verdicts.add((found[0], exhaustive[0]))
     # off the compatible relations an instance of every size may pass

@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in it, and every private
-module-level function or class is used somewhere in the library.
+"""Every name a library module or tests/oracles.py imports is used in
+it, every private module-level function or class is used somewhere in
+the library, and every oracle is used by a test or another oracle.
 
 No linter runs on this repository, so a refactor can leave an import or
 a helper behind; this reads each module's syntax tree with the stdlib
-instead. A private helper only the tests call belongs in tests/.
+instead. A private helper only the tests call belongs in tests/, and an
+oracle no test calls is reference code for a path that is gone.
 """
 
 import ast
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "proxlat"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "proxlat"
+ORACLES = TESTS / "oracles.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -52,7 +56,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ORACLES], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = _used(tree)
@@ -68,27 +72,38 @@ def test_the_check_sees_an_unused_import():
     assert set(_imported(tree)) - _used(tree) == {"Iterator"}
 
 
-def _unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
-    """module.name of each private top-level function or class that no
-    top-level statement of any module uses, its own definition aside."""
-    private = []
+def _is_private(module: str, name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unreferenced(trees: dict[str, ast.Module], wanted=_is_private) -> list[str]:
+    """module.name of each top-level function or class with
+    wanted(module, name) that no top-level statement of any module
+    uses, its own definition aside."""
+    defined = []
     used = set()
     for module, tree in trees.items():
         for stmt in tree.body:
             names = _used(stmt) | {n.attr for n in ast.walk(stmt)
                                    if isinstance(n, ast.Attribute)}
-            if isinstance(stmt, DEFS) and stmt.name.startswith("_") \
-                    and not stmt.name.startswith("__"):
-                private.append((module, stmt.name))
+            if isinstance(stmt, DEFS) and wanted(module, stmt.name):
+                defined.append((module, stmt.name))
                 names.discard(stmt.name)
             used |= names
-    return sorted(f"{m}.{name}" for m, name in private if name not in used)
+    return sorted(f"{m}.{name}" for m, name in defined if name not in used)
 
 
 def test_no_unreferenced_private_definitions():
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
-    unused = _unreferenced_private(trees)
+    unused = _unreferenced(trees)
     assert not unused, f"private definitions used nowhere in src: {unused}"
+
+
+def test_every_oracle_has_a_caller():
+    paths = [ORACLES] + sorted(TESTS.glob("test_*.py"))
+    trees = {p.stem: ast.parse(p.read_text()) for p in paths}
+    unused = _unreferenced(trees, lambda module, name: module == "oracles")
+    assert not unused, f"oracles no test or oracle uses: {unused}"
 
 
 def test_the_check_sees_an_unreferenced_private_definition():
@@ -97,4 +112,6 @@ def test_the_check_sees_an_unreferenced_private_definition():
                             "class _Kept:\n    pass\n"
                             "def public():\n    return _Kept\n"),
              "b": ast.parse("from a import _used\n_used()\n")}
-    assert _unreferenced_private(trees) == ["a._loop"]
+    assert _unreferenced(trees) == ["a._loop"]
+    assert _unreferenced(trees, lambda module, name: module == "a") == \
+        ["a._loop", "a.public"]

@@ -7,9 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxlat.bitset import bits, is_subset
-from proxlat.errors import DimensionMismatch, NotAProximityLattice
+from proxlat.errors import (
+    DimensionMismatch,
+    InvalidRoundSubset,
+    NotAProximityLattice,
+)
+from proxlat.lattice import _order_isomorphism, lattice_from_up
 from proxlat.proximity import (
     ProximityLattice,
+    RoundSubset,
+    all_proximity_morphisms,
     is_round_filter,
     is_round_ideal,
     opposite_proximity,
@@ -20,7 +27,13 @@ from proxlat.proximity import (
     round_subsets,
     verify_axioms,
 )
-from oracles import round_subsets_slow, smallest_round_ideal_containing
+from proxlat.spectra import all_posets, prime_filter_between
+from oracles import (
+    round_subsets_slow,
+    smallest_round_ideal_containing,
+    verify_axioms_exhaustive,
+    verify_morphism_exhaustive,
+)
 from proxlat.relations import (
     Relation,
     compose,
@@ -169,16 +182,24 @@ def test_increasing_reflexive_iff_order(corpus):
 
 
 def test_exhaustive_reduction_on_all_c3_relations(corpus):
+    """On a relation that fails a compatibility axiom the strongness
+    flags are the binary instances by definition, and they differ from
+    the all-subsets ones on 200 of the 512 relations on C3."""
     c3 = corpus["C3"].lattice
+    incompatible = differ = 0
     for rows in itertools.product(range(8), repeat=3):
         rel = Relation(3, 3, rows)
         fast = verify_axioms(c3, rel)
-        slow = verify_axioms(c3, rel, exhaustive=True)
+        slow = verify_axioms_exhaustive(c3, rel)
         assert fast.join_compatible == slow.join_compatible
         assert fast.meet_compatible == slow.meet_compatible
-        if fast.axioms_ok:
-            assert fast.join_strong == slow.join_strong, rows
-            assert fast.meet_strong == slow.meet_strong, rows
+        compatible = fast.join_compatible and fast.meet_compatible
+        incompatible += not compatible
+        if (fast.join_strong, fast.meet_strong) != \
+                (slow.join_strong, slow.meet_strong):
+            assert not compatible, rows
+            differ += 1
+    assert (incompatible, differ) == (506, 200)
 
 
 @settings(max_examples=150, deadline=None)
@@ -188,7 +209,7 @@ def test_exhaustive_reduction_sampled_on_b2(rows):
     b2 = load("B2").lattice
     rel = Relation(4, 4, rows)
     fast = verify_axioms(b2, rel)
-    slow = verify_axioms(b2, rel, exhaustive=True)
+    slow = verify_axioms_exhaustive(b2, rel)
     assert fast.join_compatible == slow.join_compatible
     assert fast.meet_compatible == slow.meet_compatible
     if fast.axioms_ok:
@@ -202,3 +223,66 @@ def test_round_membership_checks(corpus):
     assert not is_round_ideal(c3r, 0b011)  # down-set of a, not R-fixed
     assert is_round_filter(c3r, 0b100)
     assert not is_round_filter(c3r, 0b110)
+
+
+def test_round_membership_outside_the_carrier(corpus):
+    c3, b2 = corpus["C3"], corpus["B2"]
+    assert not is_round_ideal(c3, 1 << 5)
+    assert not is_round_filter(c3, 0b1001)
+    assert not is_round_ideal(c3, -1)
+    assert not is_round_filter(c3, -1)
+    ideal = round_subsets(b2, "ideal")[0]
+    with pytest.raises(InvalidRoundSubset):
+        prime_filter_between(b2, RoundSubset(b2, 1 << 7, "filter"), ideal)
+
+
+def small_lattices(most):
+    """One lattice per isomorphism class with at most `most` elements:
+    the one-element lattice, then 0 + P + 1 for every poset P on
+    n - 2 elements, bottom first and top last."""
+    found = [lattice_from_up(["x0"], [1])]
+    for n in range(2, most + 1):
+        top = 1 << (n - 1)
+        for up in all_posets(n - 2):
+            ups = [(1 << n) - 1] + [m << 1 | top for m in up] + [top]
+            if not any(_order_isomorphism(ups, lat.up) for lat in found):
+                found.append(lattice_from_up([f"x{i}" for i in range(n)], ups))
+    return found
+
+
+def test_binary_reduction_is_exact_on_small_carriers():
+    """The binary strongness and approximability checks against every
+    finite instance: on every relation compatible on both sides of
+    every lattice with at most 5 elements, idempotent or not, and on
+    every proximity morphism among the proximity lattices with at most
+    4 elements. The module docstring of proxlat.proximity proves the
+    idempotent case."""
+    lattices = small_lattices(5)
+    carriers = []
+    other = 0
+    for lat in lattices:
+        n = lat.size
+        for mu in itertools.product(range(n), repeat=n):
+            rel = Relation(n, n, tuple(lat.down[m] for m in mu)).converse()
+            fast = verify_axioms(lat, rel)
+            if not (fast.join_compatible and fast.meet_compatible):
+                continue
+            slow = verify_axioms_exhaustive(lat, rel)
+            assert (fast.join_strong, fast.meet_strong) == \
+                (slow.join_strong, slow.meet_strong), (n, rel.rows)
+            if fast.idempotent:
+                carriers.append(ProximityLattice(lat, rel, fast))
+            else:
+                other += 1
+    assert (len(lattices), len(carriers), other) == (10, 165, 143)
+
+    small = [p for p in carriers if p.size <= 4]
+    morphisms = 0
+    for src, tgt in itertools.product(small, repeat=2):
+        for t in all_proximity_morphisms(src, tgt):
+            fast = t.report
+            slow = verify_morphism_exhaustive(src, tgt, t.T)
+            assert (fast.join_approximable, fast.meet_approximable) == \
+                (slow.join_approximable, slow.meet_approximable), t.T.rows
+            morphisms += 1
+    assert (len(small), morphisms) == (32, 2717)
