@@ -37,6 +37,7 @@ from .lattice import (
 )
 from .proximity import (
     ProximityLattice,
+    _flag_fields,
     opposite_proximity,
     round_filter_masks,
     round_ideal_masks,
@@ -202,9 +203,6 @@ class CanonicalExtension:
     extents: Optional[tuple[int, ...]] = None
     op_pi: Optional["CanonicalExtension"] = None
 
-    def filter_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.f)))
-
     def ideal_elements(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.g)))
 
@@ -337,19 +335,10 @@ class ExtensionReport:
         raise KindMismatch(f"unknown extension kind {kind!r}")
 
     def witness(self, name: str) -> Optional[tuple[int, ...]]:
-        for key, value in self.witnesses:
-            if key == name:
-                return value
-        return None
+        return dict(self.witnesses).get(name)
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "increasing": self.increasing,
-            "dense": self.dense,
-            "compact": self.compact,
-            "join_preserving": self.join_preserving,
-            "meet_preserving": self.meet_preserving,
-        }
+        return _flag_fields(self)
 
 
 def verify_extension(ext: CanonicalExtension) -> ExtensionReport:

@@ -160,40 +160,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="proxlat",
         description="finite proximity lattices, canonical extensions, spectra")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
+    for verb, run, text in (
+            ("check", cmd_check, "axiom / morphism report"),
+            ("canext", cmd_canext, "canonical extension"),
+            ("extend", cmd_extend, "extend a morphism to the pi extensions"),
+            ("spectrum", cmd_spectrum, "prime round filter spectrum"),
+            ("dualize", cmd_dualize, "co-compact dual / opposite"),
+            ("roundtrip", cmd_roundtrip, "extension via the spectrum, checked"),
+            ("export-dot", cmd_export_dot,
+             "Hasse diagram / specialization order")):
+        p = sub.add_parser(verb, help=text)
         p.add_argument("input", help="input JSON path or fixture name")
         p.add_argument("-o", "--out", help="write the result here instead of stdout")
-
-    p_check = sub.add_parser("check", help="axiom / morphism report")
-    common(p_check)
-    p_check.set_defaults(run=cmd_check)
-
-    p_canext = sub.add_parser("canext", help="canonical extension")
-    common(p_canext)
-    p_canext.add_argument("--kind", choices=("pi", "sigma"), default="pi")
-    p_canext.add_argument("--dot", help="also write the Hasse diagram here")
-    p_canext.set_defaults(run=cmd_canext)
-
-    p_extend = sub.add_parser("extend", help="extend a morphism to the pi extensions")
-    common(p_extend)
-    p_extend.set_defaults(run=cmd_extend)
-
-    p_spectrum = sub.add_parser("spectrum", help="prime round filter spectrum")
-    common(p_spectrum)
-    p_spectrum.set_defaults(run=cmd_spectrum)
-
-    p_dual = sub.add_parser("dualize", help="co-compact dual / opposite")
-    common(p_dual)
-    p_dual.set_defaults(run=cmd_dualize)
-
-    p_round = sub.add_parser("roundtrip", help="extension via the spectrum, checked")
-    common(p_round)
-    p_round.set_defaults(run=cmd_roundtrip)
-
-    p_dot = sub.add_parser("export-dot", help="Hasse diagram / specialization order")
-    common(p_dot)
-    p_dot.set_defaults(run=cmd_export_dot)
+        if verb == "canext":
+            p.add_argument("--kind", choices=("pi", "sigma"), default="pi")
+            p.add_argument("--dot", help="also write the Hasse diagram here")
+        p.set_defaults(run=run)
     return parser
 
 

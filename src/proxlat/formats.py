@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Sequence
 
-from .bitset import bits, transpose
+from .bitset import bits, compose_rows, transpose
 from .canext import CanonicalExtension, ExtensionReport
 from .errors import ProxlatError
 from .lattice import (
@@ -30,7 +30,7 @@ from .proximity import (
     proximity_lattice,
     proximity_morphism,
 )
-from .relations import Relation, relation_from_pairs
+from .relations import Relation
 from .spectra import FiniteSpace, SpectrumResult, finite_space, specialization
 
 SCHEMA = "proxlat/1"
@@ -70,14 +70,6 @@ def _name_index(names: Sequence[Any], what: str) -> dict[str, int]:
     return index
 
 
-def _pair(pair: Any, what: str) -> list:
-    """An order or relation pair, which must be a JSON array of two
-    names; a two-character string is not one."""
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ParseError(f"bad {what} pair {pair!r}")
-    return pair
-
-
 def _array(doc: Any, key: str, kind: str) -> list:
     """doc[key], which must be a JSON array: a string or an object
     would be read one character or one key at a time."""
@@ -97,22 +89,47 @@ def _resolve(index: dict[str, int], name: Any) -> int:
         raise ParseError(f"unknown element {name!r}") from None
 
 
+def _pair_rows(raw: list, index_a: dict, index_b: dict, what: str) -> list[int]:
+    """The row masks {b : [a, b] in raw} of a list of pairs of names,
+    each a JSON array of two names; a two-character string is not one."""
+    rows = [0] * len(index_a)
+    for pair in raw:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"bad {what} pair {pair!r}")
+        try:
+            rows[index_a[pair[0]]] |= 1 << index_b[pair[1]]
+        except (KeyError, TypeError):  # name the first unknown name
+            _resolve(index_a, pair[0])
+            _resolve(index_b, pair[1])
+    return rows
+
+
 def lattice_from_doc(doc: dict) -> FiniteLattice:
+    """The lattice of a document, ordered by the reflexive transitive
+    closure of its pairs: each up-set is closed once those above it are,
+    in reverse topological order, in O(n + pairs) mask operations. A
+    cycle leaves some open; squaring then closes the order, and the
+    first pair that breaks antisymmetry is named."""
     labels = _array(doc, "elements", "lattice")
     raw_pairs = _array(doc, "leq", "lattice")
     index = _name_index(labels, "element")
     n = len(labels)
-    up = [1 << a for a in range(n)]
-    for pair in raw_pairs:
-        a, b = (_resolve(index, x) for x in _pair(pair, "order"))
-        up[a] |= 1 << b
-    for k in range(n):  # Warshall: close through each k in turn
-        for a in range(n):
-            if up[a] >> k & 1:
-                up[a] |= up[k]
-    witness = antisymmetry_witness(up)
-    if witness is not None:
-        a, b = witness
+    up = [row | 1 << a for a, row in
+          enumerate(_pair_rows(raw_pairs, index, index, "order"))]
+    below = transpose(up, n)
+    left = [row.bit_count() - 1 for row in up]  # successors not yet closed
+    ready = [a for a in range(n) if not left[a]]
+    for b in ready:  # grows while it is read
+        for a in bits(below[b] & ~(1 << b)):
+            up[a] |= up[b]
+            left[a] -= 1
+            if not left[a]:
+                ready.append(a)
+    if len(ready) < n:
+        up = tuple(up)
+        while (closed := compose_rows(up, up)) != up:
+            up = closed
+        a, b = antisymmetry_witness(up)
         raise ParseError(f"order closure is not antisymmetric at "
                          f"({labels[a]!r},{labels[b]!r})")
     return lattice_from_up(labels, up)
@@ -123,13 +140,9 @@ def lattice_from_doc(doc: dict) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 def _pairs_to_relation(labels_a, labels_b, raw) -> Relation:
-    index_a = _name_index(labels_a, "element")
-    index_b = _name_index(labels_b, "element")
-    pairs = []
-    for pair in raw:
-        a, b = _pair(pair, "relation")
-        pairs.append((_resolve(index_a, a), _resolve(index_b, b)))
-    return relation_from_pairs(len(labels_a), len(labels_b), pairs)
+    rows = _pair_rows(raw, _name_index(labels_a, "element"),
+                      _name_index(labels_b, "element"), "relation")
+    return Relation(len(labels_a), len(labels_b), tuple(rows))
 
 
 def _relation_to_pairs(rel: Relation, labels_a, labels_b) -> list[list[str]]:

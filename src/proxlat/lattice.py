@@ -54,9 +54,6 @@ class FiniteLattice:
         """Pairs (a, b) with a < b and nothing strictly between."""
         return covers(self.up, self.down)
 
-    def label(self, a: int) -> str:
-        return self.labels[a]
-
 
 @dataclass(frozen=True)
 class LatticeMap:
@@ -127,10 +124,7 @@ def _check_preorder(n: int, up: Sequence[int]) -> None:
 
 
 def preorder(labels: Sequence[str], pairs) -> Preorder:
-    n = len(labels)
-    up = _order_masks(n, pairs)
-    _check_preorder(n, up)
-    return Preorder(n, tuple(up), tuple(labels))
+    return preorder_from_up(labels, _order_masks(len(labels), pairs))
 
 
 def preorder_from_up(labels: Sequence[str], up: Sequence[int]) -> Preorder:
@@ -145,9 +139,7 @@ def lattice_from_order(labels: Sequence[str], pairs) -> FiniteLattice:
     transitive); raises NotAPartialOrder otherwise and NotALattice, with
     a witness pair, if some pair of elements has no meet or no join.
     """
-    n = len(labels)
-    up = _order_masks(n, pairs)
-    _check_preorder(n, up)
+    up = preorder(labels, pairs).up
     witness = antisymmetry_witness(up)
     if witness is not None:
         raise NotAPartialOrder("antisymmetry fails at ({},{})".format(*witness))

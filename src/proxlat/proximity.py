@@ -9,14 +9,11 @@ on the left and finite meets on the right:
 
 Join-strongness additionally lets R decompose joins on the right: from
 a R (join B) one can find B' inside R^{-1}[B] with a R (join B').
-Meet-strongness is the order dual.
-
-Join-strongness of (L, R) is join-approximability of R^-1 as a
-morphism from (L, R) to itself, which is why R^-1 is the identity
+Meet-strongness is the order dual. It is join-approximability of R^-1
+as a morphism from (L, R) to itself, which is why R^-1 is the identity
 j-morphism: with T = R^-1 and S = R, (join B) T a says a R (join B),
 and a finite B' inside T[B] with a S (join B') is what strongness asks
-for. The empty instance, a R bot for every a in T[bot], always holds.
-So one kernel per form (binary, mu) decides both properties:
+for. So one kernel per form (binary, mu) decides both properties:
 verify_axioms runs it on (L, L, R, R^-1) and rotates the witness
 (b1, b2, a) to (a, b1, b2).
 
@@ -28,31 +25,38 @@ their morphisms it is exact too, by the induction in the bullets below.
 
 Every meet-side check is the join-side check run on (L^op, R^-1): the
 meets of L are the joins of L^op, and R^-1 swaps rows and columns. The
-join-side witnesses come back in the opposite's terms and are rotated
-into the original orientation: meet-compatibility (b, b2, a) becomes
-(a, b, b2) and (top, a) becomes (a, top). Meet-strongness is the
-approximability kernel on (L^op, L^op, R^-1, R), whose witness
-(b1, b2, a) already has the orientation of a meet-strong one, the point
-last; join-strongness moves the point to the front. Meet-approximability
-of T is join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1).
-For the same reason the opposite of a proximity lattice needs no new check:
-(L^op, R^-1) is again a proximity lattice, its join side is the old
-meet side and vice versa, and only the increasing witness, which
-depends on the row order, is recomputed.
+witnesses are rotated back: meet-compatibility (b, b2, a) becomes
+(a, b, b2) and (top, a) becomes (a, top); the meet-strong witness
+(b1, b2, a) keeps its orientation. Meet-approximability of T is
+join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1). So the
+opposite of a proximity lattice needs no new check: (L^op, R^-1) is
+again one, its join side the old meet side and vice versa, and only
+the increasing witness, which depends on the row order, is recomputed.
 
-Once both compatibility checks pass, R is read off one map. Write
-R^-1[b] for the column {a : a R b}. Join-compatibility makes every
-column hold bot, be down-closed ((a v a2) R b gives a R b when
-a <= a2) and be join-closed, so it is the principal ideal down mu(b),
-mu(b) being the join of the column. Meet-compatibility makes
-R^-1[top] everything and R^-1[b ^ b2] = R^-1[b] cap R^-1[b2], so mu
-preserves finite meets and is monotone, and the rows of R are up-sets.
-Since a R;R c iff a <= mu(b) <= mu(mu(c)) for some b, R is idempotent
-iff mu o mu = mu. Conversely, a meet-preserving mu makes
-a R b iff a <= mu(b) compatible on both sides. So the compatible
-relations are exactly the meet-preserving maps mu, and the proximity
-relations exactly the idempotent ones. The rest follows from the rows
-being up-sets and mu being monotone:
+Write R^-1[b] for the column {a : a R b}, mu(b) for its join and nu(a)
+for the meet of the row R[a]. verify_axioms reads both compatibility
+axioms and idempotence off mu and nu, and runs the loops over pairs
+only on a relation that fails, to name the least witness:
+
+* R is join-compatible iff every column is a principal down-set. The
+  empty instance puts bot in each column, the binary ones with a <= a2
+  make it down-closed and the others join-closed, and a nonempty
+  down-closed join-closed subset of a finite lattice is down of its
+  join. Conversely, from R^-1[b] = down c, (join A) <= c iff every a in
+  A is. So mu is one lookup per column in a table from down-sets to
+  elements, and nu likewise from the rows against the up-sets.
+* Meet-compatibility makes R^-1[top] everything and
+  R^-1[b ^ b2] = R^-1[b] cap R^-1[b2], so mu preserves finite meets and
+  is monotone, and the rows of R are up-sets. Conversely a
+  meet-preserving mu makes a R b iff a <= mu(b) compatible on both
+  sides: the compatible relations are exactly these maps mu.
+* With both sides compatible, R;R = R iff mu o mu = mu: a R;R c iff
+  a <= mu(b) and b <= mu(c) for some b, iff a <= mu(mu(c)) (take
+  b = mu(c); mu is monotone), so column c of R;R is down mu(mu(c)). The
+  proximity relations are the idempotent mu, and idempotence is the
+  O(n) check that every value of mu is a fixed point.
+
+The rest follows from the rows being up-sets and mu being monotone:
 
 * A proximity morphism T from (L, R) to (M, S) has principal rows,
   T[b] = down tau(b). Join-approximability at a finite B asks for each
@@ -75,15 +79,18 @@ being up-sets and mu being monotone:
 * Join-strongness is this test for T = R^-1, whose tau is mu: at
   (b1, b2) it fails exactly for a in down mu(b1 v b2) minus
   down mu(mu(b1) v mu(b2)). Meet-strongness is the same test on
-  (L^op, R^-1), whose map takes a to the meet of R[a]. On a proximity
-  lattice mu(z) is a fixed point of mu, so the induction applies;
-  the meet sides are join-approximability on the opposites, which are
-  again proximity lattices and proximity morphisms.
-  The proof stops at idempotence: on a relation compatible on both
-  sides but not idempotent verify_axioms also runs the mu kernel, which
-  equals the loop over row pairs there (the first bullet uses only
-  compatibility), but that the binary instances give the larger ones
-  is not proved; the tests check it against every finite instance.
+  (L^op, R^-1), whose tau is nu. On a proximity lattice mu(z) is a
+  fixed point of mu, so the induction applies; the meet sides are
+  join-approximability on the opposites, again proximity lattices and
+  proximity morphisms. The empty instance always holds. On a relation
+  compatible on both sides but not idempotent the binary instances are
+  the flags, but that they give the larger ones is not proved; the
+  tests check it against every finite instance.
+* When mu is idempotent a comparable pair b1 <= b2 never fails: then
+  b1 v b2 = b2 and mu(b1) v mu(b2) = mu(b2), so the instance asks
+  mu(b2) <= mu(mu(b2)), an equality. So does nu, R^-1 being idempotent
+  with R. verify_axioms visits only the incomparable pairs, in order,
+  so the first failing pair is unchanged; on a chain none is left.
 * R^-1[down m] = down mu(m), so down m is a round ideal iff mu(m) = m:
   the round ideals are the down-sets of the fixed points of mu. Since
   down mu(m) is also column m of R, that is, row m of R^-1, which
@@ -105,15 +112,11 @@ being up-sets and mu being monotone:
   T;S^-1 is the union of down mu_S(m) over m <= tau(a), which is
   down mu_S(tau(a)) = down tau(a), and the rows are principal, so
   nothing else is asked. all_proximity_morphisms searches these tau.
-
-The loops over row pairs remain for relations that fail a
-compatibility axiom, whose reports still carry strongness flags and
-witnesses: there the flags are the binary instances by definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .bitset import (
@@ -170,23 +173,16 @@ class AxiomReport:
         return self.join_strong and self.meet_strong
 
     def witness(self, name: str) -> Optional[tuple[int, ...]]:
-        for key, value in self.witnesses:
-            if key == name:
-                return value
-        return None
+        return dict(self.witnesses).get(name)
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "axioms_ok": self.axioms_ok,
-            "idempotent": self.idempotent,
-            "join_compatible": self.join_compatible,
-            "meet_compatible": self.meet_compatible,
-            "join_strong": self.join_strong,
-            "meet_strong": self.meet_strong,
-            "increasing": self.increasing,
-            "reflexive": self.reflexive,
-            "distributive": self.distributive,
-        }
+        return {"axioms_ok": self.axioms_ok, **_flag_fields(self)}
+
+
+def _flag_fields(report) -> dict[str, bool]:
+    """The fields of a report dataclass other than its witnesses."""
+    return {f.name: getattr(report, f.name) for f in fields(report)
+            if f.name != "witnesses"}
 
 
 def _first_diff(rows1, rows2) -> tuple[int, int]:
@@ -205,32 +201,41 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     instances, which decide them on every relation that satisfies the
     axioms; on one that fails a compatibility axiom the strongness
     flags are the binary instances by definition. Strongness is
-    approximability of R^-1 from (L, R) to itself (module docstring).
+    approximability of R^-1 from (L, R) to itself. Compatibility and
+    idempotence are read off mu and nu (module docstring).
     """
     if rel.source_size != lat.size or rel.target_size != lat.size:
         raise DimensionMismatch("relation carrier does not match the lattice")
     rows = rel.rows
     cols = transpose(rows, lat.size)
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
-
-    idempotent = True
-    for a, row in enumerate(rows):  # R;R = R, row by row
-        twice = 0
-        for b in bits(row):
-            twice |= rows[b]
-        if twice != row:
-            idempotent = False
-            delta = twice ^ row
-            witnesses.append(("idempotent", (a, (delta & -delta).bit_length() - 1)))
-            break
-
     lat_op = opposite(lat)
-    join_compatible, jc_wit = _join_compatible(lat, rows)
-    meet_compatible, mc_wit = _join_compatible(lat_op, cols)
-    approx = _join_approx_mu if join_compatible and meet_compatible \
-        else _join_approx_binary
-    join_strong, js_wit = approx(lat, lat, rows, cols, cols)
-    meet_strong, ms_wit = approx(lat_op, lat_op, cols, rows, rows)
+    mu, jc_wit = _join_compatible(lat, rows, cols)
+    nu, mc_wit = _join_compatible(lat_op, cols, rows)
+    compatible = mu is not None and nu is not None
+    witnesses: list[tuple[str, tuple[int, ...]]] = []
+    # R;R = R iff mu o mu = mu, that is, every value of mu is fixed;
+    # otherwise R;R is compared with R row by row for the witness
+    idempotent = True
+    if not (compatible and all(mu[m] == m for m in mu)):
+        for a, row in enumerate(rows):
+            twice = 0
+            for b in bits(row):
+                twice |= rows[b]
+            if twice != row:
+                idempotent = False
+                delta = twice ^ row
+                witnesses.append(("idempotent",
+                                  (a, (delta & -delta).bit_length() - 1)))
+                break
+    if compatible:
+        join_strong, js_wit = _join_approx_mu(lat, lat, rows, cols, cols,
+                                              mu, idempotent)
+        meet_strong, ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows,
+                                              rows, nu, idempotent)
+    else:
+        join_strong, js_wit = _join_approx_binary(lat, lat, rows, cols, cols)
+        meet_strong, ms_wit = _join_approx_binary(lat_op, lat_op, cols,
+                                                  rows, rows)
     for name, wit in (("join_compatible", jc_wit),
                       ("meet_compatible", mc_wit and mc_wit[-1:] + mc_wit[:-1]),
                       ("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
@@ -241,8 +246,8 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     increasing, reflexive = _order_flags(lat, rows, witnesses)
     return AxiomReport(
         idempotent=idempotent,
-        join_compatible=join_compatible,
-        meet_compatible=meet_compatible,
+        join_compatible=mu is not None,
+        meet_compatible=nu is not None,
         join_strong=join_strong,
         meet_strong=meet_strong,
         increasing=increasing,
@@ -252,22 +257,28 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     )
 
 
-def _join_compatible(lat, rows):
-    """bot R b for every b, and (a v a2) R b iff a R b and a2 R b; the
-    least witness, or None."""
-    n = lat.size
+def _join_compatible(lat, rows, cols):
+    """Whether bot R b for every b and (a v a2) R b iff a R b and a2 R b:
+    (mu, None), mu(b) the top of column b, when every column is a
+    principal down-set (module docstring), else (None, the least
+    witness), found by a loop over the pairs (a, a2)."""
     fullmask = lat.full
-    if rows[lat.bot] != fullmask:
+    if rows[lat.bot] != fullmask:  # most relations fail here
         missing = fullmask & ~rows[lat.bot]
-        return False, (lat.bot, (missing & -missing).bit_length() - 1)
-    for a in range(n):
-        for a2 in range(a, n):
+        return None, (lat.bot, (missing & -missing).bit_length() - 1)
+    top_of = dict(zip(lat.down, range(lat.size)))
+    mu = [top_of.get(col) for col in cols]
+    if None not in mu:
+        return mu, None
+    for a in range(lat.size):
+        for a2 in range(a, lat.size):
             want = rows[a] & rows[a2]
             got = rows[lat.join[a][a2]]
             if got != want:
                 delta = got ^ want
-                return False, (a, a2, (delta & -delta).bit_length() - 1)
-    return True, None
+                return None, (a, a2, (delta & -delta).bit_length() - 1)
+    raise InternalCheckError(  # pragma: no cover - theorem guard
+        "a column is not a principal down-set, yet every pair passes")
 
 
 def _order_flags(lat, rows, witnesses):
@@ -600,18 +611,26 @@ def _join_approx_binary(sl, tl, tgt_rows, tgt_cols, rows):
     return True, None
 
 
-def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows):
+def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau=None,
+                    incomparable=False):
     """_join_approx_binary for T with principal rows T[b] = down tau(b)
     between proximity lattices: at (b1, b2) it fails for m in
-    T[b1 v b2] minus S^-1[tau(b1) v tau(b2)] (module docstring)."""
-    tau = [tl.join_mask(row) for row in rows]
+    T[b1 v b2] minus S^-1[tau(b1) v tau(b2)]. tau is read off the rows
+    unless given; `incomparable` skips the comparable pairs, which pass
+    when tau is an idempotent mu (module docstring)."""
+    if tau is None:
+        tau = [tl.join_mask(row) for row in rows]
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return False, ((stray & -stray).bit_length() - 1,)
-    join, tjoin = sl.join, tl.join
+    join, tjoin, up, down = sl.join, tl.join, sl.up, sl.down
+    later = sl.full  # the elements b2 >= b1 by index
     for b1, t1 in enumerate(tau):
         row, trow = join[b1], tjoin[t1]
-        for b2 in range(b1, sl.size):
+        pairs = bits(later & ~(up[b1] | down[b1])) if incomparable \
+            else range(b1, sl.size)
+        later ^= 1 << b1
+        for b2 in pairs:
             stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
             if stray:
                 return False, (b1, b2, (stray & -stray).bit_length() - 1)

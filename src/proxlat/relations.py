@@ -45,14 +45,19 @@ class Relation:
         return self._converse
 
     def image(self, mask: int) -> int:
-        """R[A] = union of rows over a in A."""
+        """R[A] = union of rows over a in A; A must be a subset of the
+        source carrier, else DimensionMismatch."""
+        if mask < 0 or mask >> self.source_size:
+            raise DimensionMismatch(f"mask {mask} is not a subset of "
+                                    f"a {self.source_size}-element carrier")
         out = 0
         for a in bits(mask):
             out |= self.rows[a]
         return out
 
     def preimage(self, mask: int) -> int:
-        """R^{-1}[B] = {a : row a meets B}, the image under R^-1."""
+        """R^{-1}[B] = {a : row a meets B}, the image under R^-1; B must
+        be a subset of the target carrier."""
         return self.converse().image(mask)
 
     def is_empty(self) -> bool:

@@ -19,12 +19,22 @@ from proxlat.canext import (
     make_extension,
 )
 from proxlat.errors import InternalCheckError, NotMeetStrong
-from proxlat.lattice import FiniteLattice, LatticeMap, _set_label, opposite
+from proxlat.formats import ParseError
+from proxlat.lattice import (
+    FiniteLattice,
+    LatticeMap,
+    _set_label,
+    antisymmetry_witness,
+    is_distributive,
+    lattice_from_up,
+    opposite,
+)
 from proxlat.proximity import (
     AxiomReport,
     MorphismReport,
     ProximityLattice,
     ProximityMorphism,
+    _order_flags,
     is_round_ideal,
     opposite_proximity,
     round_filter_masks,
@@ -199,6 +209,81 @@ def join_strong_exhaustive(lat: FiniteLattice, rows, cols):
             if not any(rows[a] >> joins[sub] & 1 for sub in submasks(pre)):
                 return False, (a,) + tuple(bits(bmask))
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Documents read pair by pair, and the axioms decided by loops over pairs
+# ---------------------------------------------------------------------------
+
+def lattice_from_doc_by_warshall(doc: dict) -> FiniteLattice:
+    """formats.lattice_from_doc on a well-formed document, the order
+    closed by Warshall's algorithm and then checked for antisymmetry."""
+    labels = doc["elements"]
+    index = {name: i for i, name in enumerate(labels)}
+    n = len(labels)
+    up = [1 << a for a in range(n)]
+    for x, y in doc["leq"]:
+        up[index[x]] |= 1 << index[y]
+    for k in range(n):  # close through each k in turn
+        for a in range(n):
+            if up[a] >> k & 1:
+                up[a] |= up[k]
+    witness = antisymmetry_witness(up)
+    if witness is not None:
+        a, b = witness
+        raise ParseError(f"order closure is not antisymmetric at "
+                         f"({labels[a]!r},{labels[b]!r})")
+    return lattice_from_up(labels, up)
+
+
+def join_compatible_by_pairs(lat: FiniteLattice, rows):
+    """bot R b for every b, and (a v a2) R b iff a R b and a2 R b for
+    every pair a <= a2 by index; the least witness, or None."""
+    if rows[lat.bot] != lat.full:
+        missing = lat.full & ~rows[lat.bot]
+        return False, (lat.bot, (missing & -missing).bit_length() - 1)
+    for a in range(lat.size):
+        for a2 in range(a, lat.size):
+            delta = rows[lat.join[a][a2]] ^ rows[a] & rows[a2]
+            if delta:
+                return False, (a, a2, (delta & -delta).bit_length() - 1)
+    return True, None
+
+
+def verify_axioms_by_loops(lat: FiniteLattice, rel: Relation) -> AxiomReport:
+    """verify_axioms with every flag found by a loop: R;R = R row by
+    row, each compatibility axiom over every pair (a, a2), and
+    strongness over every pair (b1, b2), by join_strong_mu on a relation
+    compatible on both sides and by join_strong_binary on any other."""
+    rows, cols = rel.rows, rel.converse().rows
+    lat_op = opposite(lat)
+    witnesses = []
+    idempotent = True
+    for a, row in enumerate(rows):
+        twice = 0
+        for b in bits(row):
+            twice |= rows[b]
+        if twice != row:
+            idempotent = False
+            delta = twice ^ row
+            witnesses.append(("idempotent", (a, (delta & -delta).bit_length() - 1)))
+            break
+    join_compatible, jc_wit = join_compatible_by_pairs(lat, rows)
+    meet_compatible, mc_wit = join_compatible_by_pairs(lat_op, cols)
+    strong = join_strong_mu if join_compatible and meet_compatible \
+        else join_strong_binary
+    join_strong, js_wit = strong(lat, rows, cols)
+    meet_strong, ms_wit = strong(lat_op, cols, rows)
+    for name, wit in (("join_compatible", jc_wit),
+                      ("meet_compatible", mc_wit and mc_wit[-1:] + mc_wit[:-1]),
+                      ("join_strong", js_wit),
+                      ("meet_strong", ms_wit and ms_wit[1:] + ms_wit[:1])):
+        if wit is not None:
+            witnesses.append((name, wit))
+    increasing, reflexive = _order_flags(lat, rows, witnesses)
+    return AxiomReport(idempotent, join_compatible, meet_compatible,
+                       join_strong, meet_strong, increasing, reflexive,
+                       is_distributive(lat), tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ The reports below are pinned by digest, flags and witnesses alike, so
 any change to how a flag or witness is found shows up here.
 """
 
+import collections
 import hashlib
 import itertools
 import random
@@ -15,6 +16,7 @@ from oracles import (
     join_strong_exhaustive,
     join_strong_mu,
     round_subsets_slow,
+    verify_axioms_by_loops,
     verify_axioms_exhaustive,
     verify_morphism_exhaustive,
 )
@@ -241,3 +243,40 @@ def test_round_ideals_against_the_definition(corpus):
                 for j, mj in enumerate(ridl.ideals):
                     below = any(is_subset(mi, cols[d]) for d in bits(mj))
                     assert ridl.way_below.has(i, j) == below
+
+
+def test_axioms_read_off_mu_against_the_loops(corpus):
+    """verify_axioms reads compatibility off the columns and rows,
+    idempotence off mu o mu and strongness off the incomparable pairs;
+    verify_axioms_by_loops decides every flag by its loop over pairs.
+    Reports, witnesses included, agree on every relation on C3, on
+    seeded samples on C4, B2 and M3 (every other one with bot R b for
+    every b, so that the columns are read), on every relation
+    compatible on both sides of C3, C4, B2 and M3, idempotent or not,
+    and on the order and C3R-style relations of chain(16) and
+    boolean(4)."""
+    c3 = chain(3)
+    cases = [(c3, rel) for rel in relations(c3, None, seed=0)]
+    for lat in (chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
+        for i, rel in enumerate(relations(lat, 3000, seed=lat.size + 2)):
+            rows = list(rel.rows)
+            rows[lat.bot] |= lat.full if i % 2 else 0
+            cases.append((lat, Relation(lat.size, lat.size, tuple(rows))))
+    for lat in (c3, chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
+        cases.extend((lat, rel) for rel, _ in compatible_relations(lat))
+    for lat in (chain(16), boolean(4)):
+        cases.extend((lat, rel) for rel in (order_relation(lat), c3r_style(lat)))
+    kinds = collections.Counter()
+    for lat, rel in cases:
+        report = verify_axioms(lat, rel)
+        assert report == verify_axioms_by_loops(lat, rel), (lat.size, rel.rows)
+        kinds[report.join_compatible, report.meet_compatible,
+              report.idempotent, report.join_strong] += 1
+    # (join-compatible, meet-compatible, idempotent, join-strong)
+    T, F = True, False
+    assert kinds == {
+        (F, F, F, F): 4001, (F, F, F, T): 4898, (F, F, T, F): 99,
+        (F, F, T, T): 223, (F, T, F, F): 8, (F, T, F, T): 40,
+        (F, T, T, F): 6, (F, T, T, T): 2, (T, F, F, F): 26,
+        (T, F, F, T): 158, (T, F, T, T): 33, (T, T, F, F): 31,
+        (T, T, F, T): 15, (T, T, T, F): 25, (T, T, T, T): 43}

@@ -1,9 +1,13 @@
 """JSON round trips and DOT export."""
 
+import collections
+import itertools
 import json
 
 import pytest
 
+from oracles import lattice_from_doc_by_warshall
+from proxlat.errors import NotALattice, ProxlatError
 from proxlat.formats import (
     ParseError,
     dot_lattice,
@@ -18,6 +22,7 @@ from proxlat.formats import (
     space_from_doc,
     space_to_doc,
 )
+from proxlat.lattice import FiniteLattice
 from proxlat.proximity import identity_morphism
 from proxlat.spectra import finite_space
 
@@ -77,3 +82,59 @@ def test_dot_exports(corpus):
     sp = finite_space(["x", "y"], [0b00, 0b01, 0b11])
     sdot = dot_space(sp)
     assert "n1 -> n0" in sdot  # y specializes to x
+
+
+def _reading(doc):
+    """What lattice_from_doc makes of a document, checked against the
+    Warshall oracle: the same lattice, or the same error and text. The
+    lattice, or the error type."""
+    outcomes = []
+    for read in (lattice_from_doc, lattice_from_doc_by_warshall):
+        try:
+            outcomes.append(read(doc))
+        except ProxlatError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], doc
+    return outcomes[0] if isinstance(outcomes[0], FiniteLattice) \
+        else outcomes[0][0]
+
+
+def test_order_closure_against_warshall():
+    """Every digraph on at most 4 labelled nodes, loops included, and
+    the covers of chain(64) and boolean(6) in both element orders and
+    both pair orders."""
+    seen = collections.Counter()
+    for n in range(5):
+        names = [f"v{i}" for i in range(n)]
+        edges = list(itertools.product(names, repeat=2))
+        for code in range(1 << len(edges)):
+            doc = {"elements": names,
+                   "leq": [list(e) for i, e in enumerate(edges) if code >> i & 1]}
+            found = _reading(doc)
+            seen[found if isinstance(found, type) else FiniteLattice] += 1
+    assert seen == {ParseError: 57164, NotALattice: 5341, FiniteLattice: 3562}
+    chain = [f"c{i}" for i in range(64)]
+    cube = [f"s{i}" for i in range(64)]
+    for names, pairs in (
+            (chain, [[chain[i], chain[i + 1]] for i in range(63)]),
+            (cube, [[cube[i], cube[i | 1 << k]] for i in range(64)
+                    for k in range(6) if not i >> k & 1])):
+        for order in (names, names[::-1]):
+            for listed in (pairs, pairs[::-1]):
+                lat = _reading({"elements": order, "leq": listed})
+                assert lat.size == 64
+
+
+def test_pair_diagnostics_name_the_first_bad_name():
+    """A pair is read left to right and the pairs in order, so the
+    diagnostic names the first name that does not resolve."""
+    lattice = {"elements": ["0", "1"], "leq": [["0", "1"]]}
+    for raw, detail in (([["0", "1"], ["x", "y"]], "unknown element 'x'"),
+                        ([["0", "y"], ["x", "1"]], "unknown element 'y'"),
+                        ([[["0"], "z"]], "unknown element ['0']"),
+                        ([["1", "1"], "01"], "bad relation pair '01'")):
+        with pytest.raises(ParseError) as exc:
+            proximity_from_doc({"lattice": lattice, "R": raw})
+        assert str(exc.value) == detail
+    with pytest.raises(ParseError, match="unknown element 'x'"):
+        lattice_from_doc({"elements": ["0", "1"], "leq": [["x", "y"]]})

@@ -1,6 +1,9 @@
 """The converse a relation keeps once asked for it."""
 
+import pytest
+
 from proxlat.bitset import transpose
+from proxlat.errors import DimensionMismatch
 from proxlat.relations import Relation, relation_from_pairs
 
 
@@ -30,3 +33,17 @@ def test_converse_of_a_rectangular_relation():
     assert (conv.source_size, conv.target_size) == (3, 2)
     assert sorted(conv.pairs()) == [(0, 1), (2, 0), (2, 1)]
     assert r.preimage(0b100) == conv.image(0b100) == 0b11
+
+
+def test_image_of_a_mask_outside_the_carrier(corpus):
+    conv = corpus["C3"].R.converse()
+    r = relation_from_pairs(2, 3, [(0, 2), (1, 0)])
+    for bad in (1 << 5, 0b1000, -1):
+        with pytest.raises(DimensionMismatch):
+            conv.image(bad)
+        with pytest.raises(DimensionMismatch):
+            conv.preimage(bad)
+    # image reads the source carrier, preimage the target one
+    assert r.image(0b11) == 0b101 and r.preimage(0b111) == 0b11
+    with pytest.raises(DimensionMismatch):
+        r.image(0b100)
