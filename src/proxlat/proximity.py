@@ -209,14 +209,15 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     rows = rel.rows
     cols = transpose(rows, lat.size)
     lat_op = opposite(lat)
-    mu, jc_wit = _join_compatible(lat, rows, cols)
-    nu, mc_wit = _join_compatible(lat_op, cols, rows)
-    compatible = mu is not None and nu is not None
     witnesses: list[tuple[str, tuple[int, ...]]] = []
+    # join- and meet-compatible iff the columns are principal down-sets
+    # and the rows principal up-sets; most relations fail bot R b first
+    mu = _tops(lat, cols) if rows[lat.bot] == lat.full else None
+    nu = None if mu is None else _tops(lat_op, rows)
+    idempotent = True
     # R;R = R iff mu o mu = mu, that is, every value of mu is fixed;
     # otherwise R;R is compared with R row by row for the witness
-    idempotent = True
-    if not (compatible and all(mu[m] == m for m in mu)):
+    if nu is None or any(mu[m] != m for m in mu):
         for a, row in enumerate(rows):
             twice = 0
             for b in bits(row):
@@ -227,15 +228,17 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
                 witnesses.append(("idempotent",
                                   (a, (delta & -delta).bit_length() - 1)))
                 break
-    if compatible:
-        join_strong, js_wit = _join_approx_mu(lat, lat, rows, cols, cols,
-                                              mu, idempotent)
-        meet_strong, ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows,
-                                              rows, nu, idempotent)
+    if nu is not None:
+        jc = mc = (True, None)
+        js = _join_approx_mu(lat, lat, rows, cols, cols, mu, idempotent)
+        ms = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu, idempotent)
     else:
-        join_strong, js_wit = _join_approx_binary(lat, lat, rows, cols, cols)
-        meet_strong, ms_wit = _join_approx_binary(lat_op, lat_op, cols,
-                                                  rows, rows)
+        jc = (True, None) if mu is not None else _join_compatible(lat, rows)
+        mc = _join_compatible(lat_op, cols)
+        js = _join_approx_binary(lat, lat, rows, cols, cols)
+        ms = _join_approx_binary(lat_op, lat_op, cols, rows, rows)
+    (join_compatible, jc_wit), (meet_compatible, mc_wit) = jc, mc
+    (join_strong, js_wit), (meet_strong, ms_wit) = js, ms
     for name, wit in (("join_compatible", jc_wit),
                       ("meet_compatible", mc_wit and mc_wit[-1:] + mc_wit[:-1]),
                       ("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
@@ -246,8 +249,8 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     increasing, reflexive = _order_flags(lat, rows, witnesses)
     return AxiomReport(
         idempotent=idempotent,
-        join_compatible=mu is not None,
-        meet_compatible=nu is not None,
+        join_compatible=join_compatible,
+        meet_compatible=meet_compatible,
         join_strong=join_strong,
         meet_strong=meet_strong,
         increasing=increasing,
@@ -257,28 +260,28 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     )
 
 
-def _join_compatible(lat, rows, cols):
-    """Whether bot R b for every b and (a v a2) R b iff a R b and a2 R b:
-    (mu, None), mu(b) the top of column b, when every column is a
-    principal down-set (module docstring), else (None, the least
-    witness), found by a loop over the pairs (a, a2)."""
-    fullmask = lat.full
-    if rows[lat.bot] != fullmask:  # most relations fail here
-        missing = fullmask & ~rows[lat.bot]
-        return None, (lat.bot, (missing & -missing).bit_length() - 1)
+def _tops(lat: FiniteLattice, masks) -> Optional[list[int]]:
+    """The c with down c = m for each m in `masks`, or None if any is not."""
     top_of = dict(zip(lat.down, range(lat.size)))
-    mu = [top_of.get(col) for col in cols]
-    if None not in mu:
-        return mu, None
+    tops = [top_of.get(m) for m in masks]
+    return None if None in tops else tops
+
+
+def _join_compatible(lat, rows):
+    """bot R b for every b, and (a v a2) R b iff a R b and a2 R b; the
+    least witness, or None."""
+    fullmask = lat.full
+    if rows[lat.bot] != fullmask:
+        missing = fullmask & ~rows[lat.bot]
+        return False, (lat.bot, (missing & -missing).bit_length() - 1)
     for a in range(lat.size):
         for a2 in range(a, lat.size):
             want = rows[a] & rows[a2]
             got = rows[lat.join[a][a2]]
             if got != want:
                 delta = got ^ want
-                return None, (a, a2, (delta & -delta).bit_length() - 1)
-    raise InternalCheckError(  # pragma: no cover - theorem guard
-        "a column is not a principal down-set, yet every pair passes")
+                return False, (a, a2, (delta & -delta).bit_length() - 1)
+    return True, None
 
 
 def _order_flags(lat, rows, witnesses):
@@ -623,14 +626,12 @@ def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau=None,
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return False, ((stray & -stray).bit_length() - 1,)
-    join, tjoin, up, down = sl.join, tl.join, sl.up, sl.down
-    later = sl.full  # the elements b2 >= b1 by index
+    join, tjoin, up, down, n = sl.join, tl.join, sl.up, sl.down, sl.size
     for b1, t1 in enumerate(tau):
         row, trow = join[b1], tjoin[t1]
-        pairs = bits(later & ~(up[b1] | down[b1])) if incomparable \
-            else range(b1, sl.size)
-        later ^= 1 << b1
-        for b2 in pairs:
+        # with `incomparable`, b2 > b1 by index and incomparable to b1
+        for b2 in (bits(sl.full & -(2 << b1) & ~(up[b1] | down[b1]))
+                   if incomparable else range(b1, n)):
             stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
             if stray:
                 return False, (b1, b2, (stray & -stray).bit_length() - 1)

@@ -47,9 +47,8 @@ class Relation:
     def image(self, mask: int) -> int:
         """R[A] = union of rows over a in A; A must be a subset of the
         source carrier, else DimensionMismatch."""
-        if mask < 0 or mask >> self.source_size:
-            raise DimensionMismatch(f"mask {mask} is not a subset of "
-                                    f"a {self.source_size}-element carrier")
+        if mask >> self.source_size:  # also every negative mask
+            raise DimensionMismatch(f"mask {mask} is outside the carrier")
         out = 0
         for a in bits(mask):
             out |= self.rows[a]

@@ -34,6 +34,7 @@ from proxlat.proximity import (
     MorphismReport,
     ProximityLattice,
     ProximityMorphism,
+    _join_compatible,
     _order_flags,
     is_round_ideal,
     opposite_proximity,
@@ -236,25 +237,12 @@ def lattice_from_doc_by_warshall(doc: dict) -> FiniteLattice:
     return lattice_from_up(labels, up)
 
 
-def join_compatible_by_pairs(lat: FiniteLattice, rows):
-    """bot R b for every b, and (a v a2) R b iff a R b and a2 R b for
-    every pair a <= a2 by index; the least witness, or None."""
-    if rows[lat.bot] != lat.full:
-        missing = lat.full & ~rows[lat.bot]
-        return False, (lat.bot, (missing & -missing).bit_length() - 1)
-    for a in range(lat.size):
-        for a2 in range(a, lat.size):
-            delta = rows[lat.join[a][a2]] ^ rows[a] & rows[a2]
-            if delta:
-                return False, (a, a2, (delta & -delta).bit_length() - 1)
-    return True, None
-
-
 def verify_axioms_by_loops(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     """verify_axioms with every flag found by a loop: R;R = R row by
-    row, each compatibility axiom over every pair (a, a2), and
-    strongness over every pair (b1, b2), by join_strong_mu on a relation
-    compatible on both sides and by join_strong_binary on any other."""
+    row, each compatibility axiom over every pair (a, a2) by
+    _join_compatible, and strongness over every pair (b1, b2), by
+    join_strong_mu on a relation compatible on both sides and by
+    join_strong_binary on any other."""
     rows, cols = rel.rows, rel.converse().rows
     lat_op = opposite(lat)
     witnesses = []
@@ -268,8 +256,8 @@ def verify_axioms_by_loops(lat: FiniteLattice, rel: Relation) -> AxiomReport:
             delta = twice ^ row
             witnesses.append(("idempotent", (a, (delta & -delta).bit_length() - 1)))
             break
-    join_compatible, jc_wit = join_compatible_by_pairs(lat, rows)
-    meet_compatible, mc_wit = join_compatible_by_pairs(lat_op, cols)
+    join_compatible, jc_wit = _join_compatible(lat, rows)
+    meet_compatible, mc_wit = _join_compatible(lat_op, cols)
     strong = join_strong_mu if join_compatible and meet_compatible \
         else join_strong_binary
     join_strong, js_wit = strong(lat, rows, cols)
