@@ -210,8 +210,7 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     cols = transpose(rows, lat.size)
     lat_op = opposite(lat)
     witnesses: list[tuple[str, tuple[int, ...]]] = []
-    # join- and meet-compatible iff the columns are principal down-sets
-    # and the rows principal up-sets; most relations fail bot R b first
+    # principal columns and rows (docstring); most fail bot R b first
     mu = _tops(lat, cols) if rows[lat.bot] == lat.full else None
     nu = None if mu is None else _tops(lat_op, rows)
     idempotent = True
@@ -270,12 +269,13 @@ def _tops(lat: FiniteLattice, masks) -> Optional[list[int]]:
 def _join_compatible(lat, rows):
     """bot R b for every b, and (a v a2) R b iff a R b and a2 R b; the
     least witness, or None."""
+    n = lat.size
     fullmask = lat.full
     if rows[lat.bot] != fullmask:
         missing = fullmask & ~rows[lat.bot]
         return False, (lat.bot, (missing & -missing).bit_length() - 1)
-    for a in range(lat.size):
-        for a2 in range(a, lat.size):
+    for a in range(n):
+        for a2 in range(a, n):
             want = rows[a] & rows[a2]
             got = rows[lat.join[a][a2]]
             if got != want:
