@@ -210,7 +210,7 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     cols = transpose(rows, lat.size)
     lat_op = opposite(lat)
     witnesses: list[tuple[str, tuple[int, ...]]] = []
-    # principal columns and rows (docstring); most fail bot R b first
+    # mu and nu exist iff R is compatible; most relations fail bot R b
     mu = _tops(lat, cols) if rows[lat.bot] == lat.full else None
     nu = None if mu is None else _tops(lat_op, rows)
     idempotent = True
