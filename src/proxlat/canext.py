@@ -223,15 +223,12 @@ def _first_unpreserved(lat: FiniteLattice, embed, rows) -> Optional[int]:
 
 
 def make_extension(kind: str, source: ProximityLattice, c: FiniteLattice,
-                   embed, extents=None, op_pi=None, *, filters=None,
-                   ideals=None) -> CanonicalExtension:
+                   embed, extents=None, op_pi=None) -> CanonicalExtension:
     """Assemble a CanonicalExtension, deriving the round-subset images;
-    the round filters and ideals of `source` are found here unless the
-    caller has them already."""
-    if filters is None:
-        filters = round_filter_masks(source)
-    if ideals is None:
-        ideals = round_ideal_masks(source)
+    the round filters and ideals are read off the mu of `source` and of
+    its opposite."""
+    filters = round_filter_masks(source)
+    ideals = round_ideal_masks(source)
     c_op = opposite(c)
     f = tuple(_join_of_image(c_op, embed, fm) for fm in filters)
     g = tuple(_join_of_image(c, embed, im) for im in ideals)
@@ -284,8 +281,7 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     if not is_homomorphism(hom):  # pragma: no cover - theorem guard
         raise InternalCheckError("pi embedding is not a homomorphism")
 
-    ext = make_extension("pi", p, cl.lattice, embed, extents=cl.extents,
-                         filters=filters, ideals=ideals)
+    ext = make_extension("pi", p, cl.lattice, embed, extents=cl.extents)
     # round filter and ideal images coincide with the polarity generators
     if ext.f != tuple(cl.f[i] for i in range(len(filters))):
         raise InternalCheckError("filter images disagree with generators")
@@ -302,10 +298,8 @@ def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
     op = opposite_proximity(p)
     epi = pi_extension(op)
     c = opposite(epi.C)
-    # the round filters of p are the round ideals of its opposite, and
-    # the other way round
     ext = make_extension("sigma", p, c, epi.embed, extents=epi.extents,
-                         op_pi=epi, filters=epi.ideals, ideals=epi.filters)
+                         op_pi=epi)
     bad = _first_unpreserved(epi.C, ext.embed, p.R.rows)
     if bad is not None:  # pragma: no cover - theorem guard
         raise InternalCheckError("sigma embedding is not R-meet-preserving",

@@ -4,8 +4,9 @@ Verbs: check, canext, extend, spectrum, dualize, roundtrip, export-dot.
 Inputs are JSON documents (see formats); fixture names (C2, C3, B2, M3,
 FULL2, C3R) are accepted wherever a proximity-lattice file is expected.
 Exit status: 0 all checked properties hold, 1 a property failed, 2 the
-input did not parse. Diagnostics go to stderr as JSON; results go to
-stdout (or --out) and are byte-identical across runs on equal inputs.
+input did not parse or a file could not be read or written. Diagnostics
+go to stderr as JSON; results go to stdout (or --out) and are
+byte-identical across runs on equal inputs.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def _load_doc(path: str) -> dict:
     if path.upper() in fixtures.CORPUS:
         return fixtures.document(path)
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object, "
@@ -91,10 +92,10 @@ def cmd_canext(args) -> int:
     p = proximity_from_doc(_load_doc(args.input))
     ext = sigma_extension(p) if args.kind == "sigma" else pi_extension(p)
     report = verify_extension(ext)
-    _emit(args, dumps(extension_to_doc(ext, report)))
-    if args.dot:
+    if args.dot:  # first, so that a failed write leaves stdout empty
         Path(args.dot).write_text(
             dot_lattice(ext.C, highlight=set(ext.embed), name=args.kind))
+    _emit(args, dumps(extension_to_doc(ext, report)))
     return 0 if report.passes(ext.kind) else PROPERTY_FAILURE
 
 
@@ -183,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # OSError: --out or --dot not written
         _diag("parse-error", type(exc).__name__, str(exc))
         return PARSE_FAILURE
     except ProxlatError as exc:

@@ -92,12 +92,13 @@ The rest follows from the rows being up-sets and mu being monotone:
   with R. verify_axioms visits only the incomparable pairs, in order,
   so the first failing pair is unchanged; on a chain none is left.
 * R^-1[down m] = down mu(m), so down m is a round ideal iff mu(m) = m:
-  the round ideals are the down-sets of the fixed points of mu. Since
-  down mu(m) is also column m of R, that is, row m of R^-1, which
-  Relation.converse() computes once per relation, round_ideal_masks
-  keeps down q for each q whose column is down q.
+  the round ideals are the down-sets of the fixed points of mu, and
+  round-set membership is read off mu, which ProximityLattice keeps.
+* nu is the mu of the opposite (L^op, R^-1), read off the rows of R:
+  the round filters are the up-sets of the fixed points of nu.
 * For round ideals I = down i and J = down j, I << J asks for some
-  d <= j with i <= mu(d); mu is monotone, so I << J iff i <= mu(j).
+  d <= j with i <= mu(d); mu is monotone, so I << J iff i <= mu(j) = j:
+  way-below on round ideals is inclusion.
 * The rows of a proximity morphism are round ideals of the target. A
   relation T from (L, R) to (M, S) whose rows are round ideals,
   T[a] = down tau(a) with tau(a) a fixed point of mu_S, is a proximity
@@ -116,13 +117,12 @@ The rest follows from the rows being up-sets and mu being monotone:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .bitset import (
     bits,
     compose_rows,
-    is_subset,
     transpose,
 )
 from .errors import (
@@ -245,6 +245,10 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
         if wit is not None:
             witnesses.append((name, wit))
 
+    if idempotent and nu is not None and rel._converse is None:
+        # a proximity relation keeps its columns as R^-1; one that fails
+        # keeps nothing, so a one-shot candidate builds no Relation more
+        object.__setattr__(rel, "_converse", Relation(lat.size, lat.size, cols))
     increasing, reflexive = _order_flags(lat, rows, witnesses)
     return AxiomReport(
         idempotent=idempotent,
@@ -259,11 +263,11 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     )
 
 
-def _tops(lat: FiniteLattice, masks) -> Optional[list[int]]:
+def _tops(lat: FiniteLattice, masks) -> Optional[tuple[int, ...]]:
     """The c with down c = m for each m in `masks`, or None if any is not."""
     top_of = dict(zip(lat.down, range(lat.size)))
     tops = [top_of.get(m) for m in masks]
-    return None if None in tops else tops
+    return None if None in tops else tuple(tops)
 
 
 def _join_compatible(lat, rows):
@@ -312,10 +316,28 @@ class ProximityLattice:
     lattice: FiniteLattice
     R: Relation
     report: AxiomReport
+    # memo slots, filled by mu and opposite_proximity
+    _mu: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _opposite: Optional["ProximityLattice"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.lattice.size
+
+    @property
+    def mu(self) -> tuple[int, ...]:
+        """mu(b), the join of the column R^-1[b], for each b; read off
+        the columns once and kept on the carrier."""
+        if self._mu is None:
+            cols = self.R.converse().rows
+            object.__setattr__(self, "_mu", _tops(self.lattice, cols))
+            if self._mu is None:  # a hand-built carrier failing the axioms
+                b = next(b for b, c in enumerate(cols) if c not in self.lattice.down)
+                raise NotAProximityLattice(f"column {self.lattice.labels[b]!r} "
+                                           "of R is not a principal down-set")
+        return self._mu
 
     @property
     def join_strong(self) -> bool:
@@ -366,7 +388,10 @@ def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
     The report is p's with the join and meet sides swapped (see the
     module docstring), so the axioms are not checked again; p must
     satisfy them, as every carrier built by proximity_lattice does.
+    Kept on p; it keeps no link back, and its mu is the nu of p.
     """
+    if p._opposite is not None:
+        return p._opposite
     lat = opposite(p.lattice)
     rel = p.R.converse()
     r = p.report
@@ -389,28 +414,20 @@ def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
         distributive=r.distributive,
         witnesses=tuple(witnesses),
     )
-    return ProximityLattice(lat, rel, report)
+    op = ProximityLattice(lat, rel, report)
+    object.__setattr__(op, "_mu", _tops(lat, p.R.rows))
+    object.__setattr__(p, "_opposite", op)
+    return op
 
 
 def is_round_ideal(p: ProximityLattice, mask: int) -> bool:
-    """Definition check: a nonempty subset of the carrier, R-preimage
-    fixpoint, join-closed; any other mask is not one."""
-    return _is_round_ideal(p.lattice, p.R.converse(), mask)
-
-
-def _is_round_ideal(lat: FiniteLattice, pre: Relation, mask: int) -> bool:
-    """is_round_ideal with the R-preimage read as the image under `pre`."""
-    if not 0 < mask <= lat.full:
-        return False
-    if pre.image(mask) != mask:
-        return False
-    members = list(bits(mask))
-    for i, a in enumerate(members):
-        row = lat.join[a]
-        for b in members[i + 1:]:  # a v a = a; a v b = b v a
-            if not mask >> row[b] & 1:
-                return False
-    return True
+    """A round ideal is down q for a fixed point q of mu (module
+    docstring): the mask must be the down-set of its join q, with
+    mu(q) = q. A mask that is empty, negative or wider than the
+    carrier equals no down-set, so it is not one."""
+    lat = p.lattice
+    q = lat.join_mask(mask & lat.full)
+    return mask == lat.down[q] and p.mu[q] == q
 
 
 def is_round_filter(p: ProximityLattice, mask: int) -> bool:
@@ -422,11 +439,11 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
 
     A round ideal is a lattice ideal, and a lattice ideal of a finite
     lattice is a principal down-set down q. Its R-preimage is
-    R^-1[q] = down mu(q), the column of q, so it is round exactly when
-    that column is down q, that is, when mu(q) = q (module docstring).
+    R^-1[q] = down mu(q), so it is round exactly when mu(q) = q (module
+    docstring).
     """
-    cols, down = p.R.converse().rows, p.lattice.down
-    out = [down[q] for q in range(p.size) if cols[q] == down[q]]
+    mu, down = p.mu, p.lattice.down
+    out = [down[q] for q in range(p.size) if mu[q] == q]
     return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
 
 
@@ -465,22 +482,16 @@ def round_ideal_lattice(p: ProximityLattice) -> RoundIdealLattice:
 
     Meet is the largest round ideal inside the intersection, join the
     smallest round ideal containing the union; both are exposed through
-    the computed tables. Also computes the way-below relation.
+    the computed tables. Way-below on round ideals is inclusion (module
+    docstring), the order of this lattice.
     """
     ideals = round_ideal_masks(p)
-    n = len(ideals)
     try:
         lat = _lattice_of_sets(ideals, p.lattice.labels)
     except NotALattice as exc:  # pragma: no cover - theorem guard
         raise InternalCheckError(
             "round ideals failed to form a lattice", exc.witness) from exc
-
-    # I << J iff top(I) <= mu(top(J)), that is, I inside R^-1[top(J)]
-    cols = p.R.converse().rows
-    below = [cols[p.lattice.join_mask(mj)] for mj in ideals]
-    wb_rows = tuple(sum(1 << j for j, bj in enumerate(below) if is_subset(mi, bj))
-                    for mi in ideals)
-    return RoundIdealLattice(p, lat, ideals, Relation(n, n, wb_rows))
+    return RoundIdealLattice(p, lat, ideals, order_relation(lat))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +563,7 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
             break
 
     via = all(is_round_ideal(tgt, row) for row in rows) and \
-        all(_is_round_ideal(src_op, src.R, col) for col in cols)
+        all(is_round_filter(src, col) for col in cols)
     if raw != via:
         raise InternalCheckError(
             "raw morphism axioms and round-subset characterisation disagree",
@@ -810,11 +821,10 @@ def increasing_presentation(p: ProximityLattice) -> IncreasingPresentation:
     if not (out.increasing and out.join_strong):  # pragma: no cover
         raise InternalCheckError("way-below output lost expected flags")
 
-    cols = p.R.converse().rows
     wb_conv = ridl.way_below.converse()
     n_i = len(ridl.ideals)
-    # R^-1[a] is always round; its row is the way-below column there
-    phi_rows = tuple(wb_conv.rows[ridl.index_of(cols[a])] for a in range(p.size))
+    # R^-1[a] = down mu(a) is always round; its row is the way-below column there
+    phi_rows = tuple(wb_conv.rows[ridl.index_of(p.lattice.down[m])] for m in p.mu)
     phi = proximity_morphism(p, out, Relation(p.size, n_i, phi_rows))
 
     psi_rows = tuple(ridl.ideals)
@@ -855,7 +865,7 @@ def all_proximity_morphisms(src: ProximityLattice, tgt: ProximityLattice,
     sl, tl, n = src.lattice, tgt.lattice, src.size
     tmeet = tl.meet
     options = tuple((im, tl.join_mask(im)) for im in ideals)
-    mu = [sl.join_mask(col) for col in src.R.converse().rows]
+    mu = src.mu
     # the meet triples and mu_R pairs, each filed under its largest element
     meets: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     fixes: list[list[int]] = [[] for _ in range(n)]

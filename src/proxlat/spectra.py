@@ -374,22 +374,16 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     facts are theorems for distributive join-strong carriers.
     """
     spec_res = spectrum(p)
-    # make_extension reuses the round sets of the polarity construction;
-    # a carrier that is not join-strong has its realization verified
-    # before pi_extension refuses it
-    pi = pi_extension(p) if p.join_strong else None
     sats = saturated_sets(spec_res.space)
     sat_lat = saturated_lattice(spec_res.space)
     position = {m: i for i, m in enumerate(sats)}
     embed = tuple(position[spec_res.basic_open[d]] for d in range(p.size))
-    ext = make_extension("pi", p, sat_lat, embed,
-                         filters=pi and pi.filters, ideals=pi and pi.ideals)
+    ext = make_extension("pi", p, sat_lat, embed)
     report = verify_extension(ext)
     if not report.passes("pi"):
         raise InternalCheckError("saturated-set realization failed to verify",
                                  witness=report.witnesses)
-    if pi is None:
-        pi = pi_extension(p)
+    pi = pi_extension(p)
     iso = check_uniqueness(pi, ext)
     if iso is None:
         raise InternalCheckError("no isomorphism onto the saturated sets")

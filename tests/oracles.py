@@ -36,7 +36,6 @@ from proxlat.proximity import (
     ProximityMorphism,
     _join_compatible,
     _order_flags,
-    is_round_ideal,
     opposite_proximity,
     round_filter_masks,
     round_ideal_masks,
@@ -68,13 +67,31 @@ def closed_family(n: int, close) -> list[int]:
     return sorted(seen, key=lambda m: (m.bit_count(), m))
 
 
+def is_round_ideal_by_definition(p: ProximityLattice, mask: int) -> bool:
+    """A nonempty subset of the carrier that is its own R-preimage and
+    is closed under pairwise joins; any other mask is not one."""
+    lat = p.lattice
+    if not 0 < mask <= lat.full:
+        return False
+    if p.R.preimage(mask) != mask:
+        return False
+    members = list(bits(mask))
+    for i, a in enumerate(members):
+        row = lat.join[a]
+        for b in members[i + 1:]:  # a v a = a; a v b = b v a
+            if not mask >> row[b] & 1:
+                return False
+    return True
+
+
 def round_subsets_slow(p: ProximityLattice, kind: str) -> tuple[int, ...]:
     """Filter every nonempty join-closed (meet-closed) subset through the
     image fixpoint condition. Exponential; small carriers only."""
     if p.size > 16:
         raise ValueError("slow enumeration is limited to small carriers")
     q = p if kind == "ideal" else opposite_proximity(p)
-    found = [m for m in range(1, 1 << p.size) if is_round_ideal(q, m)]
+    found = [m for m in range(1, 1 << p.size)
+             if is_round_ideal_by_definition(q, m)]
     return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 

@@ -302,3 +302,23 @@ def test_containers_must_be_arrays(tmp_path, capsys, verb, doc, detail):
     assert out == ""
     diag = json.loads(err)
     assert (diag["error"], diag["detail"]) == ("ParseError", detail)
+
+
+@pytest.mark.parametrize("argv,content", [
+    (("check", "C3", "--out", "{missing}"), None),
+    (("canext", "C3", "--dot", "{missing}"), None),
+    (("check", "{input}"), b'{"kind": "lattice", "elements": ["\xff"], "leq": []}'),
+    (("check", "{input}"), b"[" * 100_000 + b"]" * 100_000),
+], ids=["out-dir-missing", "dot-dir-missing", "not-utf-8", "nested-100000"])
+def test_file_boundary_failures_exit_2(tmp_path, capsys, argv, content):
+    """A file that cannot be written, or read as JSON text, gives exit 2
+    and one diagnostic naming it, and nothing on stdout."""
+    paths = {"missing": str(tmp_path / "missing" / "dir" / "x"),
+             "input": str(tmp_path / "in.json")}
+    if content is not None:
+        (tmp_path / "in.json").write_bytes(content)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    diag = json.loads(err)
+    assert diag["status"] == "parse-error"
+    assert paths["missing" if content is None else "input"] in diag["detail"]

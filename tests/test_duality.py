@@ -11,6 +11,7 @@ import itertools
 import random
 
 from oracles import (
+    is_round_ideal_by_definition,
     join_approx_exhaustive,
     join_strong_binary,
     join_strong_exhaustive,
@@ -27,6 +28,8 @@ from proxlat.proximity import (
     ProximityLattice,
     _join_approx_binary,
     _join_approx_mu,
+    is_round_filter,
+    is_round_ideal,
     opposite_proximity,
     round_ideal_lattice,
     round_ideal_masks,
@@ -231,11 +234,22 @@ def test_principal_map_reports_are_pinned(corpus):
 
 
 def test_round_ideals_against_the_definition(corpus):
+    """mu and the round sets read off it, on the carrier and on its
+    opposite, against the columns and the definition: every mask from
+    -1 to 2^n is tested for membership."""
     carriers = list(corpus.values())
     for lat in (chain(3), chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
         carriers.extend(proximity_lattices(lat))
     for p in carriers:
         for q in (p, opposite_proximity(p)):
+            assert q.mu == tuple(q.lattice.join_mask(col)
+                                 for col in q.R.converse().rows), q.R.rows
+            op = opposite_proximity(q)
+            for mask in range(-1, (1 << q.size) + 1):
+                assert is_round_ideal(q, mask) == \
+                    is_round_ideal_by_definition(q, mask), (q.R.rows, mask)
+                assert is_round_filter(q, mask) == \
+                    is_round_ideal_by_definition(op, mask), (q.R.rows, mask)
             assert round_ideal_masks(q) == round_subsets_slow(q, "ideal")
             ridl = round_ideal_lattice(q)
             cols = q.R.converse().rows

@@ -1,6 +1,7 @@
 """Every name a library module or tests/oracles.py imports is used in
 it, every private module-level function or class is used somewhere in
-the library, and every oracle is used by a test or another oracle.
+the library, every oracle is used by a test or another oracle, and
+every memo slot of a library dataclass is invisible to its callers.
 
 No linter runs on this repository, so a refactor can leave an import or
 a helper behind; this reads each module's syntax tree with the stdlib
@@ -115,3 +116,61 @@ def test_the_check_sees_an_unreferenced_private_definition():
     assert _unreferenced(trees) == ["a._loop"]
     assert _unreferenced(trees, lambda module, name: module == "a") == \
         ["a._loop", "a.public"]
+
+
+MEMO_SLOT = "field(default=None, init=False, repr=False, compare=False)"
+
+
+def _memo_faults(trees: dict[str, ast.Module]) -> list[str]:
+    """Each `_`-prefixed field of a dataclass that is not declared as
+    MEMO_SLOT, and each object.__setattr__(x, "_name", ...) that names
+    no such slot. A memo slot must stay out of the constructor, the
+    repr, equality and the hash, so that a filled memo changes nothing
+    a caller can see."""
+    slots, faults = set(), []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    ast.unparse(getattr(d, "func", d)) == "dataclass"
+                    for d in cls.decorator_list)):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id.startswith("_")):
+                    if stmt.value and ast.unparse(stmt.value) == MEMO_SLOT:
+                        slots.add(stmt.target.id)
+                    else:
+                        faults.append(f"{module}.{cls.name}.{stmt.target.id}")
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "object.__setattr__"):
+                name = node.args[1]
+                if not (isinstance(name, ast.Constant) and name.value in slots):
+                    faults.append(f"{module}:{node.lineno} sets "
+                                  f"{ast.unparse(name)}")
+    return faults
+
+
+def test_memo_slots_are_invisible():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    faults = _memo_faults(trees)
+    assert not faults, f"memo slots not declared as {MEMO_SLOT}: {faults}"
+
+
+def test_the_check_sees_a_visible_memo_slot():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        f"    _kept: Optional[int] = {MEMO_SLOT}\n"
+        "    _seen: Optional[int] = field(default=None, init=False,\n"
+        "                                 repr=False, compare=True)\n"
+        "    _bare: int = 0\n"
+        "def fill(a):\n"
+        "    object.__setattr__(a, '_kept', 1)\n"
+        "    object.__setattr__(a, '_seen', 1)\n"
+        "    object.__setattr__(a, 'x', 1)\n")
+    assert _memo_faults({"a": tree}) == [
+        "a.A._seen", "a.A._bare", "a:10 sets '_seen'", "a:11 sets 'x'"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxlat.bitset import bits, is_subset
+from proxlat.bitset import bits, is_subset, transpose
 from proxlat.errors import (
     DimensionMismatch,
     InvalidRoundSubset,
@@ -99,6 +99,64 @@ def test_invalid_relation_rejected(corpus):
     bad = relation_from_pairs(3, 3, [(0, 0), (1, 1), (2, 2)])
     with pytest.raises(NotAProximityLattice):
         proximity_lattice(c3, bad)
+
+
+def test_mu_and_the_opposite_are_kept(corpus):
+    for name, p in corpus.items():
+        fresh = ProximityLattice(p.lattice, Relation(p.size, p.size, p.R.rows),
+                                 p.report)
+        mu = fresh.mu
+        assert fresh.mu is mu, name
+        op = opposite_proximity(fresh)
+        assert opposite_proximity(fresh) is op, name
+        # the opposite holds no link back to its carrier
+        assert op._opposite is None, name
+        assert round_ideal_masks(op) == round_filter_masks(fresh), name
+        # its mu, the nu of fresh, is read off the rows of R, so R^-1
+        # is not transposed back
+        assert op.R._converse is None, name
+
+
+def test_carrier_memos_are_invisible_to_equality_and_hash(corpus):
+    p = corpus["C3R"]
+    asked = ProximityLattice(p.lattice, p.R, p.report)
+    asked.mu
+    opposite_proximity(asked)
+    fresh = ProximityLattice(p.lattice, p.R, p.report)
+    assert fresh._mu is None and fresh._opposite is None
+    assert asked == fresh and hash(asked) == hash(fresh)
+    assert opposite_proximity(asked) == opposite_proximity(fresh)
+
+
+def test_verify_axioms_keeps_the_columns_only_of_a_proximity_relation(corpus):
+    """The columns verify_axioms reads become the converse of a relation
+    that passes, and one that fails keeps nothing."""
+    c3 = corpus["C3"].lattice
+    kept = 0
+    for rows in itertools.product(range(8), repeat=3):
+        rel = Relation(3, 3, rows)
+        report = verify_axioms(c3, rel)
+        if report.axioms_ok:
+            kept += 1
+            conv = rel._converse
+            assert conv == Relation(3, 3, transpose(rows, 3)), rows
+            assert rel.converse() is conv
+            verify_axioms(c3, rel)
+            assert rel.converse() is conv
+        else:
+            assert rel._converse is None, rows
+    assert kept == 5
+
+
+def test_hand_built_carrier_with_a_column_that_is_not_principal(corpus):
+    c3 = corpus["C3"].lattice  # 0 < a < 1
+    # column a is {a}, which lacks 0; row 0 is {0, 1}, not an up-set
+    rel = relation_from_pairs(3, 3, [(0, 0), (0, 2), (1, 1), (2, 2)])
+    p = ProximityLattice(c3, rel, verify_axioms(c3, rel))
+    with pytest.raises(NotAProximityLattice, match="column 'a' of R"):
+        round_ideal_masks(p)
+    with pytest.raises(NotAProximityLattice, match="column '0' of R"):
+        round_filter_masks(p)
 
 
 def test_round_subsets_examples(corpus):
