@@ -6,9 +6,10 @@ the closures of points of X and meet-generated by the polars of points
 of Y. Instantiating X and Y with the round filters and round ideals of
 a proximity lattice, with Z as nonempty intersection, produces the
 pi-canonical extension; the sigma extension is the same construction on
-the opposite carrier, read upside down. The two extensions agree, via
-an isomorphism commuting with the embeddings, exactly when the
-proximity relation is reflexive.
+the opposite carrier, read upside down, so its round-subset images are
+those of its pi build with filters and ideals swapped. The two
+extensions agree, via an isomorphism commuting with the embeddings,
+exactly when the proximity relation is reflexive.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .lattice import (
     _intersection_closure,
     _lattice_of_sets,
     _set_label,
-    find_isomorphism,
     is_homomorphism,
     opposite,
 )
@@ -223,7 +223,7 @@ def _first_unpreserved(lat: FiniteLattice, embed, rows) -> Optional[int]:
 
 
 def make_extension(kind: str, source: ProximityLattice, c: FiniteLattice,
-                   embed, extents=None, op_pi=None) -> CanonicalExtension:
+                   embed, extents=None) -> CanonicalExtension:
     """Assemble a CanonicalExtension, deriving the round-subset images;
     the round filters and ideals are read off the mu of `source` and of
     its opposite."""
@@ -234,8 +234,7 @@ def make_extension(kind: str, source: ProximityLattice, c: FiniteLattice,
     g = tuple(_join_of_image(c, embed, im) for im in ideals)
     return CanonicalExtension(kind=kind, source=source, C=c,
                               embed=tuple(embed), filters=filters,
-                              ideals=ideals, f=f, g=g,
-                              extents=extents, op_pi=op_pi)
+                              ideals=ideals, f=f, g=g, extents=extents)
 
 
 def intersection_polarity(p: ProximityLattice) -> tuple[Polarity, tuple[int, ...], tuple[int, ...]]:
@@ -295,11 +294,13 @@ def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
     the pi extension of the opposite, read in the opposite order."""
     if not p.meet_strong:
         raise NotMeetStrong("sigma extension needs a meet-strong proximity lattice")
-    op = opposite_proximity(p)
-    epi = pi_extension(op)
-    c = opposite(epi.C)
-    ext = make_extension("sigma", p, c, epi.embed, extents=epi.extents,
-                         op_pi=epi)
+    epi = pi_extension(opposite_proximity(p))
+    # the round filters of p are the round ideals of its opposite, and
+    # joins in opposite(epi.C) are meets in epi.C, so the generators swap
+    ext = CanonicalExtension(kind="sigma", source=p, C=opposite(epi.C),
+                             embed=epi.embed, filters=epi.ideals,
+                             ideals=epi.filters, f=epi.g, g=epi.f,
+                             extents=epi.extents, op_pi=epi)
     bad = _first_unpreserved(epi.C, ext.embed, p.R.rows)
     if bad is not None:  # pragma: no cover - theorem guard
         raise InternalCheckError("sigma embedding is not R-meet-preserving",
@@ -423,6 +424,21 @@ def _generator_iso(c1: FiniteLattice, f1, g1, c2: FiniteLattice, f2, g2,
     return LatticeMap(c1, c2, tuple(table))
 
 
+def _commuting_iso(e1: CanonicalExtension, e2: CanonicalExtension,
+                   ) -> Optional[LatticeMap]:
+    """The isomorphism e1.C -> e2.C matching the generators, if it also
+    carries e1.embed to e2.embed. Any isomorphism commuting with the
+    embeddings sends round-subset images to their counterparts, and
+    those join-generate, so there is at most one."""
+    phi = _generator_iso(e1.C, e1.f, e1.g, e2.C, e2.f, e2.g)
+    if phi is None:
+        return None
+    for a in range(e1.source.size):
+        if phi.table[e1.embed[a]] != e2.embed[a]:
+            return None
+    return phi
+
+
 def check_uniqueness(e1: CanonicalExtension, e2: CanonicalExtension,
                      ) -> Optional[LatticeMap]:
     """Isomorphism e1.C -> e2.C commuting with the embeddings, or None.
@@ -440,13 +456,7 @@ def check_uniqueness(e1: CanonicalExtension, e2: CanonicalExtension,
         if not verify_extension(e).passes(e.kind):
             raise ExtensionError(
                 f"input does not verify as a {e.kind} extension")
-    phi = _generator_iso(e1.C, e1.f, e1.g, e2.C, e2.f, e2.g)
-    if phi is None:
-        return None
-    for a in range(e1.source.size):
-        if phi.table[e1.embed[a]] != e2.embed[a]:
-            return None
-    return phi
+    return _commuting_iso(e1, e2)
 
 
 @dataclass(frozen=True)
@@ -481,10 +491,8 @@ def pi_sigma_comparison(p: ProximityLattice) -> ComparisonReport:
             conflict = (a,)
             break
         pins[h.embed[a]] = k.embed[a]
-    phi = None
-    if conflict is None:
-        phi = find_isomorphism(h.C, k.C, pins=pins)
-    sigma_as_pi = verify_extension(k).join_preserving
+    phi = None if conflict else _commuting_iso(h, k)
+    sigma_as_pi = _first_unpreserved(k.C, k.embed, p.R.converse().rows) is None
     witnesses: list[tuple[str, tuple[int, ...]]] = []
     if conflict is not None:
         witnesses.append(("embedding_conflict", conflict))

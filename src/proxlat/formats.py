@@ -34,9 +34,14 @@ from .relations import Relation
 from .spectra import FiniteSpace, SpectrumResult, finite_space, specialization
 
 SCHEMA = "proxlat/1"
+MAX_ELEMENTS = 64  # the "few dozen elements" the library is built for
 
 
 class ParseError(ProxlatError):
+    pass
+
+
+class TooLarge(ParseError):
     pass
 
 
@@ -109,8 +114,11 @@ def lattice_from_doc(doc: dict) -> FiniteLattice:
     closure of its pairs: each up-set is closed once those above it are,
     in reverse topological order, in O(n + pairs) mask operations. A
     cycle leaves some open; squaring then closes the order, and the
-    first pair that breaks antisymmetry is named."""
+    first pair that breaks antisymmetry is named. More than MAX_ELEMENTS
+    elements are refused before anything is built."""
     labels = _array(doc, "elements", "lattice")
+    if len(labels) > MAX_ELEMENTS:
+        raise TooLarge(f"{len(labels)} elements, more than {MAX_ELEMENTS}")
     raw_pairs = _array(doc, "leq", "lattice")
     index = _name_index(labels, "element")
     n = len(labels)

@@ -351,14 +351,9 @@ def dedekind_macneille(q: Preorder) -> MacNeilleCompletion:
 # ---------------------------------------------------------------------------
 
 def _order_isomorphism(up_a: Sequence[int], up_b: Sequence[int],
-                       pins: Optional[dict[int, int]] = None
                        ) -> Optional[tuple[int, ...]]:
     """A bijection t with x <= y iff t(x) <= t(y), between two preorders
-    given by up-set masks, found by backtracking; None if absent.
-
-    `pins` forces values on some elements; non-injective pins make the
-    search fail immediately.
-    """
+    given by up-set masks, found by backtracking; None if absent."""
     n = len(up_a)
     if n != len(up_b):
         return None
@@ -380,18 +375,8 @@ def _order_isomorphism(up_a: Sequence[int], up_b: Sequence[int],
                 return False
         return True
 
-    for x, y in (pins or {}).items():
-        if used[y]:
-            return None
-        table[x] = y
-        used[y] = True
-    if any(prof_a[x] != prof_b[y] or not fits(x, y)
-           for x, y in enumerate(table) if y != -1):
-        return None
-
     # rarest profiles first keeps the branching factor low
-    order = sorted((x for x in range(n) if table[x] == -1),
-                   key=lambda x: (prof_b.count(prof_a[x]), x))
+    order = sorted(range(n), key=lambda x: (prof_b.count(prof_a[x]), x))
 
     def extend(k: int) -> bool:
         if k == len(order):
@@ -410,13 +395,11 @@ def _order_isomorphism(up_a: Sequence[int], up_b: Sequence[int],
     return tuple(table) if extend(0) else None
 
 
-def find_isomorphism(a: FiniteLattice, b: FiniteLattice,
-                     pins: Optional[dict[int, int]] = None) -> Optional[LatticeMap]:
+def find_isomorphism(a: FiniteLattice, b: FiniteLattice) -> Optional[LatticeMap]:
     """Order isomorphism a -> b found by backtracking, or None.
 
-    `pins` forces values on some source elements; non-injective pins
-    make the search fail immediately. An order isomorphism between
-    lattices preserves meets and joins, so nothing more needs checking.
+    An order isomorphism between lattices preserves meets and joins, so
+    nothing more needs checking.
     """
-    table = _order_isomorphism(a.up, b.up, pins)
+    table = _order_isomorphism(a.up, b.up)
     return None if table is None else LatticeMap(a, b, table)

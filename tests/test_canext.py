@@ -42,12 +42,15 @@ from proxlat.lattice import (
     dedekind_macneille,
     find_isomorphism,
     lattice_from_up,
+    opposite,
     preorder,
 )
 from proxlat.proximity import (
+    ProximityLattice,
     opposite_proximity,
     proximity_lattice,
     round_filter_masks,
+    verify_axioms,
 )
 from proxlat.relations import Relation, order_relation
 
@@ -343,11 +346,39 @@ def test_sigma_extension_examples(corpus):
     assert full2.C.size == 1
 
 
+def every_proximity_lattice(corpus):
+    """The corpus and every proximity lattice on C3, C4 and B2, read off
+    the maps mu: R^-1[b] is the down-set of mu(b)."""
+    out = list(corpus.values())
+    for lat in (chain(3), chain(4), corpus["B2"].lattice):
+        n = lat.size
+        for mu in itertools.product(range(n), repeat=n):
+            rel = Relation(n, n, tuple(lat.down[m] for m in mu)).converse()
+            report = verify_axioms(lat, rel)
+            if report.axioms_ok:
+                out.append(ProximityLattice(lat, rel, report))
+    return out
+
+
 def test_sigma_explicit_oracle_agrees(corpus):
     for name, p in corpus.items():
         direct = sigma_extension(p)
         explicit = sigma_extension_explicit(p)
         assert check_uniqueness(direct, explicit) is not None, name
+    # the generators sigma_extension takes from its pi build, swapped,
+    # against those make_extension derives from the carrier
+    checked = 0
+    for p in every_proximity_lattice(corpus):
+        if not p.meet_strong:
+            continue
+        k = sigma_extension(p)
+        epi = pi_extension(opposite_proximity(p))
+        want = make_extension("sigma", p, opposite(epi.C), epi.embed,
+                              extents=epi.extents)
+        for name in ("filters", "ideals", "f", "g", "extents"):
+            assert getattr(k, name) == getattr(want, name), (p.R.rows, name)
+        checked += 1
+    assert checked == 30
 
 
 def test_round_subset_images_are_generators(corpus):
@@ -418,25 +449,40 @@ def test_check_uniqueness_identity_and_rejection(corpus):
         check_uniqueness(e, fake_pi)
 
 
+def commuting_permutations(c1, embed1, c2, embed2):
+    """Every order isomorphism c1 -> c2, by brute force over all
+    permutations, that carries embed1 to embed2."""
+    if c1.size != c2.size:
+        return []
+    return [perm for perm in itertools.permutations(range(c2.size))
+            if all(perm[u] == v for u, v in zip(embed1, embed2))
+            and all(c1.leq(u, v) == c2.leq(perm[u], perm[v])
+                    for u in range(c1.size) for v in range(c1.size))]
+
+
 def test_commuting_isomorphism_is_unique(corpus):
     # brute force over all order isomorphisms between the two builds of
     # the extension: exactly one commutes with the embeddings
-    import itertools
-
     from proxlat.spectra import canext_via_duality
 
     for name in ("C3R", "B2", "C3"):
         result = canext_via_duality(corpus[name])
-        c1, c2 = result.pi_ext.C, result.sat_lattice
-        commuting = []
-        for perm in itertools.permutations(range(c2.size)):
-            if any(perm[result.pi_ext.embed[a]] != result.extension.embed[a]
-                   for a in range(corpus[name].size)):
-                continue
-            if all(c1.leq(u, v) == c2.leq(perm[u], perm[v])
-                   for u in range(c1.size) for v in range(c1.size)):
-                commuting.append(perm)
-        assert commuting == [tuple(result.iso.table)], name
+        assert commuting_permutations(
+            result.pi_ext.C, result.pi_ext.embed,
+            result.sat_lattice, result.extension.embed,
+        ) == [tuple(result.iso.table)], name
+    # between the pi and the sigma extension there is one exactly when
+    # the comparison reports phi, and phi is it
+    compared = 0
+    for p in every_proximity_lattice(corpus):
+        if not p.doubly_strong:
+            continue
+        h, k = pi_extension(p), sigma_extension(p)
+        phi = pi_sigma_comparison(p).phi
+        want = [] if phi is None else [phi.table]
+        assert commuting_permutations(h.C, h.embed, k.C, k.embed) == want, p.R.rows
+        compared += 1
+    assert compared == 28
 
 
 def test_pi_sigma_dichotomy(corpus):
@@ -455,6 +501,6 @@ def test_finite_lattice_is_its_own_extension(corpus):
     for name in ("C2", "C3", "B2", "M3"):
         p = corpus[name]
         e = pi_extension(p)
-        iso = find_isomorphism(p.lattice, e.C,
-                               pins={a: e.embed[a] for a in range(p.size)})
-        assert iso is not None, name
+        assert sorted(e.embed) == list(range(e.C.size)), name
+        assert all(p.lattice.leq(a, b) == e.C.leq(e.embed[a], e.embed[b])
+                   for a in range(p.size) for b in range(p.size)), name

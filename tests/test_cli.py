@@ -322,3 +322,20 @@ def test_file_boundary_failures_exit_2(tmp_path, capsys, argv, content):
     diag = json.loads(err)
     assert diag["status"] == "parse-error"
     assert paths["missing" if content is None else "input"] in diag["detail"]
+
+
+def test_oversized_document_is_refused(tmp_path, capsys):
+    """A 65-element chain is one element over the limit: exit 2, one
+    diagnostic, and nothing on stdout."""
+    names = [f"c{i}" for i in range(65)]
+    doc = {"schema": "proxlat/1", "kind": "proximity",
+           "lattice": {"elements": names,
+                       "leq": [[a, b] for a, b in zip(names, names[1:])]},
+           "R": []}
+    path = tmp_path / "chain65.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "canext", str(path))
+    assert (code, out) == (2, "")
+    diag = json.loads(err)
+    assert (diag["status"], diag["error"]) == ("parse-error", "TooLarge")
+    assert "65 elements" in diag["detail"]

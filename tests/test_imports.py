@@ -1,7 +1,8 @@
 """Every name a library module or tests/oracles.py imports is used in
 it, every private module-level function or class is used somewhere in
-the library, every oracle is used by a test or another oracle, and
-every memo slot of a library dataclass is invisible to its callers.
+the library, every oracle is used by a test or another oracle, every
+memo slot of a library dataclass is invisible to its callers, and every
+function the bench tracer wraps exists.
 
 No linter runs on this repository, so a refactor can leave an import or
 a helper behind; this reads each module's syntax tree with the stdlib
@@ -10,6 +11,8 @@ oracle no test calls is reference code for a path that is gone.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "proxlat"
 ORACLES = TESTS / "oracles.py"
+SPANS = TESTS.parent / "bench" / "spans.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -174,3 +178,19 @@ def test_the_check_sees_a_visible_memo_slot():
         "    object.__setattr__(a, 'x', 1)\n")
     assert _memo_faults({"a": tree}) == [
         "a.A._seen", "a.A._bare", "a:10 sets '_seen'", "a:11 sets 'x'"]
+
+
+def test_bench_span_targets_exist():
+    # bench/spans.py looks each LAYERS entry up with getattr when a
+    # traced run starts, so a renamed function would break only there
+    spec = importlib.util.spec_from_file_location("spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for paths in spans.LAYERS.values():
+        for path in paths:
+            module, name = path.split(".")
+            if not callable(getattr(importlib.import_module(f"proxlat.{module}"),
+                                    name, None)):
+                missing.append(path)
+    assert not missing, f"bench span targets missing from proxlat: {missing}"

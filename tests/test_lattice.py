@@ -404,10 +404,3 @@ def test_find_isomorphism_basics(corpus):
     ident = find_isomorphism(c2, c2)
     assert ident is not None and ident.table == (0, 1)
     assert find_isomorphism(c3, b2) is None
-
-
-def test_find_isomorphism_respects_pins(corpus):
-    b2 = corpus["B2"].lattice
-    swap = find_isomorphism(b2, b2, pins={1: 2})
-    assert swap is not None and swap.table[1] == 2
-    assert find_isomorphism(b2, b2, pins={0: 3}) is None
