@@ -9,6 +9,7 @@ list entries canonically so identical inputs give identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .bitset import bits, compose_rows, transpose
@@ -46,7 +47,53 @@ class TooLarge(ParseError):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(doc, indent=2, sort_keys=True) and a
+    newline, written in one pass.
+
+    With an indent the stdlib encodes in pure Python and escapes a
+    string each time it occurs, and an extension document repeats each
+    element name of C in five places; here each distinct string is
+    escaped once per call. Values are told apart in json's order, lists
+    and tuples alike, and dict keys must be strings; floats and unknown
+    types go to json.dumps, which also raises where json would."""
+    escaped: dict[str, str] = {}
+    out: list[str] = []
+
+    def string(s: str) -> str:
+        text = escaped.get(s)
+        if text is None:
+            text = escaped[s] = encode_basestring_ascii(s)
+        return text
+
+    def write(value: Any, pad: str) -> None:
+        if isinstance(value, str):
+            out.append(string(value))
+        elif value is None or value is True or value is False:
+            out.append("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, (list, tuple)):
+            inner = pad + "  "
+            head = "[" + inner
+            for v in value:
+                out.append(head)
+                write(v, inner)
+                head = "," + inner
+            out.append(pad + "]" if value else "[]")
+        elif isinstance(value, dict):
+            inner = pad + "  "
+            head = "{" + inner
+            for k, v in sorted(value.items()):
+                out.append(head + string(k) + ": ")
+                write(v, inner)
+                head = "," + inner
+            out.append(pad + "}" if value else "{}")
+        else:
+            out.append(json.dumps(value))
+
+    write(doc, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 A lattice lives on the carrier 0..n-1. The order is stored twice, as
 up-set masks and down-set masks, so that bound computations are single
-AND operations; meet and join are precomputed tables. Each table entry
-is one cone lookup: the join of a and b is the element whose up-set is
-up[a] & up[b], found in a table from up-set masks to elements (the
-lowest index wins where a preorder repeats a mask), and the meet
-likewise from down-sets. All values are immutable after construction
-and every function here is pure; a lattice keeps its opposite and its
-distributivity verdict once asked for them.
+AND operations; meet and join are precomputed tables. For a <= b the
+join is b and the meet a; any other pair is one cone lookup: the join
+of a and b is the element whose up-set is up[a] & up[b], found in a
+table from up-set masks to elements (the lowest index wins where a
+preorder repeats a mask), and the meet likewise from down-sets. All
+values are immutable after construction and every function here is
+pure; a lattice keeps its opposite, its distributivity verdict and its
+down-set table once asked for them.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ class FiniteLattice:
     bot: int
     top: int
     labels: tuple[str, ...]
-    # memo slots, filled by opposite() and is_distributive()
+    # memo slots, filled by opposite(), is_distributive() and down_index()
     _opposite: Optional["FiniteLattice"] = field(
         default=None, init=False, repr=False, compare=False)
     _distributive: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False)
+    _down_index: Optional[dict[int, int]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -149,13 +152,14 @@ def lattice_from_order(labels: Sequence[str], pairs) -> FiniteLattice:
 def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
     """Like lattice_from_order but from validated up-set masks.
 
-    The join of a and b is the element whose up-set is up[a] & up[b],
-    and the meet the element whose down-set is down[a] & down[b]; each
-    is one lookup in a table from masks to elements, so a build is
-    O(n^2). For a preorder (equal masks on distinct elements) the
-    lowest index with the mask wins. NotALattice names the first pair
-    (a, b), a <= b, without a bound, the meet tested before the join.
-    """
+    For a <= b the join is b and the meet a. The join of an
+    incomparable pair is the element whose up-set is up[a] & up[b], and
+    the meet the element whose down-set is down[a] & down[b]: one
+    lookup in a table from masks to elements, once for both rows, so a
+    build is O(n^2). For a preorder (equal masks on distinct elements)
+    the lowest index with the mask wins. NotALattice names the first
+    pair (a, b), a <= b, without a bound, the meet tested before the
+    join."""
     n = len(labels)
     if n == 0:
         raise NotALattice("a bounded lattice needs at least one element")
@@ -165,38 +169,53 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
     for a in range(n):
         up_of.setdefault(up[a], a)
         down_of.setdefault(down[a], a)
+    jrep = [up_of[u] for u in up]
+    mrep = [down_of[d] for d in down]
 
-    meet = []
-    join = []
+    meet = [mrep[:] for _ in range(n)]
+    join = [jrep[:] for _ in range(n)]
+    full = (1 << n) - 1
     for a in range(n):
         ua, da = up[a], down[a]
-        mrow = [down_of.get(da & d) for d in down]
-        jrow = [up_of.get(ua & u) for u in up]
-        if None in mrow or None in jrow:
-            # pairs (b, a) with b < a were found in earlier rows
-            b = next(b for b in range(a, n)
-                     if mrow[b] is None or jrow[b] is None)
-            kind = "meet" if mrow[b] is None else "join"
-            raise NotALattice(
-                f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
-                witness=(a, b), missing=kind, labels=labels)
-        meet.append(tuple(mrow))
-        join.append(tuple(jrow))
-    bot = 0
-    top = 0
-    for a in range(n):
-        bot = meet[bot][a]
-        top = join[top][a]
-    return FiniteLattice(
+        mrow, jrow = meet[a], join[a]
+        ja, ma = jrep[a], mrep[a]
+        for b in bits(da):
+            jrow[b] = ja
+        for b in bits(ua):
+            mrow[b] = ma
+        # incomparable pairs (b, a) with b < a were filled from earlier rows
+        for b in bits(full & ~(ua | da) & -(2 << a)):
+            m = down_of.get(da & down[b])
+            j = up_of.get(ua & up[b])
+            if m is None or j is None:
+                kind = "meet" if m is None else "join"
+                raise NotALattice(
+                    f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
+                    witness=(a, b), missing=kind, labels=labels)
+            mrow[b] = meet[b][a] = m
+            jrow[b] = join[b][a] = j
+    lat = FiniteLattice(
         size=n,
         up=tuple(up),
         down=down,
-        meet=tuple(meet),
-        join=tuple(join),
-        bot=bot,
-        top=top,
+        meet=tuple(map(tuple, meet)),
+        join=tuple(map(tuple, join)),
+        bot=up_of[full],  # every pair has a meet, so some element is least
+        top=down_of[full],
         labels=tuple(labels),
     )
+    object.__setattr__(lat, "_down_index", down_of)
+    return lat
+
+
+def down_index(lat: FiniteLattice) -> dict[int, int]:
+    """{down[a]: a}, the lowest index winning where a preorder repeats a
+    mask: the table lattice_from_up keeps, or built once on a lattice
+    made otherwise (an opposite). Read it, do not change it."""
+    if lat._down_index is None:  # filled from the top, so low indices win
+        object.__setattr__(lat, "_down_index", dict(
+            zip(reversed(lat.down), range(lat.size - 1, -1, -1))))
+    return lat._down_index
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
@@ -323,9 +342,16 @@ def _set_label(mask: int, labels: Sequence[str]) -> str:
 
 
 def _lattice_of_sets(masks: Sequence[int], labels: Sequence[str]) -> FiniteLattice:
-    """Lattice of a family of sets under inclusion."""
-    up = [sum(1 << j for j, other in enumerate(masks) if not m & ~other)
-          for m in masks]
+    """Lattice of a family of sets under inclusion: the members above m
+    are those holding every element of m."""
+    every = (1 << len(masks)) - 1
+    holding = transpose(masks, len(labels))  # holding[x] = {j : x in masks[j]}
+    up = []
+    for m in masks:
+        u = every
+        for x in bits(m):
+            u &= holding[x]
+        up.append(u)
     return lattice_from_up([_set_label(m, labels) for m in masks], up)
 
 

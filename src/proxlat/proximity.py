@@ -138,6 +138,7 @@ from .lattice import (
     FiniteLattice,
     LatticeMap,
     _lattice_of_sets,
+    down_index,
     is_distributive,
     is_homomorphism,
     opposite,
@@ -265,7 +266,7 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
 
 def _tops(lat: FiniteLattice, masks) -> Optional[tuple[int, ...]]:
     """The c with down c = m for each m in `masks`, or None if any is not."""
-    top_of = dict(zip(lat.down, range(lat.size)))
+    top_of = down_index(lat)
     tops = [top_of.get(m) for m in masks]
     return None if None in tops else tuple(tops)
 

@@ -22,8 +22,8 @@ class Relation:
     def __post_init__(self):
         if len(self.rows) != self.source_size:
             raise DimensionMismatch("one row per source element required")
-        full = (1 << self.target_size) - 1
-        if any(r & ~full for r in self.rows):
+        rows, full = self.rows, (1 << self.target_size) - 1
+        if rows and (min(rows) < 0 or max(rows) > full):
             raise DimensionMismatch("row mask exceeds target carrier")
 
     def has(self, a: int, b: int) -> bool:

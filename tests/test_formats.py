@@ -1,13 +1,19 @@
 """JSON round trips and DOT export."""
 
 import collections
+import contextlib
+import io
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import lattice_from_doc_by_warshall
+from proxlat import cli
 from proxlat.errors import NotALattice, ProxlatError
+from proxlat.fixtures import CORPUS
 from proxlat.formats import (
     ParseError,
     dot_lattice,
@@ -74,6 +80,52 @@ def test_space_doc_rejects_non_topology():
 def test_dumps_is_deterministic(corpus):
     doc = proximity_to_doc(corpus["C3R"])
     assert dumps(doc) == dumps(json.loads(dumps(doc)))
+
+
+def stdlib_dumps(doc):
+    """The text formats.dumps must give, byte for byte."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, control and non-ASCII characters, often repeated
+texts = st.text() | st.text(alphabet='"\\\n\t\x00\x1f\x7f é☃😀ab', max_size=6)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | texts)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(texts, max_size=4)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(json_documents)
+def test_dumps_against_the_stdlib(doc):
+    assert dumps(doc) == stdlib_dumps(doc)
+
+
+def test_dumps_against_the_stdlib_on_cli_documents(monkeypatch):
+    docs = []
+
+    def kept(doc):
+        docs.append(doc)
+        return dumps(doc)
+
+    monkeypatch.setattr(cli, "dumps", kept)
+    verbs = (("check",), ("canext",), ("canext", "--kind", "sigma"),
+             ("extend",), ("spectrum",), ("dualize",), ("roundtrip",))
+    for name in CORPUS:
+        for verb in verbs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main([verb[0], name, *verb[1:]])
+    kinds = collections.Counter(doc["kind"] for doc in docs)
+    assert kinds == {"axiom_report": 6, "extension": 12, "proximity": 6,
+                     "spectrum": 5, "diagnostic": 8}
+    for doc in docs:
+        assert dumps(doc) == stdlib_dumps(doc), doc["kind"]
 
 
 def test_dot_exports(corpus):

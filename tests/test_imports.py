@@ -1,8 +1,9 @@
 """Every name a library module or tests/oracles.py imports is used in
 it, every private module-level function or class is used somewhere in
 the library, every oracle is used by a test or another oracle, every
-memo slot of a library dataclass is invisible to its callers, and every
-function the bench tracer wraps exists.
+memo slot of a library dataclass is invisible to its callers, no module
+but formats.dumps writes indented JSON, and every function the bench
+tracer wraps exists.
 
 No linter runs on this repository, so a refactor can leave an import or
 a helper behind; this reads each module's syntax tree with the stdlib
@@ -178,6 +179,30 @@ def test_the_check_sees_a_visible_memo_slot():
         "    object.__setattr__(a, 'x', 1)\n")
     assert _memo_faults({"a": tree}) == [
         "a.A._seen", "a.A._bare", "a:10 sets '_seen'", "a:11 sets 'x'"]
+
+
+def _indented_json_calls(module: str, tree: ast.Module) -> list[str]:
+    """module:line of each json.dumps or json.dump call given an indent=
+    keyword. Documents are written by formats.dumps alone, the writer
+    tests/test_formats.py holds to json.dumps as its oracle."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("json.dumps", "json.dump")
+            and any(kw.arg == "indent" for kw in node.keywords)]
+
+
+def test_one_json_writer():
+    calls = [c for p in sorted(SRC.glob("*.py"))
+             for c in _indented_json_calls(p.stem, ast.parse(p.read_text()))]
+    assert not calls, f"indented JSON written outside formats.dumps: {calls}"
+
+
+def test_the_check_sees_an_indented_json_call():
+    tree = ast.parse("import json\n"
+                     "json.dumps({}, sort_keys=True)\n"
+                     "json.dumps({}, indent=2)\n"
+                     "json.dump({}, f, indent=None)\n")
+    assert _indented_json_calls("a", tree) == ["a:3", "a:4"]
 
 
 def test_bench_span_targets_exist():

@@ -12,9 +12,11 @@ from proxlat.bitset import bits, transpose
 from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import NotALattice, NotAPartialOrder
 from proxlat.lattice import (
+    FiniteLattice,
     LatticeMap,
     _lattice_of_sets,
     dedekind_macneille,
+    down_index,
     find_isomorphism,
     is_distributive,
     is_homomorphism,
@@ -146,8 +148,13 @@ def test_build_against_cone_scan_on_set_families():
         verdicts.append(build_matches_cone_scan(labels, up))
         if verdicts[-1]:
             lat = _lattice_of_sets(family, "abcd")
+            # the up-sets read off containment masks equal the pairwise scan
+            assert lat.up == tuple(up), family
             assert (lat.meet, lat.join, lat.bot, lat.top) == \
                 tables_by_cone_scan(lat.labels, up)
+        else:
+            with pytest.raises(NotALattice):
+                _lattice_of_sets(family, "abcd")
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -210,6 +217,28 @@ def test_distributivity_against_the_law():
         assert lat._distributive is verdicts[-1]
         assert is_distributive(lat) is verdicts[-1]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_down_index_is_kept_and_invisible(corpus):
+    # a preorder too: {} < {a} = {a}, where the lowest index must win
+    lattices = {name: p.lattice for name, p in corpus.items()}
+    lattices["preorder"] = _lattice_of_sets([0, 1, 1], "a")
+    for name, lat in lattices.items():
+        fresh = lattice_from_up(lat.labels, lat.up)
+        # the build keeps the table it made
+        index = fresh._down_index
+        assert index == {d: lat.down.index(d) for d in lat.down}, name
+        assert down_index(fresh) is index, name
+        # an opposite fills its own slot on the first call
+        op = opposite(fresh)
+        assert op._down_index is None, name
+        assert down_index(op) == {u: lat.up.index(u) for u in lat.up}, name
+        assert down_index(op) is down_index(op), name
+        bare = FiniteLattice(lat.size, lat.up, lat.down, lat.meet, lat.join,
+                             lat.bot, lat.top, lat.labels)
+        assert bare._down_index is None, name
+        assert fresh == bare and hash(fresh) == hash(bare), name
+        assert repr(fresh) == repr(bare), name
 
 
 def test_opposite_swaps_and_involutes(corpus):

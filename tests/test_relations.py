@@ -47,3 +47,19 @@ def test_image_of_a_mask_outside_the_carrier(corpus):
     assert r.image(0b11) == 0b101 and r.preimage(0b111) == 0b11
     with pytest.raises(DimensionMismatch):
         r.image(0b100)
+
+
+def test_rows_are_checked_against_the_target_carrier():
+    with pytest.raises(DimensionMismatch, match="row mask exceeds target"):
+        Relation(2, 3, (0b1, -1))
+    with pytest.raises(DimensionMismatch, match="row mask exceeds target"):
+        Relation(2, 3, (0b1000, 0b1))
+    assert Relation(2, 3, (0b111, 0)).has(0, 2)
+
+
+def test_a_relation_from_an_empty_source():
+    r = Relation(0, 3, ())
+    assert r.is_empty() and list(r.pairs()) == []
+    assert r.converse() == Relation(3, 0, (0, 0, 0))
+    with pytest.raises(DimensionMismatch, match="one row per source"):
+        Relation(0, 3, (0,))
