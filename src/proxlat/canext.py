@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bitset import bits, is_subset, preimage, transpose
+from .bitset import bits, is_subset, transpose
 from .errors import (
     ExtensionError,
     InternalCheckError,
@@ -141,8 +141,10 @@ def _assert_generation(cl: ConceptLattice) -> None:
         if _join_below(lat_op, gmask, u) != u:
             raise InternalCheckError("ideal images fail to meet-generate",
                                      witness=u)
+    # above[u] = {y : u <= g(y)}, the preimage of up u under g
+    above = transpose([lat.down[t] for t in cl.g], lat.size)
     for x, row in enumerate(cl.polarity.z.rows):
-        wrong = preimage(cl.g, lat.up[cl.f[x]]) ^ row
+        wrong = above[cl.f[x]] ^ row
         if wrong:
             raise InternalCheckError("generator order disagrees with Z",
                                      witness=(x, next(bits(wrong))))
@@ -373,8 +375,9 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
             break
 
     compact = True
+    above = transpose([c.down[t] for t in ie], c.size)  # {j : u <= ie[j]}
     for i, fm in enumerate(ext.filters):
-        for j in bits(preimage(ie, c.up[fe[i]])):
+        for j in bits(above[fe[i]]):
             if not fm & ext.ideals[j]:
                 compact = False
                 witnesses.append(("compact", (i, j)))
@@ -407,13 +410,13 @@ def _generator_iso(c1: FiniteLattice, f1, g1, c2: FiniteLattice, f2, g2,
     """The unique isomorphism determined by matching generators, if the
     candidate determined on joins of filter images verifies."""
     table = []
-    for u in range(c1.size):
-        below = preimage(f1, c1.down[u])
+    for below in transpose([c1.up[t] for t in f1], c1.size):
         table.append(c2.join_mask(_mask_of(f2[i] for i in bits(below))))
     if sorted(table) != list(range(c2.size)):
         return None
+    above = transpose([c2.down[t] for t in table], c2.size)
     for u in range(c1.size):
-        if preimage(table, c2.up[table[u]]) != c1.up[u]:
+        if above[table[u]] != c1.up[u]:
             return None
     for i in range(len(f1)):
         if table[f1[i]] != f2[i]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, preimage
+from .bitset import bits, preimage, transpose
 from .canext import CanonicalExtension, _join_of_image
 from .errors import (
     InternalCheckError,
@@ -44,10 +44,11 @@ def _pi_table(rel: Relation, e_src: CanonicalExtension,
               e_tgt: CanonicalExtension) -> tuple[int, ...]:
     c_src, c_tgt = e_src.C, e_tgt.C
     ideal_elems = e_src.ideal_elements()
+    # below[y] = {a : embed(a) <= y}, the preimage of down y
+    below = transpose([c_src.up[t] for t in e_src.embed], c_src.size)
     stage1: dict[int, int] = {}
     for y in ideal_elems:
-        pre = preimage(e_src.embed, c_src.down[y])
-        stage1[y] = _join_of_image(c_tgt, e_tgt.embed, rel.image(pre))
+        stage1[y] = _join_of_image(c_tgt, e_tgt.embed, rel.image(below[y]))
     table = []
     for u in range(c_src.size):
         out = c_tgt.top

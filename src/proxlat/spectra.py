@@ -18,12 +18,13 @@ from typing import Iterator, Optional
 from .bitset import bits, is_subset, preimage, transpose
 from .canext import (
     CanonicalExtension,
-    check_uniqueness,
+    _commuting_iso,
     make_extension,
     pi_extension,
     verify_extension,
 )
 from .errors import (
+    ExtensionError,
     InternalCheckError,
     InvalidRoundSubset,
     NotAJMorphism,
@@ -384,7 +385,10 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
         raise InternalCheckError("saturated-set realization failed to verify",
                                  witness=report.witnesses)
     pi = pi_extension(p)
-    iso = check_uniqueness(pi, ext)
+    # check_uniqueness(pi, ext), with ext verified once, just above
+    if not verify_extension(pi).passes("pi"):
+        raise ExtensionError("input does not verify as a pi extension")
+    iso = _commuting_iso(pi, ext)
     if iso is None:
         raise InternalCheckError("no isomorphism onto the saturated sets")
     return DualityResult(spec_res, sat_lat, sats, ext, pi, iso)

@@ -45,6 +45,16 @@ from proxlat.proximity import (
 from proxlat.relations import Relation
 
 
+def transpose_by_loop(rows, width: int) -> tuple[int, ...]:
+    """The bit matrix read by columns, one set bit at a time: the only
+    way bitset.transpose reads matrices of side at most 8 or above 64."""
+    cols = [0] * width
+    for a, row in enumerate(rows):
+        for b in bits(row):
+            cols[b] |= 1 << a
+    return tuple(cols)
+
+
 def closed_family(n: int, close) -> list[int]:
     """All fixpoints of a closure operator on subsets of 0..n-1, sorted
     by (popcount, mask).

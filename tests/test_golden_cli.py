@@ -1,7 +1,9 @@
 """CLI outputs pinned byte for byte: every verb on every fixture.
 
 `golden_cli.json` maps "<fixture> <verb args>" to the exit code and the
-sha256 of stdout. Regenerate it only for an intended output change:
+sha256 of stdout. `golden_wide_cli.json` does the same for carriers
+with 32 to 42 elements. Regenerate both only for an intended output
+change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -10,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -86,5 +89,80 @@ def test_calls_in_one_process_share_no_options(tmp_path):
     expect("FULL2 dualize", *call(["dualize", "FULL2"]))
 
 
+# Carriers wider than a byte, so that the CLI runs the bit-matrix paths
+# that no fixture reaches: sides 32 to 42 for the carriers, and the
+# sides of their extensions. Built from the definitions, not the library.
+WIDE_VERBS = (("check",), ("canext", "--kind", "pi"), ("canext", "--kind", "sigma"),
+              ("roundtrip",))
+WIDE_GOLDEN = Path(__file__).with_name("golden_wide_cli.json")
+
+
+def _proximity_doc(prefix: str, up, rows) -> dict:
+    """Every order pair and every R pair, labels prefix0, prefix1, ..."""
+    labels = [f"{prefix}{i}" for i in range(len(up))]
+
+    def pairs(masks):
+        return [[labels[a], labels[b]] for a, m in enumerate(masks)
+                for b in range(len(masks)) if m >> b & 1]
+
+    return {"schema": "proxlat/1", "kind": "proximity",
+            "lattice": {"elements": labels, "leq": pairs(up)}, "R": pairs(rows)}
+
+
+def _pair_presentation(opens):
+    """(open d, open e) with d inside e, ordered componentwise, and
+    (d, e) R (d', e') iff e is inside d'."""
+    elems = sorted(((d, e) for d in opens for e in opens if d & ~e == 0),
+                   key=lambda de: (de[0].bit_count() + de[1].bit_count(), de))
+    up = [sum(1 << j for j, (d2, e2) in enumerate(elems)
+              if d & ~d2 == 0 and e & ~e2 == 0) for d, e in elems]
+    rows = [sum(1 << j for j, (d2, _) in enumerate(elems) if e & ~d2 == 0)
+            for _, e in elems]
+    return up, rows
+
+
+def wide_documents() -> dict:
+    """The 33-chain and B5 with their orders, the 33-chain with x R y iff
+    x is bottom or y is top, and the 42-element pair presentation of the
+    four-point space whose point 3 specializes to 0 and 1."""
+    n = 33
+    chain = [((1 << n) - 1) & ~((1 << a) - 1) for a in range(n)]
+    c3r = [chain[0] if a == 0 else 1 << n - 1 for a in range(n)]
+    b5 = [sum(1 << t for t in range(32) if s & ~t == 0) for s in range(32)]
+    # the opens of that space: the subsets that hold 0 and 1 if they hold 3
+    opens = [s for s in range(16) if not s >> 3 & 1 or s & 0b11 == 0b11]
+    docs = {"chain33": _proximity_doc("c", chain, chain),
+            "B5": _proximity_doc("s", b5, b5),
+            "c3r33": _proximity_doc("r", chain, c3r),
+            "pairs42": _proximity_doc("p", *_pair_presentation(opens))}
+    # the identity j-morphism of each: T is the converse of R
+    for name, doc in list(docs.items()):
+        part = {"lattice": doc["lattice"], "R": doc["R"]}
+        docs[f"{name}-id"] = {"schema": "proxlat/1", "kind": "morphism",
+                              "source": part, "target": part,
+                              "T": [[b, a] for a, b in doc["R"]]}
+    return docs
+
+
+def wide_outputs(directory: Path) -> dict:
+    out = {}
+    for name, doc in wide_documents().items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        verbs = (("extend",),) if name.endswith("-id") else WIDE_VERBS
+        for verb in verbs:
+            code, stdout = call([verb[0], str(path), *verb[1:]])
+            out[" ".join((name,) + verb)] = {"exit": code,
+                                             "sha256": sha256(stdout)}
+    return out
+
+
+def test_wide_cli_outputs_match_golden(tmp_path):
+    assert wide_outputs(tmp_path) == json.loads(WIDE_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(outputs(), indent=2, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        WIDE_GOLDEN.write_text(json.dumps(wide_outputs(Path(tmp)), indent=2,
+                                          sort_keys=True) + "\n")

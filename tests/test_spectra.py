@@ -1,19 +1,29 @@
 """Spectra, finite-space presentations, duality round trips, and the
 idempotent-splitting picture."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from oracles import is_prime_filter_by_pairs
+from proxlat import spectra
 from proxlat.bitset import bits, is_subset
-from proxlat.errors import NotALattice, NotDistributive, NotT0, ProxlatError
+from proxlat.canext import check_uniqueness, pi_extension, verify_extension
+from proxlat.errors import (
+    ExtensionError,
+    NotALattice,
+    NotDistributive,
+    NotT0,
+    ProxlatError,
+)
 from proxlat.lattice import antisymmetry_witness, find_isomorphism, lattice_from_up
 from proxlat.proximity import (
     all_j_morphisms,
     identity_morphism,
     morph_compose,
     order_proximity,
+    proximity_lattice,
     round_filter_masks,
     round_subsets,
 )
@@ -225,6 +235,40 @@ def test_canext_via_duality_on_fixtures(distributive_corpus):
         for a in range(p.size):
             assert result.iso.table[result.pi_ext.embed[a]] == \
                 result.extension.embed[a]
+
+
+def test_canext_via_duality_verifies_each_extension_once(distributive_corpus,
+                                                        monkeypatch):
+    # the saturated-set extension and the pi build, once each; the
+    # isomorphism is the one check_uniqueness finds for the pair
+    verified = []
+
+    def counting(ext):
+        verified.append(ext)
+        return verify_extension(ext)
+
+    monkeypatch.setattr(spectra, "verify_extension", counting)
+    chain16 = lattice_from_up([f"c{i}" for i in range(16)],
+                              [0xFFFF & ~((1 << i) - 1) for i in range(16)])
+    carriers = dict(distributive_corpus,
+                    chain16=proximity_lattice(chain16, order_relation(chain16)))
+    for name, p in carriers.items():
+        verified.clear()
+        result = canext_via_duality(p)
+        assert verified == [result.extension, result.pi_ext], name
+        assert result.iso == check_uniqueness(result.pi_ext, result.extension), name
+
+
+def test_canext_via_duality_refuses_an_unverified_pi_build(corpus, monkeypatch):
+    p = corpus["C3"]
+    pi = pi_extension(p)
+    bad = dataclasses.replace(pi, embed=tuple(reversed(pi.embed)))
+    monkeypatch.setattr(spectra, "pi_extension", lambda q: bad)
+    with pytest.raises(ExtensionError) as raised:
+        canext_via_duality(p)
+    with pytest.raises(ExtensionError) as wanted:
+        check_uniqueness(bad, pi)
+    assert str(raised.value) == str(wanted.value)
 
 
 def posets_by_choice_loop(n):
