@@ -1,15 +1,22 @@
 """Polarities, concept lattices, and pi/sigma canonical extensions.
 
 A polarity (X, Y, Z) induces a Galois connection between the power sets
-of X and Y; its closed sets form a complete lattice join-generated by
-the closures of points of X and meet-generated by the polars of points
-of Y. Instantiating X and Y with the round filters and round ideals of
-a proximity lattice, with Z as nonempty intersection, produces the
-pi-canonical extension; the sigma extension is the same construction on
-the opposite carrier, read upside down, so its round-subset images are
-those of its pi build with filters and ideals swapped. The two
-extensions agree, via an isomorphism commuting with the embeddings,
-exactly when the proximity relation is reflexive.
+of X and Y; its closed sets, X and the intersections of the polars of
+points of Y, form a complete lattice (`concept_lattice`).
+
+The pi-canonical extension is the concept lattice of the round filters
+against the round ideals, related by nonempty intersection. On a finite
+carrier (see proxlat.proximity for mu and nu) the round filters are
+up p, p in Fix nu, and the round ideals down q, q in Fix mu. Up p meets
+down q iff p <= q, so the polar of down q is member[q] = {F : q in F}.
+mu preserves finite meets and fixes top, so Fix mu is meet-closed and
+these polars are closed under intersection: they are all the closed
+sets, and |C| <= n. So `pi_extension` reads C off mu with no closure,
+and sends a to member[mu(a)] = member[a]. The sigma extension is the
+same construction on the opposite carrier, read upside down, so its
+round-subset images are those of its pi build with filters and ideals
+swapped. The two extensions agree, via an isomorphism commuting with
+the embeddings, exactly when the proximity relation is reflexive.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .lattice import (
     _intersection_closure,
     _lattice_of_sets,
     _set_label,
+    down_index,
     is_homomorphism,
     opposite,
 )
@@ -103,7 +111,8 @@ def concept_lattice(p: Polarity, labels_x: Optional[list[str]] = None) -> Concep
     The closed sets are X and the intersections of the polars r({y}).
     The generator maps join- and meet-generate the result, and
     f(x) <= g(y) holds exactly when x Z y; violations would be bugs and
-    raise InternalCheckError.
+    raise InternalCheckError. This is the tool for any polarity; on the
+    intersection polarity it is the tests' oracle for `pi_extension`.
     """
     _, r, _ = galois_maps(p)
     labels = labels_x or [f"x{i}" for i in range(p.nx)]
@@ -189,9 +198,9 @@ class CanonicalExtension:
 
     `embed` is the extension map on the carrier; `filters`/`ideals`
     list the round subsets of the source and `f`/`g` their images
-    (meets resp. joins of embedded members). Polarity-built extensions
-    also carry the closed sets; sigma extensions keep the underlying
-    pi-extension of the opposite for reuse.
+    (meets resp. joins of embedded members). pi builds also carry the
+    closed sets, the polars member[q] for q in Fix mu (module
+    docstring); sigma builds keep the pi build of the opposite.
     """
 
     kind: str                       # "pi" | "sigma"
@@ -239,54 +248,42 @@ def make_extension(kind: str, source: ProximityLattice, c: FiniteLattice,
                               ideals=ideals, f=f, g=g, extents=extents)
 
 
-def intersection_polarity(p: ProximityLattice) -> tuple[Polarity, tuple[int, ...], tuple[int, ...]]:
-    """Round filters against round ideals, related by nonempty intersection."""
-    filters = round_filter_masks(p)
-    ideals = round_ideal_masks(p)
-    rows = tuple(
-        sum(1 << i for i, im in enumerate(ideals) if fm & im)
-        for fm in filters)
-    return Polarity(len(filters), len(ideals), Relation(len(filters), len(ideals), rows)), filters, ideals
-
-
 def pi_extension(p: ProximityLattice) -> CanonicalExtension:
-    """The pi-canonical extension of a join-strong proximity lattice.
-
-    Concept lattice of the intersection polarity, with a carried into
-    the polar of its R-preimage ideal; concretely embed(a) is the set
-    of round filters containing a.
-    """
+    """The pi-canonical extension of a join-strong proximity lattice:
+    the closed sets are the polars member[q] = {F : q in F} of the
+    round ideals down q, q in Fix mu, and a goes to member[mu(a)], the
+    round filters containing a (module docstring)."""
     if not p.join_strong:
         raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
-    polarity, filters, ideals = intersection_polarity(p)
-    labels_x = [_set_label(fm, p.lattice.labels) for fm in filters]
-    cl = concept_lattice(polarity, labels_x)
-
-    cols = p.R.converse().rows
-    ideal_index = {im: i for i, im in enumerate(ideals)}
-    embed = []
-    for a in range(p.size):
-        pre = cols[a]
-        if pre not in ideal_index:  # pragma: no cover - theorem guard
-            raise InternalCheckError("R-preimage of a point is not round",
-                                     witness=a)
-        embed.append(cl.g[ideal_index[pre]])
-    embed = tuple(embed)
+    filters = round_filter_masks(p)
+    member = transpose(filters, p.size)  # member[q] = {F : q in F}
+    mu = p.mu
+    extents = tuple(sorted({member[q] for q in range(p.size) if mu[q] == q},
+                           key=lambda m: (m.bit_count(), m)))
+    c = _lattice_of_sets(extents, [_set_label(fm, p.lattice.labels)
+                                   for fm in filters])
+    position = {m: i for i, m in enumerate(extents)}
+    embed = tuple(position[member[m]] for m in mu)
 
     # explicit description: the extent of embed(a) is {F : a in F}
-    for a, wanted in enumerate(transpose(filters, p.size)):
-        if cl.extents[embed[a]] != wanted:  # pragma: no cover - theorem guard
+    for a, m in enumerate(mu):
+        if member[m] != member[a]:  # pragma: no cover - theorem guard
             raise InternalCheckError("embedding disagrees with membership",
                                      witness=a)
-    hom = LatticeMap(p.lattice, cl.lattice, embed)
+    hom = LatticeMap(p.lattice, c, embed)
     if not is_homomorphism(hom):  # pragma: no cover - theorem guard
         raise InternalCheckError("pi embedding is not a homomorphism")
 
-    ext = make_extension("pi", p, cl.lattice, embed, extents=cl.extents)
-    # round filter and ideal images coincide with the polarity generators
-    if ext.f != tuple(cl.f[i] for i in range(len(filters))):
-        raise InternalCheckError("filter images disagree with generators")
-    if ext.g != tuple(cl.g[i] for i in range(len(ideals))):
+    ext = make_extension("pi", p, c, embed, extents=extents)
+    # the image of filter i is the least closed set holding it, and the
+    # image of the ideal down q is its polar member[q]
+    holding = transpose(extents, len(filters))
+    for i, t in enumerate(ext.f):
+        if not holding[i] >> t & 1 or holding[i] & ~c.up[t]:
+            raise InternalCheckError("filter images disagree with generators",
+                                     witness=i)
+    top_of = down_index(p.lattice)
+    if ext.g != tuple(position[member[top_of[im]]] for im in ext.ideals):
         raise InternalCheckError("ideal images disagree with generators")
     return ext
 

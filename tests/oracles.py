@@ -18,7 +18,7 @@ from proxlat.canext import (
     concept_lattice,
     make_extension,
 )
-from proxlat.errors import InternalCheckError, NotMeetStrong
+from proxlat.errors import InternalCheckError, NotJoinStrong, NotMeetStrong
 from proxlat.formats import ParseError
 from proxlat.lattice import (
     FiniteLattice,
@@ -128,6 +128,30 @@ def smallest_round_ideal_containing(p: ProximityLattice, seed: int) -> int:
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def intersection_polarity(p: ProximityLattice) -> tuple[Polarity, tuple[int, ...], tuple[int, ...]]:
+    """Round filters against round ideals, related by nonempty intersection."""
+    filters = round_filter_masks(p)
+    ideals = round_ideal_masks(p)
+    rows = tuple(
+        sum(1 << i for i, im in enumerate(ideals) if fm & im)
+        for fm in filters)
+    return Polarity(len(filters), len(ideals), Relation(len(filters), len(ideals), rows)), filters, ideals
+
+
+def pi_extension_by_polarity(p: ProximityLattice) -> CanonicalExtension:
+    """The pi extension as the concept lattice of the intersection
+    polarity, with a carried to the polar of its R-preimage ideal."""
+    if not p.join_strong:
+        raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
+    polarity, filters, ideals = intersection_polarity(p)
+    labels_x = [_set_label(fm, p.lattice.labels) for fm in filters]
+    cl = concept_lattice(polarity, labels_x)
+    ideal_index = {im: i for i, im in enumerate(ideals)}
+    embed = tuple(cl.g[ideal_index[col]] for col in p.R.converse().rows)
+    ext = make_extension("pi", p, cl.lattice, embed, extents=cl.extents)
+    return dataclasses.replace(ext, f=cl.f, g=cl.g)
 
 
 def sigma_extension_explicit(p: ProximityLattice) -> CanonicalExtension:

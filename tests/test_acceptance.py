@@ -9,11 +9,11 @@ import time
 
 import pytest
 
+from oracles import intersection_polarity
 from proxlat import fixtures
 from proxlat.canext import (
     _generator_iso,
     concept_lattice,
-    intersection_polarity,
     pi_extension,
     pi_sigma_comparison,
     polarity_preorder_pairs,

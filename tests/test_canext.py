@@ -11,6 +11,8 @@ from oracles import (
     assert_generation_by_loops,
     closed_family,
     generator_iso_by_loops,
+    intersection_polarity,
+    pi_extension_by_polarity,
     sigma_extension_explicit,
     verify_extension_by_loops,
 )
@@ -23,7 +25,6 @@ from proxlat.canext import (
     check_uniqueness,
     concept_lattice,
     galois_maps,
-    intersection_polarity,
     make_extension,
     pi_extension,
     pi_sigma_comparison,
@@ -53,6 +54,7 @@ from proxlat.proximity import (
     verify_axioms,
 )
 from proxlat.relations import Relation, order_relation
+from proxlat.spectra import all_posets
 
 
 def polarity_of(p):
@@ -118,6 +120,106 @@ def test_closed_sets_of_pi_and_sigma_polarities(corpus):
     for p in list(corpus.values()) + carriers_64():
         for q in (p, opposite_proximity(p)):  # pi, and sigma read upside down
             assert_closed_sets_against_oracle(polarity_of(q))
+
+
+def labelled_proximity_lattices(most):
+    """Every proximity lattice on every labelled lattice with at most
+    `most` elements: the one-element lattice, and 0 + P + 1 for every
+    labelled poset P on n - 2 points. The relations are read off the
+    maps mu, as in every_proximity_lattice; only the maps that fix top
+    (the empty meet of meet-compatibility) and are idempotent (R;R = R)
+    can pass, so only those go to verify_axioms."""
+    lattices = [lattice_from_up(["x0"], [1])]
+    for n in range(2, most + 1):
+        top = 1 << (n - 1)
+        for up in all_posets(n - 2):
+            lattices.append(lattice_from_up(
+                [f"x{i}" for i in range(n)],
+                [(1 << n) - 1] + [m << 1 | top for m in up] + [top]))
+    out = []
+    for lat in lattices:
+        n = lat.size
+        for mu in itertools.product(range(n), repeat=n):
+            if mu[lat.top] != lat.top or any(mu[m] != m for m in mu):
+                continue
+            rel = Relation(n, n, tuple(lat.down[m] for m in mu)).converse()
+            report = verify_axioms(lat, rel)
+            if report.axioms_ok:
+                out.append(ProximityLattice(lat, rel, report))
+    return out
+
+
+def test_pi_extension_against_the_polarity_build(corpus):
+    """pi_extension reads C off mu; the concept lattice of the
+    intersection polarity is its oracle, for pi and for sigma (the pi
+    build of the opposite). |C| <= n, Fix mu having n members at most."""
+    carriers = (list(corpus.values()) + carriers_64()
+                + labelled_proximity_lattices(5))
+    built = 0
+    for p in carriers:
+        for q in (p, opposite_proximity(p)):
+            if not q.join_strong:
+                continue
+            got, want = pi_extension(q), pi_extension_by_polarity(q)
+            assert (got.C.up, got.C.labels) == (want.C.up, want.C.labels), q.R.rows
+            for name in ("extents", "embed", "f", "g"):
+                assert getattr(got, name) == getattr(want, name), (q.R.rows, name)
+            assert len(got.extents) <= q.size
+            built += 1
+    assert built == 804
+
+
+def test_pi_extension_runs_no_closure(corpus, monkeypatch):
+    # pins the design: pi, and sigma through it, never route through
+    # the generic polarity closure
+    def closure(*args, **kwargs):
+        raise AssertionError("the pi build ran the polarity closure")
+
+    for target in ("proxlat.canext.concept_lattice",
+                   "proxlat.canext.galois_maps",
+                   "proxlat.canext._intersection_closure",
+                   "proxlat.lattice._intersection_closure"):
+        monkeypatch.setattr(target, closure)
+    for name, p in corpus.items():
+        if p.join_strong:
+            assert verify_extension(pi_extension(p)).passes("pi"), name
+        if p.meet_strong:
+            assert verify_extension(sigma_extension(p)).passes("sigma"), name
+
+
+def test_pi_guards_raise_on_their_condition(corpus, monkeypatch):
+    # each theorem guard of pi_extension, given its failing condition on
+    # C3R (mu = (0, 0, 2)); a non-round filter up 1 holds 1 but not mu(1)
+    import proxlat.canext as canext
+    p = corpus["C3R"]
+    assert p.mu == (0, 0, 2)
+    build = canext.make_extension
+
+    def with_images(name, value):
+        def fake(*args, **kwargs):
+            ext = build(*args, **kwargs)
+            images = (value(ext.C),) * len(getattr(ext, name))
+            return dataclasses.replace(ext, **{name: images})
+        return fake
+
+    cases = [
+        ("round_filter_masks",
+         lambda q, real=canext.round_filter_masks: real(q) + (q.lattice.up[1],),
+         "embedding disagrees with membership"),
+        ("is_homomorphism", lambda hom: False,
+         "pi embedding is not a homomorphism"),
+        ("make_extension", with_images("f", lambda c: c.top),
+         "filter images disagree with generators"),  # not the least
+        ("make_extension", with_images("f", lambda c: c.bot),
+         "filter images disagree with generators"),  # misses filter up 2
+        ("make_extension", with_images("g", lambda c: c.bot),
+         "ideal images disagree with generators"),
+    ]
+    for name, fake, message in cases:
+        with monkeypatch.context() as m:
+            m.setattr(canext, name, fake)
+            with pytest.raises(InternalCheckError, match=message):
+                pi_extension(p)
 
 
 def perturbed(values, size):

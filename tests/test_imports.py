@@ -1,5 +1,5 @@
 """Every name a library module or tests/oracles.py imports is used in
-it, every private module-level function or class is used somewhere in
+it, the library imports nothing outside the standard library, every private module-level function or class is used somewhere in
 the library, every oracle is used by a test or another oracle, every
 memo slot of a library dataclass is invisible to its callers, no module
 but formats.dumps writes indented JSON, and every function the bench
@@ -14,6 +14,7 @@ oracle no test calls is reference code for a path that is gone.
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,37 @@ def test_the_check_sees_an_unused_import():
                      "x: 'Optional[int]' = None\n"
                      "y = 'Iterator'\n")
     assert set(_imported(tree)) - _used(tree) == {"Iterator"}
+
+
+def _non_stdlib_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import whose top-level package is
+    not in the standard library; relative imports stay in the package."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_is_stdlib_only(path):
+    outside = _non_stdlib_imports(ast.parse(path.read_text()))
+    assert not outside, f"{path.name}: imports outside the stdlib {outside}"
+
+
+def test_the_check_sees_a_third_party_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, numpy as np\n"
+                     "from hypothesis import given\n"
+                     "from .bitset import bits\n"
+                     "from dataclasses import field\n")
+    assert _non_stdlib_imports(tree) == [(2, "numpy"), (3, "hypothesis")]
 
 
 def _is_private(module: str, name: str) -> bool:

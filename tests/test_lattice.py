@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_family, lattice_laws_hold
+from oracles import closed_family, intersection_polarity, lattice_laws_hold
 from proxlat.bitset import bits, transpose
-from proxlat.canext import pi_extension, sigma_extension
+from proxlat.canext import concept_lattice, pi_extension, sigma_extension
 from proxlat.errors import NotALattice, NotAPartialOrder
 from proxlat.lattice import (
     FiniteLattice,
@@ -271,8 +271,6 @@ def test_lattice_laws_on_corpus(corpus):
 def test_lattice_laws_on_derived_lattices(corpus):
     # the tables of every lattice the library constructs satisfy the
     # same laws: round-ideal lattices, concept lattices, completions
-    from proxlat.canext import concept_lattice, intersection_polarity, pi_extension
-    from proxlat.proximity import round_ideal_lattice
     for p in corpus.values():
         assert lattice_laws_hold(round_ideal_lattice(p).lattice)
         pol, _, _ = intersection_polarity(p)

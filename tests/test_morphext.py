@@ -122,8 +122,11 @@ def test_preservation_for_non_j_morphisms(distributive_corpus, pi_exts):
 
 
 def test_functoriality_of_extension_measured(distributive_corpus, pi_exts):
-    # not asserted as an invariant: measured outcome on composable
-    # corpus pairs, recorded here as the observed value
+    # asserted: extend_pi preserves composition on every composable
+    # pair of j-morphisms of the distributive corpus. Whether it does in
+    # general is open; canonical extensions of maps need not compose
+    # (Gehrke & Jónsson, "Bounded distributive lattice expansions",
+    # Math. Scand. 94, 2004)
     agree = 0
     total = 0
     names = list(distributive_corpus)
@@ -139,7 +142,6 @@ def test_functoriality_of_extension_measured(distributive_corpus, pi_exts):
                 if composite == m_tu.table:
                     agree += 1
     assert total > 0
-    # report-only: on this corpus the composite agreed everywhere
     assert agree == total
 
 
