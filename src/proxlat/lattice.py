@@ -8,8 +8,11 @@ of a and b is the element whose up-set is up[a] & up[b], found in a
 table from up-set masks to elements (the lowest index wins where a
 preorder repeats a mask), and the meet likewise from down-sets. All
 values are immutable after construction and every function here is
-pure; a lattice keeps its opposite, its distributivity verdict and its
-down-set table once asked for them.
+pure; a lattice keeps, once asked for them, its opposite, its
+distributivity verdict, its down-set table and the join sets
+{u v v : u in U, v in V} that the binary approximability kernel asks
+for, keyed by the pair of masks (U, V). None of these shows in the
+constructor, the repr, equality or the hash.
 """
 
 from __future__ import annotations
@@ -31,12 +34,15 @@ class FiniteLattice:
     bot: int
     top: int
     labels: tuple[str, ...]
-    # memo slots, filled by opposite(), is_distributive() and down_index()
+    # memo slots, filled by opposite(), is_distributive(), down_index()
+    # and join_sets()
     _opposite: Optional["FiniteLattice"] = field(
         default=None, init=False, repr=False, compare=False)
     _distributive: Optional[bool] = field(
         default=None, init=False, repr=False, compare=False)
     _down_index: Optional[dict[int, int]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _join_sets: Optional[dict[int, int]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -216,6 +222,15 @@ def down_index(lat: FiniteLattice) -> dict[int, int]:
         object.__setattr__(lat, "_down_index", dict(
             zip(reversed(lat.down), range(lat.size - 1, -1, -1))))
     return lat._down_index
+
+
+def join_sets(lat: FiniteLattice) -> dict[int, int]:
+    """{U << n | V: the mask of {u v v : u in U, v in V}}, filled by the
+    caller on a miss and kept on the lattice; a lattice that never asks
+    keeps None. It holds only ints, so it forms no reference cycle."""
+    if lat._join_sets is None:
+        object.__setattr__(lat, "_join_sets", {})
+    return lat._join_sets
 
 
 def is_distributive(lat: FiniteLattice) -> bool:

@@ -141,6 +141,7 @@ from .lattice import (
     down_index,
     is_distributive,
     is_homomorphism,
+    join_sets,
     opposite,
 )
 from .relations import Relation, compose, order_relation
@@ -317,10 +318,12 @@ class ProximityLattice:
     lattice: FiniteLattice
     R: Relation
     report: AxiomReport
-    # memo slots, filled by mu and opposite_proximity
+    # memo slots, filled by mu, opposite_proximity and round_ideal_masks
     _mu: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False)
     _opposite: Optional["ProximityLattice"] = field(
+        default=None, init=False, repr=False, compare=False)
+    _round_ideals: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -441,14 +444,18 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
     A round ideal is a lattice ideal, and a lattice ideal of a finite
     lattice is a principal down-set down q. Its R-preimage is
     R^-1[q] = down mu(q), so it is round exactly when mu(q) = q (module
-    docstring).
+    docstring). Found once per carrier and kept on it.
     """
-    mu, down = p.mu, p.lattice.down
-    out = [down[q] for q in range(p.size) if mu[q] == q]
-    return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
+    if p._round_ideals is None:
+        mu, down = p.mu, p.lattice.down
+        out = [down[q] for q in range(p.size) if mu[q] == q]
+        object.__setattr__(p, "_round_ideals", tuple(
+            sorted(out, key=lambda m: (m.bit_count(), m))))
+    return p._round_ideals
 
 
 def round_filter_masks(p: ProximityLattice) -> tuple[int, ...]:
+    """The round ideals of the opposite, kept on it."""
     return round_ideal_masks(opposite_proximity(p))
 
 
@@ -601,28 +608,55 @@ def _join_approx_binary(sl, tl, tgt_rows, tgt_cols, rows):
     """(b1 v b2) T m demands u in T[b1], v in T[b2] with m S (u v v);
     the empty instance demands m S bot for every m in T[bot].
 
-    Every approximability kernel takes the rows and the columns of S
-    and the rows of T; this one has no use for the columns.
+    With J the join set {u v v : u in T[b1], v in T[b2]}, the instance
+    at (b1, b2) asks that every m in T[b1 v b2] relate to some x in J,
+    that is, lie in reach = the union of the columns S^-1[x], x in J. So
+    it fails exactly for the m in the stray mask T[b1 v b2] & ~reach,
+    and its lowest bit is the least failing m, the witness the loop
+    over the targets in increasing order found. The empty instance
+    fails for the m in T[bot] & ~S^-1[bot].
+
+    J depends only on tl and the two rows, so it is kept on tl by
+    join_sets, keyed by T[b1] << n | T[b2]; reach is kept per call,
+    keyed by J. The members of the rows are listed at most once per
+    call, on the first miss. Every approximability kernel takes the rows
+    and the columns of S and the rows of T; this one has no use for the
+    rows of S.
     """
-    for m in bits(rows[sl.bot]):
-        if not tgt_rows[m] >> tl.bot & 1:
-            return False, (m,)
-    members = [tuple(bits(row)) for row in rows]
-    tjoin = tl.join
+    stray = rows[sl.bot] & ~tgt_cols[tl.bot]
+    if stray:
+        return False, ((stray & -stray).bit_length() - 1,)
+    memo = join_sets(tl)
+    members = None
+    reach_of = {}
+    tjoin, n = tl.join, tl.size
     for b1, row in enumerate(sl.join):
-        ujoins = [tjoin[u] for u in members[b1]]
+        high = rows[b1] << n
         for b2 in range(b1, sl.size):
-            targets = members[row[b2]]
+            targets = rows[row[b2]]
             if not targets:
                 continue
-            vs = members[b2]
-            joined = 0
-            for ujoin in ujoins:
-                for v in vs:
-                    joined |= 1 << ujoin[v]
-            for m in targets:
-                if not tgt_rows[m] & joined:
-                    return False, (b1, b2, m)
+            key = high | rows[b2]
+            joined = memo.get(key)
+            if joined is None:
+                if members is None:
+                    members = [tuple(bits(r)) for r in rows]
+                joined = 0
+                vs = members[b2]
+                for u in members[b1]:
+                    ujoin = tjoin[u]
+                    for v in vs:
+                        joined |= 1 << ujoin[v]
+                memo[key] = joined
+            reach = reach_of.get(joined)
+            if reach is None:
+                reach = 0
+                for x in bits(joined):
+                    reach |= tgt_cols[x]
+                reach_of[joined] = reach
+            stray = targets & ~reach
+            if stray:
+                return False, (b1, b2, (stray & -stray).bit_length() - 1)
     return True, None
 
 

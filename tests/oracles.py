@@ -264,6 +264,40 @@ def join_strong_exhaustive(lat: FiniteLattice, rows, cols):
 
 
 # ---------------------------------------------------------------------------
+# The binary approximability kernel as a loop over the targets, before
+# each instance was read as one mask test over kept join sets
+# ---------------------------------------------------------------------------
+
+def join_approx_binary_by_loops(sl, tl, tgt_rows, tgt_cols, rows):
+    """(b1 v b2) T m demands u in T[b1], v in T[b2] with m S (u v v);
+    the empty instance demands m S bot for every m in T[bot].
+
+    Every approximability kernel takes the rows and the columns of S
+    and the rows of T; this one has no use for the columns.
+    """
+    for m in bits(rows[sl.bot]):
+        if not tgt_rows[m] >> tl.bot & 1:
+            return False, (m,)
+    members = [tuple(bits(row)) for row in rows]
+    tjoin = tl.join
+    for b1, row in enumerate(sl.join):
+        ujoins = [tjoin[u] for u in members[b1]]
+        for b2 in range(b1, sl.size):
+            targets = members[row[b2]]
+            if not targets:
+                continue
+            vs = members[b2]
+            joined = 0
+            for ujoin in ujoins:
+                for v in vs:
+                    joined |= 1 << ujoin[v]
+            for m in targets:
+                if not tgt_rows[m] & joined:
+                    return False, (b1, b2, m)
+    return True, None
+
+
+# ---------------------------------------------------------------------------
 # Documents read pair by pair, and the axioms decided by loops over pairs
 # ---------------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ import random
 
 from oracles import (
     is_round_ideal_by_definition,
+    join_approx_binary_by_loops,
     join_approx_exhaustive,
     join_strong_binary,
     join_strong_exhaustive,
@@ -22,12 +23,14 @@ from oracles import (
     verify_morphism_exhaustive,
 )
 from proxlat.bitset import bits, is_subset
+from proxlat.canext import pi_extension, sigma_extension, verify_extension
 from proxlat.fixtures import CORPUS
 from proxlat.lattice import lattice_from_up, opposite
 from proxlat.proximity import (
     ProximityLattice,
     _join_approx_binary,
     _join_approx_mu,
+    all_proximity_morphisms,
     is_round_filter,
     is_round_ideal,
     opposite_proximity,
@@ -37,6 +40,7 @@ from proxlat.proximity import (
     verify_morphism,
 )
 from proxlat.relations import Relation, order_relation
+from proxlat.spectra import canext_via_duality
 
 # sha256 of the reports below, computed before the meet-side kernels
 # were derived from the join-side ones
@@ -48,6 +52,11 @@ EXHAUSTIVE_SHA256 = (
 # computed before approximability was read off mu
 PRINCIPAL_SHA256 = (
     "106b4ebe9056e17ac627c7352c06e76f6e82c8a712325b9e18eee2362f9f10a5")
+# sha256 of verify_axioms on every relation on C4, the census carrier
+# that pinned_reports leaves out, computed before each binary instance
+# was read as one mask test over kept join sets
+C4_SHA256 = (
+    "e8edfa5c54aaa045c7cbb3bd10e122b2ff70e6794f9481c111c380361509d6b3")
 
 
 def chain(n):
@@ -231,6 +240,102 @@ def test_principal_map_reports_are_pinned(corpus):
             assert _join_approx_mu(*side) == _join_approx_binary(*side)
     assert (len(reports), hits, sum(r.j_morphism for r in reports)) == (6426, 231, 56)
     assert digest(reports) == PRINCIPAL_SHA256
+
+
+def test_c4_reports_are_pinned():
+    c4 = chain(4)
+    reports = (verify_axioms(c4, rel) for rel in relations(c4, None, seed=0))
+    assert digest(reports) == C4_SHA256
+
+
+def kernel_sides(lat, rel):
+    """Both binary kernel calls of verify_axioms: (L, R^-1) and (L^op, R)."""
+    rows, cols = rel.rows, rel.converse().rows
+    op = opposite(lat)
+    return (lat, lat, rows, cols, cols), (op, op, cols, rows, rows)
+
+
+def morphism_sides(src, tgt, rel):
+    """Both binary kernel calls of verify_morphism on T from src to tgt."""
+    return ((src.lattice, tgt.lattice, tgt.R.rows, tgt.R.converse().rows,
+             rel.rows),
+            (opposite(tgt.lattice), opposite(src.lattice),
+             src.R.converse().rows, src.R.rows, rel.converse().rows))
+
+
+def join_sets_by_definition(lat):
+    """Every kept join set recomputed from its key U << n | V."""
+    n = lat.size
+    return {key: sum({1 << lat.join[u][v]
+                      for u in bits(key >> n) for v in bits(key & lat.full)})
+            for key in lat._join_sets}
+
+
+def test_binary_kernel_against_the_loops(corpus):
+    """The mask test over the join sets kept on the lattice gives the
+    flags and witnesses of the loop over the targets: on every relation
+    on C3, on seeded samples on C4, B2 and M3, run twice on the same
+    lattices (warm memo) and once on fresh equal ones (cold memo), and
+    on every map into the principal down-sets, where the two lattices
+    differ. Every kept join set is the join set of its key."""
+    calls = []
+    c3 = chain(3)
+    calls.extend(side for rel in relations(c3, None, seed=0)
+                 for side in kernel_sides(c3, rel))
+    lattices = [c3]
+    for lat in (chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
+        fresh = lattice_from_up(lat.labels, lat.up)
+        assert fresh == lat and fresh is not lat
+        assert fresh._join_sets is None and opposite(fresh)._join_sets is None
+        sample = list(relations(lat, 5000, seed=lat.size + 3))
+        for target in (lat, lat, fresh):
+            calls.extend(side for rel in sample
+                         for side in kernel_sides(target, rel))
+        lattices += [lat, fresh]
+    for src, tgt, rel in morphism_candidates(corpus, principal_down_sets):
+        calls.extend(morphism_sides(src, tgt, rel))
+    verdicts = set()
+    for side in calls:
+        found = _join_approx_binary(*side)
+        assert found == join_approx_binary_by_loops(*side), \
+            (side[0].size, side[1].size, side[2:])
+        verdicts.add((found[0], len(found[1] or ()), side[0] is not side[1]))
+    # both flags, both witness shapes, and maps between two lattices
+    assert {(True, 0, False), (False, 1, False), (False, 3, False),
+            (True, 0, True), (False, 3, True)} <= verdicts
+    for lat in lattices:
+        for kept in (lat, opposite(lat)):
+            assert kept._join_sets, lat.labels
+            assert kept._join_sets == join_sets_by_definition(kept)
+            # at most one entry per pair of masks
+            assert len(kept._join_sets) <= 1 << 2 * kept.size
+
+
+def test_join_sets_are_kept_and_invisible(corpus):
+    """A lattice that only ever checked valid inputs keeps no join sets;
+    one that ran failing relations keeps its own, apart from its
+    opposite's, and stays equal to a fresh build in equality, hash and
+    repr."""
+    for name, p in corpus.items():
+        lat = lattice_from_up(p.lattice.labels, p.lattice.up)
+        q = verify_axioms(lat, p.R)
+        carrier = ProximityLattice(lat, p.R, q)
+        for ext in (pi_extension(carrier), sigma_extension(carrier)):
+            assert verify_extension(ext).passes(ext.kind), name
+        assert all_proximity_morphisms(carrier, carrier), name
+        if carrier.distributive:
+            canext_via_duality(carrier)
+        assert lat._join_sets is None, name
+        assert opposite(lat)._join_sets is None, name
+
+        for rel in relations(lat, 200, seed=1):
+            verify_axioms(lat, rel)
+        assert lat._join_sets and opposite(lat)._join_sets, name
+        assert opposite(lat)._join_sets is not lat._join_sets, name
+        fresh = lattice_from_up(lat.labels, lat.up)
+        assert lat == fresh and hash(lat) == hash(fresh), name
+        assert repr(lat) == repr(fresh), name
+        assert opposite(lat) == opposite(fresh), name
 
 
 def test_round_ideals_against_the_definition(corpus):
