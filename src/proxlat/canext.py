@@ -252,7 +252,15 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     """The pi-canonical extension of a join-strong proximity lattice:
     the closed sets are the polars member[q] = {F : q in F} of the
     round ideals down q, q in Fix mu, and a goes to member[mu(a)], the
-    round filters containing a (module docstring)."""
+    round filters containing a (module docstring).
+
+    Built once per carrier and kept on it, so a second call, the sigma
+    build of the opposite and canext_via_duality return the same
+    object. A build that raises keeps nothing. The kept extension names
+    p as its source: the two form a reference cycle, which gc collects.
+    """
+    if p._pi is not None:
+        return p._pi
     if not p.join_strong:
         raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
     filters = round_filter_masks(p)
@@ -285,6 +293,7 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     top_of = down_index(p.lattice)
     if ext.g != tuple(position[member[top_of[im]]] for im in ext.ideals):
         raise InternalCheckError("ideal images disagree with generators")
+    object.__setattr__(p, "_pi", ext)
     return ext
 
 

@@ -4,9 +4,10 @@ Verbs: check, canext, extend, spectrum, dualize, roundtrip, export-dot.
 Inputs are JSON documents (see formats); fixture names (C2, C3, B2, M3,
 FULL2, C3R) are accepted wherever a proximity-lattice file is expected.
 Exit status: 0 all checked properties hold, 1 a property failed, 2 the
-input did not parse or a file could not be read or written. Diagnostics
-go to stderr as JSON; results go to stdout (or --out) and are
-byte-identical across runs on equal inputs.
+command line or the input did not parse or a file could not be read or
+written. Diagnostics go to stderr as JSON; results go to stdout (or
+--out) and are byte-identical across runs on equal inputs. Only -h
+prints usage.
 """
 
 from __future__ import annotations
@@ -152,12 +153,21 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ParseError, which main writes as
+    a diagnostic, instead of printing usage and exiting. Its subparsers
+    are of this class too."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared after that;
     nothing changes it once built and each parse_args call returns a
     fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="proxlat",
         description="finite proximity lattices, canonical extensions, spectra")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -181,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except (ParseError, OSError) as exc:  # OSError: --out or --dot not written
         _diag("parse-error", type(exc).__name__, str(exc))

@@ -242,9 +242,14 @@ def morphism_to_doc(t: ProximityMorphism) -> dict:
 
 
 def morphism_from_doc(doc: dict) -> ProximityMorphism:
+    """The morphism of a document. A target equal to the source parses
+    to an equal carrier, so an endomorphism builds its carrier once and
+    both ends share it, with what the carrier keeps."""
     try:
-        src = proximity_from_doc(doc["source"])
-        tgt = proximity_from_doc(doc["target"])
+        source = doc["source"]
+        src = proximity_from_doc(source)
+        target = doc["target"]
+        tgt = src if target == source else proximity_from_doc(target)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed morphism document: {exc}") from None
     raw_t = _array(doc, "T", "morphism")

@@ -206,7 +206,9 @@ def compare_with_dual(m: ExtendedMap, dual) -> bool:
     lattices of the spectra, is the preimage map of the dual point map.
 
     `dual` is the DualMap of the same morphism. Requires distributive
-    sources and extensions built by pi_extension.
+    sources and extensions built by pi_extension. The duality builds of
+    both carriers are the ones kept on them (canext_via_duality), so a
+    run over many morphisms between a few carriers builds each once.
     """
     from .spectra import canext_via_duality
 

@@ -118,7 +118,7 @@ The rest follows from the rows being up-sets and mu being monotone:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .bitset import (
     bits,
@@ -145,6 +145,10 @@ from .lattice import (
     opposite,
 )
 from .relations import Relation, compose, order_relation
+
+if TYPE_CHECKING:
+    from .canext import CanonicalExtension
+    from .spectra import DualityResult, SpectrumResult
 
 
 @dataclass(frozen=True)
@@ -318,12 +322,21 @@ class ProximityLattice:
     lattice: FiniteLattice
     R: Relation
     report: AxiomReport
-    # memo slots, filled by mu, opposite_proximity and round_ideal_masks
+    # memo slots, filled by mu, opposite_proximity, round_ideal_masks,
+    # canext.pi_extension, spectra.spectrum and spectra.canext_via_duality,
+    # each only once its build returns. The last three name this carrier
+    # as their source, so they form reference cycles, which gc collects.
     _mu: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False)
     _opposite: Optional["ProximityLattice"] = field(
         default=None, init=False, repr=False, compare=False)
     _round_ideals: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _pi: Optional[CanonicalExtension] = field(
+        default=None, init=False, repr=False, compare=False)
+    _spectrum: Optional[SpectrumResult] = field(
+        default=None, init=False, repr=False, compare=False)
+    _duality: Optional[DualityResult] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property

@@ -260,7 +260,13 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
     U_{d and e}) and, by primality, under union (U_{d or e}), so together
     with the empty set they are the whole topology; both identities are
     asserted below.
+
+    Found once per carrier and kept on it, so dual_map and the duality
+    build read the kept result; a call that raises keeps nothing. The
+    result names p as its source, a reference cycle that gc collects.
     """
+    if p._spectrum is not None:
+        return p._spectrum
     if not p.distributive:
         raise NotDistributive("spectra need distributive carriers")
     points = prime_round_filters(p)
@@ -276,7 +282,9 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
                                          witness=(d, e))
     labels = [_set_label(fm, p.lattice.labels) for fm in points]
     space = finite_space(labels, set(basic) | {0, (1 << k) - 1})
-    return SpectrumResult(p, space, points, basic)
+    result = SpectrumResult(p, space, points, basic)
+    object.__setattr__(p, "_spectrum", result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +381,14 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     and is uniquely isomorphic to the polarity construction, with
     commuting embeddings. Failures raise InternalCheckError since both
     facts are theorems for distributive join-strong carriers.
+
+    Built on the kept spectrum and pi extension of p, once per carrier,
+    and kept on it, so compare_with_dual reads the kept result; a build
+    that raises keeps nothing. The result reaches p through its spectrum
+    and extensions, a reference cycle that gc collects.
     """
+    if p._duality is not None:
+        return p._duality
     spec_res = spectrum(p)
     sats = saturated_sets(spec_res.space)
     sat_lat = saturated_lattice(spec_res.space)
@@ -391,7 +406,9 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     iso = _commuting_iso(pi, ext)
     if iso is None:
         raise InternalCheckError("no isomorphism onto the saturated sets")
-    return DualityResult(spec_res, sat_lat, sats, ext, pi, iso)
+    result = DualityResult(spec_res, sat_lat, sats, ext, pi, iso)
+    object.__setattr__(p, "_duality", result)
+    return result
 
 
 def spectrum_roundtrip(space: FiniteSpace) -> bool:

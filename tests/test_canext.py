@@ -180,7 +180,8 @@ def test_pi_extension_runs_no_closure(corpus, monkeypatch):
                    "proxlat.canext._intersection_closure",
                    "proxlat.lattice._intersection_closure"):
         monkeypatch.setattr(target, closure)
-    for name, p in corpus.items():
+    for name, kept in corpus.items():
+        p = dataclasses.replace(kept)  # a fresh carrier keeps no build
         if p.join_strong:
             assert verify_extension(pi_extension(p)).passes("pi"), name
         if p.meet_strong:
@@ -191,7 +192,7 @@ def test_pi_guards_raise_on_their_condition(corpus, monkeypatch):
     # each theorem guard of pi_extension, given its failing condition on
     # C3R (mu = (0, 0, 2)); a non-round filter up 1 holds 1 but not mu(1)
     import proxlat.canext as canext
-    p = corpus["C3R"]
+    p = dataclasses.replace(corpus["C3R"])  # a fresh carrier keeps no build
     assert p.mu == (0, 0, 2)
     build = canext.make_extension
 

@@ -339,3 +339,27 @@ def test_oversized_document_is_refused(tmp_path, capsys):
     diag = json.loads(err)
     assert (diag["status"], diag["error"]) == ("parse-error", "TooLarge")
     assert "65 elements" in diag["detail"]
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (("nosuchverb", "M3"), "argument verb: invalid choice: 'nosuchverb'"),
+    (("check",), "the following arguments are required: input"),
+    (("canext", "M3", "--kind", "tau"), "argument --kind: invalid choice: 'tau'"),
+    (("check", "C3", "--bogus"), "unrecognized arguments: --bogus"),
+    ((), "the following arguments are required: verb"),
+])
+def test_bad_command_line_is_a_parse_error(capsys, argv, detail):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    diag = json.loads(err)
+    assert (diag["status"], diag["error"]) == ("parse-error", "ParseError")
+    assert detail in diag["detail"]
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("canext", "-h")])
+def test_help_still_prints_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: proxlat") and captured.err == ""

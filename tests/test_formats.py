@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lattice_from_doc_by_warshall
-from proxlat import cli
+from proxlat import cli, fixtures, formats
 from proxlat.errors import NotALattice, ProxlatError
 from proxlat.fixtures import CORPUS
 from proxlat.formats import (
@@ -63,6 +64,66 @@ def test_morphism_doc_round_trip(corpus):
     back = morphism_from_doc(morphism_to_doc(t))
     assert back.T == t.T
     assert back.report.flags() == t.report.flags()
+
+
+def _b2_swap(target):
+    """The swap of p and q on B2, T = {(x, y) : y <= h(x)}, from the
+    fixture to `target`, which lists the same elements."""
+    doc = fixtures.document("B2")
+    source = {"lattice": doc["lattice"], "R": doc["R"]}
+    down = {"0": ["0"], "p": ["0", "q"], "q": ["0", "p"], "1": ["0", "p", "q", "1"]}
+    return {"kind": "morphism", "source": source, "target": target,
+            "T": [[x, y] for x, ys in down.items() for y in ys]}
+
+
+def test_an_endomorphism_document_builds_one_carrier(monkeypatch):
+    parsed = []
+
+    def counting(doc):
+        parsed.append(doc)
+        return real(doc)
+
+    real = formats.proximity_from_doc
+    monkeypatch.setattr(formats, "proximity_from_doc", counting)
+    doc = fixtures.document("B2")
+    same = {"lattice": copy.deepcopy(doc["lattice"]), "R": list(doc["R"])}
+    t = morphism_from_doc(_b2_swap(same))
+    assert len(parsed) == 1
+    assert t.target is t.source and t.is_j
+
+    # a target listing the elements in another order is another document:
+    # it is parsed on its own and keeps its own labels
+    parsed.clear()
+    reordered = dict(same, lattice=dict(same["lattice"],
+                                        elements=["1", "q", "p", "0"]))
+    u = morphism_from_doc(_b2_swap(reordered))
+    assert len(parsed) == 2
+    assert u.source.lattice.labels == ("0", "p", "q", "1")
+    assert u.target.lattice.labels == ("1", "q", "p", "0")
+    assert u.report == t.report
+
+    parsed.clear()
+    c3r = fixtures.document("C3R")
+    to_c3r = {"kind": "morphism", "source": same,
+              "target": {"lattice": c3r["lattice"], "R": c3r["R"]}, "T": []}
+    assert not morphism_from_doc(to_c3r).is_proximity
+    assert len(parsed) == 2
+
+
+def test_a_morphism_document_reads_the_source_first():
+    good = _b2_swap(None)["source"]
+    bad = {"lattice": {"elements": ["0"], "leq": 5}, "R": []}
+    for doc, detail in (
+            ({"source": good}, "malformed morphism document: 'target'"),
+            ({"source": bad}, "malformed lattice document: 'leq' is not an array"),
+            ({"source": bad, "target": bad},
+             "malformed lattice document: 'leq' is not an array"),
+            ({"target": good}, "malformed morphism document: 'source'"),
+            ({"source": good, "target": good},
+             "malformed morphism document: 'T'")):
+        with pytest.raises(ParseError) as raised:
+            morphism_from_doc(doc)
+        assert str(raised.value) == detail, doc
 
 
 def test_space_doc_round_trip():

@@ -2,8 +2,9 @@
 
 `golden_cli.json` maps "<fixture> <verb args>" to the exit code and the
 sha256 of stdout. `golden_wide_cli.json` does the same for carriers
-with 32 to 42 elements. Regenerate both only for an intended output
-change:
+with 32 to 42 elements, and `golden_morphism_cli.json` for morphism
+documents that are not identities. Regenerate them only for an intended
+output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -15,10 +16,8 @@ import json
 import tempfile
 from pathlib import Path
 
-import pytest
-
 from proxlat.cli import main
-from proxlat.fixtures import CORPUS
+from proxlat.fixtures import CORPUS, document
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 VERBS = (("check",), ("canext", "--kind", "pi"), ("canext", "--kind", "sigma"),
@@ -79,12 +78,16 @@ def test_calls_in_one_process_share_no_options(tmp_path):
     expect("C2 canext --kind pi", *call(["canext", "C2"]))
     assert not dot.exists()
 
+    # a bad command line exits 2 with one diagnostic and no output
     for bad in (["canext", "M3", "--kind", "tau"], ["nosuchverb", "M3"],
                 ["check"]):
-        with pytest.raises(SystemExit) as exc, \
-                contextlib.redirect_stderr(io.StringIO()):
-            main(bad)
-        assert exc.value.code == 2
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(bad)
+        assert (code, stdout.getvalue()) == (2, ""), bad
+        diag = json.loads(stderr.getvalue())
+        assert (diag["kind"], diag["status"], diag["error"]) == \
+            ("diagnostic", "parse-error", "ParseError"), bad
         expect("B2 spectrum", *call(["spectrum", "B2"]))
     expect("FULL2 dualize", *call(["dualize", "FULL2"]))
 
@@ -161,8 +164,68 @@ def test_wide_cli_outputs_match_golden(tmp_path):
     assert wide_outputs(tmp_path) == json.loads(WIDE_GOLDEN.read_text())
 
 
+# Morphisms T = {(x, y) : y <= h(x)} for a map h of the underlying
+# lattices, between fixtures, written out from h and the target's
+# down-sets. The fixture rows above hold no morphism document, and the
+# wide ones only identities.
+MORPHISM_VERBS = (("check",), ("extend",))
+MORPHISM_GOLDEN = Path(__file__).with_name("golden_morphism_cli.json")
+DOWN = {"C2": {"0": ["0"], "1": ["0", "1"]},
+        "C3": {"0": ["0"], "a": ["0", "a"], "1": ["0", "a", "1"]},
+        "B2": {"0": ["0"], "p": ["0", "p"], "q": ["0", "q"],
+               "1": ["0", "p", "q", "1"]}}
+
+
+def _part(name: str, elements=None) -> dict:
+    doc = document(name)
+    lattice = dict(doc["lattice"], elements=elements or doc["lattice"]["elements"])
+    return {"lattice": lattice, "R": doc["R"]}
+
+
+def _morphism_doc(source: dict, target: dict, h: dict, down: dict) -> dict:
+    return {"schema": "proxlat/1", "kind": "morphism", "source": source,
+            "target": target, "T": [[x, y] for x, hx in h.items() for y in down[hx]]}
+
+
+def morphism_documents() -> dict:
+    """B2 to C3R along the projection onto p (a proximity morphism), M3
+    to C2 sending all but 0 to 1 (monotone, not a homomorphism: no
+    proximity morphism), the swap of p and q on B2, and the same swap
+    with the target's elements listed in another order."""
+    swap = {"0": "0", "p": "q", "q": "p", "1": "1"}
+    return {
+        "B2-C3R": _morphism_doc(_part("B2"), _part("C3R"),
+                                {"0": "0", "p": "1", "q": "0", "1": "1"},
+                                DOWN["C3"]),
+        "M3-C2": _morphism_doc(_part("M3"), _part("C2"),
+                               {"0": "0", "a": "1", "b": "1", "c": "1", "1": "1"},
+                               DOWN["C2"]),
+        "B2-swap": _morphism_doc(_part("B2"), _part("B2"), swap, DOWN["B2"]),
+        "B2-swap-reordered": _morphism_doc(
+            _part("B2"), _part("B2", ["1", "q", "p", "0"]), swap, DOWN["B2"]),
+    }
+
+
+def morphism_outputs(directory: Path) -> dict:
+    out = {}
+    for name, doc in morphism_documents().items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for verb in MORPHISM_VERBS:
+            code, stdout = call([verb[0], str(path), *verb[1:]])
+            out[" ".join((name,) + verb)] = {"exit": code,
+                                             "sha256": sha256(stdout)}
+    return out
+
+
+def test_morphism_cli_outputs_match_golden(tmp_path):
+    assert morphism_outputs(tmp_path) == json.loads(MORPHISM_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(outputs(), indent=2, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         WIDE_GOLDEN.write_text(json.dumps(wide_outputs(Path(tmp)), indent=2,
                                           sort_keys=True) + "\n")
+        MORPHISM_GOLDEN.write_text(json.dumps(
+            morphism_outputs(Path(tmp)), indent=2, sort_keys=True) + "\n")

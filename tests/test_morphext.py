@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from proxlat import spectra
 from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import KindMismatch, NotAProximityMorphism
 from proxlat.lattice import LatticeMap, is_homomorphism, lattice_from_up, opposite
@@ -150,6 +151,36 @@ def test_compare_with_dual(distributive_corpus, pi_exts):
         for t in all_j_morphisms(a, b):
             m = extend_pi(t, pi_exts[na], pi_exts[nb])
             assert compare_with_dual(m, dual_map(t)), (na, nb)
+
+
+def test_duality_is_built_once_per_carrier(distributive_corpus, monkeypatch):
+    """Over every j-morphism between the distributive corpus carriers,
+    each carrier's spectrum and duality build run once; dual_map and
+    compare_with_dual read what the carriers keep."""
+    built = {"spectrum": [], "duality": []}
+
+    def counting(name, fn, at):
+        def run(*args, **kwargs):
+            built[name].append(args[at])
+            return fn(*args, **kwargs)
+        return run
+
+    # each runs once per build, with the carrier as argument `at`:
+    # prime_round_filters in spectrum, make_extension in canext_via_duality
+    monkeypatch.setattr(spectra, "prime_round_filters",
+                        counting("spectrum", spectra.prime_round_filters, 0))
+    monkeypatch.setattr(spectra, "make_extension",
+                        counting("duality", spectra.make_extension, 1))
+    carriers = [dataclasses.replace(p) for p in distributive_corpus.values()]
+    morphisms = 0
+    for a, b in itertools.product(carriers, repeat=2):
+        for t in all_j_morphisms(a, b):
+            m = extend_pi(t, pi_extension(a), pi_extension(b))
+            assert compare_with_dual(m, dual_map(t))
+            morphisms += 1
+    assert morphisms > len(carriers)
+    for name, seen in built.items():
+        assert sorted(map(id, seen)) == sorted(map(id, carriers)), name
 
 
 def test_extend_pi_rejects_bad_inputs(corpus, pi_exts):

@@ -1,16 +1,23 @@
 """Axiom checks, round subsets, and the round-ideal lattice."""
 
+import dataclasses
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxlat.bitset import bits, is_subset, transpose
+from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import (
     DimensionMismatch,
+    InternalCheckError,
     InvalidRoundSubset,
     NotAProximityLattice,
+    NotDistributive,
+    NotJoinStrong,
 )
 from proxlat.lattice import _order_isomorphism, lattice_from_up
 from proxlat.proximity import (
@@ -27,7 +34,12 @@ from proxlat.proximity import (
     round_subsets,
     verify_axioms,
 )
-from proxlat.spectra import all_posets, prime_filter_between
+from proxlat.spectra import (
+    all_posets,
+    canext_via_duality,
+    prime_filter_between,
+    spectrum,
+)
 from oracles import (
     round_subsets_slow,
     smallest_round_ideal_containing,
@@ -122,10 +134,79 @@ def test_carrier_memos_are_invisible_to_equality_and_hash(corpus):
     asked = ProximityLattice(p.lattice, p.R, p.report)
     asked.mu
     opposite_proximity(asked)
+    canext_via_duality(asked)  # keeps the spectrum and the pi build too
+    assert None not in (asked._pi, asked._spectrum, asked._duality)
     fresh = ProximityLattice(p.lattice, p.R, p.report)
     assert fresh._mu is None and fresh._opposite is None
+    assert fresh._pi is None and fresh._spectrum is None and fresh._duality is None
     assert asked == fresh and hash(asked) == hash(fresh)
+    assert repr(asked) == repr(fresh)
     assert opposite_proximity(asked) == opposite_proximity(fresh)
+
+
+def test_kept_builds_equal_fresh_builds(corpus):
+    for name, p in corpus.items():
+        kept = dataclasses.replace(p)
+        builds = (pi_extension, spectrum, canext_via_duality) \
+            if p.distributive else (pi_extension,)
+        for build in builds:
+            first = build(kept)
+            assert build(kept) is first, (name, build.__name__)
+            assert first == build(dataclasses.replace(p)), (name, build.__name__)
+        # sigma runs through the pi build kept on the kept opposite
+        op = opposite_proximity(kept)
+        assert sigma_extension(kept).op_pi is op._pi is pi_extension(op), name
+        if p.distributive:
+            result = canext_via_duality(kept)
+            assert result.pi_ext is kept._pi, name
+            assert result.spectrum is kept._spectrum, name
+
+
+def test_a_build_that_raises_keeps_nothing(corpus, monkeypatch):
+    # x R y iff x = 0 or y = 1 on B2: distributive, not join-strong
+    b2 = corpus["B2"].lattice
+    p = proximity_lattice(b2, Relation(4, 4, (15, 8, 8, 8)))
+    assert p.distributive and not p.join_strong
+    for _ in range(2):  # and the next call raises again
+        with pytest.raises(NotJoinStrong):
+            pi_extension(p)
+        # its saturated-set realization fails to verify before the pi
+        # build is asked for
+        with pytest.raises(InternalCheckError, match="saturated-set"):
+            canext_via_duality(p)
+    assert p._pi is None and p._duality is None
+    assert p._spectrum is spectrum(p)  # it returned inside the duality build
+
+    m3 = dataclasses.replace(corpus["M3"])
+    for _ in range(2):
+        with pytest.raises(NotDistributive):
+            spectrum(m3)
+        with pytest.raises(NotDistributive):
+            canext_via_duality(m3)
+    assert m3._spectrum is None and m3._duality is None
+
+    import proxlat.canext as canext
+    c3r = dataclasses.replace(corpus["C3R"])
+    with monkeypatch.context() as m:
+        m.setattr(canext, "is_homomorphism", lambda hom: False)
+        for _ in range(2):
+            with pytest.raises(InternalCheckError, match="not a homomorphism"):
+                pi_extension(c3r)
+            with pytest.raises(InternalCheckError, match="not a homomorphism"):
+                canext_via_duality(c3r)
+        assert c3r._pi is None and c3r._duality is None
+    assert canext_via_duality(c3r).pi_ext == pi_extension(corpus["C3R"])
+
+
+def test_a_dropped_carrier_is_collected(corpus):
+    p = dataclasses.replace(corpus["C3R"])
+    canext_via_duality(p)
+    sigma_extension(p)
+    assert None not in (p._pi, p._spectrum, p._duality, p._opposite._pi)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 def test_verify_axioms_keeps_the_columns_only_of_a_proximity_relation(corpus):

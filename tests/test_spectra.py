@@ -250,8 +250,10 @@ def test_canext_via_duality_verifies_each_extension_once(distributive_corpus,
     monkeypatch.setattr(spectra, "verify_extension", counting)
     chain16 = lattice_from_up([f"c{i}" for i in range(16)],
                               [0xFFFF & ~((1 << i) - 1) for i in range(16)])
-    carriers = dict(distributive_corpus,
-                    chain16=proximity_lattice(chain16, order_relation(chain16)))
+    # fresh carriers, which keep no duality build
+    carriers = {name: dataclasses.replace(p)
+                for name, p in distributive_corpus.items()}
+    carriers["chain16"] = proximity_lattice(chain16, order_relation(chain16))
     for name, p in carriers.items():
         verified.clear()
         result = canext_via_duality(p)
@@ -260,7 +262,7 @@ def test_canext_via_duality_verifies_each_extension_once(distributive_corpus,
 
 
 def test_canext_via_duality_refuses_an_unverified_pi_build(corpus, monkeypatch):
-    p = corpus["C3"]
+    p = dataclasses.replace(corpus["C3"])  # a fresh carrier keeps no build
     pi = pi_extension(p)
     bad = dataclasses.replace(pi, embed=tuple(reversed(pi.embed)))
     monkeypatch.setattr(spectra, "pi_extension", lambda q: bad)
