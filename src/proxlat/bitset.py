@@ -6,7 +6,8 @@ arithmetic on these masks.
 
 A list of masks is a bit matrix, and `transpose` reads it by columns.
 Up to side 8 (the larger of the row count and the width) and past side
-64 it loops over the set bits. From side 9 to 64 it packs the matrix,
+64 it loops over the set bits, those of a row below 256 read off the
+byte table without a call. From side 9 to 64 it packs the matrix,
 padded to side s = 16, 32 or 64, into one s*s-bit int, row r at bits
 r*s .. r*s+s-1, and transposes it in log2(s) delta swaps (Warren,
 Hacker's Delight, 2nd ed., section 7-3): swap j exchanges the bit at
@@ -101,7 +102,7 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     if side <= 8 or side > 64 or not n or min(rows) < 0 or max(rows) >> width:
         cols = [0] * width
         for a, row in enumerate(rows):
-            for b in bits(row):
+            for b in _SMALL[row] if 0 <= row < 256 else bits(row):
                 cols[b] |= 1 << a
         return tuple(cols)
     s = 16 if side <= 16 else 32 if side <= 32 else 64

@@ -9,7 +9,8 @@ table from up-set masks to elements (the lowest index wins where a
 preorder repeats a mask), and the meet likewise from down-sets. All
 values are immutable after construction and every function here is
 pure; a lattice keeps, once asked for them, its opposite, its
-distributivity verdict, its down-set table and the join sets
+distributivity verdict (read off its join-irreducibles, each of which
+must be join-prime), its down-set table and the join sets
 {u v v : u in U, v in V} that the binary approximability kernel asks
 for, keyed by the pair of masks (U, V). None of these shows in the
 constructor, the repr, equality or the hash.
@@ -235,38 +236,27 @@ def join_sets(lat: FiniteLattice) -> dict[int, int]:
 
 def is_distributive(lat: FiniteLattice) -> bool:
     """True iff meet distributes over join on the whole carrier; found
-    once per lattice by `_distributive_law` and kept on it."""
-    if lat._distributive is None:
-        object.__setattr__(lat, "_distributive", _distributive_law(lat))
-    return lat._distributive
+    once per lattice and kept on it.
 
-
-def _distributive_law(lat: FiniteLattice) -> bool:
-    """True iff meet distributes over join on the whole carrier.
-
-    Send x to the set of join-irreducibles below it. In a finite lattice
-    this map is injective (x is the join of that set) and carries meets
-    to intersections; the lattice is distributive iff it also carries
-    binary joins to unions. If it does, it embeds the lattice in a
-    powerset. If the lattice is distributive and j <= x v y for a
-    join-irreducible j, then j = (j ^ x) v (j ^ y), so j <= x or j <= y.
-    An element is join-irreducible iff the elements strictly below it
-    have a greatest one, that is, form a principal down-set.
+    A finite lattice is distributive iff every join-irreducible j is
+    join-prime, that is, j <= x v y only if j <= x or j <= y (Davey and
+    Priestley, Introduction to Lattices and Order, 2nd ed., 2002). The
+    elements not above j form a down-set, full & ~up[j], and j is
+    join-prime iff that set is closed under joins: nonempty, as j is not
+    bot, it is then the down-set of its join. An element is
+    join-irreducible iff the elements strictly below it form a principal
+    down-set. So both tests are lookups in the down-set index, O(n) in
+    all.
     """
-    n = lat.size
-    down, join = lat.down, lat.join
-    principal = set(down)
-    irreducible = 0
-    for x, d in enumerate(down):
-        if d & ~(1 << x) in principal:
-            irreducible |= 1 << x
-    below = [d & irreducible for d in down]
-    for x in range(n):
-        row, bx = join[x], below[x]
-        for y in range(x + 1, n):
-            if below[row[y]] != bx | below[y]:
-                return False
-    return True
+    if lat._distributive is None:
+        index, full, up = down_index(lat), lat.full, lat.up
+        distributive = True
+        for j, d in enumerate(lat.down):
+            if d & ~(1 << j) in index and full & ~up[j] not in index:
+                distributive = False
+                break
+        object.__setattr__(lat, "_distributive", distributive)
+    return lat._distributive
 
 
 def opposite(lat: FiniteLattice) -> FiniteLattice:

@@ -36,7 +36,15 @@ the increasing witness, which depends on the row order, is recomputed.
 Write R^-1[b] for the column {a : a R b}, mu(b) for its join and nu(a)
 for the meet of the row R[a]. verify_axioms reads both compatibility
 axioms and idempotence off mu and nu, and runs the loops over pairs
-only on a relation that fails, to name the least witness:
+only on a relation that fails, to name the least witness. Most
+relations fail an empty instance, bot R b or a R top, whose least
+witness is the lowest bit missing from rows[bot] or cols[top], so no
+pair loop runs for it. A relation that fails compatibility is decided
+in verify_axioms with one helper, the binary kernel
+_first_binary_failure, called once per side with the join or meet
+table and the join sets kept on the lattice or its opposite; R;R and
+the order flags are read inline. Such a relation keeps nothing; a
+proximity relation keeps its columns as its converse.
 
 * R is join-compatible iff every column is a principal down-set. The
   empty instance puts bot in each column, the binary ones with a <= a2
@@ -121,6 +129,7 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 from .bitset import (
+    _SMALL,
     bits,
     compose_rows,
     transpose,
@@ -144,7 +153,7 @@ from .lattice import (
     join_sets,
     opposite,
 )
-from .relations import Relation, compose, order_relation
+from .relations import Relation, _from_valid_rows, compose, order_relation
 
 if TYPE_CHECKING:
     from .canext import CanonicalExtension
@@ -209,23 +218,44 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     flags are the binary instances by definition. Strongness is
     approximability of R^-1 from (L, R) to itself. Compatibility and
     idempotence are read off mu and nu (module docstring).
+
+    Most relations fail an empty instance, bot R b or a R top, and the
+    witness is read off rows[bot] or cols[top] before any loop. A
+    relation that fails compatibility is decided here, with the binary
+    strongness instances read by _first_binary_failure, and keeps
+    nothing. A proximity relation keeps its columns as its converse.
+    The report's nine fields are stored as one __dict__, not by the
+    nine stores of the frozen dataclass's __init__.
     """
-    if rel.source_size != lat.size or rel.target_size != lat.size:
+    n = lat.size
+    if rel.source_size != n or rel.target_size != n:
         raise DimensionMismatch("relation carrier does not match the lattice")
     rows = rel.rows
-    cols = transpose(rows, lat.size)
+    cols = transpose(rows, n)
+    full, bot, top = lat.full, lat.bot, lat.top
     lat_op = opposite(lat)
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
-    # mu and nu exist iff R is compatible; most relations fail bot R b
-    mu = _tops(lat, cols) if rows[lat.bot] == lat.full else None
-    nu = None if mu is None else _tops(lat_op, rows)
+    # mu and nu exist iff R is compatible on that side; most relations
+    # fail an empty instance, and its witness needs no loop
+    mu = nu = jc_wit = mc_wit = None
+    missing = full & ~rows[bot]
+    if missing:
+        jc_wit = (bot, (missing & -missing).bit_length() - 1)
+    else:
+        mu = _tops(lat, cols)
+    missing = full & ~cols[top]
+    if missing:
+        mc_wit = ((missing & -missing).bit_length() - 1, top)
+    else:
+        nu = _tops(lat_op, rows)
+    compatible = mu is not None and nu is not None
+    witnesses = []
     idempotent = True
-    # R;R = R iff mu o mu = mu, that is, every value of mu is fixed;
-    # otherwise R;R is compared with R row by row for the witness
-    if nu is None or any(mu[m] != m for m in mu):
+    # R;R = R iff mu o mu = mu; otherwise R;R is compared with R row by
+    # row for the witness
+    if not compatible or tuple(map(mu.__getitem__, mu)) != mu:
         for a, row in enumerate(rows):
             twice = 0
-            for b in bits(row):
+            for b in _SMALL[row] if row < 256 else bits(row):
                 twice |= rows[b]
             if twice != row:
                 idempotent = False
@@ -233,47 +263,67 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
                 witnesses.append(("idempotent",
                                   (a, (delta & -delta).bit_length() - 1)))
                 break
-    if nu is not None:
-        jc = mc = (True, None)
-        js = _join_approx_mu(lat, lat, rows, cols, cols, mu, idempotent)
-        ms = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu, idempotent)
+    if compatible:
+        js_wit = _join_approx_mu(lat, lat, rows, cols, cols, mu, idempotent)[1]
+        ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu,
+                                 idempotent)[1]
     else:
-        jc = (True, None) if mu is not None else _join_compatible(lat, rows)
-        mc = _join_compatible(lat_op, cols)
-        js = _join_approx_binary(lat, lat, rows, cols, cols)
-        ms = _join_approx_binary(lat_op, lat_op, cols, rows, rows)
-    (join_compatible, jc_wit), (meet_compatible, mc_wit) = jc, mc
-    (join_strong, js_wit), (meet_strong, ms_wit) = js, ms
-    for name, wit in (("join_compatible", jc_wit),
-                      ("meet_compatible", mc_wit and mc_wit[-1:] + mc_wit[:-1]),
-                      ("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
-                      ("meet_strong", ms_wit)):
-        if wit is not None:
-            witnesses.append((name, wit))
+        if jc_wit is None and mu is None:
+            jc_wit = _join_compatible(lat, rows)[1]
+        if mc_wit is None and nu is None:
+            wit = _join_compatible(lat_op, cols)[1]
+            mc_wit = wit and wit[-1:] + wit[:-1]
+        # the empty strongness instance, R^-1[bot] inside itself, holds
+        js_wit = _first_binary_failure(lat.join, lat.join, join_sets(lat), n,
+                                       cols, rows)
+        ms_wit = _first_binary_failure(lat.meet, lat.meet, join_sets(lat_op),
+                                       n, rows, cols)
+    if jc_wit is not None:
+        witnesses.append(("join_compatible", jc_wit))
+    if mc_wit is not None:
+        witnesses.append(("meet_compatible", mc_wit))
+    if js_wit is not None:
+        witnesses.append(("join_strong", js_wit[-1:] + js_wit[:-1]))
+    if ms_wit is not None:
+        witnesses.append(("meet_strong", ms_wit))
 
-    if idempotent and nu is not None and rel._converse is None:
+    if compatible and idempotent and rel._converse is None:
         # a proximity relation keeps its columns as R^-1; one that fails
         # keeps nothing, so a one-shot candidate builds no Relation more
-        object.__setattr__(rel, "_converse", Relation(lat.size, lat.size, cols))
-    increasing, reflexive = _order_flags(lat, rows, witnesses)
-    return AxiomReport(
-        idempotent=idempotent,
-        join_compatible=join_compatible,
-        meet_compatible=meet_compatible,
-        join_strong=join_strong,
-        meet_strong=meet_strong,
-        increasing=increasing,
-        reflexive=reflexive,
-        distributive=is_distributive(lat),
-        witnesses=tuple(witnesses),
-    )
+        object.__setattr__(rel, "_converse", _from_valid_rows(n, n, cols))
+    increasing = reflexive = True
+    up = lat.up
+    for a, row in enumerate(rows):
+        stray = row & ~up[a]
+        if stray:
+            increasing = False
+            witnesses.append(("increasing",
+                              (a, (stray & -stray).bit_length() - 1)))
+            break
+    for a, row in enumerate(rows):
+        if not row >> a & 1:
+            reflexive = False
+            witnesses.append(("reflexive", (a,)))
+            break
+    report = object.__new__(AxiomReport)
+    object.__setattr__(report, "__dict__", {
+        "idempotent": idempotent,
+        "join_compatible": jc_wit is None,
+        "meet_compatible": mc_wit is None,
+        "join_strong": js_wit is None,
+        "meet_strong": ms_wit is None,
+        "increasing": increasing,
+        "reflexive": reflexive,
+        "distributive": is_distributive(lat),
+        "witnesses": tuple(witnesses),
+    })
+    return report
 
 
 def _tops(lat: FiniteLattice, masks) -> Optional[tuple[int, ...]]:
     """The c with down c = m for each m in `masks`, or None if any is not."""
-    top_of = down_index(lat)
-    tops = [top_of.get(m) for m in masks]
-    return None if None in tops else tuple(tops)
+    tops = tuple(map(down_index(lat).get, masks))
+    return None if None in tops else tops
 
 
 def _join_compatible(lat, rows):
@@ -619,58 +669,54 @@ def _is_lattice_ideal(lat: FiniteLattice, mask: int) -> bool:
 
 def _join_approx_binary(sl, tl, tgt_rows, tgt_cols, rows):
     """(b1 v b2) T m demands u in T[b1], v in T[b2] with m S (u v v);
-    the empty instance demands m S bot for every m in T[bot].
-
-    With J the join set {u v v : u in T[b1], v in T[b2]}, the instance
-    at (b1, b2) asks that every m in T[b1 v b2] relate to some x in J,
-    that is, lie in reach = the union of the columns S^-1[x], x in J. So
-    it fails exactly for the m in the stray mask T[b1 v b2] & ~reach,
-    and its lowest bit is the least failing m, the witness the loop
-    over the targets in increasing order found. The empty instance
-    fails for the m in T[bot] & ~S^-1[bot].
-
-    J depends only on tl and the two rows, so it is kept on tl by
-    join_sets, keyed by T[b1] << n | T[b2]; reach is kept per call,
-    keyed by J. The members of the rows are listed at most once per
-    call, on the first miss. Every approximability kernel takes the rows
-    and the columns of S and the rows of T; this one has no use for the
-    rows of S.
-    """
+    the empty instance demands m S bot for every m in T[bot], so it
+    fails for the m in T[bot] & ~S^-1[bot]. The binary instances are
+    read by _first_binary_failure. Every approximability kernel takes
+    the rows and the columns of S and the rows of T."""
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return False, ((stray & -stray).bit_length() - 1,)
-    memo = join_sets(tl)
-    members = None
-    reach_of = {}
-    tjoin, n = tl.join, tl.size
-    for b1, row in enumerate(sl.join):
-        high = rows[b1] << n
-        for b2 in range(b1, sl.size):
+    wit = _first_binary_failure(sl.join, tl.join, join_sets(tl), tl.size,
+                                rows, tgt_rows)
+    return wit is None, wit
+
+
+def _first_binary_failure(sjoin, tjoin, memo, n, rows, tgt_rows):
+    """The first binary instance (b1, b2, m) of join-approximability
+    that fails, b1 <= b2 in index order and m least, or None. sjoin and
+    tjoin are the join tables of the source and the target, memo the
+    target's join_sets and n its size; rows are the rows of T and
+    tgt_rows those of S.
+
+    With J the join set {u v v : u in T[b1], v in T[b2]}, the instance
+    at (b1, b2) fails for the m in T[b1 v b2] whose row S[m] misses J.
+    J depends only on the target and the two rows, so it is read from
+    memo, keyed by T[b1] << n | T[b2], and made and kept on a miss.
+    """
+    # the members of a row, by its mask: off the byte table up to n = 8,
+    # else listed once per call
+    members = _SMALL if n <= 8 else {r: tuple(bits(r)) for r in rows}
+    for b1, row in enumerate(sjoin):
+        us = rows[b1]
+        high = us << n
+        for b2 in range(b1, len(sjoin)):
             targets = rows[row[b2]]
             if not targets:
                 continue
-            key = high | rows[b2]
-            joined = memo.get(key)
+            vs = rows[b2]
+            joined = memo.get(high | vs)
             if joined is None:
-                if members is None:
-                    members = [tuple(bits(r)) for r in rows]
                 joined = 0
-                vs = members[b2]
-                for u in members[b1]:
+                vlist = members[vs]
+                for u in members[us]:
                     ujoin = tjoin[u]
-                    for v in vs:
+                    for v in vlist:
                         joined |= 1 << ujoin[v]
-                memo[key] = joined
-            reach = reach_of.get(joined)
-            if reach is None:
-                reach = 0
-                for x in bits(joined):
-                    reach |= tgt_cols[x]
-                reach_of[joined] = reach
-            stray = targets & ~reach
-            if stray:
-                return False, (b1, b2, (stray & -stray).bit_length() - 1)
-    return True, None
+                memo[high | vs] = joined
+            for m in members[targets]:
+                if not tgt_rows[m] & joined:
+                    return (b1, b2, m)
+    return None
 
 
 def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau=None,
@@ -681,7 +727,7 @@ def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau=None,
     unless given; `incomparable` skips the comparable pairs, which pass
     when tau is an idempotent mu (module docstring)."""
     if tau is None:
-        tau = [tl.join_mask(row) for row in rows]
+        tau = list(map(tl.join_mask, rows))
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return False, ((stray & -stray).bit_length() - 1,)

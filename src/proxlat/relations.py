@@ -39,7 +39,7 @@ class Relation:
         relation and kept on it; the converse keeps no link back, so the
         two form no reference cycle."""
         if self._converse is None:
-            object.__setattr__(self, "_converse", Relation(
+            object.__setattr__(self, "_converse", _from_valid_rows(
                 self.target_size, self.source_size,
                 transpose(self.rows, self.target_size)))
         return self._converse
@@ -61,6 +61,17 @@ class Relation:
 
     def is_empty(self) -> bool:
         return all(r == 0 for r in self.rows)
+
+
+def _from_valid_rows(source_size: int, target_size: int, rows) -> Relation:
+    """A Relation on rows known to fit the carriers, such as the columns
+    that bitset.transpose returns: its fields are stored as one
+    __dict__, without the checks of __post_init__."""
+    rel = object.__new__(Relation)
+    object.__setattr__(rel, "__dict__", {
+        "source_size": source_size, "target_size": target_size,
+        "rows": rows, "_converse": None})
+    return rel
 
 
 def relation_from_pairs(source_size: int, target_size: int, pairs) -> Relation:

@@ -29,6 +29,7 @@ from .errors import (
     InvalidRoundSubset,
     NotAJMorphism,
     NotDistributive,
+    NotJoinStrong,
     NotT0,
     ProxlatError,
 )
@@ -380,7 +381,10 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     d goes to its basic open U_d; the result verifies as a pi extension
     and is uniquely isomorphic to the polarity construction, with
     commuting embeddings. Failures raise InternalCheckError since both
-    facts are theorems for distributive join-strong carriers.
+    facts are theorems for distributive join-strong carriers; a carrier
+    that is not distributive raises NotDistributive from the spectrum,
+    and one that is not join-strong NotJoinStrong once the spectrum
+    is built, before the saturated-set extension is.
 
     Built on the kept spectrum and pi extension of p, once per carrier,
     and kept on it, so compare_with_dual reads the kept result; a build
@@ -390,6 +394,10 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     if p._duality is not None:
         return p._duality
     spec_res = spectrum(p)
+    # checked here: the pi build below checks it too, but only after the
+    # saturated-set extension has failed to verify as a pi extension
+    if not p.join_strong:
+        raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
     sats = saturated_sets(spec_res.space)
     sat_lat = saturated_lattice(spec_res.space)
     position = {m: i for i, m in enumerate(sats)}

@@ -195,6 +195,32 @@ def lattice_laws_hold(lat: FiniteLattice) -> bool:
     return True
 
 
+def distributive_by_pairs(lat: FiniteLattice) -> bool:
+    """lattice.is_distributive by a loop over pairs, as it was before it
+    asked each join-irreducible to be join-prime.
+
+    Send x to the set of join-irreducibles below it. In a finite lattice
+    this map is injective (x is the join of that set) and carries meets
+    to intersections; the lattice is distributive iff it also carries
+    binary joins to unions. An element is join-irreducible iff the
+    elements strictly below it form a principal down-set.
+    """
+    n = lat.size
+    down, join = lat.down, lat.join
+    principal = set(down)
+    irreducible = 0
+    for x, d in enumerate(down):
+        if d & ~(1 << x) in principal:
+            irreducible |= 1 << x
+    below = [d & irreducible for d in down]
+    for x in range(n):
+        row, bx = join[x], below[x]
+        for y in range(x + 1, n):
+            if below[row[y]] != bx | below[y]:
+                return False
+    return True
+
+
 def is_prime_filter_by_pairs(lat: FiniteLattice, mask: int) -> bool:
     """Membership of a finite join forces membership of a member; the
     empty join rules out bottom. Binary plus empty imply all finite
@@ -264,8 +290,8 @@ def join_strong_exhaustive(lat: FiniteLattice, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# The binary approximability kernel as a loop over the targets, before
-# each instance was read as one mask test over kept join sets
+# The binary approximability kernel as a loop over the targets that
+# builds every join set afresh, before the lattice kept them
 # ---------------------------------------------------------------------------
 
 def join_approx_binary_by_loops(sl, tl, tgt_rows, tgt_cols, rows):

@@ -97,6 +97,26 @@ def test_roundtrip_corrupted_relation(tmp_path, capsys):
     assert diag["witnesses"]["idempotent"] == ["p", "p"]
 
 
+@pytest.mark.parametrize("verb", ["canext", "roundtrip"])
+def test_a_carrier_that_is_not_join_strong(tmp_path, capsys, verb):
+    # x R y iff x = 0 or y = 1 on B2: distributive, not join-strong
+    doc = {
+        "schema": "proxlat/1",
+        "kind": "proximity",
+        "lattice": {"elements": ["0", "p", "q", "1"],
+                    "leq": [["0", "p"], ["0", "q"], ["p", "1"], ["q", "1"]]},
+        "R": [["0", "0"], ["0", "p"], ["0", "q"], ["0", "1"],
+              ["p", "1"], ["q", "1"], ["1", "1"]],
+    }
+    path = tmp_path / "not-join-strong.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, verb, str(path))
+    assert (code, out) == (1, "")
+    diag = json.loads(err)
+    assert (diag["status"], diag["error"]) == ("property-failure",
+                                               "NotJoinStrong")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("not json")

@@ -163,31 +163,58 @@ def _memo_faults(trees: dict[str, ast.Module]) -> list[str]:
     MEMO_SLOT, and each object.__setattr__(x, "_name", ...) that names
     no such slot. A memo slot must stay out of the constructor, the
     repr, equality and the hash, so that a filled memo changes nothing
-    a caller can see."""
+    a caller can see.
+
+    object.__setattr__(x, "__dict__", {...}) builds an instance in one
+    store. It passes only with a dict display that names exactly the
+    fields of one dataclass, each memo slot among them as None, so that
+    it fills no memo either."""
     slots, faults = set(), []
+    # per dataclass: its field names, and the memo slots among them
+    shapes: list[tuple[set[str], set[str]]] = []
     for module, tree in trees.items():
         for cls in ast.walk(tree):
             if not (isinstance(cls, ast.ClassDef) and any(
                     ast.unparse(getattr(d, "func", d)) == "dataclass"
                     for d in cls.decorator_list)):
                 continue
+            names, memos = set(), set()
             for stmt in cls.body:
-                if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)
-                        and stmt.target.id.startswith("_")):
+                if not (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    continue
+                names.add(stmt.target.id)
+                if stmt.target.id.startswith("_"):
                     if stmt.value and ast.unparse(stmt.value) == MEMO_SLOT:
-                        slots.add(stmt.target.id)
+                        memos.add(stmt.target.id)
                     else:
                         faults.append(f"{module}.{cls.name}.{stmt.target.id}")
+            slots |= memos
+            shapes.append((names, memos))
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
                     and ast.unparse(node.func) == "object.__setattr__"):
                 name = node.args[1]
-                if not (isinstance(name, ast.Constant) and name.value in slots):
-                    faults.append(f"{module}:{node.lineno} sets "
-                                  f"{ast.unparse(name)}")
+                if isinstance(name, ast.Constant) and (
+                        name.value in slots or name.value == "__dict__"
+                        and _whole_instance(node.args[2], shapes)):
+                    continue
+                faults.append(f"{module}:{node.lineno} sets "
+                              f"{ast.unparse(name)}")
     return faults
+
+
+def _whole_instance(value: ast.expr, shapes) -> bool:
+    """A dict display naming exactly the fields of one of `shapes`,
+    each of its memo slots as None."""
+    if not (isinstance(value, ast.Dict) and all(
+            isinstance(k, ast.Constant) for k in value.keys)):
+        return False
+    given = {k.value: v for k, v in zip(value.keys, value.values)}
+    return any(set(given) == names and all(
+        isinstance(given[m], ast.Constant) and given[m].value is None
+        for m in memos) for names, memos in shapes)
 
 
 def test_memo_slots_are_invisible():
@@ -211,6 +238,24 @@ def test_the_check_sees_a_visible_memo_slot():
         "    object.__setattr__(a, 'x', 1)\n")
     assert _memo_faults({"a": tree}) == [
         "a.A._seen", "a.A._bare", "a:10 sets '_seen'", "a:11 sets 'x'"]
+
+
+def test_the_check_sees_a_partial_dict_store():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        f"    _kept: Optional[int] = {MEMO_SLOT}\n"
+        "def build(a, d):\n"
+        "    object.__setattr__(a, '__dict__', {'x': 1, '_kept': None})\n"
+        "    object.__setattr__(a, '__dict__', {'x': 1})\n"
+        "    object.__setattr__(a, '__dict__', {'x': 1, '_kept': 2})\n"
+        "    object.__setattr__(a, '__dict__', {'x': 1, '_kept': None,"
+        " 'y': 2})\n"
+        "    object.__setattr__(a, '__dict__', d)\n")
+    assert _memo_faults({"a": tree}) == [
+        "a:7 sets '__dict__'", "a:8 sets '__dict__'", "a:9 sets '__dict__'",
+        "a:10 sets '__dict__'"]
 
 
 def _indented_json_calls(module: str, tree: ast.Module) -> list[str]:

@@ -1,5 +1,6 @@
 """Lattice construction, order primitives, and the MacNeille completion."""
 
+import collections
 import itertools
 import random
 
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_family, intersection_polarity, lattice_laws_hold
+from oracles import (
+    closed_family,
+    distributive_by_pairs,
+    intersection_polarity,
+    lattice_laws_hold,
+)
 from proxlat.bitset import bits, transpose
 from proxlat.canext import concept_lattice, pi_extension, sigma_extension
 from proxlat.errors import NotALattice, NotAPartialOrder
@@ -217,6 +223,40 @@ def test_distributivity_against_the_law():
         assert lat._distributive is verdicts[-1]
         assert is_distributive(lat) is verdicts[-1]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def labelled_lattices(most):
+    """Every lattice on the labels 0..n-1, n <= most: one element, or a
+    choice of bottom and top with a poset from all_posets on the other
+    labels, kept when it is a lattice. Filtering all_posets(n) itself
+    would give the same lattices, but takes tens of seconds at n = 6."""
+    yield lattice_from_up(["0"], [1])
+    for n in range(2, most + 1):
+        labels = [str(i) for i in range(n)]
+        for bot, top in itertools.permutations(range(n), 2):
+            rest = [x for x in range(n) if x not in (bot, top)]
+            for up in all_posets(n - 2):
+                ups = [0] * n
+                ups[bot], ups[top] = (1 << n) - 1, 1 << top
+                for i, x in enumerate(rest):
+                    ups[x] = 1 << top | sum(1 << rest[j] for j in bits(up[i]))
+                try:
+                    yield lattice_from_up(labels, ups)
+                except NotALattice:
+                    pass
+
+
+def test_distributivity_on_every_small_lattice():
+    """Every join-irreducible join-prime, against the loop over pairs
+    and the law over triples, on every labelled lattice with at most
+    6 elements."""
+    verdicts = collections.Counter()
+    for lat in labelled_lattices(6):
+        found = is_distributive(lat)
+        assert found == distributive_by_pairs(lat), (lat.size, lat.up)
+        assert found == distributive_by_the_law(lat), (lat.size, lat.up)
+        verdicts[found] += 1
+    assert (sum(verdicts.values()), verdicts[True]) == (6815, 2805)
 
 
 def test_down_index_is_kept_and_invisible(corpus):
