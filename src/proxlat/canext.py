@@ -16,7 +16,9 @@ and sends a to member[mu(a)] = member[a]. The sigma extension is the
 same construction on the opposite carrier, read upside down, so its
 round-subset images are those of its pi build with filters and ideals
 swapped. The two extensions agree, via an isomorphism commuting with
-the embeddings, exactly when the proximity relation is reflexive.
+the embeddings, exactly when the proximity relation is reflexive. The
+pi build is kept on its carrier (lattice.kept), so the sigma build of
+the opposite and spectra.canext_via_duality reuse it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .lattice import (
     _set_label,
     down_index,
     is_homomorphism,
+    kept,
     opposite,
 )
 from .proximity import (
@@ -248,6 +251,7 @@ def make_extension(kind: str, source: ProximityLattice, c: FiniteLattice,
                               ideals=ideals, f=f, g=g, extents=extents)
 
 
+@kept
 def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     """The pi-canonical extension of a join-strong proximity lattice:
     the closed sets are the polars member[q] = {F : q in F} of the
@@ -259,8 +263,6 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     object. A build that raises keeps nothing. The kept extension names
     p as its source: the two form a reference cycle, which gc collects.
     """
-    if p._pi is not None:
-        return p._pi
     if not p.join_strong:
         raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
     filters = round_filter_masks(p)
@@ -293,7 +295,6 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     top_of = down_index(p.lattice)
     if ext.g != tuple(position[member[top_of[im]]] for im in ext.ideals):
         raise InternalCheckError("ideal images disagree with generators")
-    object.__setattr__(p, "_pi", ext)
     return ext
 
 

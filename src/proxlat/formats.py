@@ -36,6 +36,7 @@ from .spectra import FiniteSpace, SpectrumResult, finite_space, specialization
 
 SCHEMA = "proxlat/1"
 MAX_ELEMENTS = 64  # the "few dozen elements" the library is built for
+MAX_OPENS = 4096  # the opens of the discrete 12-point space
 
 
 class ParseError(ProxlatError):
@@ -271,8 +272,15 @@ def space_to_doc(space: FiniteSpace) -> dict:
 
 
 def space_from_doc(doc: dict) -> FiniteSpace:
+    """The space of a document. Checking a topology takes every pair of
+    opens, so more than MAX_ELEMENTS points or MAX_OPENS listed opens
+    are refused before anything is built."""
     labels = _array(doc, "points", "space")
+    if len(labels) > MAX_ELEMENTS:
+        raise TooLarge(f"{len(labels)} points, more than {MAX_ELEMENTS}")
     raw_opens = _array(doc, "opens", "space")
+    if len(raw_opens) > MAX_OPENS:
+        raise TooLarge(f"{len(raw_opens)} opens, more than {MAX_OPENS}")
     index = _name_index(labels, "point")
     opens = []
     for u in raw_opens:

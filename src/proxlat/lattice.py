@@ -12,17 +12,55 @@ pure; a lattice keeps, once asked for them, its opposite, its
 distributivity verdict (read off its join-irreducibles, each of which
 must be join-prime), its down-set table and the join sets
 {u v v : u in U, v in V} that the binary approximability kernel asks
-for, keyed by the pair of masks (U, V). None of these shows in the
-constructor, the repr, equality or the hash.
+for, keyed by the pair of masks (U, V). Every memo of the library is a
+one-argument build decorated with `kept`, which stores its value on
+the argument under a name that is no field; `keep` stores a value a
+caller already has. None of it shows in the repr, equality or the hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import functools
+import sys
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from .bitset import bits, is_subset, transpose
 from .errors import NotALattice, NotAPartialOrder
+
+
+def _key(build: Callable) -> str:
+    """The attribute holding what `build` keeps, `_kept_` and its
+    qualified name (`_kept_Relation.converse`): no field starts with
+    `_` and no method with `_kept_`, so it shadows neither."""
+    return sys.intern("_kept_" + build.__qualname__)
+
+
+def kept(build: Callable) -> Callable:
+    """Keep the value of build(x) on x, a frozen dataclass instance:
+    stored with object.__setattr__ under _key(build) once the build
+    returns, and read back with getattr on every later call, None
+    meaning "not kept" (no build returns None). A build that raises
+    keeps nothing. The key is no field, so the constructor, the repr,
+    equality and the hash never see what is kept."""
+    key = _key(build)
+
+    @functools.wraps(build)
+    def read_or_build(x):
+        value = getattr(x, key, None)
+        if value is None:
+            value = build(x)
+            object.__setattr__(x, key, value)
+        return value
+    return read_or_build
+
+
+def keep(x, build: Callable, value) -> None:
+    """Keep `value` on x as the value of the kept `build`, for a caller
+    that already has it, unless x keeps one; None keeps nothing."""
+    key = _key(build)
+    if getattr(x, key, None) is None:
+        object.__setattr__(x, key, value)
 
 
 @dataclass(frozen=True)
@@ -35,16 +73,6 @@ class FiniteLattice:
     bot: int
     top: int
     labels: tuple[str, ...]
-    # memo slots, filled by opposite(), is_distributive(), down_index()
-    # and join_sets()
-    _opposite: Optional["FiniteLattice"] = field(
-        default=None, init=False, repr=False, compare=False)
-    _distributive: Optional[bool] = field(
-        default=None, init=False, repr=False, compare=False)
-    _down_index: Optional[dict[int, int]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _join_sets: Optional[dict[int, int]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def full(self) -> int:
@@ -211,29 +239,28 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
         top=down_of[full],
         labels=tuple(labels),
     )
-    object.__setattr__(lat, "_down_index", down_of)
+    keep(lat, down_index, down_of)
     return lat
 
 
+@kept
 def down_index(lat: FiniteLattice) -> dict[int, int]:
     """{down[a]: a}, the lowest index winning where a preorder repeats a
     mask: the table lattice_from_up keeps, or built once on a lattice
     made otherwise (an opposite). Read it, do not change it."""
-    if lat._down_index is None:  # filled from the top, so low indices win
-        object.__setattr__(lat, "_down_index", dict(
-            zip(reversed(lat.down), range(lat.size - 1, -1, -1))))
-    return lat._down_index
+    # filled from the top, so low indices win
+    return dict(zip(reversed(lat.down), range(lat.size - 1, -1, -1)))
 
 
+@kept
 def join_sets(lat: FiniteLattice) -> dict[int, int]:
     """{U << n | V: the mask of {u v v : u in U, v in V}}, filled by the
     caller on a miss and kept on the lattice; a lattice that never asks
-    keeps None. It holds only ints, so it forms no reference cycle."""
-    if lat._join_sets is None:
-        object.__setattr__(lat, "_join_sets", {})
-    return lat._join_sets
+    keeps nothing. It holds only ints, so it forms no reference cycle."""
+    return {}
 
 
+@kept
 def is_distributive(lat: FiniteLattice) -> bool:
     """True iff meet distributes over join on the whole carrier; found
     once per lattice and kept on it.
@@ -248,26 +275,21 @@ def is_distributive(lat: FiniteLattice) -> bool:
     down-set. So both tests are lookups in the down-set index, O(n) in
     all.
     """
-    if lat._distributive is None:
-        index, full, up = down_index(lat), lat.full, lat.up
-        distributive = True
-        for j, d in enumerate(lat.down):
-            if d & ~(1 << j) in index and full & ~up[j] not in index:
-                distributive = False
-                break
-        object.__setattr__(lat, "_distributive", distributive)
-    return lat._distributive
+    index, full, up = down_index(lat), lat.full, lat.up
+    for j, d in enumerate(lat.down):
+        if d & ~(1 << j) in index and full & ~up[j] not in index:
+            return False
+    return True
 
 
+@kept
 def opposite(lat: FiniteLattice) -> FiniteLattice:
     """Same carrier with the order reversed; an involution. Built once
     per lattice and kept on it; the opposite keeps no link back, so the
     two form no reference cycle."""
-    if lat._opposite is None:
-        object.__setattr__(lat, "_opposite", FiniteLattice(
-            size=lat.size, up=lat.down, down=lat.up, meet=lat.join,
-            join=lat.meet, bot=lat.top, top=lat.bot, labels=lat.labels))
-    return lat._opposite
+    return FiniteLattice(
+        size=lat.size, up=lat.down, down=lat.up, meet=lat.join,
+        join=lat.meet, bot=lat.top, top=lat.bot, labels=lat.labels)
 
 
 def _unpreserved_join(src: FiniteLattice, tgt: FiniteLattice,

@@ -44,7 +44,9 @@ in verify_axioms with one helper, the binary kernel
 _first_binary_failure, called once per side with the join or meet
 table and the join sets kept on the lattice or its opposite; R;R and
 the order flags are read inline. Such a relation keeps nothing; a
-proximity relation keeps its columns as its converse.
+proximity relation keeps its columns as its converse. A carrier keeps
+its mu, opposite and round ideals, and the pi, spectrum and duality
+builds of canext and spectra, each a build decorated with lattice.kept.
 
 * R is join-compatible iff every column is a principal down-set. The
   empty instance puts bot in each column, the binary ones with a <= a2
@@ -125,8 +127,8 @@ The rest follows from the rows being up-sets and mu being monotone:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, fields
+from typing import Optional
 
 from .bitset import (
     _SMALL,
@@ -151,13 +153,11 @@ from .lattice import (
     is_distributive,
     is_homomorphism,
     join_sets,
+    keep,
+    kept,
     opposite,
 )
 from .relations import Relation, _from_valid_rows, compose, order_relation
-
-if TYPE_CHECKING:
-    from .canext import CanonicalExtension
-    from .spectra import DualityResult, SpectrumResult
 
 
 @dataclass(frozen=True)
@@ -287,10 +287,10 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     if ms_wit is not None:
         witnesses.append(("meet_strong", ms_wit))
 
-    if compatible and idempotent and rel._converse is None:
+    if compatible and idempotent:
         # a proximity relation keeps its columns as R^-1; one that fails
         # keeps nothing, so a one-shot candidate builds no Relation more
-        object.__setattr__(rel, "_converse", _from_valid_rows(n, n, cols))
+        keep(rel, Relation.converse, _from_valid_rows(n, n, cols))
     increasing = reflexive = True
     up = lat.up
     for a, row in enumerate(rows):
@@ -344,25 +344,6 @@ def _join_compatible(lat, rows):
     return True, None
 
 
-def _order_flags(lat, rows, witnesses):
-    """increasing (R inside <=) and reflexive; appends their witnesses."""
-    increasing = True
-    for a in range(lat.size):
-        stray = rows[a] & ~lat.up[a]
-        if stray:
-            increasing = False
-            witnesses.append(("increasing", (a, (stray & -stray).bit_length() - 1)))
-            break
-
-    reflexive = True
-    for a in range(lat.size):
-        if not rows[a] >> a & 1:
-            reflexive = False
-            witnesses.append(("reflexive", (a,)))
-            break
-    return increasing, reflexive
-
-
 # ---------------------------------------------------------------------------
 # Proximity lattices and round subsets
 # ---------------------------------------------------------------------------
@@ -372,39 +353,23 @@ class ProximityLattice:
     lattice: FiniteLattice
     R: Relation
     report: AxiomReport
-    # memo slots, filled by mu, opposite_proximity, round_ideal_masks,
-    # canext.pi_extension, spectra.spectrum and spectra.canext_via_duality,
-    # each only once its build returns. The last three name this carrier
-    # as their source, so they form reference cycles, which gc collects.
-    _mu: Optional[tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _opposite: Optional["ProximityLattice"] = field(
-        default=None, init=False, repr=False, compare=False)
-    _round_ideals: Optional[tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _pi: Optional[CanonicalExtension] = field(
-        default=None, init=False, repr=False, compare=False)
-    _spectrum: Optional[SpectrumResult] = field(
-        default=None, init=False, repr=False, compare=False)
-    _duality: Optional[DualityResult] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.lattice.size
 
     @property
+    @kept
     def mu(self) -> tuple[int, ...]:
         """mu(b), the join of the column R^-1[b], for each b; read off
         the columns once and kept on the carrier."""
-        if self._mu is None:
-            cols = self.R.converse().rows
-            object.__setattr__(self, "_mu", _tops(self.lattice, cols))
-            if self._mu is None:  # a hand-built carrier failing the axioms
-                b = next(b for b, c in enumerate(cols) if c not in self.lattice.down)
-                raise NotAProximityLattice(f"column {self.lattice.labels[b]!r} "
-                                           "of R is not a principal down-set")
-        return self._mu
+        cols = self.R.converse().rows
+        mu = _tops(self.lattice, cols)
+        if mu is None:  # a hand-built carrier failing the axioms
+            b = next(b for b, c in enumerate(cols) if c not in self.lattice.down)
+            raise NotAProximityLattice(f"column {self.lattice.labels[b]!r} "
+                                       "of R is not a principal down-set")
+        return mu
 
     @property
     def join_strong(self) -> bool:
@@ -449,41 +414,49 @@ def order_proximity(lat: FiniteLattice) -> ProximityLattice:
     return proximity_lattice(lat, order_relation(lat))
 
 
+@kept
 def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
     """(L^op, R^-1); swaps join-strong with meet-strong.
 
     The report is p's with the join and meet sides swapped (see the
     module docstring), so the axioms are not checked again; p must
     satisfy them, as every carrier built by proximity_lattice does.
+    R is inside <= iff R^-1 is inside >=, and R^-1 has the diagonal of
+    R, so the increasing and reflexive flags and the reflexive witness
+    are p's; the increasing witness is found when that flag is false.
     Kept on p; it keeps no link back, and its mu is the nu of p.
     """
-    if p._opposite is not None:
-        return p._opposite
     lat = opposite(p.lattice)
     rel = p.R.converse()
     r = p.report
     js_wit = r.witness("meet_strong")
     ms_wit = r.witness("join_strong")
+    inc_wit = None
+    if not r.increasing:  # the first row of R^-1 with a member outside up a
+        up = lat.up
+        a, stray = next((a, row & ~up[a]) for a, row in enumerate(rel.rows)
+                        if row & ~up[a])
+        inc_wit = (a, (stray & -stray).bit_length() - 1)
     witnesses = []
     for name, wit in (("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
-                      ("meet_strong", ms_wit and ms_wit[1:] + ms_wit[:1])):
+                      ("meet_strong", ms_wit and ms_wit[1:] + ms_wit[:1]),
+                      ("increasing", inc_wit),
+                      ("reflexive", r.witness("reflexive"))):
         if wit is not None:
             witnesses.append((name, wit))
-    increasing, reflexive = _order_flags(lat, rel.rows, witnesses)
     report = AxiomReport(
         idempotent=r.idempotent,
         join_compatible=r.meet_compatible,
         meet_compatible=r.join_compatible,
         join_strong=r.meet_strong,
         meet_strong=r.join_strong,
-        increasing=increasing,
-        reflexive=reflexive,
+        increasing=r.increasing,
+        reflexive=r.reflexive,
         distributive=r.distributive,
         witnesses=tuple(witnesses),
     )
     op = ProximityLattice(lat, rel, report)
-    object.__setattr__(op, "_mu", _tops(lat, p.R.rows))
-    object.__setattr__(p, "_opposite", op)
+    keep(op, ProximityLattice.mu.fget, _tops(lat, p.R.rows))
     return op
 
 
@@ -501,6 +474,7 @@ def is_round_filter(p: ProximityLattice, mask: int) -> bool:
     return is_round_ideal(opposite_proximity(p), mask)
 
 
+@kept
 def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
     """All round ideals, each as a member mask, in canonical order.
 
@@ -509,12 +483,9 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
     R^-1[q] = down mu(q), so it is round exactly when mu(q) = q (module
     docstring). Found once per carrier and kept on it.
     """
-    if p._round_ideals is None:
-        mu, down = p.mu, p.lattice.down
-        out = [down[q] for q in range(p.size) if mu[q] == q]
-        object.__setattr__(p, "_round_ideals", tuple(
-            sorted(out, key=lambda m: (m.bit_count(), m))))
-    return p._round_ideals
+    mu, down = p.mu, p.lattice.down
+    out = [down[q] for q in range(p.size) if mu[q] == q]
+    return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
 
 
 def round_filter_masks(p: ProximityLattice) -> tuple[int, ...]:

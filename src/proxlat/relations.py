@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 from .bitset import bits, compose_rows, transpose
 from .errors import DimensionMismatch
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, kept
 
 
 @dataclass(frozen=True)
@@ -15,9 +15,6 @@ class Relation:
     source_size: int
     target_size: int
     rows: tuple[int, ...]  # rows[a] = {b : a R b}
-    # memo slot, filled by converse()
-    _converse: Optional["Relation"] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != self.source_size:
@@ -34,15 +31,13 @@ class Relation:
             for b in bits(row):
                 yield (a, b)
 
+    @kept
     def converse(self) -> "Relation":
         """R^-1, whose rows are the columns of R. Built once per
         relation and kept on it; the converse keeps no link back, so the
         two form no reference cycle."""
-        if self._converse is None:
-            object.__setattr__(self, "_converse", _from_valid_rows(
-                self.target_size, self.source_size,
-                transpose(self.rows, self.target_size)))
-        return self._converse
+        return _from_valid_rows(self.target_size, self.source_size,
+                                transpose(self.rows, self.target_size))
 
     def image(self, mask: int) -> int:
         """R[A] = union of rows over a in A; A must be a subset of the
@@ -70,7 +65,7 @@ def _from_valid_rows(source_size: int, target_size: int, rows) -> Relation:
     rel = object.__new__(Relation)
     object.__setattr__(rel, "__dict__", {
         "source_size": source_size, "target_size": target_size,
-        "rows": rows, "_converse": None})
+        "rows": rows})
     return rel
 
 

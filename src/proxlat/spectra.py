@@ -8,6 +8,10 @@ compact-saturated family therefore coincides with the opens, all
 finite T0 spaces are sober and spectral, and distinctions the theory
 draws between spectral and stably compact spaces are invisible at this
 scale. What remains testable is everything on the lattice side.
+
+`spectrum` and `canext_via_duality` are kept on their carrier
+(lattice.kept), so dual maps and morphext.compare_with_dual read the
+kept builds instead of making them again.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .lattice import (
     _order_isomorphism,
     _set_label,
     antisymmetry_witness,
+    kept,
     lattice_from_up,
 )
 from .proximity import (
@@ -254,6 +259,7 @@ class SpectrumResult:
     basic_open: tuple[int, ...]      # d in L -> point mask U_d
 
 
+@kept
 def spectrum(p: ProximityLattice) -> SpectrumResult:
     """The space of prime round filters with basic opens U_d = {F : d in F}.
 
@@ -266,8 +272,6 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
     build read the kept result; a call that raises keeps nothing. The
     result names p as its source, a reference cycle that gc collects.
     """
-    if p._spectrum is not None:
-        return p._spectrum
     if not p.distributive:
         raise NotDistributive("spectra need distributive carriers")
     points = prime_round_filters(p)
@@ -283,9 +287,7 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
                                          witness=(d, e))
     labels = [_set_label(fm, p.lattice.labels) for fm in points]
     space = finite_space(labels, set(basic) | {0, (1 << k) - 1})
-    result = SpectrumResult(p, space, points, basic)
-    object.__setattr__(p, "_spectrum", result)
-    return result
+    return SpectrumResult(p, space, points, basic)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +377,7 @@ class DualityResult:
     iso: LatticeMap                      # pi_ext.C -> sat_lattice
 
 
+@kept
 def canext_via_duality(p: ProximityLattice) -> DualityResult:
     """Realize the pi extension on the saturated sets of the spectrum.
 
@@ -391,8 +394,6 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     that raises keeps nothing. The result reaches p through its spectrum
     and extensions, a reference cycle that gc collects.
     """
-    if p._duality is not None:
-        return p._duality
     spec_res = spectrum(p)
     # checked here: the pi build below checks it too, but only after the
     # saturated-set extension has failed to verify as a pi extension
@@ -414,9 +415,7 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     iso = _commuting_iso(pi, ext)
     if iso is None:
         raise InternalCheckError("no isomorphism onto the saturated sets")
-    result = DualityResult(spec_res, sat_lat, sats, ext, pi, iso)
-    object.__setattr__(p, "_duality", result)
-    return result
+    return DualityResult(spec_res, sat_lat, sats, ext, pi, iso)
 
 
 def spectrum_roundtrip(space: FiniteSpace) -> bool:

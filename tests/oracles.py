@@ -23,6 +23,7 @@ from proxlat.formats import ParseError
 from proxlat.lattice import (
     FiniteLattice,
     LatticeMap,
+    _key,
     _set_label,
     antisymmetry_witness,
     is_distributive,
@@ -35,7 +36,6 @@ from proxlat.proximity import (
     ProximityLattice,
     ProximityMorphism,
     _join_compatible,
-    _order_flags,
     opposite_proximity,
     round_filter_masks,
     round_ideal_masks,
@@ -43,6 +43,13 @@ from proxlat.proximity import (
     verify_morphism,
 )
 from proxlat.relations import Relation
+
+
+def kept_value(x, build):
+    """What x keeps as the value of the kept `build`, or None if it
+    keeps none: the one way the tests read a memo. `build` is a kept
+    function, or a property over one such as ProximityLattice.mu."""
+    return getattr(x, _key(getattr(build, "fget", build)), None)
 
 
 def transpose_by_loop(rows, width: int) -> tuple[int, ...]:
@@ -379,7 +386,18 @@ def verify_axioms_by_loops(lat: FiniteLattice, rel: Relation) -> AxiomReport:
                       ("meet_strong", ms_wit and ms_wit[1:] + ms_wit[:1])):
         if wit is not None:
             witnesses.append((name, wit))
-    increasing, reflexive = _order_flags(lat, rows, witnesses)
+    increasing = reflexive = True
+    for a, row in enumerate(rows):
+        stray = row & ~lat.up[a]
+        if stray:
+            increasing = False
+            witnesses.append(("increasing", (a, (stray & -stray).bit_length() - 1)))
+            break
+    for a, row in enumerate(rows):
+        if not row >> a & 1:
+            reflexive = False
+            witnesses.append(("reflexive", (a,)))
+            break
     return AxiomReport(idempotent, join_compatible, meet_compatible,
                        join_strong, meet_strong, increasing, reflexive,
                        is_distributive(lat), tuple(witnesses))

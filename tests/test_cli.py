@@ -361,6 +361,27 @@ def test_oversized_document_is_refused(tmp_path, capsys):
     assert "65 elements" in diag["detail"]
 
 
+@pytest.mark.parametrize("verb", ["dualize", "export-dot"])
+@pytest.mark.parametrize("points,opens,detail", [
+    (65, [[]], "65 points, more than 64"),
+    (12, [[]] * 4097, "4097 opens, more than 4096"),
+], ids=["65-points", "4097-opens"])
+def test_oversized_space_is_refused(tmp_path, capsys, verb, points, opens,
+                                    detail):
+    """Both verbs that read spaces refuse one point or one listed open
+    over the limit before the topology is checked: exit 2, one
+    diagnostic, and nothing on stdout."""
+    doc = {"schema": "proxlat/1", "kind": "space",
+           "points": [f"p{i}" for i in range(points)], "opens": opens}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, verb, str(path))
+    assert (code, out) == (2, "")
+    diag = json.loads(err)
+    assert (diag["status"], diag["error"]) == ("parse-error", "TooLarge")
+    assert detail in diag["detail"]
+
+
 @pytest.mark.parametrize("argv,detail", [
     (("nosuchverb", "M3"), "argument verb: invalid choice: 'nosuchverb'"),
     (("check",), "the following arguments are required: input"),

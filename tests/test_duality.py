@@ -18,6 +18,7 @@ from oracles import (
     join_strong_binary,
     join_strong_exhaustive,
     join_strong_mu,
+    kept_value,
     round_subsets_slow,
     verify_axioms_by_loops,
     verify_axioms_exhaustive,
@@ -265,23 +266,27 @@ def test_b2_reports_are_pinned():
             (u << 4 | v, sum({1 << lat.join[x][y]
                               for x in bits(u) for y in bits(v)}))
             for u in range(16) for v in range(16))
-    warm = dict(b2._join_sets), dict(opposite(b2)._join_sets)
+    warm = (dict(kept_value(b2, join_sets)),
+            dict(kept_value(opposite(b2), join_sets)))
     rels = list(relations(b2, None, seed=0))
     reports = [verify_axioms(b2, rel) for rel in rels]
     assert digest(reports) == B2_SHA256
     kept = 0
     for rel, report in zip(rels, reports):
         cold = dataclasses.replace(b2)
-        assert cold._join_sets is None and cold._opposite is None
+        assert kept_value(cold, join_sets) is None
+        assert kept_value(cold, opposite) is None
         assert verify_axioms(cold, rel) == report, rel.rows
-        assert (rel._converse is None) != report.axioms_ok, rel.rows
+        conv = kept_value(rel, Relation.converse)
+        assert (conv is None) != report.axioms_ok, rel.rows
         if report.axioms_ok:
             kept += 1
             built = Relation(4, 4, transpose(rel.rows, 4))
-            assert rel._converse == built, rel.rows
-            assert hash(rel._converse) == hash(built), rel.rows
+            assert conv == built, rel.rows
+            assert hash(conv) == hash(built), rel.rows
     assert kept == sum(1 for _ in proximity_lattices(b2)) > 0
-    assert (b2._join_sets, opposite(b2)._join_sets) == warm
+    assert (kept_value(b2, join_sets),
+            kept_value(opposite(b2), join_sets)) == warm
 
 
 def kernel_sides(lat, rel):
@@ -304,7 +309,7 @@ def join_sets_by_definition(lat):
     n = lat.size
     return {key: sum({1 << lat.join[u][v]
                       for u in bits(key >> n) for v in bits(key & lat.full)})
-            for key in lat._join_sets}
+            for key in kept_value(lat, join_sets)}
 
 
 def test_binary_kernel_against_the_loops(corpus):
@@ -322,7 +327,8 @@ def test_binary_kernel_against_the_loops(corpus):
     for lat in (chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
         fresh = lattice_from_up(lat.labels, lat.up)
         assert fresh == lat and fresh is not lat
-        assert fresh._join_sets is None and opposite(fresh)._join_sets is None
+        assert kept_value(fresh, join_sets) is None
+        assert kept_value(opposite(fresh), join_sets) is None
         sample = list(relations(lat, 5000, seed=lat.size + 3))
         for target in (lat, lat, fresh):
             calls.extend(side for rel in sample
@@ -341,10 +347,11 @@ def test_binary_kernel_against_the_loops(corpus):
             (True, 0, True), (False, 3, True)} <= verdicts
     for lat in lattices:
         for kept in (lat, opposite(lat)):
-            assert kept._join_sets, lat.labels
-            assert kept._join_sets == join_sets_by_definition(kept)
+            memo = kept_value(kept, join_sets)
+            assert memo, lat.labels
+            assert memo == join_sets_by_definition(kept)
             # at most one entry per pair of masks
-            assert len(kept._join_sets) <= 1 << 2 * kept.size
+            assert len(memo) <= 1 << 2 * kept.size
 
 
 def test_join_sets_are_kept_and_invisible(corpus):
@@ -361,13 +368,15 @@ def test_join_sets_are_kept_and_invisible(corpus):
         assert all_proximity_morphisms(carrier, carrier), name
         if carrier.distributive:
             canext_via_duality(carrier)
-        assert lat._join_sets is None, name
-        assert opposite(lat)._join_sets is None, name
+        assert kept_value(lat, join_sets) is None, name
+        assert kept_value(opposite(lat), join_sets) is None, name
 
         for rel in relations(lat, 200, seed=1):
             verify_axioms(lat, rel)
-        assert lat._join_sets and opposite(lat)._join_sets, name
-        assert opposite(lat)._join_sets is not lat._join_sets, name
+        memo = kept_value(lat, join_sets)
+        op_memo = kept_value(opposite(lat), join_sets)
+        assert memo and op_memo, name
+        assert op_memo is not memo, name
         fresh = lattice_from_up(lat.labels, lat.up)
         assert lat == fresh and hash(lat) == hash(fresh), name
         assert repr(lat) == repr(fresh), name

@@ -1,9 +1,15 @@
 """Every name a library module or tests/oracles.py imports is used in
-it, the library imports nothing outside the standard library, every private module-level function or class is used somewhere in
-the library, every oracle is used by a test or another oracle, every
-memo slot of a library dataclass is invisible to its callers, no module
+it, the library imports nothing outside the standard library, every
+private module-level function or class is used somewhere in the
+library, every oracle is used by a test or another oracle, no module
 but formats.dumps writes indented JSON, and every function the bench
 tracer wraps exists.
+
+Memos are checked at run time: every memo is a build decorated with
+lattice.kept (listed in KEPT), no dataclass has a private field, filling
+every kept build leaves the repr, equality and hash of its holder
+unchanged, and the two builds that store an instance's fields as one
+__dict__ store exactly the fields.
 
 No linter runs on this repository, so a refactor can leave an import or
 a helper behind; this reads each module's syntax tree with the stdlib
@@ -12,12 +18,27 @@ oracle no test calls is reference code for a path that is gone.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from oracles import kept_value
+from proxlat.canext import pi_extension
+from proxlat.fixtures import CORPUS, load
+from proxlat.lattice import down_index, is_distributive, join_sets, kept, opposite
+from proxlat.proximity import (
+    AxiomReport,
+    ProximityLattice,
+    opposite_proximity,
+    round_ideal_masks,
+    verify_axioms,
+)
+from proxlat.relations import Relation, _from_valid_rows
+from proxlat.spectra import canext_via_duality, spectrum
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "proxlat"
@@ -155,107 +176,98 @@ def test_the_check_sees_an_unreferenced_private_definition():
         ["a._loop", "a.public"]
 
 
-MEMO_SLOT = "field(default=None, init=False, repr=False, compare=False)"
+# every build kept on a lattice, a relation or a proximity lattice
+KEPT = {
+    "lattice": (opposite, is_distributive, down_index, join_sets),
+    "relation": (Relation.converse,),
+    "carrier": (ProximityLattice.mu, opposite_proximity, round_ideal_masks,
+                pi_extension, spectrum, canext_via_duality),
+}
+KEPT_CODE = kept(len).__code__  # the code of every kept build's wrapper
 
 
-def _memo_faults(trees: dict[str, ast.Module]) -> list[str]:
-    """Each `_`-prefixed field of a dataclass that is not declared as
-    MEMO_SLOT, and each object.__setattr__(x, "_name", ...) that names
-    no such slot. A memo slot must stay out of the constructor, the
-    repr, equality and the hash, so that a filled memo changes nothing
-    a caller can see.
-
-    object.__setattr__(x, "__dict__", {...}) builds an instance in one
-    store. It passes only with a dict display that names exactly the
-    fields of one dataclass, each memo slot among them as None, so that
-    it fills no memo either."""
-    slots, faults = set(), []
-    # per dataclass: its field names, and the memo slots among them
-    shapes: list[tuple[set[str], set[str]]] = []
-    for module, tree in trees.items():
-        for cls in ast.walk(tree):
-            if not (isinstance(cls, ast.ClassDef) and any(
-                    ast.unparse(getattr(d, "func", d)) == "dataclass"
-                    for d in cls.decorator_list)):
-                continue
-            names, memos = set(), set()
-            for stmt in cls.body:
-                if not (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
-                    continue
-                names.add(stmt.target.id)
-                if stmt.target.id.startswith("_"):
-                    if stmt.value and ast.unparse(stmt.value) == MEMO_SLOT:
-                        memos.add(stmt.target.id)
-                    else:
-                        faults.append(f"{module}.{cls.name}.{stmt.target.id}")
-            slots |= memos
-            shapes.append((names, memos))
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and ast.unparse(node.func) == "object.__setattr__"):
-                name = node.args[1]
-                if isinstance(name, ast.Constant) and (
-                        name.value in slots or name.value == "__dict__"
-                        and _whole_instance(node.args[2], shapes)):
-                    continue
-                faults.append(f"{module}:{node.lineno} sets "
-                              f"{ast.unparse(name)}")
-    return faults
+def _field_names(x) -> set[str]:
+    return {f.name for f in dataclasses.fields(x)}
 
 
-def _whole_instance(value: ast.expr, shapes) -> bool:
-    """A dict display naming exactly the fields of one of `shapes`,
-    each of its memo slots as None."""
-    if not (isinstance(value, ast.Dict) and all(
-            isinstance(k, ast.Constant) for k in value.keys)):
-        return False
-    given = {k.value: v for k, v in zip(value.keys, value.values)}
-    return any(set(given) == names and all(
-        isinstance(given[m], ast.Constant) and given[m].value is None
-        for m in memos) for names, memos in shapes)
+def _library_classes():
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"proxlat.{path.stem}")
+        yield from (value for value in vars(module).values()
+                    if isinstance(value, type)
+                    and value.__module__ == module.__name__)
 
 
-def test_memo_slots_are_invisible():
-    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
-    faults = _memo_faults(trees)
-    assert not faults, f"memo slots not declared as {MEMO_SLOT}: {faults}"
+def test_no_dataclass_field_is_private():
+    """A memo is never a field, so no field starts with `_`: a kept
+    value lives under a `_kept_` attribute that no field or class
+    attribute shadows."""
+    private = [f"{cls.__name__}.{name}" for cls in _library_classes()
+               if dataclasses.is_dataclass(cls)
+               for name in _field_names(cls) if name.startswith("_")]
+    assert not private, f"private dataclass fields: {private}"
 
 
-def test_the_check_sees_a_visible_memo_slot():
-    tree = ast.parse(
-        "@dataclass(frozen=True)\n"
-        "class A:\n"
-        "    x: int\n"
-        f"    _kept: Optional[int] = {MEMO_SLOT}\n"
-        "    _seen: Optional[int] = field(default=None, init=False,\n"
-        "                                 repr=False, compare=True)\n"
-        "    _bare: int = 0\n"
-        "def fill(a):\n"
-        "    object.__setattr__(a, '_kept', 1)\n"
-        "    object.__setattr__(a, '_seen', 1)\n"
-        "    object.__setattr__(a, 'x', 1)\n")
-    assert _memo_faults({"a": tree}) == [
-        "a.A._seen", "a.A._bare", "a:10 sets '_seen'", "a:11 sets 'x'"]
+def test_every_kept_build_is_listed():
+    """KEPT names every function or property of the library that is a
+    kept build, found by the code of the wrapper that kept makes."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"proxlat.{path.stem}")
+        found.update(value for value in vars(module).values()
+                     if getattr(value, "__code__", None) is KEPT_CODE)
+    for cls in _library_classes():
+        for value in vars(cls).values():
+            value = getattr(value, "fget", value)
+            if getattr(value, "__code__", None) is KEPT_CODE:
+                found.add(value)
+    listed = {getattr(b, "fget", b) for builds in KEPT.values() for b in builds}
+    assert found == listed
 
 
-def test_the_check_sees_a_partial_dict_store():
-    tree = ast.parse(
-        "@dataclass(frozen=True)\n"
-        "class A:\n"
-        "    x: int\n"
-        f"    _kept: Optional[int] = {MEMO_SLOT}\n"
-        "def build(a, d):\n"
-        "    object.__setattr__(a, '__dict__', {'x': 1, '_kept': None})\n"
-        "    object.__setattr__(a, '__dict__', {'x': 1})\n"
-        "    object.__setattr__(a, '__dict__', {'x': 1, '_kept': 2})\n"
-        "    object.__setattr__(a, '__dict__', {'x': 1, '_kept': None,"
-        " 'y': 2})\n"
-        "    object.__setattr__(a, '__dict__', d)\n")
-    assert _memo_faults({"a": tree}) == [
-        "a:7 sets '__dict__'", "a:8 sets '__dict__'", "a:9 sets '__dict__'",
-        "a:10 sets '__dict__'"]
+def test_kept_builds_are_invisible():
+    """Filling every kept build leaves the repr, equality and hash of
+    its holder as they were, and each holder gains one attribute per
+    build it keeps, named as no class attribute is."""
+    seen = set()
+    for name in CORPUS:
+        p, fresh = load(name), load(name)
+        holders = {"lattice": (p.lattice, fresh.lattice),
+                   "relation": (p.R, fresh.R), "carrier": (p, fresh)}
+        before = {kind: (repr(x), hash(x)) for kind, (x, _) in holders.items()}
+        for build in KEPT["lattice"]:
+            build(p.lattice)
+        assert p.R.converse() and p.mu
+        opposite_proximity(p)
+        round_ideal_masks(p)
+        if p.join_strong:
+            pi_extension(p)
+            if p.distributive:
+                canext_via_duality(p)  # and the spectrum
+        for kind, (x, y) in holders.items():
+            assert (repr(x), hash(x)) == before[kind], (name, kind)
+            assert x == y and hash(x) == hash(y), (name, kind)
+            extra = set(vars(x)) - _field_names(x)
+            builds = [b for b in KEPT[kind] if kept_value(x, b) is not None]
+            assert len(extra) == len(builds), (name, kind, extra)
+            assert not any(hasattr(type(x), key) for key in extra), (name, kind)
+            seen.update(builds)
+    assert seen == {b for builds in KEPT.values() for b in builds}
+
+
+def test_whole_instance_builds_hold_exactly_the_fields(corpus):
+    """_from_valid_rows and verify_axioms store an instance's fields as
+    one __dict__: exactly the fields, so they fill no memo, and equal
+    to the instance the constructor builds."""
+    rel = _from_valid_rows(2, 3, (1, 6))
+    assert set(vars(rel)) == _field_names(Relation)
+    built = Relation(2, 3, (1, 6))
+    assert rel == built and hash(rel) == hash(built)
+    lat = corpus["C3"].lattice
+    for r in (corpus["C3"].R, Relation(3, 3, (7, 0, 0))):
+        report = verify_axioms(lat, r)
+        assert set(vars(report)) == _field_names(AxiomReport)
+        assert report == AxiomReport(**vars(report))
 
 
 def _indented_json_calls(module: str, tree: ast.Module) -> list[str]:

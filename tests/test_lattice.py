@@ -12,6 +12,7 @@ from oracles import (
     closed_family,
     distributive_by_pairs,
     intersection_polarity,
+    kept_value,
     lattice_laws_hold,
 )
 from proxlat.bitset import bits, transpose
@@ -216,11 +217,11 @@ def intersection_lattices():
 def test_distributivity_against_the_law():
     verdicts = []
     for lat in intersection_lattices():
-        assert lat._distributive is None
+        assert kept_value(lat, is_distributive) is None
         verdicts.append(is_distributive(lat))
         assert verdicts[-1] == distributive_by_the_law(lat), lat.labels
         # the verdict is kept on the lattice and read back from there
-        assert lat._distributive is verdicts[-1]
+        assert kept_value(lat, is_distributive) is verdicts[-1]
         assert is_distributive(lat) is verdicts[-1]
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -266,17 +267,17 @@ def test_down_index_is_kept_and_invisible(corpus):
     for name, lat in lattices.items():
         fresh = lattice_from_up(lat.labels, lat.up)
         # the build keeps the table it made
-        index = fresh._down_index
+        index = kept_value(fresh, down_index)
         assert index == {d: lat.down.index(d) for d in lat.down}, name
         assert down_index(fresh) is index, name
-        # an opposite fills its own slot on the first call
+        # an opposite builds its own table on the first call
         op = opposite(fresh)
-        assert op._down_index is None, name
+        assert kept_value(op, down_index) is None, name
         assert down_index(op) == {u: lat.up.index(u) for u in lat.up}, name
         assert down_index(op) is down_index(op), name
         bare = FiniteLattice(lat.size, lat.up, lat.down, lat.meet, lat.join,
                              lat.bot, lat.top, lat.labels)
-        assert bare._down_index is None, name
+        assert kept_value(bare, down_index) is None, name
         assert fresh == bare and hash(fresh) == hash(bare), name
         assert repr(fresh) == repr(bare), name
 

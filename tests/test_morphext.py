@@ -220,6 +220,20 @@ def test_sigma_extension_of_m_morphisms(distributive_corpus):
     assert checked > 0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "extend_sigma runs the pi construction on the opposite builds with T "
+    "itself, so every embedded element goes to one value (ROADMAP.md)"))
+def test_sigma_extension_of_the_identity_is_the_identity(corpus):
+    """The sigma extension of the identity j-morphism R^-1 is the
+    identity of C; today its table on the order proximity of B2 is
+    (3, 3, 3, 3). Mending extend_sigma turns this into a pass, which
+    strict=True reports as a failure until the mark goes."""
+    p = order_proximity(corpus["B2"].lattice)
+    ext = sigma_extension(p)
+    m = extend_sigma(identity_morphism(p), ext, ext)
+    assert m.table == tuple(range(ext.C.size))
+
+
 def test_directed_joins_fail_for_a_non_monotone_map(corpus):
     # swapping the images of two comparable ideal elements breaks the
     # directed family {y, g}; the 16-chain has more than 14 of them

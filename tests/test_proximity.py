@@ -41,6 +41,7 @@ from proxlat.spectra import (
     spectrum,
 )
 from oracles import (
+    kept_value,
     round_subsets_slow,
     smallest_round_ideal_containing,
     verify_axioms_exhaustive,
@@ -122,11 +123,11 @@ def test_mu_and_the_opposite_are_kept(corpus):
         op = opposite_proximity(fresh)
         assert opposite_proximity(fresh) is op, name
         # the opposite holds no link back to its carrier
-        assert op._opposite is None, name
+        assert kept_value(op, opposite_proximity) is None, name
         assert round_ideal_masks(op) == round_filter_masks(fresh), name
         # its mu, the nu of fresh, is read off the rows of R, so R^-1
         # is not transposed back
-        assert op.R._converse is None, name
+        assert kept_value(op.R, Relation.converse) is None, name
 
 
 def test_carrier_memos_are_invisible_to_equality_and_hash(corpus):
@@ -135,10 +136,13 @@ def test_carrier_memos_are_invisible_to_equality_and_hash(corpus):
     asked.mu
     opposite_proximity(asked)
     canext_via_duality(asked)  # keeps the spectrum and the pi build too
-    assert None not in (asked._pi, asked._spectrum, asked._duality)
+    assert None not in (kept_value(asked, pi_extension),
+                         kept_value(asked, spectrum),
+                         kept_value(asked, canext_via_duality))
     fresh = ProximityLattice(p.lattice, p.R, p.report)
-    assert fresh._mu is None and fresh._opposite is None
-    assert fresh._pi is None and fresh._spectrum is None and fresh._duality is None
+    assert all(kept_value(fresh, build) is None for build in (
+        ProximityLattice.mu, opposite_proximity, pi_extension, spectrum,
+        canext_via_duality))
     assert asked == fresh and hash(asked) == hash(fresh)
     assert repr(asked) == repr(fresh)
     assert opposite_proximity(asked) == opposite_proximity(fresh)
@@ -155,11 +159,12 @@ def test_kept_builds_equal_fresh_builds(corpus):
             assert first == build(dataclasses.replace(p)), (name, build.__name__)
         # sigma runs through the pi build kept on the kept opposite
         op = opposite_proximity(kept)
-        assert sigma_extension(kept).op_pi is op._pi is pi_extension(op), name
+        assert sigma_extension(kept).op_pi is kept_value(op, pi_extension) \
+            is pi_extension(op), name
         if p.distributive:
             result = canext_via_duality(kept)
-            assert result.pi_ext is kept._pi, name
-            assert result.spectrum is kept._spectrum, name
+            assert result.pi_ext is kept_value(kept, pi_extension), name
+            assert result.spectrum is kept_value(kept, spectrum), name
 
 
 def test_a_build_that_raises_keeps_nothing(corpus, monkeypatch):
@@ -173,8 +178,10 @@ def test_a_build_that_raises_keeps_nothing(corpus, monkeypatch):
         # named before the saturated-set realization is built
         with pytest.raises(NotJoinStrong):
             canext_via_duality(p)
-    assert p._pi is None and p._duality is None
-    assert p._spectrum is spectrum(p)  # it returned inside the duality build
+    assert kept_value(p, pi_extension) is None
+    assert kept_value(p, canext_via_duality) is None
+    # the spectrum returned inside the duality build, so it is kept
+    assert kept_value(p, spectrum) is spectrum(p)
 
     m3 = dataclasses.replace(corpus["M3"])
     for _ in range(2):
@@ -182,7 +189,8 @@ def test_a_build_that_raises_keeps_nothing(corpus, monkeypatch):
             spectrum(m3)
         with pytest.raises(NotDistributive):
             canext_via_duality(m3)
-    assert m3._spectrum is None and m3._duality is None
+    assert kept_value(m3, spectrum) is None
+    assert kept_value(m3, canext_via_duality) is None
 
     import proxlat.canext as canext
     c3r = dataclasses.replace(corpus["C3R"])
@@ -193,7 +201,8 @@ def test_a_build_that_raises_keeps_nothing(corpus, monkeypatch):
                 pi_extension(c3r)
             with pytest.raises(InternalCheckError, match="not a homomorphism"):
                 canext_via_duality(c3r)
-        assert c3r._pi is None and c3r._duality is None
+        assert kept_value(c3r, pi_extension) is None
+        assert kept_value(c3r, canext_via_duality) is None
     assert canext_via_duality(c3r).pi_ext == pi_extension(corpus["C3R"])
 
 
@@ -201,7 +210,9 @@ def test_a_dropped_carrier_is_collected(corpus):
     p = dataclasses.replace(corpus["C3R"])
     canext_via_duality(p)
     sigma_extension(p)
-    assert None not in (p._pi, p._spectrum, p._duality, p._opposite._pi)
+    assert None not in (kept_value(p, pi_extension), kept_value(p, spectrum),
+                         kept_value(p, canext_via_duality),
+                         kept_value(opposite_proximity(p), pi_extension))
     ref = weakref.ref(p)
     del p
     gc.collect()
@@ -218,13 +229,13 @@ def test_verify_axioms_keeps_the_columns_only_of_a_proximity_relation(corpus):
         report = verify_axioms(c3, rel)
         if report.axioms_ok:
             kept += 1
-            conv = rel._converse
+            conv = kept_value(rel, Relation.converse)
             assert conv == Relation(3, 3, transpose(rows, 3)), rows
             assert rel.converse() is conv
             verify_axioms(c3, rel)
             assert rel.converse() is conv
         else:
-            assert rel._converse is None, rows
+            assert kept_value(rel, Relation.converse) is None, rows
     assert kept == 5
 
 
