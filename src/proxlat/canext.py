@@ -93,10 +93,7 @@ def galois_maps(p: Polarity) -> tuple[Callable[[int], int],
             out &= cols[y]
         return out
 
-    def closure(u: int) -> int:
-        return r(l(u))
-
-    return l, r, closure
+    return l, r, lambda u: r(l(u))
 
 
 @dataclass(frozen=True)
@@ -251,6 +248,12 @@ def make_extension(kind: str, source: ProximityLattice, c: FiniteLattice,
                               ideals=ideals, f=f, g=g, extents=extents)
 
 
+def require_join_strong(p: ProximityLattice) -> None:
+    """NotJoinStrong unless p is join-strong, as its pi extension needs."""
+    if not p.join_strong:
+        raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
+
+
 @kept
 def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     """The pi-canonical extension of a join-strong proximity lattice:
@@ -263,8 +266,7 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     object. A build that raises keeps nothing. The kept extension names
     p as its source: the two form a reference cycle, which gc collects.
     """
-    if not p.join_strong:
-        raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
+    require_join_strong(p)
     filters = round_filter_masks(p)
     member = transpose(filters, p.size)  # member[q] = {F : q in F}
     mu = p.mu

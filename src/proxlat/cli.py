@@ -7,7 +7,9 @@ Exit status: 0 all checked properties hold, 1 a property failed, 2 the
 command line or the input did not parse or a file could not be read or
 written. Diagnostics go to stderr as JSON; results go to stdout (or
 --out) and are byte-identical across runs on equal inputs. Only -h
-prints usage.
+prints usage. extend refuses a morphism before it builds any extension:
+NotJoinStrong if the source, then if the target, is not join-strong,
+then NotAProximityMorphism.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .canext import pi_extension, sigma_extension, verify_extension
+from .canext import (
+    pi_extension, require_join_strong, sigma_extension, verify_extension)
 from .errors import ProxlatError
 from .formats import (
     SCHEMA,
@@ -41,7 +44,7 @@ from .formats import (
     space_to_doc,
     spectrum_to_doc,
 )
-from .morphext import check_preservation, extend_pi
+from .morphext import check_preservation, extend_pi, require_proximity
 from .proximity import opposite_proximity, verify_axioms
 from .spectra import canext_via_duality, co_compact_dual, spectrum
 
@@ -102,6 +105,9 @@ def cmd_canext(args) -> int:
 
 def cmd_extend(args) -> int:
     t = morphism_from_doc(_load_doc(args.input))
+    require_join_strong(t.source)
+    require_join_strong(t.target)
+    require_proximity(t)
     ext_src = pi_extension(t.source)
     ext_tgt = pi_extension(t.target)
     m = extend_pi(t, ext_src, ext_tgt)

@@ -76,14 +76,19 @@ def _check_monotone(c_src: FiniteLattice, c_tgt: FiniteLattice, table) -> None:
                                          witness=(u, v))
 
 
+def require_proximity(t: ProximityMorphism, verb: str = "extend_pi") -> None:
+    """NotAProximityMorphism unless t is one, as extending it needs."""
+    if not t.is_proximity:
+        raise NotAProximityMorphism(f"{verb} needs a proximity morphism")
+
+
 def extend_pi(t: ProximityMorphism, e_src: CanonicalExtension,
               e_tgt: CanonicalExtension) -> ExtendedMap:
     """Extend a proximity morphism between the pi extensions of its
     endpoints; also asserts the extension property and monotonicity."""
     if e_src.kind != "pi" or e_tgt.kind != "pi":
         raise KindMismatch("extend_pi needs pi extensions on both sides")
-    if not t.is_proximity:
-        raise NotAProximityMorphism("extend_pi needs a proximity morphism")
+    require_proximity(t)
     if not (t.source.same_carrier(e_src.source)
             and t.target.same_carrier(e_tgt.source)):
         raise KindMismatch("morphism endpoints do not match the extensions")
@@ -101,8 +106,7 @@ def extend_sigma(u: ProximityMorphism, e_src: CanonicalExtension,
         raise KindMismatch("extend_sigma needs sigma extensions on both sides")
     if e_src.op_pi is None or e_tgt.op_pi is None:
         raise KindMismatch("sigma extensions must carry their opposite build")
-    if not u.is_proximity:
-        raise NotAProximityMorphism("extend_sigma needs a proximity morphism")
+    require_proximity(u, "extend_sigma")
     if not (u.source.same_carrier(e_src.source)
             and u.target.same_carrier(e_tgt.source)):
         raise KindMismatch("morphism endpoints do not match the extensions")
@@ -140,10 +144,8 @@ class PreservationReport:
     def required_ok(self) -> bool:
         """The properties that hold for every extended proximity morphism,
         plus finite ideal joins when the morphism is approximable."""
-        base = self.all_meets and self.directed_ideal_joins
-        if self.approximable:
-            return base and self.finite_ideal_joins
-        return base
+        return self.all_meets and self.directed_ideal_joins and (
+            self.finite_ideal_joins or not self.approximable)
 
     def flags(self) -> dict[str, bool]:
         return {

@@ -25,6 +25,7 @@ from .canext import (
     _commuting_iso,
     make_extension,
     pi_extension,
+    require_join_strong,
     verify_extension,
 )
 from .errors import (
@@ -33,7 +34,6 @@ from .errors import (
     InvalidRoundSubset,
     NotAJMorphism,
     NotDistributive,
-    NotJoinStrong,
     NotT0,
     ProxlatError,
 )
@@ -137,26 +137,30 @@ def all_posets(n: int) -> Iterator[tuple[int, ...]]:
 
     The strict pairs (a, b), a != b, are numbered in lexicographic order
     and each order is read as the binary number of the pairs it holds;
-    orders come in increasing order of that number. The search sets the
-    highest-numbered pair first and never holds both (a, b) and (b, a).
+    orders come in increasing order of that number. The pairs (a, _) are
+    consecutive digits, higher for higher a, so the search sets whole
+    rows up[a], the last first, each in increasing order of its mask. It
+    keeps a row when the rows set so far are antisymmetric and
+    transitive; such rows end in an order (the rest on the diagonal), so
+    no branch is dead.
     """
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     up = [1 << a for a in range(n)]
 
-    def extend(k: int) -> Iterator[tuple[int, ...]]:
-        if k < 0:
-            if all(is_subset(up[b], up[a])
-                   for a in range(n) for b in bits(up[a])):
-                yield tuple(up)
-            return
-        yield from extend(k - 1)
-        a, b = pairs[k]
-        if not up[b] >> a & 1:
-            up[a] |= 1 << b
-            yield from extend(k - 1)
-            up[a] &= ~(1 << b)
+    def rows(a: int) -> Iterator[tuple[int, ...]]:
+        free = (1 << n) - 1 & ~(1 << a)
+        for x in range(a + 1, n):  # x <= a: up[a] lies in up[x], misses x
+            if up[x] >> a & 1:
+                free &= up[x] & ~(1 << x)
+        s = 0
+        while True:  # the subsets s of free, in increasing order
+            if all(is_subset(up[y], s) for y in bits(s >> a + 1 << a + 1)):
+                up[a] = 1 << a | s
+                yield from rows(a - 1) if a else (tuple(up),)
+            if s == free:
+                break
+            s = (s - free) & free
 
-    yield from extend(len(pairs) - 1)
+    yield from rows(n - 1) if n else ((),)
 
 
 def all_t0_spaces(n: int) -> Iterator[FiniteSpace]:
@@ -164,13 +168,8 @@ def all_t0_spaces(n: int) -> Iterator[FiniteSpace]:
     partial orders on the carrier."""
     labels = [str(i) for i in range(n)]
     for up in all_posets(n):
-        opens = set()
-        for mask in range(1 << n):
-            closure = 0
-            for x in bits(mask):
-                closure |= up[x]
-            opens.add(closure)
-        yield finite_space(labels, opens)
+        yield finite_space(labels, [u for u in range(1 << n) if all(
+            is_subset(up[x], u) for x in bits(u))])
 
 
 def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> Optional[tuple[int, ...]]:
@@ -344,14 +343,11 @@ def pairs_presentation(space: FiniteSpace) -> ProximityLattice:
     elems = [(d, e) for d in opens for e in sats if is_subset(d, e)]
     elems.sort(key=lambda de: (de[0].bit_count() + de[1].bit_count(), de))
     n = len(elems)
-    up = [0] * n
+    up, rows = [0] * n, [0] * n
     for i, (d, e) in enumerate(elems):
         for j, (d2, e2) in enumerate(elems):
             if is_subset(d, d2) and is_subset(e, e2):
                 up[i] |= 1 << j
-    rows = [0] * n
-    for i, (d, e) in enumerate(elems):
-        for j, (d2, e2) in enumerate(elems):
             if is_subset(e, d2):
                 rows[i] |= 1 << j
     labels = [f"({_set_label(d, space.labels)}"
@@ -397,8 +393,7 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     spec_res = spectrum(p)
     # checked here: the pi build below checks it too, but only after the
     # saturated-set extension has failed to verify as a pi extension
-    if not p.join_strong:
-        raise NotJoinStrong("pi extension needs a join-strong proximity lattice")
+    require_join_strong(p)
     sats = saturated_sets(spec_res.space)
     sat_lat = saturated_lattice(spec_res.space)
     position = {m: i for i, m in enumerate(sats)}

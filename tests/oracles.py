@@ -635,3 +635,26 @@ def proximity_morphisms_by_filter(src: ProximityLattice, tgt: ProximityLattice,
         if report.proximity:
             found.append(ProximityMorphism(src, tgt, rel, report))
     return found
+
+
+def all_posets_at_leaves(n: int) -> Iterator[tuple[int, ...]]:
+    """spectra.all_posets as it was before it pruned: each strict pair
+    set on or off, the highest-numbered first, never both (a, b) and
+    (b, a), and transitivity tested only at the leaves."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    up = [1 << a for a in range(n)]
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        if k < 0:
+            if all(is_subset(up[b], up[a])
+                   for a in range(n) for b in bits(up[a])):
+                yield tuple(up)
+            return
+        yield from extend(k - 1)
+        a, b = pairs[k]
+        if not up[b] >> a & 1:
+            up[a] |= 1 << b
+            yield from extend(k - 1)
+            up[a] &= ~(1 << b)
+
+    yield from extend(len(pairs) - 1)

@@ -97,17 +97,18 @@ def test_roundtrip_corrupted_relation(tmp_path, capsys):
     assert diag["witnesses"]["idempotent"] == ["p", "p"]
 
 
+# x R y iff x = 0 or y = 1 on B2: distributive, not join-strong
+NOT_JOIN_STRONG = {
+    "lattice": {"elements": ["0", "p", "q", "1"],
+                "leq": [["0", "p"], ["0", "q"], ["p", "1"], ["q", "1"]]},
+    "R": [["0", "0"], ["0", "p"], ["0", "q"], ["0", "1"],
+          ["p", "1"], ["q", "1"], ["1", "1"]],
+}
+
+
 @pytest.mark.parametrize("verb", ["canext", "roundtrip"])
 def test_a_carrier_that_is_not_join_strong(tmp_path, capsys, verb):
-    # x R y iff x = 0 or y = 1 on B2: distributive, not join-strong
-    doc = {
-        "schema": "proxlat/1",
-        "kind": "proximity",
-        "lattice": {"elements": ["0", "p", "q", "1"],
-                    "leq": [["0", "p"], ["0", "q"], ["p", "1"], ["q", "1"]]},
-        "R": [["0", "0"], ["0", "p"], ["0", "q"], ["0", "1"],
-              ["p", "1"], ["q", "1"], ["1", "1"]],
-    }
+    doc = dict(NOT_JOIN_STRONG, schema="proxlat/1", kind="proximity")
     path = tmp_path / "not-join-strong.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, verb, str(path))
@@ -115,6 +116,44 @@ def test_a_carrier_that_is_not_join_strong(tmp_path, capsys, verb):
     diag = json.loads(err)
     assert (diag["status"], diag["error"]) == ("property-failure",
                                                "NotJoinStrong")
+
+
+def refused_extend(tmp_path, capsys, monkeypatch, doc):
+    """Run extend on a morphism document that it must refuse before it
+    builds any pi extension."""
+    def no_build(p):
+        raise AssertionError("extend built a pi extension before refusing")
+    monkeypatch.setattr("proxlat.cli.pi_extension", no_build)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "extend", str(path))
+
+
+def refusal(error: str, detail: str) -> str:
+    return ('{\n  "detail": "%s",\n  "error": "%s",\n  "kind": "diagnostic",'
+            '\n  "schema": "proxlat/1",\n  "status": "property-failure"\n}\n'
+            % (detail, error))
+
+
+def test_extend_refuses_a_non_proximity_morphism_before_any_build(
+        tmp_path, capsys, monkeypatch):
+    from test_golden_cli import morphism_documents
+    doc = morphism_documents()["M3-C2"]  # join-strong at both ends
+    assert refused_extend(tmp_path, capsys, monkeypatch, doc) == (
+        1, "", refusal("NotAProximityMorphism",
+                       "extend_pi needs a proximity morphism"))
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_extend_refuses_an_end_that_is_not_join_strong_first(
+        tmp_path, capsys, monkeypatch, end):
+    # the empty relation is no proximity morphism: its rows are not ideals
+    doc = {"schema": "proxlat/1", "kind": "morphism", "source": C2_PROXIMITY,
+           "target": C2_PROXIMITY, "T": [], end: NOT_JOIN_STRONG}
+    assert refused_extend(tmp_path, capsys, monkeypatch, doc) == (
+        1, "", refusal("NotJoinStrong",
+                       "pi extension needs a join-strong proximity lattice"))
+    assert run(capsys, "check", str(tmp_path / "refused.json"))[0] == 1
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

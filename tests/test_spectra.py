@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from oracles import is_prime_filter_by_pairs
+from oracles import all_posets_at_leaves, is_prime_filter_by_pairs
 from proxlat import spectra
 from proxlat.bitset import bits, is_subset
 from proxlat.canext import check_uniqueness, pi_extension, verify_extension
@@ -293,6 +293,12 @@ def test_all_posets_against_the_choice_loop():
         assert list(all_posets(n)) == list(posets_by_choice_loop(n))
     assert [sum(1 for _ in all_posets(n)) for n in range(6)] == \
         [1, 1, 3, 19, 219, 4231]  # OEIS A001035
+
+
+def test_all_posets_against_the_leaf_search():
+    for n in range(6):
+        assert list(all_posets(n)) == list(all_posets_at_leaves(n))
+    assert sum(1 for _ in all_posets(6)) == 130023  # OEIS A001035
 
 
 def all_topologies(n):
