@@ -9,6 +9,34 @@ finite T0 spaces are sober and spectral, and distinctions the theory
 draws between spectral and stably compact spaces are invisible at this
 scale. What remains testable is everything on the lattice side.
 
+Two facts of this kind replace searches:
+
+* A family of subsets that holds the empty and the full set is a
+  topology exactly when U | up[x] is a member for every member U and
+  every point x outside U, where up[x] is the intersection of the
+  members holding x. Necessity: up[x] is an intersection of members.
+  Sufficiency: with U empty, each up[x] is a member. Every member holds
+  up[x] with each of its points x, so it is an up-set of the order
+  x <= y iff y in up[x]; every up-set V is reached from the empty set
+  by adding up[x] for the points x of V, one at a time, and each step
+  stays in the family. So the family is exactly the up-sets, closed
+  under union and intersection. finite_space checks it in
+  O(|opens| n) instead of comparing every pair of opens.
+* On a distributive join-strong carrier, q -> U_q is an order
+  isomorphism from (Fix mu, <=) onto the opens of the spectrum. Recall
+  a R b iff a <= mu(b) iff nu(a) <= b. mu(d) R d, and a round filter is
+  an up-set closed upward under R that holds, with each member, a
+  member R-below it; so U_d = U_{mu(d)}, and every open, U_d or the
+  empty or the full set (U_{mu(bot)} and U_top), is U_q for a fixed
+  point q. The map is monotone. It reflects the order: take q2 not
+  below q1 in Fix mu. Then q2 R q2, so nu(q2) <= q2, and nu(q2) is not
+  below q1, since nu(q2) <= q1 would give q2 <= mu(q1) = q1. As nu is
+  idempotent, up nu(q2) is a round filter; it holds q2 and misses the
+  round ideal down q1. The prime filter theorem gives a prime round
+  filter between them: a point in U_q2 and not in U_q1.
+  spectral_case_check reads its pair of j-morphisms off this
+  isomorphism instead of searching for them.
+
 `spectrum` and `canext_via_duality` are kept on their carrier
 (lattice.kept), so dual maps and morphext.compare_with_dual read the
 kept builds instead of making them again.
@@ -34,6 +62,7 @@ from .errors import (
     InvalidRoundSubset,
     NotAJMorphism,
     NotDistributive,
+    NotJoinStrong,
     NotT0,
     ProxlatError,
 )
@@ -51,9 +80,9 @@ from .proximity import (
     ProximityLattice,
     ProximityMorphism,
     RoundSubset,
-    all_j_morphisms,
     is_round_filter,
     is_round_ideal,
+    order_proximity,
     proximity_lattice,
     proximity_morphism,
     round_filter_masks,
@@ -80,21 +109,22 @@ class FiniteSpace:
 
 
 def finite_space(labels, opens) -> FiniteSpace:
-    """Validate a topology: empty and full present, closed under union
-    and intersection (finite suffices on a finite carrier)."""
+    """Validate a topology: empty and full present, every open inside
+    the carrier, and the family closed under union and intersection,
+    checked through the specialization order (module docstring)."""
     n = len(labels)
-    family = sorted(set(opens), key=lambda m: (m.bit_count(), m))
+    fam = set(opens)
     full = (1 << n) - 1
-    if 0 not in family or full not in family:
+    if 0 not in fam or full not in fam:
         raise ProxlatError("a topology contains the empty and the full set")
-    fam = set(family)
-    for u in family:
-        if u & ~full:
-            raise ProxlatError("open set outside the carrier")
-        for v in family:
-            if u | v not in fam or u & v not in fam:
-                raise ProxlatError("opens are not closed under union/intersection")
-    return FiniteSpace(n, tuple(family), tuple(labels))
+    if any(u & ~full for u in fam):
+        raise ProxlatError("open set outside the carrier")
+    family = tuple(sorted(fam, key=lambda m: (m.bit_count(), m)))
+    space = FiniteSpace(n, family, tuple(labels))
+    up = specialization(space)
+    if any(u | up[x] not in fam for u in fam for x in bits(full & ~u)):
+        raise ProxlatError("opens are not closed under union/intersection")
+    return space
 
 
 def specialization(space: FiniteSpace) -> tuple[int, ...]:
@@ -110,26 +140,15 @@ def is_t0(space: FiniteSpace) -> bool:
     return antisymmetry_witness(specialization(space)) is None
 
 
-def saturated_sets(space: FiniteSpace) -> tuple[int, ...]:
-    """Intersections of opens; on a finite carrier this is the opens
-    family itself, which equals the up-sets of specialization."""
-    return space.opens
-
-
 def saturated_lattice(space: FiniteSpace) -> FiniteLattice:
-    """The complete lattice of saturated sets under inclusion."""
-    return _lattice_of_sets(saturated_sets(space), space.labels)
+    """The lattice of saturated sets, here the opens, under inclusion."""
+    return _lattice_of_sets(space.opens, space.labels)
 
 
 def co_compact_dual(space: FiniteSpace) -> FiniteSpace:
-    """Opens become complements of compact saturated sets; taking the
-    dual twice gives back the original space."""
-    dual = finite_space(space.labels,
-                        [space.full & ~k for k in saturated_sets(space)])
-    back = [dual.full & ~k for k in saturated_sets(dual)]
-    if tuple(sorted(back, key=lambda m: (m.bit_count(), m))) != space.opens:
-        raise InternalCheckError("co-compact dual failed to be an involution")
-    return dual
+    """Opens become complements of compact saturated sets, here the opens;
+    taking the dual twice gives back the original space."""
+    return finite_space(space.labels, [space.full & ~k for k in space.opens])
 
 
 def all_posets(n: int) -> Iterator[tuple[int, ...]]:
@@ -221,6 +240,15 @@ def prime_round_filters(p: ProximityLattice, *,
                  if _is_prime_filter_mask(p.lattice, m))
 
 
+def _require_prime_filter_theorem(p: ProximityLattice, use: str) -> None:
+    """NotDistributive or NotJoinStrong unless p is a carrier that the
+    prime filter theorem holds on."""
+    if not p.distributive:
+        raise NotDistributive(f"{use} needs a distributive carrier")
+    if not p.join_strong:
+        raise NotJoinStrong(f"{use} needs a join-strong carrier")
+
+
 def prime_filter_between(p: ProximityLattice, g: RoundSubset,
                          j: RoundSubset) -> Optional[RoundSubset]:
     """A prime round filter containing g and avoiding j, when disjoint.
@@ -230,9 +258,7 @@ def prime_filter_between(p: ProximityLattice, g: RoundSubset,
     distributive, join-strong hypotheses and is asserted with a full
     witness on failure). Returns None when g meets j.
     """
-    if not (p.distributive and p.join_strong):
-        raise NotDistributive(
-            "the prime filter theorem needs a distributive join-strong carrier")
+    _require_prime_filter_theorem(p, "the prime filter theorem")
     if g.kind != "filter" or not is_round_filter(p, g.members):
         raise InvalidRoundSubset("g must be a round filter of p")
     if j.kind != "ideal" or not is_round_ideal(p, j.members):
@@ -296,26 +322,13 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
 def open_basis_presentation(space: FiniteSpace) -> ProximityLattice:
     """All opens under inclusion, related by interpolation through a
     compact saturated set. On finite carriers every open is itself
-    saturated, so the relation collapses to inclusion (asserted);
-    the result is join-strong, increasing, and distributive.
+    saturated, so d interpolates below e exactly when d lies inside e
+    (take the set d itself): the result is the order proximity lattice
+    of the opens, join-strong, increasing, and distributive.
     """
     if not is_t0(space):
         raise NotT0("open-basis presentations are for T0 spaces")
-    opens = space.opens
-    n = len(opens)
-    sats = saturated_sets(space)
-    rows = []
-    for d in opens:
-        row = 0
-        for j, e in enumerate(opens):
-            if any(is_subset(d, k) and is_subset(k, e) for k in sats):
-                row |= 1 << j
-        rows.append(row)
-    lat = _lattice_of_sets(opens, space.labels)
-    if tuple(rows) != lat.up:
-        raise InternalCheckError("interpolation relation is not inclusion "
-                                 "on a finite carrier")
-    p = proximity_lattice(lat, Relation(n, n, tuple(rows)))
+    p = order_proximity(saturated_lattice(space))
     if not (p.join_strong and p.increasing and p.distributive):
         raise InternalCheckError("open-basis presentation lost expected flags")
     return p
@@ -339,8 +352,7 @@ def pairs_presentation(space: FiniteSpace) -> ProximityLattice:
     if not is_t0(space):
         raise NotT0("pair presentations are for T0 spaces")
     opens = space.opens
-    sats = saturated_sets(space)
-    elems = [(d, e) for d in opens for e in sats if is_subset(d, e)]
+    elems = [(d, e) for d in opens for e in opens if is_subset(d, e)]
     elems.sort(key=lambda de: (de[0].bit_count() + de[1].bit_count(), de))
     n = len(elems)
     up, rows = [0] * n, [0] * n
@@ -394,7 +406,7 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     # checked here: the pi build below checks it too, but only after the
     # saturated-set extension has failed to verify as a pi extension
     require_join_strong(p)
-    sats = saturated_sets(spec_res.space)
+    sats = spec_res.space.opens
     sat_lat = saturated_lattice(spec_res.space)
     position = {m: i for i, m in enumerate(sats)}
     embed = tuple(position[spec_res.basic_open[d]] for d in range(p.size))
@@ -470,10 +482,17 @@ def _continuous(dom: FiniteSpace, cod: FiniteSpace, g) -> bool:
     return all(dom.is_open(preimage(g, u)) for u in cod.opens)
 
 
+def _is_map(g, dom: FiniteSpace, cod: FiniteSpace) -> bool:
+    return len(g) == dom.points and all(0 <= y < cod.points for y in g)
+
+
 def spectral_proximity_space(space: FiniteSpace, f) -> SpectralProximitySpace:
     f = tuple(f)
     if not is_t0(space):
         raise NotT0("spectral proximity spaces are T0 at this scale")
+    if not _is_map(f, space, space):
+        raise ProxlatError(f"the self-map must send each of the "
+                           f"{space.points} points to one of them, not {f}")
     if not _continuous(space, space, f):
         raise ProxlatError("the retraction must be continuous")
     if any(f[f[x]] != f[x] for x in range(space.points)):
@@ -487,7 +506,7 @@ def karoubi_check(x: SpectralProximitySpace, x2: SpectralProximitySpace,
     f' after g = g = g after f. The retraction itself is the identity
     morphism of its own pair."""
     g = tuple(g)
-    if len(g) != x.space.points:
+    if not _is_map(g, x.space, x2.space):
         return False
     if not _continuous(x.space, x2.space, g):
         return False
@@ -511,65 +530,44 @@ def retract_image(x: SpectralProximitySpace) -> FiniteSpace:
 @dataclass(frozen=True)
 class SpectralCaseReport:
     reflexive: bool
-    iso_found: bool
-    exhaustive: bool           # whether absence is exhaustive at this size
-    search_bound: int
-    phi: Optional[ProximityMorphism]
-    psi: Optional[ProximityMorphism]
+    phi: ProximityMorphism
+    psi: ProximityMorphism
 
 
-def spectral_case_check(p: ProximityLattice, *,
-                        search_limit: int = 4096) -> SpectralCaseReport:
-    """Test whether p is j-isomorphic to an order proximity lattice on
-    the opens of its spectrum.
+def spectral_case_check(p: ProximityLattice) -> SpectralCaseReport:
+    """The j-isomorphism between p and the order proximity lattice on
+    the opens of its spectrum, read off Fix mu (module docstring).
 
-    When R is reflexive the natural candidates phi = {(d, U) : U below
-    U_d} and psi = {(U, d) : U_d below U} realize the isomorphism and
-    are verified directly. Otherwise (and as a fallback) all pairs of
-    j-morphisms are searched when the space is small enough; a negative
-    answer at the bound is evidence, not proof, unless flagged
-    exhaustive.
+    phi relates d to the opens inside U_d, and psi relates the open U_q,
+    q in Fix mu, to down q. Then phi;psi relates d to down mu(d), the
+    row of R^-1, and psi;phi relates U_q to the opens inside it, the
+    row of the identity of the order proximity lattice. On a reflexive
+    carrier mu(d) <= q iff d <= q, so psi relates U to
+    {d : U_d inside U}, and the pair is the natural candidates.
+
+    Both composites are checked. Each is a theorem on a distributive
+    join-strong carrier, so a failure, or a Fix mu that U does not
+    match one to one with the opens, raises InternalCheckError. A
+    carrier that is not distributive raises NotDistributive, and one
+    that is not join-strong NotJoinStrong.
     """
-    if not (p.distributive and p.join_strong):
-        raise NotDistributive("the spectral comparison needs a distributive "
-                              "join-strong carrier")
+    _require_prime_filter_theorem(p, "the spectral comparison")
     spec_res = spectrum(p)
+    basic = spec_res.basic_open
     opens = spec_res.space.opens
-    n_e = len(opens)
-    lat = _lattice_of_sets(opens, spec_res.space.labels)
-    e = proximity_lattice(lat, Relation(n_e, n_e, lat.up))
-
-    def iso_pair(phi: ProximityMorphism, psi: ProximityMorphism) -> bool:
-        return (phi.is_j and psi.is_j
-                and compose(phi.T, psi.T) == p.R.converse()
-                and compose(psi.T, phi.T) == e.R.converse())
-
-    phi_rows = tuple(
-        sum(1 << i for i, u in enumerate(opens)
-            if is_subset(u, spec_res.basic_open[d]))
-        for d in range(p.size))
-    psi_rows = tuple(
-        sum(1 << d for d in range(p.size)
-            if is_subset(spec_res.basic_open[d], u))
-        for u in opens)
-    phi = proximity_morphism(p, e, Relation(p.size, n_e, phi_rows))
-    psi = proximity_morphism(e, p, Relation(n_e, p.size, psi_rows))
-    if iso_pair(phi, psi):
-        return SpectralCaseReport(p.reflexive, True, True, 0, phi, psi)
-
-    searched_all = False
-    if p.size * n_e <= 12:
-        try:
-            forward = all_j_morphisms(p, e, limit=search_limit)
-            backward = all_j_morphisms(e, p, limit=search_limit)
-            searched_all = True
-            for cand_phi in forward:
-                for cand_psi in backward:
-                    if iso_pair(cand_phi, cand_psi):
-                        return SpectralCaseReport(p.reflexive, True, True,
-                                                  search_limit, cand_phi,
-                                                  cand_psi)
-        except ValueError:
-            searched_all = False
-    return SpectralCaseReport(p.reflexive, False, searched_all,
-                              search_limit, None, None)
+    fixed = [q for q in range(p.size) if p.mu[q] == q]
+    fixed_at = {basic[q]: q for q in fixed}
+    if len(fixed_at) != len(fixed) or len(fixed_at) != len(opens):
+        raise InternalCheckError("Fix mu does not match the opens one to one",
+                                 witness=tuple(basic[q] for q in fixed))
+    e = order_proximity(saturated_lattice(spec_res.space))
+    position = {u: i for i, u in enumerate(opens)}
+    phi_rows = tuple(e.lattice.down[position[basic[d]]] for d in range(p.size))
+    psi_rows = tuple(p.lattice.down[fixed_at[u]] for u in opens)
+    phi = proximity_morphism(p, e, Relation(p.size, e.size, phi_rows))
+    psi = proximity_morphism(e, p, Relation(e.size, p.size, psi_rows))
+    if not (phi.is_j and psi.is_j
+            and compose(phi.T, psi.T) == p.R.converse()
+            and compose(psi.T, phi.T) == e.R.converse()):
+        raise InternalCheckError("phi and psi are not inverse j-morphisms")
+    return SpectralCaseReport(p.reflexive, phi, psi)

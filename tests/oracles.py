@@ -18,7 +18,12 @@ from proxlat.canext import (
     concept_lattice,
     make_extension,
 )
-from proxlat.errors import InternalCheckError, NotJoinStrong, NotMeetStrong
+from proxlat.errors import (
+    InternalCheckError,
+    NotJoinStrong,
+    NotMeetStrong,
+    ProxlatError,
+)
 from proxlat.formats import ParseError
 from proxlat.lattice import (
     FiniteLattice,
@@ -43,6 +48,7 @@ from proxlat.proximity import (
     verify_morphism,
 )
 from proxlat.relations import Relation
+from proxlat.spectra import FiniteSpace
 
 
 def kept_value(x, build):
@@ -658,3 +664,22 @@ def all_posets_at_leaves(n: int) -> Iterator[tuple[int, ...]]:
             up[a] &= ~(1 << b)
 
     yield from extend(len(pairs) - 1)
+
+
+def finite_space_by_pairs(labels, opens) -> FiniteSpace:
+    """spectra.finite_space as it was before it checked through the
+    specialization order: every pair of opens is asked for its union
+    and intersection, after the empty and the full set."""
+    n = len(labels)
+    family = sorted(set(opens), key=lambda m: (m.bit_count(), m))
+    full = (1 << n) - 1
+    if 0 not in family or full not in family:
+        raise ProxlatError("a topology contains the empty and the full set")
+    fam = set(family)
+    for u in family:
+        if u & ~full:
+            raise ProxlatError("open set outside the carrier")
+        for v in family:
+            if u | v not in fam or u & v not in fam:
+                raise ProxlatError("opens are not closed under union/intersection")
+    return FiniteSpace(n, tuple(family), tuple(labels))

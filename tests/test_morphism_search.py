@@ -24,7 +24,6 @@ from proxlat.proximity import (
     round_ideal_masks,
 )
 from proxlat.relations import Relation
-from proxlat.spectra import spectral_case_check
 
 # cover pairs, bottom first; the labelling is shuffled below
 CARRIERS = {
@@ -157,14 +156,3 @@ def test_search_limit_refusal():
         with pytest.raises(ValueError, match=r"^search space 256 exceeds limit 255$"):
             enumerate_(b2, b2, limit=255)
         assert len(enumerate_(b2, b2, limit=256)) > 0
-
-
-def test_spectral_case_check_falls_back_over_the_limit():
-    # C3R is not reflexive, so the natural candidates fail and the
-    # j-morphism search runs; over its bound the answer is not exhaustive
-    c3r = load("C3R")
-    rep = spectral_case_check(c3r, search_limit=1)
-    assert not rep.iso_found and not rep.exhaustive
-    assert rep.search_bound == 1 and rep.phi is None and rep.psi is None
-    rep = spectral_case_check(c3r)
-    assert rep.iso_found and rep.exhaustive

@@ -6,7 +6,11 @@ import itertools
 
 import pytest
 
-from oracles import all_posets_at_leaves, is_prime_filter_by_pairs
+from oracles import (
+    all_posets_at_leaves,
+    finite_space_by_pairs,
+    is_prime_filter_by_pairs,
+)
 from proxlat import spectra
 from proxlat.bitset import bits, is_subset
 from proxlat.canext import check_uniqueness, pi_extension, verify_extension
@@ -14,6 +18,7 @@ from proxlat.errors import (
     ExtensionError,
     NotALattice,
     NotDistributive,
+    NotJoinStrong,
     NotT0,
     ProxlatError,
 )
@@ -27,7 +32,7 @@ from proxlat.proximity import (
     round_filter_masks,
     round_subsets,
 )
-from proxlat.relations import order_relation
+from proxlat.relations import Relation, order_relation
 from proxlat.spectra import (
     _is_prime_filter_mask,
     all_posets,
@@ -433,14 +438,148 @@ def test_spectral_proximity_space_validation(sierpinski):
         spectral_proximity_space(sierpinski, (1, 0))  # not idempotent
 
 
+@pytest.mark.parametrize("f", [(0, 7), (0,), (0, -1), (0, 1, 1)])
+def test_spectral_proximity_space_refuses_a_bad_map(sierpinski, f):
+    with pytest.raises(ProxlatError, match="self-map must send each of the 2 "
+                                           "points to one of them"):
+        spectral_proximity_space(sierpinski, f)
+
+
+@pytest.mark.parametrize("g", [(0, 5), (0, -1)])
+def test_karoubi_check_refuses_a_bad_map(sierpinski, g):
+    ident = spectral_proximity_space(sierpinski, (0, 1))
+    assert not karoubi_check(ident, ident, g)
+
+
+def chain(n):
+    return lattice_from_up([f"c{i}" for i in range(n)],
+                           [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
+
+
+def proximity_lattices_on(lat):
+    """Every proximity lattice on the labelled lattice `lat`, read off
+    the idempotent meet-preserving maps mu (the `proximity` module
+    docstring)."""
+    n = lat.size
+    for mu in itertools.product(range(n), repeat=n):
+        if mu[lat.top] == lat.top and all(mu[m] == m for m in mu):
+            rel = Relation(n, n, tuple(lat.down[m] for m in mu)).converse()
+            try:
+                yield proximity_lattice(lat, rel)
+            except ProxlatError:
+                pass
+
+
+def spectral_case_carriers(corpus):
+    """Distributive join-strong carriers: every one on C2, C3, C4 and B2,
+    the fixtures, the order and C3R-style relations (x R y iff x is
+    bottom or y is top) on chains of 2 to 8 elements, and the open-basis
+    and pair presentations of every T0 space with at most 3 points."""
+    b2 = corpus["B2"].lattice
+    small = [p for lat in (chain(2), chain(3), chain(4), b2)
+             for p in proximity_lattices_on(lat)
+             if p.distributive and p.join_strong]
+    assert len(small) == 26
+    fixtures = [p for p in corpus.values() if p.distributive and p.join_strong]
+    assert len(fixtures) == 5
+    chains = []
+    for n in range(2, 9):
+        lat = chain(n)
+        c3r = Relation(n, n, tuple(lat.full if a == lat.bot else 1 << lat.top
+                                   for a in range(n)))
+        chains += [order_proximity(lat), proximity_lattice(lat, c3r)]
+    spaces = [sp for n in range(4) for sp in all_t0_spaces(n)]
+    assert len(spaces) == 24
+    presented = [present(sp) for sp in spaces
+                 for present in (open_basis_presentation, pairs_presentation)]
+    return small + fixtures + chains + presented
+
+
 def test_spectral_case_check(corpus):
-    # at this scale every spectrum is spectral, so the isomorphism onto
-    # the order proximity lattice of its opens always exists; reflexive
-    # carriers admit the natural candidate directly
-    for name in ("C2", "C3", "B2", "FULL2", "C3R"):
-        rep = spectral_case_check(corpus[name])
-        assert rep.iso_found, name
-        assert rep.exhaustive
-        assert rep.reflexive == corpus[name].reflexive
+    # the pair read off Fix mu is a j-isomorphism onto the order
+    # proximity lattice of the opens on every carrier (its composites
+    # are checked inside); on reflexive carriers it is the pair of
+    # natural candidates {(d, U) : U inside U_d}, {(U, d) : U_d inside U}
+    carriers = spectral_case_carriers(corpus)
+    assert len(carriers) == 93
+    reflexive = 0
+    for p in carriers:
+        rep = spectral_case_check(p)
+        assert rep.reflexive == p.reflexive
+        assert rep.phi.is_j and rep.psi.is_j
+        if not p.reflexive:
+            continue
+        reflexive += 1
+        basic = spectrum(p).basic_open
+        opens = spectrum(p).space.opens
+        assert rep.phi.T.rows == tuple(
+            sum(1 << i for i, u in enumerate(opens) if is_subset(u, basic[d]))
+            for d in range(p.size))
+        assert rep.psi.T.rows == tuple(
+            sum(1 << d for d in range(p.size) if is_subset(basic[d], u))
+            for u in opens)
+    assert reflexive == 55
+
+
+def not_join_strong_b2(corpus):
+    # x R y iff x = 0 or y = 1 on B2: distributive, not join-strong
+    lat = corpus["B2"].lattice
+    rel = Relation(4, 4, tuple(lat.full if a == lat.bot else 1 << lat.top
+                               for a in range(4)))
+    p = proximity_lattice(lat, rel)
+    assert p.distributive and not p.join_strong
+    return p
+
+
+def test_spectral_case_check_refusals(corpus):
     with pytest.raises(NotDistributive):
         spectral_case_check(corpus["M3"])
+    with pytest.raises(NotJoinStrong):
+        spectral_case_check(not_join_strong_b2(corpus))
+
+
+def test_prime_filter_between_refusals(corpus):
+    for p, error in ((corpus["M3"], NotDistributive),
+                     (not_join_strong_b2(corpus), NotJoinStrong)):
+        g = round_subsets(p, "filter")[0]
+        j = round_subsets(p, "ideal")[0]
+        with pytest.raises(error):
+            prime_filter_between(p, g, j)
+
+
+def outcome(build, labels, opens):
+    try:
+        return build(labels, opens)
+    except ProxlatError as exc:
+        return str(exc)
+
+
+def test_finite_space_against_the_pair_loop():
+    # every family of subsets of at most 4 points: same space, or the
+    # same message
+    for n in range(5):
+        labels = [str(i) for i in range(n)]
+        for choice in range(1 << (1 << n)):
+            fam = list(bits(choice))
+            assert outcome(finite_space, labels, fam) == \
+                outcome(finite_space_by_pairs, labels, fam), (n, fam)
+
+
+def test_finite_space_refuses_masks_outside_first():
+    # {0, x, 2}: not closed under union either, but the stray mask is
+    # named first
+    for stray in (0b10, -1):
+        with pytest.raises(ProxlatError, match="^open set outside the carrier$"):
+            finite_space(["x"], [0, 1, stray])
+
+
+def test_open_basis_relation_is_interpolation():
+    # d R e iff some saturated (here: open) k has d inside k inside e
+    for n in range(5):
+        for sp in all_t0_spaces(n):
+            opens = sp.opens
+            interpolation = tuple(
+                sum(1 << j for j, e in enumerate(opens)
+                    if any(is_subset(d, k) and is_subset(k, e) for k in opens))
+                for d in opens)
+            assert open_basis_presentation(sp).R.rows == interpolation
