@@ -483,7 +483,8 @@ def _continuous(dom: FiniteSpace, cod: FiniteSpace, g) -> bool:
 
 
 def _is_map(g, dom: FiniteSpace, cod: FiniteSpace) -> bool:
-    return len(g) == dom.points and all(0 <= y < cod.points for y in g)
+    return len(g) == dom.points and all(
+        isinstance(y, int) and 0 <= y < cod.points for y in g)
 
 
 def spectral_proximity_space(space: FiniteSpace, f) -> SpectralProximitySpace:

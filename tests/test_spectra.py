@@ -438,14 +438,14 @@ def test_spectral_proximity_space_validation(sierpinski):
         spectral_proximity_space(sierpinski, (1, 0))  # not idempotent
 
 
-@pytest.mark.parametrize("f", [(0, 7), (0,), (0, -1), (0, 1, 1)])
+@pytest.mark.parametrize("f", [(0, 7), (0,), (0, -1), (0, 1, 1), ("x", 1)])
 def test_spectral_proximity_space_refuses_a_bad_map(sierpinski, f):
     with pytest.raises(ProxlatError, match="self-map must send each of the 2 "
                                            "points to one of them"):
         spectral_proximity_space(sierpinski, f)
 
 
-@pytest.mark.parametrize("g", [(0, 5), (0, -1)])
+@pytest.mark.parametrize("g", [(0, 5), (0, -1), ("x", 1)])
 def test_karoubi_check_refuses_a_bad_map(sierpinski, g):
     ident = spectral_proximity_space(sierpinski, (0, 1))
     assert not karoubi_check(ident, ident, g)
@@ -566,8 +566,8 @@ def test_finite_space_against_the_pair_loop():
 
 
 def test_finite_space_refuses_masks_outside_first():
-    # {0, x, 2}: not closed under union either, but the stray mask is
-    # named first
+    # with the stray mask 0b10, {0, 0b01, 0b10} also misses the union
+    # 0b11; the stray mask is named before any closure failure
     for stray in (0b10, -1):
         with pytest.raises(ProxlatError, match="^open set outside the carrier$"):
             finite_space(["x"], [0, 1, stray])
