@@ -11,14 +11,26 @@ up p, p in Fix nu, and the round ideals down q, q in Fix mu. Up p meets
 down q iff p <= q, so the polar of down q is member[q] = {F : q in F}.
 mu preserves finite meets and fixes top, so Fix mu is meet-closed and
 these polars are closed under intersection: they are all the closed
-sets, and |C| <= n. So `pi_extension` reads C off mu with no closure,
-and sends a to member[mu(a)] = member[a]. The sigma extension is the
-same construction on the opposite carrier, read upside down, so its
-round-subset images are those of its pi build with filters and ideals
-swapped. The two extensions agree, via an isomorphism commuting with
-the embeddings, exactly when the proximity relation is reflexive. The
-pi build is kept on its carrier (lattice.kept), so the sigma build of
-the opposite and spectra.canext_via_duality reuse it.
+sets. So `pi_extension` reads C off mu with no closure, and sends a to
+member[mu(a)] = member[a].
+
+The sigma extension is the same construction on the opposite carrier,
+read upside down, so its round-subset images are those of its pi build
+with filters and ideals swapped. The two extensions agree, via an
+isomorphism commuting with the embeddings, exactly when the proximity
+relation is reflexive. The pi build is kept on its carrier
+(lattice.kept), so the sigma build of the opposite and
+spectra.canext_via_duality reuse it.
+
+C is isomorphic to (Fix mu, <=), so |C| = |Fix mu|: q -> member[q] is
+monotone, and it reflects the order on Fix mu, so it is injective
+there and `pi_extension` lists one closed set per fixed point. Recall
+a R b iff a <= mu(b) iff nu(a) <= b. Take q1, q2 in Fix mu with q2 not
+below q1. q2 <= mu(q2), so q2 R q2 and nu(q2) <= q2. Were
+nu(q2) <= q1, then q2 R q1 and q2 <= mu(q1) = q1, which is false. As
+nu is idempotent, up nu(q2) is a round filter; it holds q2 and misses
+q1, so member[q2] is not inside member[q1]. The argument uses neither
+distributivity nor strongness.
 """
 
 from __future__ import annotations
@@ -258,8 +270,8 @@ def require_join_strong(p: ProximityLattice) -> None:
 def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     """The pi-canonical extension of a join-strong proximity lattice:
     the closed sets are the polars member[q] = {F : q in F} of the
-    round ideals down q, q in Fix mu, and a goes to member[mu(a)], the
-    round filters containing a (module docstring).
+    round ideals down q, one for each q in Fix mu, and a goes to
+    member[mu(a)], the round filters containing a (module docstring).
 
     Built once per carrier and kept on it, so a second call, the sigma
     build of the opposite and canext_via_duality return the same
@@ -270,7 +282,8 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     filters = round_filter_masks(p)
     member = transpose(filters, p.size)  # member[q] = {F : q in F}
     mu = p.mu
-    extents = tuple(sorted({member[q] for q in range(p.size) if mu[q] == q},
+    # one closed set per fixed point: member is injective on Fix mu
+    extents = tuple(sorted([member[q] for q in range(p.size) if mu[q] == q],
                            key=lambda m: (m.bit_count(), m)))
     c = _lattice_of_sets(extents, [_set_label(fm, p.lattice.labels)
                                    for fm in filters])

@@ -14,6 +14,7 @@ the CLI as shorthand names:
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -22,13 +23,20 @@ from .proximity import ProximityLattice
 CORPUS = ("C2", "C3", "B2", "M3", "FULL2", "C3R")
 
 
+@functools.cache
+def _text(key: str) -> str:
+    """The text of the fixture file of `key`, read once per process."""
+    return resources.files(__package__).joinpath(
+        "fixtures", key.lower() + ".json").read_text()
+
+
 def document(name: str) -> dict:
-    """The JSON document of a fixture, by case-insensitive name."""
+    """The JSON document of a fixture, by case-insensitive name: a new
+    dict on every call, parsed from the text read once."""
     key = name.upper()
     if key not in CORPUS:
         raise KeyError(f"unknown fixture {name!r}; expected one of {CORPUS}")
-    path = resources.files(__package__).joinpath("fixtures", key.lower() + ".json")
-    return json.loads(path.read_text())
+    return json.loads(_text(key))
 
 
 def load(name: str) -> ProximityLattice:

@@ -10,9 +10,10 @@ preorder repeats a mask), and the meet likewise from down-sets. All
 values are immutable after construction and every function here is
 pure; a lattice keeps, once asked for them, its opposite, its
 distributivity verdict (read off its join-irreducibles, each of which
-must be join-prime), its down-set table and the join sets
+must be join-prime: is_prime_up_set, the one prime test of the
+library), its down-set table and the join sets
 {u v v : u in U, v in V} that the binary approximability kernel asks
-for, keyed by the pair of masks (U, V). Every memo of the library is a
+for, keyed by the pair of masks (U, V). Every memo held by a value is a
 one-argument build decorated with `kept`, which stores its value on
 the argument under a name that is no field; `keep` stores a value a
 caller already has. None of it shows in the repr, equality or the hash.
@@ -260,6 +261,21 @@ def join_sets(lat: FiniteLattice) -> dict[int, int]:
     return {}
 
 
+def is_prime_up_set(lat: FiniteLattice, mask: int) -> bool:
+    """Whether the up-set `mask` is prime: bot is not in it, and it holds
+    x or y whenever it holds x v y (all finite joins follow by
+    induction); a prime filter is a filter that is prime. The complement
+    D is a down-set, and a down-set is closed under binary joins iff it
+    holds its own join (the join of a nonempty D is a finite join of its
+    members, and down-closure brings every join of members below it into
+    D). Bot is outside the up-set iff D is nonempty. So the up-set is
+    prime iff D is a principal down-set: one lookup in the down-set
+    index, with no distributivity used. A mask that is no up-set has no
+    down-set as its complement, so it is never called prime.
+    """
+    return lat.full & ~mask in down_index(lat)
+
+
 @kept
 def is_distributive(lat: FiniteLattice) -> bool:
     """True iff meet distributes over join on the whole carrier; found
@@ -267,19 +283,14 @@ def is_distributive(lat: FiniteLattice) -> bool:
 
     A finite lattice is distributive iff every join-irreducible j is
     join-prime, that is, j <= x v y only if j <= x or j <= y (Davey and
-    Priestley, Introduction to Lattices and Order, 2nd ed., 2002). The
-    elements not above j form a down-set, full & ~up[j], and j is
-    join-prime iff that set is closed under joins: nonempty, as j is not
-    bot, it is then the down-set of its join. An element is
-    join-irreducible iff the elements strictly below it form a principal
-    down-set. So both tests are lookups in the down-set index, O(n) in
-    all.
+    Priestley, Introduction to Lattices and Order, 2nd ed., 2002): iff
+    up j is a prime up-set. An element is join-irreducible iff the
+    elements strictly below it form a principal down-set. So both tests
+    are lookups in the down-set index, O(n) in all.
     """
-    index, full, up = down_index(lat), lat.full, lat.up
-    for j, d in enumerate(lat.down):
-        if d & ~(1 << j) in index and full & ~up[j] not in index:
-            return False
-    return True
+    index, up = down_index(lat), lat.up
+    return all(is_prime_up_set(lat, up[j]) for j, d in enumerate(lat.down)
+               if d & ~(1 << j) in index)
 
 
 @kept

@@ -22,6 +22,11 @@ Two facts of this kind replace searches:
   stays in the family. So the family is exactly the up-sets, closed
   under union and intersection. finite_space checks it in
   O(|opens| n) instead of comparing every pair of opens.
+* The spectrum's basic opens need no check that U_{d^e} = U_d cap U_e
+  and U_{dve} = U_d cup U_e: a point F is a prime round filter, so it
+  holds d ^ e iff it holds d and e (a filter), and d v e iff it holds
+  d or e (prime, and an up-set). finite_space is the one check of the
+  topology.
 * On a distributive join-strong carrier, q -> U_q is an order
   isomorphism from (Fix mu, <=) onto the opens of the spectrum. Recall
   a R b iff a <= mu(b) iff nu(a) <= b. mu(d) R d, and a round filter is
@@ -73,6 +78,7 @@ from .lattice import (
     _order_isomorphism,
     _set_label,
     antisymmetry_witness,
+    is_prime_up_set,
     kept,
     lattice_from_up,
 )
@@ -208,36 +214,14 @@ def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> Optional[tuple[int, ..
 # Prime round filters and spectra
 # ---------------------------------------------------------------------------
 
-def _is_prime_filter_mask(lat: FiniteLattice, mask: int) -> bool:
-    """Whether the up-set `mask` is prime: bot is not in it, and when
-    the join of two elements is in it, one of them is (all finite joins
-    follow by induction).
-
-    The precondition is that `mask` is an up-set, as every round filter
-    is. Then its complement D is a down-set, and a down-set is closed
-    under binary joins iff it holds its own join: if a and b are in D,
-    their join lies below the join of D, and down-closure brings it into
-    D; conversely the join of a nonempty D is a finite join of members.
-    So the up-set is prime iff bot is not in it (D is nonempty) and the
-    join of D is not in it, one O(n) join instead of O(n^2) pairs. The
-    first condition needs no test of its own: if bot is in the up-set,
-    D is empty and its join is bot. The argument uses no distributivity.
-    """
-    return not mask >> lat.join_mask(lat.full & ~mask) & 1
-
-
-def prime_round_filters(p: ProximityLattice, *,
-                        allow_nondistributive: bool = False) -> tuple[int, ...]:
-    """All prime round filters, as member masks, in canonical order.
-
-    Distributivity is required for the spectrum theory; exploratory
-    runs on nondistributive carriers need the explicit flag.
-    """
-    if not p.distributive and not allow_nondistributive:
-        raise NotDistributive("prime filters live on distributive carriers; "
-                              "pass allow_nondistributive=True to explore")
-    return tuple(m for m in round_filter_masks(p)
-                 if _is_prime_filter_mask(p.lattice, m))
+def prime_round_filters(p: ProximityLattice) -> tuple[int, ...]:
+    """All prime round filters, as member masks, in canonical order: the
+    round filters whose complement is a principal down-set
+    (lattice.is_prime_up_set). The test needs no distributivity, so
+    every carrier gets an answer; spectrum and prime_filter_between
+    refuse a carrier that is not distributive themselves."""
+    lat = p.lattice
+    return tuple(m for m in round_filter_masks(p) if is_prime_up_set(lat, m))
 
 
 def _require_prime_filter_theorem(p: ProximityLattice, use: str) -> None:
@@ -270,7 +254,7 @@ def prime_filter_between(p: ProximityLattice, g: RoundSubset,
     maximal = [m for m in family
                if not any(m != m2 and is_subset(m, m2) for m2 in family)]
     chosen = min(maximal)
-    if not _is_prime_filter_mask(p.lattice, chosen):
+    if not is_prime_up_set(p.lattice, chosen):
         raise InternalCheckError(
             "maximal separating filter failed to be prime", witness=chosen)
     return RoundSubset(p, chosen, "filter")
@@ -290,8 +274,9 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
 
     The basic opens are closed under intersection (U_d meet U_e is
     U_{d and e}) and, by primality, under union (U_{d or e}), so together
-    with the empty set they are the whole topology; both identities are
-    asserted below.
+    with the empty set they are the whole topology; neither identity
+    needs a check (module docstring), and finite_space checks the
+    family once.
 
     Found once per carrier and kept on it, so dual_map and the duality
     build read the kept result; a call that raises keeps nothing. The
@@ -300,18 +285,9 @@ def spectrum(p: ProximityLattice) -> SpectrumResult:
     if not p.distributive:
         raise NotDistributive("spectra need distributive carriers")
     points = prime_round_filters(p)
-    k = len(points)
     basic = transpose(points, p.size)
-    for d in range(p.size):
-        for e in range(p.size):
-            if basic[p.lattice.meet[d][e]] != basic[d] & basic[e]:
-                raise InternalCheckError("basic opens broke intersections",
-                                         witness=(d, e))
-            if basic[p.lattice.join[d][e]] != basic[d] | basic[e]:
-                raise InternalCheckError("primality broke unions",
-                                         witness=(d, e))
     labels = [_set_label(fm, p.lattice.labels) for fm in points]
-    space = finite_space(labels, set(basic) | {0, (1 << k) - 1})
+    space = finite_space(labels, set(basic) | {0, (1 << len(points)) - 1})
     return SpectrumResult(p, space, points, basic)
 
 

@@ -41,6 +41,8 @@ from proxlat.proximity import (
     ProximityLattice,
     ProximityMorphism,
     _join_compatible,
+    is_round_filter,
+    is_round_ideal,
     opposite_proximity,
     round_filter_masks,
     round_ideal_masks,
@@ -623,6 +625,16 @@ def generator_iso_by_loops(c1: FiniteLattice, f1, g1, c2: FiniteLattice, f2, g2,
         if table[g1[j]] != g2[j]:
             return None
     return LatticeMap(c1, c2, tuple(table))
+
+
+def proximity_by_round_sets(src: ProximityLattice, tgt: ProximityLattice,
+                            rel: Relation) -> bool:
+    """Whether rel is a proximity morphism by the round-subset
+    characterisation, the pass verify_morphism ran next to the raw
+    axioms before they were shown to agree: every row a round ideal of
+    the target, every column a round filter of the source."""
+    return (all(is_round_ideal(tgt, row) for row in rel.rows)
+            and all(is_round_filter(src, col) for col in rel.converse().rows))
 
 
 def proximity_morphisms_by_filter(src: ProximityLattice, tgt: ProximityLattice,

@@ -159,8 +159,7 @@ def test_criterion_06_prime_round_filter_theorem():
                     ok = ok and f0 is not None
                     ok = ok and g.members & ~f0.members == 0
                     ok = ok and not f0.members & j.members
-    ok = ok and prime_round_filters(CORPUS["M3"],
-                                    allow_nondistributive=True) == ()
+    ok = ok and prime_round_filters(CORPUS["M3"]) == ()
     _verdict(6, ok, "prime filter found for every disjoint filter/ideal pair "
                     "on distributive fixtures; M3 has zero prime filters")
 

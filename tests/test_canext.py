@@ -169,6 +169,22 @@ def test_pi_extension_against_the_polarity_build(corpus):
     assert built == 804
 
 
+def test_pi_extension_has_one_element_per_fixed_point(corpus):
+    """|C| = |Fix mu| (canext module docstring): every pi build, of a
+    carrier or of its opposite, on every proximity lattice on C3, C4, B2
+    and M3."""
+    built = 0
+    for lat in (chain(3), chain(4), corpus["B2"].lattice,
+                corpus["M3"].lattice):
+        for p in proximity_lattices_on(lat):
+            for q in (p, opposite_proximity(p)):
+                if q.join_strong:
+                    fixed = [x for x in range(q.size) if q.mu[x] == x]
+                    assert pi_extension(q).C.size == len(fixed), q.R.rows
+                    built += 1
+    assert built == 52
+
+
 def test_pi_extension_runs_no_closure(corpus, monkeypatch):
     # pins the design: pi, and sigma through it, never route through
     # the generic polarity closure
@@ -449,17 +465,22 @@ def test_sigma_extension_examples(corpus):
     assert full2.C.size == 1
 
 
+def proximity_lattices_on(lat):
+    """Every proximity lattice on lat, read off the maps mu: R^-1[b] is
+    the down-set of mu(b)."""
+    n = lat.size
+    for mu in itertools.product(range(n), repeat=n):
+        rel = Relation(n, n, tuple(lat.down[m] for m in mu)).converse()
+        report = verify_axioms(lat, rel)
+        if report.axioms_ok:
+            yield ProximityLattice(lat, rel, report)
+
+
 def every_proximity_lattice(corpus):
-    """The corpus and every proximity lattice on C3, C4 and B2, read off
-    the maps mu: R^-1[b] is the down-set of mu(b)."""
+    """The corpus and every proximity lattice on C3, C4 and B2."""
     out = list(corpus.values())
     for lat in (chain(3), chain(4), corpus["B2"].lattice):
-        n = lat.size
-        for mu in itertools.product(range(n), repeat=n):
-            rel = Relation(n, n, tuple(lat.down[m] for m in mu)).converse()
-            report = verify_axioms(lat, rel)
-            if report.axioms_ok:
-                out.append(ProximityLattice(lat, rel, report))
+        out.extend(proximity_lattices_on(lat))
     return out
 
 

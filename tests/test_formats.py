@@ -76,6 +76,21 @@ def _b2_swap(target):
             "T": [[x, y] for x, ys in down.items() for y in ys]}
 
 
+def test_fixture_documents_are_fresh_dicts():
+    """Each fixture file is read once; every call parses its text again,
+    so no two calls share a dict and changing one leaves the next
+    intact. Unknown names still raise KeyError."""
+    for name in CORPUS:
+        first, second = fixtures.document(name), fixtures.document(name)
+        assert first == second and first is not second
+        want = copy.deepcopy(first)
+        first["lattice"]["elements"].append("extra")
+        first["R"].clear()
+        assert fixtures.document(name.lower()) == want
+    with pytest.raises(KeyError):
+        fixtures.document("C4")
+
+
 def test_an_endomorphism_document_builds_one_carrier(monkeypatch):
     parsed = []
 

@@ -5,11 +5,11 @@ library, every oracle is used by a test or another oracle, no module
 but formats.dumps writes indented JSON, and every function the bench
 tracer wraps exists.
 
-Memos are checked at run time: every memo is a build decorated with
-lattice.kept (listed in KEPT), no dataclass has a private field, filling
-every kept build leaves the repr, equality and hash of its holder
-unchanged, and the two builds that store an instance's fields as one
-__dict__ store exactly the fields.
+Memos are checked at run time: every memo held by a value is a build
+decorated with lattice.kept (listed in KEPT), no dataclass has a private
+field, filling every kept build leaves the repr, equality and hash of
+its holder unchanged, and the two builds that store an instance's
+fields as one __dict__ store exactly the fields.
 
 No linter runs on this repository, so a refactor can leave an import or
 a helper behind; this reads each module's syntax tree with the stdlib

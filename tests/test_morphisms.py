@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import verify_morphism_exhaustive
+from oracles import proximity_by_round_sets, verify_morphism_exhaustive
 from proxlat.errors import NotAJMorphism, TransposeError
 from proxlat.lattice import LatticeMap, compose_maps, is_homomorphism
 from proxlat.proximity import (
@@ -82,13 +82,14 @@ def test_identity_laws_and_composition_closure(corpus):
 
 def test_morphism_characterisations_agree_exhaustively(corpus):
     # raw axioms against the round-subset characterisation over every
-    # relation on every small corpus pair; disagreement would raise
+    # relation on every small corpus pair
     for na, a, nb, b in small_pairs(corpus):
         for cells in range(1 << (a.size * b.size)):
             rows = tuple((cells >> (i * b.size)) & ((1 << b.size) - 1)
                          for i in range(a.size))
-            report = verify_morphism(a, b, Relation(a.size, b.size, rows))
-            assert report.proximity == report.proximity_via_round_sets
+            rel = Relation(a.size, b.size, rows)
+            assert verify_morphism(a, b, rel).proximity == \
+                proximity_by_round_sets(a, b, rel), (na, nb, rows)
 
 
 def test_binary_vs_exhaustive_approximability(corpus):
@@ -235,15 +236,6 @@ def test_transpose_rejects_non_order_source(corpus):
     c3r = corpus["C3R"]
     with pytest.raises(TransposeError):
         transpose_to_hom(identity_morphism(c3r))
-
-
-def test_adjunction_transpose_dispatcher(corpus):
-    from proxlat.proximity import adjunction_transpose
-    t = identity_morphism(corpus["C2"])
-    f = adjunction_transpose("to_hom", t)
-    assert adjunction_transpose("to_morphism", f).T == t.T
-    with pytest.raises(TransposeError):
-        adjunction_transpose("sideways", t)
 
 
 def test_increasing_presentation_compositions(corpus):

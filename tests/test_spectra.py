@@ -22,7 +22,12 @@ from proxlat.errors import (
     NotT0,
     ProxlatError,
 )
-from proxlat.lattice import antisymmetry_witness, find_isomorphism, lattice_from_up
+from proxlat.lattice import (
+    antisymmetry_witness,
+    find_isomorphism,
+    is_prime_up_set,
+    lattice_from_up,
+)
 from proxlat.proximity import (
     all_j_morphisms,
     identity_morphism,
@@ -34,7 +39,6 @@ from proxlat.proximity import (
 )
 from proxlat.relations import Relation, order_relation
 from proxlat.spectra import (
-    _is_prime_filter_mask,
     all_posets,
     all_t0_spaces,
     canext_via_duality,
@@ -67,17 +71,29 @@ def discrete2():
     return finite_space(["x", "y"], [0b00, 0b01, 0b10, 0b11])
 
 
+def chain32():
+    return lattice_from_up([f"c{i}" for i in range(32)],
+                           [(1 << 32) - (1 << i) for i in range(32)])
+
+
+def boolean5():
+    return lattice_from_up([f"s{i}" for i in range(32)],
+                           [sum(1 << j for j in range(32) if i & j == i)
+                            for i in range(32)])
+
+
 def test_prime_round_filters(corpus):
     assert prime_round_filters(corpus["C2"]) == (0b10,)
     assert prime_round_filters(corpus["C3R"]) == (0b100,)
     assert prime_round_filters(corpus["FULL2"]) == ()
+    # the test needs no distributivity: M3 has no prime filter at all
+    assert prime_round_filters(corpus["M3"]) == ()
     with pytest.raises(NotDistributive):
-        prime_round_filters(corpus["M3"])
-    assert prime_round_filters(corpus["M3"], allow_nondistributive=True) == ()
+        spectrum(corpus["M3"])
 
 
 def test_prime_check_against_the_pair_loop():
-    """The one-join check agrees with the pair loop on every up-set of
+    """The down-set lookup agrees with the pair loop on every up-set of
     every labelled lattice with at most 5 elements, M3 and N5 shapes
     included."""
     lattices = upsets = 0
@@ -92,25 +108,20 @@ def test_prime_check_against_the_pair_loop():
             for mask in range(1 << n):
                 if all(is_subset(up[a], mask) for a in bits(mask)):
                     upsets += 1
-                    assert _is_prime_filter_mask(lat, mask) == \
+                    assert is_prime_up_set(lat, mask) == \
                         is_prime_filter_by_pairs(lat, mask), (up, mask)
     assert (lattices, upsets) == (425, 2944)
 
 
 def test_prime_round_filters_against_the_pair_loop(corpus):
-    chain32 = lattice_from_up([f"c{i}" for i in range(32)],
-                              [(1 << 32) - (1 << i) for i in range(32)])
-    boolean5 = lattice_from_up([f"s{i}" for i in range(32)],
-                               [sum(1 << j for j in range(32) if i & j == i)
-                                for i in range(32)])
     # the prime filters of (L, <=) are the up-sets of the join-primes
-    cases = [(order_proximity(chain32), False, 31),
-             (order_proximity(boolean5), False, 5),
-             (corpus["M3"], True, 0)]
-    for p, explore, count in cases:
+    cases = [(order_proximity(chain32()), 31),
+             (order_proximity(boolean5()), 5),
+             (corpus["M3"], 0)]
+    for p, count in cases:
         expected = tuple(m for m in round_filter_masks(p)
                          if is_prime_filter_by_pairs(p.lattice, m))
-        assert prime_round_filters(p, allow_nondistributive=explore) == expected
+        assert prime_round_filters(p) == expected
         assert len(expected) == count
 
 
@@ -162,14 +173,22 @@ def test_spectrum_shapes(corpus):
 
 
 def test_basic_opens_identities(distributive_corpus):
-    for p in distributive_corpus.values():
+    """d -> U_d preserves binary meets and joins and both bounds, which
+    spectrum leaves unchecked (spectra module docstring): on the
+    distributive corpus, the 32-chain, B5 and the pair presentations of
+    every T0 space on 3 points."""
+    carriers = (list(distributive_corpus.values())
+                + [order_proximity(chain32()), order_proximity(boolean5())]
+                + [pairs_presentation(sp) for sp in all_t0_spaces(3)])
+    for p in carriers:
         res = spectrum(p)
+        lat, basic = p.lattice, res.basic_open
+        assert basic[lat.bot] == 0 and basic[lat.top] == res.space.full
         for d in range(p.size):
             for e in range(p.size):
-                assert res.basic_open[p.lattice.meet[d][e]] == \
-                    res.basic_open[d] & res.basic_open[e]
-                assert res.basic_open[p.lattice.join[d][e]] == \
-                    res.basic_open[d] | res.basic_open[e]
+                assert basic[lat.meet[d][e]] == basic[d] & basic[e]
+                assert basic[lat.join[d][e]] == basic[d] | basic[e]
+    assert len(carriers) == 5 + 2 + 19
 
 
 def test_saturated_lattice_shapes(sierpinski):
