@@ -53,7 +53,6 @@ from .lattice import (
     _intersection_closure,
     _lattice_of_sets,
     _set_label,
-    down_index,
     is_homomorphism,
     kept,
     opposite,
@@ -61,6 +60,7 @@ from .lattice import (
 from .proximity import (
     ProximityLattice,
     _flag_fields,
+    fixed_points,
     opposite_proximity,
     round_filter_masks,
     round_ideal_masks,
@@ -212,7 +212,8 @@ class CanonicalExtension:
     list the round subsets of the source and `f`/`g` their images
     (meets resp. joins of embedded members). pi builds also carry the
     closed sets, the polars member[q] for q in Fix mu (module
-    docstring); sigma builds keep the pi build of the opposite.
+    docstring); a sigma build reads the pi build of the opposite,
+    pi_extension(opposite_proximity(source)), kept on that carrier.
     """
 
     kind: str                       # "pi" | "sigma"
@@ -224,7 +225,6 @@ class CanonicalExtension:
     f: tuple[int, ...]
     g: tuple[int, ...]
     extents: Optional[tuple[int, ...]] = None
-    op_pi: Optional["CanonicalExtension"] = None
 
     def ideal_elements(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.g)))
@@ -281,9 +281,9 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     require_join_strong(p)
     filters = round_filter_masks(p)
     member = transpose(filters, p.size)  # member[q] = {F : q in F}
-    mu = p.mu
+    mu, fixed = p.mu, fixed_points(p)
     # one closed set per fixed point: member is injective on Fix mu
-    extents = tuple(sorted([member[q] for q in range(p.size) if mu[q] == q],
+    extents = tuple(sorted([member[q] for q in fixed],
                            key=lambda m: (m.bit_count(), m)))
     c = _lattice_of_sets(extents, [_set_label(fm, p.lattice.labels)
                                    for fm in filters])
@@ -301,14 +301,14 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
 
     ext = make_extension("pi", p, c, embed, extents=extents)
     # the image of filter i is the least closed set holding it, and the
-    # image of the ideal down q is its polar member[q]
+    # image of the ideal down q (q in Fix mu, the order of ext.ideals) is
+    # its polar member[q]
     holding = transpose(extents, len(filters))
     for i, t in enumerate(ext.f):
         if not holding[i] >> t & 1 or holding[i] & ~c.up[t]:
             raise InternalCheckError("filter images disagree with generators",
                                      witness=i)
-    top_of = down_index(p.lattice)
-    if ext.g != tuple(position[member[top_of[im]]] for im in ext.ideals):
+    if ext.g != tuple(position[member[q]] for q in fixed):
         raise InternalCheckError("ideal images disagree with generators")
     return ext
 
@@ -324,7 +324,7 @@ def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
     ext = CanonicalExtension(kind="sigma", source=p, C=opposite(epi.C),
                              embed=epi.embed, filters=epi.ideals,
                              ideals=epi.filters, f=epi.g, g=epi.f,
-                             extents=epi.extents, op_pi=epi)
+                             extents=epi.extents)
     bad = _first_unpreserved(epi.C, ext.embed, p.R.rows)
     if bad is not None:  # pragma: no cover - theorem guard
         raise InternalCheckError("sigma embedding is not R-meet-preserving",

@@ -36,7 +36,9 @@ from .spectra import FiniteSpace, SpectrumResult, finite_space, specialization
 
 SCHEMA = "proxlat/1"
 MAX_ELEMENTS = 64  # the "few dozen elements" the library is built for
-MAX_OPENS = 4096  # the opens of the discrete 12-point space
+# the opens of the discrete 12-point space; a topology check takes each
+# open against each point outside it, O(|opens| * points) in all
+MAX_OPENS = 4096
 
 
 class ParseError(ProxlatError):
@@ -272,9 +274,9 @@ def space_to_doc(space: FiniteSpace) -> dict:
 
 
 def space_from_doc(doc: dict) -> FiniteSpace:
-    """The space of a document. Checking a topology takes every pair of
-    opens, so more than MAX_ELEMENTS points or MAX_OPENS listed opens
-    are refused before anything is built."""
+    """The space of a document. A topology check is O(|opens| * points)
+    (see MAX_OPENS), so more than MAX_ELEMENTS points or MAX_OPENS listed
+    opens are refused before anything is built."""
     labels = _array(doc, "points", "space")
     if len(labels) > MAX_ELEMENTS:
         raise TooLarge(f"{len(labels)} points, more than {MAX_ELEMENTS}")

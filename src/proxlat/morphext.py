@@ -1,17 +1,30 @@
 """Extending proximity morphisms to the canonical extensions.
 
-The pi-extension of a morphism T is defined in two stages: a round
-ideal element y goes to the join of the embedded image of T over the
-carrier elements whose embedding sits below y, and a general element
-goes to the meet over the round ideal elements above it. The extended
-map agrees with T on embedded elements, preserves all meets and
-directed joins of round ideal elements, and for j-morphisms finite
-joins of round ideal elements as well. Whether it preserves all joins
-is settled here only through the duality, in the distributive case.
+The pi-extension of a map is defined in two stages (Gehrke & Jonsson,
+"Bounded distributive lattice expansions", Math. Scand. 94, 2004):
+stage 1 sends a round ideal element y to the join of the embedded image
+of T over {a : embed(a) <= y}, stage 2 sends u to the meet of stage 1
+over the round ideal elements above u. On a finite C stage 2 is the
+identity, so the table is stage 1 over all of C:
+
+* In a pi build, embed maps Fix mu onto C: the closed sets are member[q]
+  for q in Fix mu, and embed(q) = member[mu(q)] = member[q] (canext).
+* The image of the round ideal down q is embed(q), as embed is monotone
+  and q is the top of down q. So every element of C is a round ideal
+  element.
+* Stage 1 is monotone in y, so the stage-2 meet over the ideal elements
+  above u, u among them, is stage 1 at u.
+
+The extended map agrees with T on embedded elements, preserves all
+meets and directed joins of round ideal elements, and for j-morphisms
+finite joins of round ideal elements as well. Whether it preserves all
+joins is settled here only through the duality, in the distributive
+case.
 
 Sigma extensions of m-morphisms run the same construction through the
-opposite carriers, so their preservation report reads in the opposite
-order: the 'meets' slots are joins of the original orientation.
+pi builds of the opposite carriers, so their preservation report reads
+in the opposite order: the 'meets' slots are joins of the original
+orientation.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits, preimage, transpose
-from .canext import CanonicalExtension, _join_of_image
+from .canext import CanonicalExtension, _join_of_image, pi_extension
 from .errors import (
     InternalCheckError,
     KindMismatch,
@@ -27,7 +40,7 @@ from .errors import (
     NotDistributive,
 )
 from .lattice import FiniteLattice, _unpreserved_join, opposite
-from .proximity import ProximityMorphism
+from .proximity import ProximityMorphism, opposite_proximity
 from .relations import Relation
 
 
@@ -42,21 +55,13 @@ class ExtendedMap:
 
 def _pi_table(rel: Relation, e_src: CanonicalExtension,
               e_tgt: CanonicalExtension) -> tuple[int, ...]:
-    c_src, c_tgt = e_src.C, e_tgt.C
-    ideal_elems = e_src.ideal_elements()
+    """y -> the join of the embedded image of T over {a : embed(a) <= y}
+    for every y in C, the whole pi-extension (module docstring)."""
+    c_src = e_src.C
     # below[y] = {a : embed(a) <= y}, the preimage of down y
     below = transpose([c_src.up[t] for t in e_src.embed], c_src.size)
-    stage1: dict[int, int] = {}
-    for y in ideal_elems:
-        stage1[y] = _join_of_image(c_tgt, e_tgt.embed, rel.image(below[y]))
-    table = []
-    for u in range(c_src.size):
-        out = c_tgt.top
-        for y in ideal_elems:
-            if c_src.leq(u, y):
-                out = c_tgt.meet[out][stage1[y]]
-        table.append(out)
-    return tuple(table)
+    return tuple(_join_of_image(e_tgt.C, e_tgt.embed, rel.image(b))
+                 for b in below)
 
 
 def _check_agrees_on_embedding(rel: Relation, e_src, e_tgt, table) -> None:
@@ -101,19 +106,19 @@ def extend_pi(t: ProximityMorphism, e_src: CanonicalExtension,
 def extend_sigma(u: ProximityMorphism, e_src: CanonicalExtension,
                  e_tgt: CanonicalExtension) -> ExtendedMap:
     """Extend an m-morphism between sigma extensions by running the pi
-    construction through the stored opposite extensions."""
+    construction through the pi builds the opposite carriers keep."""
     if e_src.kind != "sigma" or e_tgt.kind != "sigma":
         raise KindMismatch("extend_sigma needs sigma extensions on both sides")
-    if e_src.op_pi is None or e_tgt.op_pi is None:
-        raise KindMismatch("sigma extensions must carry their opposite build")
     require_proximity(u, "extend_sigma")
     if not (u.source.same_carrier(e_src.source)
             and u.target.same_carrier(e_tgt.source)):
         raise KindMismatch("morphism endpoints do not match the extensions")
-    table = _pi_table(u.T, e_src.op_pi, e_tgt.op_pi)
+    op_src = pi_extension(opposite_proximity(e_src.source))
+    op_tgt = pi_extension(opposite_proximity(e_tgt.source))
+    table = _pi_table(u.T, op_src, op_tgt)
     # the dual extension property: read through the opposite build, the
     # embedded image condition is the same equation
-    _check_agrees_on_embedding(u.T, e_src.op_pi, e_tgt.op_pi, table)
+    _check_agrees_on_embedding(u.T, op_src, op_tgt, table)
     _check_monotone(e_src.C, e_tgt.C, table)
     return ExtendedMap("sigma", u, e_src, e_tgt, table)
 

@@ -244,9 +244,10 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     cols = transpose(rows, n)
     full, bot, top = lat.full, lat.bot, lat.top
     lat_op = opposite(lat)
-    # mu and nu exist iff R is compatible on that side; most relations
-    # fail an empty instance, and its witness needs no loop
-    mu = nu = jc_wit = mc_wit = None
+    # mu and nu hold None where R is not compatible on that side; most
+    # relations fail an empty instance, and its witness needs no loop
+    mu = nu = (None,)
+    jc_wit = mc_wit = None
     missing = full & ~rows[bot]
     if missing:
         jc_wit = (bot, (missing & -missing).bit_length() - 1)
@@ -257,7 +258,7 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
         mc_wit = ((missing & -missing).bit_length() - 1, top)
     else:
         nu = _tops(lat_op, rows)
-    compatible = mu is not None and nu is not None
+    compatible = None not in mu and None not in nu
     witnesses = []
     idempotent = True
     # R;R = R iff mu o mu = mu; otherwise R;R is compared with R row by
@@ -278,9 +279,9 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
         ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu,
                                  idempotent)[1]
     else:
-        if jc_wit is None and mu is None:
+        if jc_wit is None and None in mu:
             jc_wit = _join_compatible(lat, rows)[1]
-        if mc_wit is None and nu is None:
+        if mc_wit is None and None in nu:
             wit = _join_compatible(lat_op, cols)[1]
             mc_wit = wit and wit[-1:] + wit[:-1]
         # the empty strongness instance, R^-1[bot] inside itself, holds
@@ -330,10 +331,11 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     return report
 
 
-def _tops(lat: FiniteLattice, masks) -> Optional[tuple[int, ...]]:
-    """The c with down c = m for each m in `masks`, or None if any is not."""
-    tops = tuple(map(down_index(lat).get, masks))
-    return None if None in tops else tops
+def _tops(lat: FiniteLattice, masks) -> tuple[Optional[int], ...]:
+    """The q with down q = m for each m in `masks`, None where m is not
+    a principal down-set (in a finite lattice, a lattice ideal): one
+    lookup each in the down-set index, the one test of that property."""
+    return tuple(map(down_index(lat).get, masks))
 
 
 def _join_compatible(lat, rows):
@@ -373,10 +375,9 @@ class ProximityLattice:
     def mu(self) -> tuple[int, ...]:
         """mu(b), the join of the column R^-1[b], for each b; read off
         the columns once and kept on the carrier."""
-        cols = self.R.converse().rows
-        mu = _tops(self.lattice, cols)
-        if mu is None:  # a hand-built carrier failing the axioms
-            b = next(b for b, c in enumerate(cols) if c not in self.lattice.down)
+        mu = _tops(self.lattice, self.R.converse().rows)
+        if None in mu:  # a hand-built carrier failing the axioms
+            b = mu.index(None)
             raise NotAProximityLattice(f"column {self.lattice.labels[b]!r} "
                                        "of R is not a principal down-set")
         return mu
@@ -466,22 +467,31 @@ def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
         witnesses=tuple(witnesses),
     )
     op = ProximityLattice(lat, rel, report)
-    keep(op, ProximityLattice.mu.fget, _tops(lat, p.R.rows))
+    nu = _tops(lat, p.R.rows)  # None in it: op.mu raises, as p.mu does
+    keep(op, ProximityLattice.mu.fget, None if None in nu else nu)
     return op
 
 
 def is_round_ideal(p: ProximityLattice, mask: int) -> bool:
     """A round ideal is down q for a fixed point q of mu (module
-    docstring): the mask must be the down-set of its join q, with
+    docstring): the mask must be a principal down-set down q, with
     mu(q) = q. A mask that is empty, negative or wider than the
     carrier equals no down-set, so it is not one."""
-    lat = p.lattice
-    q = lat.join_mask(mask & lat.full)
-    return mask == lat.down[q] and p.mu[q] == q
+    q = _tops(p.lattice, (mask,))[0]
+    return q is not None and p.mu[q] == q
 
 
 def is_round_filter(p: ProximityLattice, mask: int) -> bool:
     return is_round_ideal(opposite_proximity(p), mask)
+
+
+def fixed_points(p: ProximityLattice) -> tuple[int, ...]:
+    """Fix mu, the tops of the round ideals, in the canonical order of
+    the round ideals: by the size of down q, then by its mask. The one
+    list of Fix mu; not kept, as each caller is kept or runs once."""
+    mu, down = p.mu, p.lattice.down
+    return tuple(sorted((q for q in range(p.size) if mu[q] == q),
+                        key=lambda q: (down[q].bit_count(), down[q])))
 
 
 @kept
@@ -493,9 +503,7 @@ def round_ideal_masks(p: ProximityLattice) -> tuple[int, ...]:
     R^-1[q] = down mu(q), so it is round exactly when mu(q) = q (module
     docstring). Found once per carrier and kept on it.
     """
-    mu, down = p.mu, p.lattice.down
-    out = [down[q] for q in range(p.size) if mu[q] == q]
-    return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
+    return tuple(map(p.lattice.down.__getitem__, fixed_points(p)))
 
 
 def round_filter_masks(p: ProximityLattice) -> tuple[int, ...]:
@@ -586,44 +594,36 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
     """
     if rel.source_size != src.size or rel.target_size != tgt.size:
         raise DimensionMismatch("relation does not match the two carriers")
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
     rows = rel.rows
     cols = transpose(rows, tgt.size)  # a one-shot candidate: no memo
-    src_cols = src.R.converse().rows
-    tgt_cols = tgt.R.converse().rows
+    src_cols, tgt_cols = src.R.converse().rows, tgt.R.converse().rows
 
-    raw = True
     src_op = opposite(src.lattice)
     left = compose_rows(src_cols, rows)  # R^-1;T
-    if left != rows:
-        raw = False
-        witnesses.append(("left_composition", _first_diff(left, rows)))
     right = compose_rows(rows, tgt_cols)  # T;S^-1
-    if right != rows:
-        raw = False
-        witnesses.append(("right_composition", _first_diff(right, rows)))
-    for a, row in enumerate(rows):
-        if not _is_lattice_ideal(tgt.lattice, row):
-            raw = False
-            witnesses.append(("row_ideal", (a,)))
-            break
-    for b, col in enumerate(cols):
-        if not _is_lattice_ideal(src_op, col):
-            raw = False
-            witnesses.append(("column_filter", (b,)))
-            break
+    # the tops of the rows in the target and of the columns in src^op;
+    # the first None names the row or column that is no lattice ideal
+    row_tops, col_tops = _tops(tgt.lattice, rows), _tops(src_op, cols)
+    witnesses = [(name, wit) for name, wit in (
+        ("left_composition", left != rows and _first_diff(left, rows)),
+        ("right_composition", right != rows and _first_diff(right, rows)),
+        ("row_ideal", None in row_tops and (row_tops.index(None),)),
+        ("column_filter", None in col_tops and (col_tops.index(None),)))
+        if wit]
+    raw = not witnesses
 
     # meet-approximability of T is join-approximability of its converse
     # from (tgt^op, S^-1) to (src^op, R^-1)
-    approx = _join_approx_mu if raw else _join_approx_binary
-    japprox, j_wit = approx(src.lattice, tgt.lattice, tgt.R.rows,
-                            tgt_cols, rows)
-    mapprox, m_wit = approx(opposite(tgt.lattice), src_op, src_cols,
-                            src.R.rows, cols)
-    if not japprox and j_wit is not None:
-        witnesses.append(("join_approximable", j_wit))
-    if not mapprox and m_wit is not None:
-        witnesses.append(("meet_approximable", m_wit))
+    j_args = (src.lattice, tgt.lattice, tgt.R.rows, tgt_cols, rows)
+    m_args = (opposite(tgt.lattice), src_op, src_cols, src.R.rows, cols)
+    if raw:
+        japprox, j_wit = _join_approx_mu(*j_args, row_tops)
+        mapprox, m_wit = _join_approx_mu(*m_args, col_tops)
+    else:
+        japprox, j_wit = _join_approx_binary(*j_args)
+        mapprox, m_wit = _join_approx_binary(*m_args)
+    witnesses += [(name, wit) for name, wit in (
+        ("join_approximable", j_wit), ("meet_approximable", m_wit)) if wit]
 
     return MorphismReport(
         proximity=raw,
@@ -631,12 +631,6 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
         meet_approximable=mapprox,
         witnesses=tuple(witnesses),
     )
-
-
-def _is_lattice_ideal(lat: FiniteLattice, mask: int) -> bool:
-    """Nonempty, down-closed and join-closed. In a finite lattice these
-    are exactly the principal down-sets, each the down-set of its join."""
-    return mask == lat.down[lat.join_mask(mask)]
 
 
 def _join_approx_binary(sl, tl, tgt_rows, tgt_cols, rows):
@@ -691,15 +685,13 @@ def _first_binary_failure(sjoin, tjoin, memo, n, rows, tgt_rows):
     return None
 
 
-def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau=None,
+def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau,
                     incomparable=False):
     """_join_approx_binary for T with principal rows T[b] = down tau(b)
-    between proximity lattices: at (b1, b2) it fails for m in
-    T[b1 v b2] minus S^-1[tau(b1) v tau(b2)]. tau is read off the rows
-    unless given; `incomparable` skips the comparable pairs, which pass
-    when tau is an idempotent mu (module docstring)."""
-    if tau is None:
-        tau = list(map(tl.join_mask, rows))
+    between proximity lattices, tau the tops of the rows: at (b1, b2) it
+    fails for m in T[b1 v b2] minus S^-1[tau(b1) v tau(b2)].
+    `incomparable` skips the comparable pairs, which pass when tau is an
+    idempotent mu (module docstring)."""
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return False, ((stray & -stray).bit_length() - 1,)
@@ -915,14 +907,13 @@ def all_proximity_morphisms(src: ProximityLattice, tgt: ProximityLattice,
     morphisms come in the order of the product of the round ideals.
     Each one is still classified by verify_morphism.
     """
-    ideals = round_ideal_masks(tgt)
-    total = len(ideals) ** src.size
+    sl, tl, n = src.lattice, tgt.lattice, src.size
+    # (down q, q) for q in Fix mu_S, in the canonical order of the ideals
+    options = tuple((tl.down[q], q) for q in fixed_points(tgt))
+    total = len(options) ** n
     if total > limit:
         raise ValueError(f"search space {total} exceeds limit {limit}")
-    sl, tl, n = src.lattice, tgt.lattice, src.size
-    tmeet = tl.meet
-    options = tuple((im, tl.join_mask(im)) for im in ideals)
-    mu = src.mu
+    tmeet, mu = tl.meet, src.mu
     # the meet triples and mu_R pairs, each filed under its largest element
     meets: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     fixes: list[list[int]] = [[] for _ in range(n)]

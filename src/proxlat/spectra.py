@@ -86,6 +86,7 @@ from .proximity import (
     ProximityLattice,
     ProximityMorphism,
     RoundSubset,
+    fixed_points,
     is_round_filter,
     is_round_ideal,
     order_proximity,
@@ -532,7 +533,7 @@ def spectral_case_check(p: ProximityLattice) -> SpectralCaseReport:
     spec_res = spectrum(p)
     basic = spec_res.basic_open
     opens = spec_res.space.opens
-    fixed = [q for q in range(p.size) if p.mu[q] == q]
+    fixed = fixed_points(p)
     fixed_at = {basic[q]: q for q in fixed}
     if len(fixed_at) != len(fixed) or len(fixed_at) != len(opens):
         raise InternalCheckError("Fix mu does not match the opens one to one",

@@ -109,6 +109,40 @@ def is_round_ideal_by_definition(p: ProximityLattice, mask: int) -> bool:
     return True
 
 
+def tops_by_join(lat: FiniteLattice, masks) -> tuple[Optional[int], ...]:
+    """The q with down q = m for each m in `masks`, None where m is not a
+    principal down-set, by the O(n) join and compare that decided it
+    before the down-set index did: m is down q for its join q."""
+    tops = []
+    for m in masks:
+        q = lat.join_mask(m & lat.full)
+        tops.append(q if m == lat.down[q] else None)
+    return tuple(tops)
+
+
+def lattice_ideal_witnesses_by_join(src: ProximityLattice,
+                                    tgt: ProximityLattice, rel: Relation):
+    """The row_ideal and column_filter witnesses of verify_morphism as
+    its loops found them by join and compare: the first row that is no
+    principal down-set of the target, the first column that is no
+    principal up-set of the source."""
+    out = []
+    for name, lat, masks in (("row_ideal", tgt.lattice, rel.rows),
+                             ("column_filter", opposite(src.lattice),
+                              rel.converse().rows)):
+        tops = tops_by_join(lat, masks)
+        if None in tops:
+            out.append((name, (tops.index(None),)))
+    return out
+
+
+def is_round_ideal_by_join(p: ProximityLattice, mask: int) -> bool:
+    """is_round_ideal as it was: the mask is down q for its join q, and
+    mu(q) = q."""
+    q = tops_by_join(p.lattice, (mask,))[0]
+    return q is not None and p.mu[q] == q
+
+
 def round_subsets_slow(p: ProximityLattice, kind: str) -> tuple[int, ...]:
     """Filter every nonempty join-closed (meet-closed) subset through the
     image fixpoint condition. Exponential; small carriers only."""
@@ -695,3 +729,25 @@ def finite_space_by_pairs(labels, opens) -> FiniteSpace:
             if u | v not in fam or u & v not in fam:
                 raise ProxlatError("opens are not closed under union/intersection")
     return FiniteSpace(n, tuple(family), tuple(labels))
+
+
+def pi_table_two_stage(rel: Relation, e_src: CanonicalExtension,
+                       e_tgt: CanonicalExtension) -> tuple[int, ...]:
+    """The pi-extension of rel by both stages of its definition, as
+    morphext._pi_table computed it before stage 2 was shown to be the
+    identity: a round ideal element y goes to the join of the embedded
+    image of rel over {a : embed(a) <= y}, and every u to the meet of
+    those values over the ideal elements y >= u."""
+    c_src, c_tgt = e_src.C, e_tgt.C
+    ideal_elems = e_src.ideal_elements()
+    below = transpose_by_loop([c_src.up[t] for t in e_src.embed], c_src.size)
+    stage1 = {y: _join_of_image(c_tgt, e_tgt.embed, rel.image(below[y]))
+              for y in ideal_elems}
+    table = []
+    for u in range(c_src.size):
+        out = c_tgt.top
+        for y in ideal_elems:
+            if c_src.leq(u, y):
+                out = c_tgt.meet[out][stage1[y]]
+        table.append(out)
+    return tuple(table)

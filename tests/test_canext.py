@@ -170,19 +170,26 @@ def test_pi_extension_against_the_polarity_build(corpus):
 
 
 def test_pi_extension_has_one_element_per_fixed_point(corpus):
-    """|C| = |Fix mu| (canext module docstring): every pi build, of a
-    carrier or of its opposite, on every proximity lattice on C3, C4, B2
+    """|C| = |Fix mu| (canext module docstring), and every element of C
+    is a round ideal element, as the one-stage extension of maps needs
+    (morphext module docstring): every pi build, of a carrier or of its
+    opposite, on the corpus and every proximity lattice on C3, C4, B2
     and M3."""
     built = 0
+    carriers = list(corpus.values())
     for lat in (chain(3), chain(4), corpus["B2"].lattice,
                 corpus["M3"].lattice):
-        for p in proximity_lattices_on(lat):
-            for q in (p, opposite_proximity(p)):
-                if q.join_strong:
-                    fixed = [x for x in range(q.size) if q.mu[x] == x]
-                    assert pi_extension(q).C.size == len(fixed), q.R.rows
-                    built += 1
-    assert built == 52
+        carriers.extend(proximity_lattices_on(lat))
+    for p in carriers:
+        for q in (p, opposite_proximity(p)):
+            if q.join_strong:
+                fixed = [x for x in range(q.size) if q.mu[x] == x]
+                ext = pi_extension(q)
+                assert ext.C.size == len(fixed), q.R.rows
+                assert ext.ideal_elements() == tuple(range(ext.C.size)), \
+                    q.R.rows
+                built += 1
+    assert built == 64
 
 
 def test_pi_extension_runs_no_closure(corpus, monkeypatch):

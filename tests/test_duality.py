@@ -13,6 +13,7 @@ import random
 
 from oracles import (
     is_round_ideal_by_definition,
+    is_round_ideal_by_join,
     join_approx_binary_by_loops,
     join_approx_exhaustive,
     join_strong_binary,
@@ -20,6 +21,7 @@ from oracles import (
     join_strong_mu,
     kept_value,
     round_subsets_slow,
+    tops_by_join,
     verify_axioms_by_loops,
     verify_axioms_exhaustive,
     verify_morphism_exhaustive,
@@ -131,10 +133,11 @@ def principal_down_sets(p):
     return p.lattice.down
 
 
-def strong_by_approx(kernel, lat, rows, cols):
+def strong_by_approx(kernel, lat, rows, cols, *tau):
     """Join-strongness as join-approximability of R^-1 from (L, R) to
-    itself, the witness rotated from (b1, b2, a) to (a, b1, b2)."""
-    found, wit = kernel(lat, lat, rows, cols, cols)
+    itself, the witness rotated from (b1, b2, a) to (a, b1, b2); tau,
+    the tops of the columns, goes to the mu kernel."""
+    found, wit = kernel(lat, lat, rows, cols, cols, *tau)
     return found, wit and wit[-1:] + wit[:-1]
 
 
@@ -211,8 +214,12 @@ def test_mu_strongness_against_the_loops(corpus):
         for side in ((lat, rows, cols), (opposite(lat), cols, rows)):
             found = join_strong_mu(*side)
             assert found == join_strong_binary(*side), (lat.size, rows)
-            for kernel in (_join_approx_mu, _join_approx_binary):
-                assert strong_by_approx(kernel, *side) == found, (lat.size, rows)
+            # the mu kernel gets the tops of the columns by join and compare
+            tau = tops_by_join(side[0], side[2])
+            for kernel, args in ((_join_approx_mu, (tau,)),
+                                 (_join_approx_binary, ())):
+                assert strong_by_approx(kernel, *side, *args) == found, \
+                    (lat.size, rows)
             verdicts.add(found[0])
     assert verdicts == {True, False}
 
@@ -257,7 +264,9 @@ def test_principal_map_reports_are_pinned(corpus):
                       tgt.R.converse().rows, rel.rows),
                      (opposite(tgt.lattice), opposite(src.lattice),
                       src.R.converse().rows, src.R.rows, rel.converse().rows)):
-            assert _join_approx_mu(*side) == _join_approx_binary(*side)
+            tau = tops_by_join(side[1], side[4])
+            assert None not in tau
+            assert _join_approx_mu(*side, tau) == _join_approx_binary(*side)
     assert (len(reports), hits, sum(r.j_morphism for r in reports)) == (6426, 231, 56)
     assert digest(reports) == PRINCIPAL_SHA256
 
@@ -400,7 +409,9 @@ def test_join_sets_are_kept_and_invisible(corpus):
 def test_round_ideals_against_the_definition(corpus):
     """mu and the round sets read off it, on the carrier and on its
     opposite, against the columns and the definition: every mask from
-    -1 to 2^n is tested for membership."""
+    -1 to 2^n is tested for membership, by the down-set index, by the
+    definition and by the join and compare that is_round_ideal ran
+    before."""
     carriers = list(corpus.values())
     for lat in (chain(3), chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
         carriers.extend(proximity_lattices(lat))
@@ -411,9 +422,11 @@ def test_round_ideals_against_the_definition(corpus):
             op = opposite_proximity(q)
             for mask in range(-1, (1 << q.size) + 1):
                 assert is_round_ideal(q, mask) == \
-                    is_round_ideal_by_definition(q, mask), (q.R.rows, mask)
+                    is_round_ideal_by_definition(q, mask) == \
+                    is_round_ideal_by_join(q, mask), (q.R.rows, mask)
                 assert is_round_filter(q, mask) == \
-                    is_round_ideal_by_definition(op, mask), (q.R.rows, mask)
+                    is_round_ideal_by_definition(op, mask) == \
+                    is_round_ideal_by_join(op, mask), (q.R.rows, mask)
             assert round_ideal_masks(q) == round_subsets_slow(q, "ideal")
             ridl = round_ideal_lattice(q)
             cols = q.R.converse().rows

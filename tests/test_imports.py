@@ -2,8 +2,9 @@
 it, the library imports nothing outside the standard library, every
 private module-level function or class is used somewhere in the
 library, every oracle is used by a test or another oracle, no module
-but formats.dumps writes indented JSON, and every function the bench
-tracer wraps exists.
+but formats.dumps writes indented JSON, every function the bench
+tracer wraps exists, and no module tests a principal down-set by
+indexing `.down` with a join_mask call.
 
 Memos are checked at run time: every memo held by a value is a build
 decorated with lattice.kept (listed in KEPT), no dataclass has a private
@@ -292,6 +293,38 @@ def test_the_check_sees_an_indented_json_call():
                      "json.dumps({}, indent=2)\n"
                      "json.dump({}, f, indent=None)\n")
     assert _indented_json_calls("a", tree) == ["a:3", "a:4"]
+
+
+def _down_set_of_a_join(module: str, tree: ast.Module) -> list[str]:
+    """module:line of each `.down[...]` subscript whose index calls
+    join_mask. Whether a mask is a principal down-set is decided by one
+    lookup in the down-set index (proximity._tops), not by the O(n) join
+    of the mask and a compare with the down-set of that join."""
+    def calls_join_mask(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) == "join_mask"
+            or getattr(node.func, "id", None) == "join_mask")
+    return [f"{module}:{line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and getattr(node.value, "attr", None) == "down"
+        and any(map(calls_join_mask, ast.walk(node.slice))))]
+
+
+def test_no_down_set_of_a_join():
+    found = [c for p in sorted(SRC.glob("*.py"))
+             for c in _down_set_of_a_join(p.stem, ast.parse(p.read_text()))]
+    assert not found, f"down-sets indexed by a join_mask call: {found}"
+
+
+def test_the_check_sees_a_down_set_of_a_join():
+    tree = ast.parse("ok = mask == lat.down[lat.join_mask(mask)]\n"
+                     "q = lat.join_mask(mask)\n"
+                     "ok = mask == lat.down[q]\n"
+                     "d = p.lattice.down[join_mask(lat, m & full)]\n"
+                     "d = down[lat.join_mask(m)]\n"
+                     "d = lat.up[lat.join_mask(m)]\n")
+    assert _down_set_of_a_join("a", tree) == ["a:1", "a:4"]
 
 
 def test_bench_span_targets_exist():

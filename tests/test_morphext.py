@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import pi_table_two_stage
 from proxlat import spectra
 from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import KindMismatch, NotAProximityMorphism
@@ -21,11 +22,13 @@ from proxlat.proximity import (
     all_proximity_morphisms,
     identity_morphism,
     morph_compose,
+    opposite_proximity,
     order_proximity,
     proximity_morphism,
 )
 from proxlat.relations import full_relation
 from proxlat.spectra import dual_map
+from test_canext import proximity_lattices_on
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,33 @@ def test_full_relation_extension_against_brute_force(corpus, pi_exts):
             out = c.meet[out][acc]
         expected.append(out)
     assert m.table == tuple(expected)
+
+
+def test_one_stage_against_the_two_stage_definition(corpus):
+    """extend_pi and extend_sigma give the table of both stages of the
+    definition (oracles.pi_table_two_stage) on every proximity morphism
+    between the proximity lattices on C2, C3, C4, B2 and M3: on a finite
+    carrier stage 2 is the identity (morphext module docstring). The
+    sigma side runs through the pi builds of the opposites."""
+    carriers = [p for lat in (chain(2), chain(3), chain(4),
+                              corpus["B2"].lattice, corpus["M3"].lattice)
+                for p in proximity_lattices_on(lat)]
+    checked = {"pi": 0, "sigma": 0}
+    for a, b in itertools.product(carriers, repeat=2):
+        for t in all_proximity_morphisms(a, b):
+            if a.join_strong and b.join_strong:
+                e_a, e_b = pi_extension(a), pi_extension(b)
+                assert extend_pi(t, e_a, e_b).table == \
+                    pi_table_two_stage(t.T, e_a, e_b), (a.R.rows, t.T.rows)
+                checked["pi"] += 1
+            if a.meet_strong and b.meet_strong:
+                op_a, op_b = (pi_extension(opposite_proximity(x))
+                              for x in (a, b))
+                m = extend_sigma(t, sigma_extension(a), sigma_extension(b))
+                assert m.table == pi_table_two_stage(t.T, op_a, op_b), \
+                    (a.R.rows, t.T.rows)
+                checked["sigma"] += 1
+    assert checked == {"pi": 2315, "sigma": 2315}
 
 
 def test_extension_property_for_all_corpus_morphisms(distributive_corpus, pi_exts):

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import proximity_by_round_sets, verify_morphism_exhaustive
+from oracles import (
+    lattice_ideal_witnesses_by_join,
+    proximity_by_round_sets,
+    verify_morphism_exhaustive,
+)
 from proxlat.errors import NotAJMorphism, TransposeError
 from proxlat.lattice import LatticeMap, compose_maps, is_homomorphism
 from proxlat.proximity import (
@@ -82,14 +86,19 @@ def test_identity_laws_and_composition_closure(corpus):
 
 def test_morphism_characterisations_agree_exhaustively(corpus):
     # raw axioms against the round-subset characterisation over every
-    # relation on every small corpus pair
+    # relation on every small corpus pair; the row and column witnesses
+    # against the join-and-compare loops they were once found by
     for na, a, nb, b in small_pairs(corpus):
         for cells in range(1 << (a.size * b.size)):
             rows = tuple((cells >> (i * b.size)) & ((1 << b.size) - 1)
                          for i in range(a.size))
             rel = Relation(a.size, b.size, rows)
-            assert verify_morphism(a, b, rel).proximity == \
+            report = verify_morphism(a, b, rel)
+            assert report.proximity == \
                 proximity_by_round_sets(a, b, rel), (na, nb, rows)
+            assert [w for w in report.witnesses
+                    if w[0] in ("row_ideal", "column_filter")] == \
+                lattice_ideal_witnesses_by_join(a, b, rel), (na, nb, rows)
 
 
 def test_binary_vs_exhaustive_approximability(corpus):

@@ -19,7 +19,7 @@ from proxlat.errors import (
     NotDistributive,
     NotJoinStrong,
 )
-from proxlat.lattice import _order_isomorphism, lattice_from_up
+from proxlat.lattice import _order_isomorphism, lattice_from_up, opposite
 from proxlat.proximity import (
     ProximityLattice,
     RoundSubset,
@@ -157,10 +157,12 @@ def test_kept_builds_equal_fresh_builds(corpus):
             first = build(kept)
             assert build(kept) is first, (name, build.__name__)
             assert first == build(dataclasses.replace(p)), (name, build.__name__)
-        # sigma runs through the pi build kept on the kept opposite
+        # sigma runs through the pi build kept on the kept opposite, so
+        # its C is the opposite kept on that build's C
         op = opposite_proximity(kept)
-        assert sigma_extension(kept).op_pi is kept_value(op, pi_extension) \
-            is pi_extension(op), name
+        assert sigma_extension(kept).C \
+            is opposite(kept_value(op, pi_extension).C) \
+            is opposite(pi_extension(op).C), name
         if p.distributive:
             result = canext_via_duality(kept)
             assert result.pi_ext is kept_value(kept, pi_extension), name
