@@ -31,6 +31,21 @@ nu(q2) <= q1, then q2 R q1 and q2 <= mu(q1) = q1, which is false. As
 nu is idempotent, up nu(q2) is a round filter; it holds q2 and misses
 q1, so member[q2] is not inside member[q1]. The argument uses neither
 distributivity nor strongness.
+
+Every extension that passes verify_extension embeds onto C, so an
+isomorphism commuting with the embeddings must be phi(e1(a)) = e2(a),
+and `_forced_iso` reads it off the embeddings. Take a verified pi
+build e. R^-1[b] is down mu(b), so join preservation makes e(b) the
+join of e[down mu(b)]; mu is monotone, hence so is e, and the images
+of up p (p in Fix nu) and down q (q in Fix mu) are e(p) and e(q). Take
+u in C and q* the meet of Q = {q in Fix mu : u <= e(q)}, in Fix mu as
+Fix mu is meet-closed. Then e(q*) is below every e(q), q in Q, whose
+meet is u by density. If p in Fix nu has e(p) <= u, then
+e(p) <= e(q) for q in Q, so compactness makes up p meet down q, i.e.
+p <= q; hence p <= q* and e(p) <= e(q*). Density makes u the join of
+these e(p), so u = e(q*). For sigma, run the argument through meet
+preservation, R[a] = up nu(a), and the join of the p in Fix nu with
+e(p) <= u.
 """
 
 from __future__ import annotations
@@ -427,41 +442,24 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
 # Uniqueness
 # ---------------------------------------------------------------------------
 
-def _generator_iso(c1: FiniteLattice, f1, g1, c2: FiniteLattice, f2, g2,
-                   ) -> Optional[LatticeMap]:
-    """The unique isomorphism determined by matching generators, if the
-    candidate determined on joins of filter images verifies."""
-    table = []
-    for below in transpose([c1.up[t] for t in f1], c1.size):
-        table.append(c2.join_mask(_mask_of(f2[i] for i in bits(below))))
+def _forced_iso(e1: CanonicalExtension, e2: CanonicalExtension,
+                ) -> tuple[Optional[int], Optional[LatticeMap]]:
+    """The table e1.embed[a] -> e2.embed[a], the one candidate for an
+    isomorphism e1.C -> e2.C commuting with the embeddings (module
+    docstring). Returns the first a whose image is already pinned to
+    another value, else the map if the table is an order isomorphism."""
+    c1, c2 = e1.C, e2.C
+    table = [-1] * c1.size
+    for a, (u, v) in enumerate(zip(e1.embed, e2.embed)):
+        if table[u] not in (-1, v):
+            return a, None
+        table[u] = v
     if sorted(table) != list(range(c2.size)):
-        return None
+        return None, None
     above = transpose([c2.down[t] for t in table], c2.size)
-    for u in range(c1.size):
-        if above[table[u]] != c1.up[u]:
-            return None
-    for i in range(len(f1)):
-        if table[f1[i]] != f2[i]:
-            return None
-    for j in range(len(g1)):
-        if table[g1[j]] != g2[j]:
-            return None
-    return LatticeMap(c1, c2, tuple(table))
-
-
-def _commuting_iso(e1: CanonicalExtension, e2: CanonicalExtension,
-                   ) -> Optional[LatticeMap]:
-    """The isomorphism e1.C -> e2.C matching the generators, if it also
-    carries e1.embed to e2.embed. Any isomorphism commuting with the
-    embeddings sends round-subset images to their counterparts, and
-    those join-generate, so there is at most one."""
-    phi = _generator_iso(e1.C, e1.f, e1.g, e2.C, e2.f, e2.g)
-    if phi is None:
-        return None
-    for a in range(e1.source.size):
-        if phi.table[e1.embed[a]] != e2.embed[a]:
-            return None
-    return phi
+    if any(above[t] != c1.up[u] for u, t in enumerate(table)):
+        return None, None
+    return None, LatticeMap(c1, c2, tuple(table))
 
 
 def check_uniqueness(e1: CanonicalExtension, e2: CanonicalExtension,
@@ -481,7 +479,7 @@ def check_uniqueness(e1: CanonicalExtension, e2: CanonicalExtension,
         if not verify_extension(e).passes(e.kind):
             raise ExtensionError(
                 f"input does not verify as a {e.kind} extension")
-    return _commuting_iso(e1, e2)
+    return _forced_iso(e1, e2)[1]
 
 
 @dataclass(frozen=True)
@@ -506,21 +504,12 @@ def pi_sigma_comparison(p: ProximityLattice) -> ComparisonReport:
     """
     if not p.doubly_strong:
         raise NotDoublyStrong("comparison needs both strongness properties")
-    h = pi_extension(p)
     k = sigma_extension(p)
-    pins: dict[int, int] = {}
-    conflict = None
-    for a in range(p.size):
-        cur = pins.get(h.embed[a])
-        if cur is not None and cur != k.embed[a]:
-            conflict = (a,)
-            break
-        pins[h.embed[a]] = k.embed[a]
-    phi = None if conflict else _commuting_iso(h, k)
+    conflict, phi = _forced_iso(pi_extension(p), k)
     sigma_as_pi = _first_unpreserved(k.C, k.embed, p.R.converse().rows) is None
     witnesses: list[tuple[str, tuple[int, ...]]] = []
     if conflict is not None:
-        witnesses.append(("embedding_conflict", conflict))
+        witnesses.append(("embedding_conflict", (conflict,)))
     if p.reflexive != (phi is not None):
         witnesses.append(("mismatch", ()))
     return ComparisonReport(

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits, preimage, transpose
-from .canext import CanonicalExtension, _join_of_image, pi_extension
+from .canext import CanonicalExtension, _join_of_image, _mask_of, pi_extension
 from .errors import (
     InternalCheckError,
     KindMismatch,
@@ -186,10 +186,11 @@ def check_preservation(m: ExtendedMap) -> PreservationReport:
         approx = m.morphism.is_m
     table = m.table
     every = range(c_src.size)
+    ideal_mask = _mask_of(ideal_elems)
 
-    directed = next(((y, g) for y in ideal_elems for g in ideal_elems
-                     if c_src.leq(y, g) and not c_tgt.leq(table[y], table[g])),
-                    None)
+    directed = next(((y, g) for y in ideal_elems
+                     for g in bits(c_src.up[y] & ideal_mask)
+                     if not c_tgt.leq(table[y], table[g])), None)
 
     found = (
         ("all_meets", _unpreserved_join(opposite(c_src), opposite(c_tgt),
@@ -212,17 +213,20 @@ def compare_with_dual(m: ExtendedMap, dual) -> bool:
     """Check that the extended map, transported to the saturated-set
     lattices of the spectra, is the preimage map of the dual point map.
 
-    `dual` is the DualMap of the same morphism. Requires distributive
-    sources and extensions built by pi_extension. The duality builds of
-    both carriers are the ones kept on them (canext_via_duality), so a
-    run over many morphisms between a few carriers builds each once.
+    `dual` is the DualMap of the same morphism, or of one with the same
+    endpoints and relation; any other raises KindMismatch. Requires
+    distributive sources and extensions built by pi_extension. The
+    duality builds of both carriers are the ones kept on them
+    (canext_via_duality), so a run over many morphisms between a few
+    carriers builds each once.
     """
     from .spectra import canext_via_duality
 
-    t = m.morphism
+    t, s = m.morphism, dual.morphism
     if not (t.source.distributive and t.target.distributive):
         raise NotDistributive("the duality transport needs distributive carriers")
-    if dual.morphism.T != t.T:
+    if s is not t and not (s.source.same_carrier(t.source)
+                           and s.target.same_carrier(t.target) and s.T == t.T):
         raise KindMismatch("dual map belongs to a different morphism")
     d_src = canext_via_duality(t.source)
     d_tgt = canext_via_duality(t.target)

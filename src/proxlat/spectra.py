@@ -55,7 +55,7 @@ from typing import Iterator, Optional
 from .bitset import bits, is_subset, preimage, transpose
 from .canext import (
     CanonicalExtension,
-    _commuting_iso,
+    _forced_iso,
     make_extension,
     pi_extension,
     require_join_strong,
@@ -396,7 +396,7 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     # check_uniqueness(pi, ext), with ext verified once, just above
     if not verify_extension(pi).passes("pi"):
         raise ExtensionError("input does not verify as a pi extension")
-    iso = _commuting_iso(pi, ext)
+    iso = _forced_iso(pi, ext)[1]
     if iso is None:
         raise InternalCheckError("no isomorphism onto the saturated sets")
     return DualityResult(spec_res, sat_lat, sats, ext, pi, iso)

@@ -661,6 +661,17 @@ def generator_iso_by_loops(c1: FiniteLattice, f1, g1, c2: FiniteLattice, f2, g2,
     return LatticeMap(c1, c2, tuple(table))
 
 
+def directed_pair_by_filter(c_src: FiniteLattice, c_tgt: FiniteLattice,
+                            table, ideal_elems) -> Optional[tuple[int, int]]:
+    """The first pair y <= g of ideal elements whose images are out of
+    order, found by filtering every pair with c_src.leq: the
+    directed-join check of check_preservation before it walked only the
+    ideal elements above each y."""
+    return next(((y, g) for y in ideal_elems for g in ideal_elems
+                 if c_src.leq(y, g) and not c_tgt.leq(table[y], table[g])),
+                None)
+
+
 def proximity_by_round_sets(src: ProximityLattice, tgt: ProximityLattice,
                             rel: Relation) -> bool:
     """Whether rel is a proximity morphism by the round-subset

@@ -9,10 +9,9 @@ import time
 
 import pytest
 
-from oracles import intersection_polarity
+from oracles import generator_iso_by_loops, intersection_polarity
 from proxlat import fixtures
 from proxlat.canext import (
-    _generator_iso,
     concept_lattice,
     pi_extension,
     pi_sigma_comparison,
@@ -102,9 +101,9 @@ def test_criterion_03_uniqueness_oracle():
                  [f"I{j}" for j in range(pol.ny)]
         q = preorder(labels, polarity_preorder_pairs(pol))
         mc = dedekind_macneille(q)
-        phi = _generator_iso(cl.lattice, cl.f, cl.g, mc.lattice,
-                             tuple(mc.embed[: pol.nx]),
-                             tuple(mc.embed[pol.nx:]))
+        phi = generator_iso_by_loops(cl.lattice, cl.f, cl.g, mc.lattice,
+                                     tuple(mc.embed[: pol.nx]),
+                                     tuple(mc.embed[pol.nx:]))
         ok = ok and phi is not None
     _verdict(3, ok, "concept lattice isomorphic to the cut completion of the "
                     "two-sorted preorder, generators commuting, all fixtures")

@@ -21,7 +21,7 @@ from proxlat.canext import (
     CanonicalExtension,
     Polarity,
     _assert_generation,
-    _generator_iso,
+    _forced_iso,
     check_uniqueness,
     concept_lattice,
     galois_maps,
@@ -320,39 +320,6 @@ def test_assert_generation_against_the_loops(corpus):
                     "generator order disagrees with Z"}
 
 
-def test_generator_iso_against_the_loops(corpus):
-    # the concept lattice against its cut completion with the
-    # completion's generators perturbed, and every pair of extensions
-    # of equal size with the second's filter images perturbed (B2
-    # against the 4-chain gives bijections that are not isomorphisms)
-    cases = []
-    for p in small_carriers(corpus):
-        pol = polarity_of(p)
-        cl = concept_lattice(pol)
-        labels = [f"F{i}" for i in range(pol.nx)] + \
-                 [f"I{j}" for j in range(pol.ny)]
-        mc = dedekind_macneille(preorder(labels, polarity_preorder_pairs(pol)))
-        f2, g2 = tuple(mc.embed[: pol.nx]), tuple(mc.embed[pol.nx:])
-        size = mc.lattice.size
-        for f, g in itertools.chain(
-                [(f2, g2)], ((f, g2) for f in perturbed(f2, size)),
-                ((f2, g) for g in perturbed(g2, size))):
-            cases.append((cl.lattice, cl.f, cl.g, mc.lattice, f, g))
-    exts = [e for p in small_carriers(corpus)
-            for e in (pi_extension(p), sigma_extension(p))]
-    for e1, e2 in itertools.product(exts, exts):
-        if e1.C.size == e2.C.size:
-            for f in itertools.chain([e2.f], perturbed(e2.f, e2.C.size)):
-                cases.append((e1.C, e1.f, e1.g, e2.C, f, e2.g))
-    tables = 0
-    for args in cases:
-        got = _generator_iso(*args)
-        want = generator_iso_by_loops(*args)
-        assert (got and got.table) == (want and want.table), args[4:]
-        tables += got is not None
-    assert 0 < tables < len(cases)
-
-
 def test_galois_maps_boundary_cases(corpus):
     pol = polarity_of(corpus["FULL2"])
     l, r, c = galois_maps(pol)
@@ -421,9 +388,9 @@ def test_macneille_oracle_for_concept_lattices(corpus):
                  [f"I{j}" for j in range(pol.ny)]
         q = preorder(labels, polarity_preorder_pairs(pol))
         mc = dedekind_macneille(q)
-        phi = _generator_iso(cl.lattice, cl.f, cl.g, mc.lattice,
-                             tuple(mc.embed[: pol.nx]),
-                             tuple(mc.embed[pol.nx:]))
+        phi = generator_iso_by_loops(cl.lattice, cl.f, cl.g, mc.lattice,
+                                     tuple(mc.embed[: pol.nx]),
+                                     tuple(mc.embed[pol.nx:]))
         assert phi is not None, name
 
 
@@ -589,6 +556,80 @@ def commuting_permutations(c1, embed1, c2, embed2):
             if all(perm[u] == v for u, v in zip(embed1, embed2))
             and all(c1.leq(u, v) == c2.leq(perm[u], perm[v])
                     for u in range(c1.size) for v in range(c1.size))]
+
+
+def test_verified_extensions_embed_onto_c():
+    """Every extension that passes verify_extension embeds onto C
+    (module docstring): each build of the 576 proximity lattices on
+    labelled lattices with at most 5 elements."""
+    from proxlat.spectra import canext_via_duality
+
+    carriers = labelled_proximity_lattices(5)
+    assert len(carriers) == 576
+    built = 0
+    for p in carriers:
+        builds = []
+        if p.join_strong:
+            builds += [pi_extension(p), pi_extension_by_polarity(p)]
+            if p.distributive:
+                builds.append(canext_via_duality(p).extension)
+        if p.meet_strong:
+            builds += [sigma_extension(p), sigma_extension_explicit(p)]
+        for e in builds:
+            assert verify_extension(e).passes(e.kind), (e.kind, p.R.rows)
+            assert set(e.embed) == set(range(e.C.size)), (e.kind, p.R.rows)
+        built += len(builds)
+    assert built > len(carriers)
+
+
+def test_forced_isomorphism_against_brute_force():
+    """The table read off the embeddings is the one commuting order
+    isomorphism, by brute force over every permutation: between the
+    two pi builds of the 393 join-strong carriers above, and between
+    the pi and sigma builds of the 334 doubly strong ones (none when
+    pi_sigma_comparison reports no phi)."""
+    joins = doubles = 0
+    for p in labelled_proximity_lattices(5):
+        if p.join_strong:
+            h, want = pi_extension(p), pi_extension_by_polarity(p)
+            phi = check_uniqueness(h, want)
+            assert commuting_permutations(h.C, h.embed, want.C, want.embed) \
+                == [phi.table], p.R.rows
+            joins += 1
+        if p.doubly_strong:
+            h, k = pi_extension(p), sigma_extension(p)
+            phi = pi_sigma_comparison(p).phi
+            assert commuting_permutations(h.C, h.embed, k.C, k.embed) \
+                == ([] if phi is None else [phi.table]), p.R.rows
+            doubles += 1
+    assert (joins, doubles) == (393, 334)
+
+
+def test_an_extension_missing_an_element_is_refused(corpus):
+    # the 2-chain embedded in the 3-chain, missing its middle: not onto
+    # C, so not dense, check_uniqueness refuses it, and the table read
+    # off the embeddings is no bijection either way round
+    c2 = corpus["C2"]
+    e = pi_extension(c2)
+    bad = make_extension("pi", c2, chain(3), (0, 2))
+    report = verify_extension(bad)
+    assert not report.passes("pi")
+    assert report.witness("dense") == (1,)
+    with pytest.raises(ExtensionError):
+        check_uniqueness(e, bad)
+    assert _forced_iso(e, bad) == _forced_iso(bad, e) == (None, None)
+
+
+def test_forced_table_must_be_an_order_isomorphism(corpus):
+    # the identity table onto the reversed 2-chain is a bijection that
+    # reverses the order; on C3R the pi and sigma embeddings pin the
+    # image of the middle twice
+    e = pi_extension(corpus["C2"])
+    flipped = make_extension("pi", corpus["C2"], opposite(e.C), e.embed)
+    assert _forced_iso(e, e)[1].table == (0, 1)
+    assert _forced_iso(e, flipped) == (None, None)
+    c3r = corpus["C3R"]
+    assert _forced_iso(pi_extension(c3r), sigma_extension(c3r)) == (1, None)
 
 
 def test_commuting_isomorphism_is_unique(corpus):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import pi_table_two_stage
+from oracles import directed_pair_by_filter, pi_table_two_stage
 from proxlat import spectra
 from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import KindMismatch, NotAProximityMorphism
@@ -26,9 +26,9 @@ from proxlat.proximity import (
     order_proximity,
     proximity_morphism,
 )
-from proxlat.relations import full_relation
+from proxlat.relations import Relation, full_relation
 from proxlat.spectra import dual_map
-from test_canext import proximity_lattices_on
+from test_canext import perturbed, proximity_lattices_on
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,21 @@ def test_compare_with_dual(distributive_corpus, pi_exts):
             assert compare_with_dual(m, dual_map(t)), (na, nb)
 
 
+def test_compare_with_dual_refuses_the_dual_of_another_morphism(corpus):
+    # the rows (1, 7) are a j-morphism C2 -> C3 and C2 -> C3R alike; the
+    # dual of the second runs between other carriers and gets no verdict
+    c2, c3, c3r = corpus["C2"], corpus["C3"], corpus["C3R"]
+    rows = Relation(2, 3, (1, 7))
+    t = proximity_morphism(c2, c3, rows)
+    m = extend_pi(t, pi_extension(c2), pi_extension(c3))
+    assert compare_with_dual(m, dual_map(t))
+    assert compare_with_dual(m, dual_map(proximity_morphism(c2, c3, rows)))
+    other = proximity_morphism(c2, c3r, rows)
+    assert other.is_j
+    with pytest.raises(KindMismatch):
+        compare_with_dual(m, dual_map(other))
+
+
 def test_duality_is_built_once_per_carrier(distributive_corpus, monkeypatch):
     """Over every j-morphism between the distributive corpus carriers,
     each carrier's spectrum and duality build run once; dual_map and
@@ -281,6 +296,30 @@ def test_directed_joins_fail_for_a_non_monotone_map(corpus):
         assert ext.C.leq(y2, g2) and not ext.C.leq(table[y2], table[g2])
 
 
+def test_directed_joins_against_the_pair_filter(corpus):
+    # the identity extended both ways on C3, B2 and the 16-chain, with
+    # every entry of its table moved and every pair of entries swapped:
+    # the first failed pair is the one the filter over all pairs finds
+    failed = 0
+    for p in (corpus["C3"], corpus["B2"], order_proximity(chain(16))):
+        pi_ext, sigma_ext = pi_extension(p), sigma_extension(p)
+        for m in (extend_pi(identity_morphism(p), pi_ext, pi_ext),
+                  extend_sigma(identity_morphism(p), sigma_ext, sigma_ext)):
+            c_src, c_tgt = m.source_ext.C, m.target_ext.C
+            ideal_elems = m.source_ext.ideal_elements()
+            if m.kind == "sigma":
+                c_src, c_tgt = opposite(c_src), opposite(c_tgt)
+                ideal_elems = tuple(sorted(set(m.source_ext.f)))
+            for table in perturbed(m.table, c_tgt.size):
+                rep = check_preservation(dataclasses.replace(m, table=table))
+                want = directed_pair_by_filter(c_src, c_tgt, table,
+                                               ideal_elems)
+                got = dict(rep.witnesses).get("directed_ideal_joins")
+                assert got == want, table
+                failed += want is not None
+    assert failed > 0
+
+
 def test_one_witness_per_failed_property():
     # the swapped map above fails the empty meet and the empty join; each
     # property reports its first failed instance and no other
@@ -372,7 +411,9 @@ def test_preservation_kernel_against_loops(corpus, a, b):
             first = {}
             for name, witness in loop_witnesses(c_src, c_tgt, table, family):
                 first.setdefault(name, witness)
-            got = {k: v for k, v in rep.witnesses if k != "directed_ideal_joins"}
+            got = dict(rep.witnesses)
+            assert got.pop("directed_ideal_joins", None) == \
+                directed_pair_by_filter(c_src, c_tgt, table, family)
             assert got == first, (kind, table)
             for name in ("all_meets", "finite_ideal_joins", "all_joins"):
                 assert getattr(rep, name) == (name not in first)

@@ -58,7 +58,8 @@ def test_readme_quick_tour_values():
         "join_preserving": True, "meet_preserving": False}
     report = pi_sigma_comparison(c3r)
     assert report.reflexive is False and report.phi_exists is False
-    assert canext_via_duality(c3r).iso.table is not None
+    assert report.witnesses == (("embedding_conflict", (1,)),)
+    assert canext_via_duality(c3r).iso.table == (0, 1)
 
 
 def test_readme_fixture_table_claims():
