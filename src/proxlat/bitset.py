@@ -20,7 +20,7 @@ all three sizes.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 # the positions of every byte-sized mask, so small carriers skip the loop
@@ -112,6 +112,18 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
         t = (x ^ x >> shift) & mask
         x ^= t ^ t << shift
     return layout.unpack(x.to_bytes(s * s >> 3, "little"))[:width]
+
+
+def rows_of_pairs(pairs, n: int, width: int,
+                  refuse: Callable[[int, int], Exception]) -> list[int]:
+    """The bit matrix of index pairs: out[a] holds b for each (a, b).
+    A pair outside 0..n-1 by 0..width-1 raises refuse(a, b)."""
+    rows = [0] * n
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < width):
+            raise refuse(a, b)
+        rows[a] |= 1 << b
+    return rows
 
 
 def compose_rows(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:

@@ -22,6 +22,12 @@ relation is reflexive. The pi build is kept on its carrier
 (lattice.kept), so the sigma build of the opposite and
 spectra.canext_via_duality reuse it.
 
+An extension is fixed by its embedding, so a `CanonicalExtension`
+stores C and embed (and the closed sets of a pi or sigma build); its
+round-subset images and its verify_extension report are derived once
+and kept on it. A pi build's images are e(p), p in Fix nu, and e(q),
+q in Fix mu (last paragraph), so no guard re-decides them.
+
 C is isomorphic to (Fix mu, <=), so |C| = |Fix mu|: q -> member[q] is
 monotone, and it reflects the order on Fix mu, so it is injective
 there and `pi_extension` lists one closed set per fixed point. Recall
@@ -68,6 +74,7 @@ from .lattice import (
     _intersection_closure,
     _lattice_of_sets,
     _set_label,
+    _unordered_pair,
     is_homomorphism,
     kept,
     opposite,
@@ -221,25 +228,39 @@ def polarity_preorder_pairs(p: Polarity) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CanonicalExtension:
-    """A complete-lattice extension of a proximity lattice.
-
-    `embed` is the extension map on the carrier; `filters`/`ideals`
-    list the round subsets of the source and `f`/`g` their images
-    (meets resp. joins of embedded members). pi builds also carry the
-    closed sets, the polars member[q] for q in Fix mu (module
-    docstring); a sigma build reads the pi build of the opposite,
+    """A complete-lattice extension of a proximity lattice, stored as C
+    and the map `embed` of the carrier into it. pi builds also carry the
+    closed sets member[q], q in Fix mu; a sigma build carries those of
     pi_extension(opposite_proximity(source)), kept on that carrier.
+    `filters`/`ideals` are the round subsets of the source, and `f`/`g`
+    their images, the meets resp. joins of embedded members, derived
+    once per record and kept on it (module docstring).
     """
 
     kind: str                       # "pi" | "sigma"
     source: ProximityLattice
     C: FiniteLattice
     embed: tuple[int, ...]
-    filters: tuple[int, ...]
-    ideals: tuple[int, ...]
-    f: tuple[int, ...]
-    g: tuple[int, ...]
     extents: Optional[tuple[int, ...]] = None
+
+    @property
+    def filters(self) -> tuple[int, ...]:
+        return round_filter_masks(self.source)
+
+    @property
+    def ideals(self) -> tuple[int, ...]:
+        return round_ideal_masks(self.source)
+
+    @property
+    @kept
+    def f(self) -> tuple[int, ...]:
+        c_op = opposite(self.C)
+        return tuple(_join_of_image(c_op, self.embed, m) for m in self.filters)
+
+    @property
+    @kept
+    def g(self) -> tuple[int, ...]:
+        return tuple(_join_of_image(self.C, self.embed, m) for m in self.ideals)
 
     def ideal_elements(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.g)))
@@ -258,21 +279,6 @@ def _first_unpreserved(lat: FiniteLattice, embed, rows) -> Optional[int]:
         if embed[a] != _join_of_image(lat, embed, row):
             return a
     return None
-
-
-def make_extension(kind: str, source: ProximityLattice, c: FiniteLattice,
-                   embed, extents=None) -> CanonicalExtension:
-    """Assemble a CanonicalExtension, deriving the round-subset images;
-    the round filters and ideals are read off the mu of `source` and of
-    its opposite."""
-    filters = round_filter_masks(source)
-    ideals = round_ideal_masks(source)
-    c_op = opposite(c)
-    f = tuple(_join_of_image(c_op, embed, fm) for fm in filters)
-    g = tuple(_join_of_image(c, embed, im) for im in ideals)
-    return CanonicalExtension(kind=kind, source=source, C=c,
-                              embed=tuple(embed), filters=filters,
-                              ideals=ideals, f=f, g=g, extents=extents)
 
 
 def require_join_strong(p: ProximityLattice) -> None:
@@ -313,19 +319,7 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     hom = LatticeMap(p.lattice, c, embed)
     if not is_homomorphism(hom):  # pragma: no cover - theorem guard
         raise InternalCheckError("pi embedding is not a homomorphism")
-
-    ext = make_extension("pi", p, c, embed, extents=extents)
-    # the image of filter i is the least closed set holding it, and the
-    # image of the ideal down q (q in Fix mu, the order of ext.ideals) is
-    # its polar member[q]
-    holding = transpose(extents, len(filters))
-    for i, t in enumerate(ext.f):
-        if not holding[i] >> t & 1 or holding[i] & ~c.up[t]:
-            raise InternalCheckError("filter images disagree with generators",
-                                     witness=i)
-    if ext.g != tuple(position[member[q]] for q in fixed):
-        raise InternalCheckError("ideal images disagree with generators")
-    return ext
+    return CanonicalExtension("pi", p, c, embed, extents)
 
 
 def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
@@ -334,12 +328,7 @@ def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
     if not p.meet_strong:
         raise NotMeetStrong("sigma extension needs a meet-strong proximity lattice")
     epi = pi_extension(opposite_proximity(p))
-    # the round filters of p are the round ideals of its opposite, and
-    # joins in opposite(epi.C) are meets in epi.C, so the generators swap
-    ext = CanonicalExtension(kind="sigma", source=p, C=opposite(epi.C),
-                             embed=epi.embed, filters=epi.ideals,
-                             ideals=epi.filters, f=epi.g, g=epi.f,
-                             extents=epi.extents)
+    ext = CanonicalExtension("sigma", p, opposite(epi.C), epi.embed, epi.extents)
     bad = _first_unpreserved(epi.C, ext.embed, p.R.rows)
     if bad is not None:  # pragma: no cover - theorem guard
         raise InternalCheckError("sigma embedding is not R-meet-preserving",
@@ -375,6 +364,7 @@ class ExtensionReport:
         return _flag_fields(self)
 
 
+@kept
 def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
     """Check density, compactness and the two preservation properties.
 
@@ -382,26 +372,18 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
     and a meet of round-ideal elements above it. Compactness is
     quantified over round filter/ideal pairs (sound for R-increasing
     embeddings, which is checked first): whenever the filter image lies
-    below the ideal image, the two round subsets intersect.
+    below the ideal image, the two round subsets intersect. Run once
+    per record and kept on it, so check_uniqueness(e, e) verifies once.
     """
-    p = ext.source
-    c = ext.C
-    embed = ext.embed
+    p, c, embed = ext.source, ext.C, ext.embed
     witnesses: list[tuple[str, tuple[int, ...]]] = []
-
-    increasing = True
-    for a in range(p.size):
-        for b in bits(p.R.rows[a]):
-            if not c.leq(embed[a], embed[b]):
-                increasing = False
-                witnesses.append(("increasing", (a, b)))
-                break
-        if not increasing:
-            break
+    unordered = _unordered_pair(c, embed, p.R.rows)
+    increasing = unordered is None
+    if not increasing:
+        witnesses.append(("increasing", unordered))
 
     c_op = opposite(c)
-    fe = [_join_of_image(c_op, embed, fm) for fm in ext.filters]
-    ie = [_join_of_image(c, embed, im) for im in ext.ideals]
+    fe, ie = ext.f, ext.g
 
     dense = True
     fmask, imask = _mask_of(fe), _mask_of(ie)
@@ -413,9 +395,10 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
 
     compact = True
     above = transpose([c.down[t] for t in ie], c.size)  # {j : u <= ie[j]}
+    ideals = ext.ideals
     for i, fm in enumerate(ext.filters):
         for j in bits(above[fe[i]]):
-            if not fm & ext.ideals[j]:
+            if not fm & ideals[j]:
                 compact = False
                 witnesses.append(("compact", (i, j)))
                 break

@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bitset import bits, is_subset, transpose
-from .errors import NotALattice, NotAPartialOrder
+from .bitset import bits, is_subset, rows_of_pairs, transpose
+from .errors import DimensionMismatch, NotALattice, NotAPartialOrder
 
 
 def _key(build: Callable) -> str:
@@ -96,11 +96,17 @@ class FiniteLattice:
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """A total function between lattice carriers, given by its table."""
+    """A total function between lattice carriers, given by its table:
+    one target element per source element, else DimensionMismatch."""
 
     source: FiniteLattice
     target: FiniteLattice
     table: tuple[int, ...]
+
+    def __post_init__(self):
+        t = self.table
+        if len(t) != self.source.size or min(t) < 0 or max(t) >= self.target.size:
+            raise DimensionMismatch("one target element per source element required")
 
     def __call__(self, a: int) -> int:
         return self.table[a]
@@ -119,15 +125,6 @@ class Preorder:
 
     def down_masks(self) -> tuple[int, ...]:
         return transpose(self.up, self.size)
-
-
-def _order_masks(n: int, pairs) -> list[int]:
-    up = [0] * n
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise NotAPartialOrder(f"pair ({a},{b}) outside carrier of size {n}")
-        up[a] |= 1 << b
-    return up
 
 
 def antisymmetry_witness(up: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -163,7 +160,10 @@ def _check_preorder(n: int, up: Sequence[int]) -> None:
 
 
 def preorder(labels: Sequence[str], pairs) -> Preorder:
-    return preorder_from_up(labels, _order_masks(len(labels), pairs))
+    n = len(labels)
+    return preorder_from_up(labels, rows_of_pairs(
+        pairs, n, n, lambda a, b: NotAPartialOrder(
+            f"pair ({a},{b}) outside carrier of size {n}")))
 
 
 def preorder_from_up(labels: Sequence[str], up: Sequence[int]) -> Preorder:
@@ -325,6 +325,21 @@ def _unpreserved_join(src: FiniteLattice, tgt: FiniteLattice,
     return None
 
 
+def _unordered_pair(tgt: FiniteLattice, table: Sequence[int],
+                    rows: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first pair (a, b), b in rows[a], whose images are out of
+    order, table[a] not below table[b] in tgt; None when there is none.
+    Pairs come by a, then by b. With the up-sets of a source order as
+    rows this is the monotonicity check of table."""
+    up = tgt.up
+    for a, row in enumerate(rows):
+        above = up[table[a]]
+        for b in bits(row):
+            if not above >> table[b] & 1:
+                return (a, b)
+    return None
+
+
 def is_homomorphism(f: LatticeMap) -> bool:
     """True iff f preserves binary meets and joins and both bounds."""
     src, tgt, t = f.source, f.target, f.table
@@ -336,7 +351,7 @@ def is_homomorphism(f: LatticeMap) -> bool:
 def compose_maps(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     """The map a -> g(f(a)); f runs first."""
     if f.target is not g.source and f.target != g.source:
-        raise NotAPartialOrder("composable maps must share the middle lattice")
+        raise DimensionMismatch("composable maps must share the middle lattice")
     return LatticeMap(f.source, g.target, tuple(g.table[x] for x in f.table))
 
 

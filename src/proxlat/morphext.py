@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, preimage, transpose
+from .bitset import preimage, transpose
 from .canext import CanonicalExtension, _join_of_image, _mask_of, pi_extension
 from .errors import (
     InternalCheckError,
@@ -39,7 +39,7 @@ from .errors import (
     NotAProximityMorphism,
     NotDistributive,
 )
-from .lattice import FiniteLattice, _unpreserved_join, opposite
+from .lattice import FiniteLattice, _unordered_pair, _unpreserved_join, opposite
 from .proximity import ProximityMorphism, opposite_proximity
 from .relations import Relation
 
@@ -74,11 +74,9 @@ def _check_agrees_on_embedding(rel: Relation, e_src, e_tgt, table) -> None:
 
 
 def _check_monotone(c_src: FiniteLattice, c_tgt: FiniteLattice, table) -> None:
-    for u in range(c_src.size):
-        for v in bits(c_src.up[u]):
-            if not c_tgt.leq(table[u], table[v]):
-                raise InternalCheckError("extended map is not monotone",
-                                         witness=(u, v))
+    pair = _unordered_pair(c_tgt, table, c_src.up)
+    if pair is not None:
+        raise InternalCheckError("extended map is not monotone", witness=pair)
 
 
 def require_proximity(t: ProximityMorphism, verb: str = "extend_pi") -> None:
@@ -188,9 +186,8 @@ def check_preservation(m: ExtendedMap) -> PreservationReport:
     every = range(c_src.size)
     ideal_mask = _mask_of(ideal_elems)
 
-    directed = next(((y, g) for y in ideal_elems
-                     for g in bits(c_src.up[y] & ideal_mask)
-                     if not c_tgt.leq(table[y], table[g])), None)
+    directed = _unordered_pair(c_tgt, table, [
+        c_src.up[y] & ideal_mask if ideal_mask >> y & 1 else 0 for y in every])
 
     found = (
         ("all_meets", _unpreserved_join(opposite(c_src), opposite(c_tgt),

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitset import bits, compose_rows, transpose
+from .bitset import bits, compose_rows, rows_of_pairs, transpose
 from .errors import DimensionMismatch
 from .lattice import FiniteLattice, kept
 
@@ -70,11 +70,8 @@ def _from_valid_rows(source_size: int, target_size: int, rows) -> Relation:
 
 
 def relation_from_pairs(source_size: int, target_size: int, pairs) -> Relation:
-    rows = [0] * source_size
-    for a, b in pairs:
-        if not (0 <= a < source_size and 0 <= b < target_size):
-            raise DimensionMismatch(f"pair ({a},{b}) outside carriers")
-        rows[a] |= 1 << b
+    rows = rows_of_pairs(pairs, source_size, target_size, lambda a, b:
+                         DimensionMismatch(f"pair ({a},{b}) outside carriers"))
     return Relation(source_size, target_size, tuple(rows))
 
 

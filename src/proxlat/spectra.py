@@ -55,14 +55,12 @@ from typing import Iterator, Optional
 from .bitset import bits, is_subset, preimage, transpose
 from .canext import (
     CanonicalExtension,
-    _forced_iso,
-    make_extension,
+    check_uniqueness,
     pi_extension,
     require_join_strong,
     verify_extension,
 )
 from .errors import (
-    ExtensionError,
     InternalCheckError,
     InvalidRoundSubset,
     NotAJMorphism,
@@ -387,16 +385,13 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     sat_lat = saturated_lattice(spec_res.space)
     position = {m: i for i, m in enumerate(sats)}
     embed = tuple(position[spec_res.basic_open[d]] for d in range(p.size))
-    ext = make_extension("pi", p, sat_lat, embed)
+    ext = CanonicalExtension("pi", p, sat_lat, embed)
     report = verify_extension(ext)
     if not report.passes("pi"):
         raise InternalCheckError("saturated-set realization failed to verify",
                                  witness=report.witnesses)
     pi = pi_extension(p)
-    # check_uniqueness(pi, ext), with ext verified once, just above
-    if not verify_extension(pi).passes("pi"):
-        raise ExtensionError("input does not verify as a pi extension")
-    iso = _forced_iso(pi, ext)[1]
+    iso = check_uniqueness(pi, ext)  # reads the report of ext kept above
     if iso is None:
         raise InternalCheckError("no isomorphism onto the saturated sets")
     return DualityResult(spec_res, sat_lat, sats, ext, pi, iso)

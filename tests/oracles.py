@@ -16,7 +16,6 @@ from proxlat.canext import (
     _first_unpreserved,
     _join_of_image,
     concept_lattice,
-    make_extension,
 )
 from proxlat.errors import (
     InternalCheckError,
@@ -32,6 +31,7 @@ from proxlat.lattice import (
     _set_label,
     antisymmetry_witness,
     is_distributive,
+    keep,
     lattice_from_up,
     opposite,
 )
@@ -199,8 +199,12 @@ def pi_extension_by_polarity(p: ProximityLattice) -> CanonicalExtension:
     cl = concept_lattice(polarity, labels_x)
     ideal_index = {im: i for i, im in enumerate(ideals)}
     embed = tuple(cl.g[ideal_index[col]] for col in p.R.converse().rows)
-    ext = make_extension("pi", p, cl.lattice, embed, extents=cl.extents)
-    return dataclasses.replace(ext, f=cl.f, g=cl.g)
+    ext = CanonicalExtension("pi", p, cl.lattice, embed, cl.extents)
+    # the generators of the concept lattice stand in for the images the
+    # record would derive, so tests compare the two
+    keep(ext, CanonicalExtension.f.fget, cl.f)
+    keep(ext, CanonicalExtension.g.fget, cl.g)
+    return ext
 
 
 def sigma_extension_explicit(p: ProximityLattice) -> CanonicalExtension:
@@ -220,8 +224,8 @@ def sigma_extension_explicit(p: ProximityLattice) -> CanonicalExtension:
     cl = concept_lattice(polarity, labels_x)
     filter_index = {fm: i for i, fm in enumerate(filters)}
     embed = tuple(cl.g[filter_index[p.R.rows[a]]] for a in range(p.size))
-    return make_extension("sigma", p, opposite(cl.lattice), embed,
-                          extents=cl.extents)
+    return CanonicalExtension("sigma", p, opposite(cl.lattice), embed,
+                              cl.extents)
 
 
 def lattice_laws_hold(lat: FiniteLattice) -> bool:

@@ -12,6 +12,7 @@ from oracles import (
     closed_family,
     generator_iso_by_loops,
     intersection_polarity,
+    kept_value,
     pi_extension_by_polarity,
     sigma_extension_explicit,
     verify_extension_by_loops,
@@ -25,7 +26,6 @@ from proxlat.canext import (
     check_uniqueness,
     concept_lattice,
     galois_maps,
-    make_extension,
     pi_extension,
     pi_sigma_comparison,
     polarity_preorder_pairs,
@@ -48,6 +48,7 @@ from proxlat.lattice import (
 )
 from proxlat.proximity import (
     ProximityLattice,
+    fixed_points,
     opposite_proximity,
     proximity_lattice,
     round_filter_masks,
@@ -217,14 +218,6 @@ def test_pi_guards_raise_on_their_condition(corpus, monkeypatch):
     import proxlat.canext as canext
     p = dataclasses.replace(corpus["C3R"])  # a fresh carrier keeps no build
     assert p.mu == (0, 0, 2)
-    build = canext.make_extension
-
-    def with_images(name, value):
-        def fake(*args, **kwargs):
-            ext = build(*args, **kwargs)
-            images = (value(ext.C),) * len(getattr(ext, name))
-            return dataclasses.replace(ext, **{name: images})
-        return fake
 
     cases = [
         ("round_filter_masks",
@@ -232,12 +225,6 @@ def test_pi_guards_raise_on_their_condition(corpus, monkeypatch):
          "embedding disagrees with membership"),
         ("is_homomorphism", lambda hom: False,
          "pi embedding is not a homomorphism"),
-        ("make_extension", with_images("f", lambda c: c.top),
-         "filter images disagree with generators"),  # not the least
-        ("make_extension", with_images("f", lambda c: c.bot),
-         "filter images disagree with generators"),  # misses filter up 2
-        ("make_extension", with_images("g", lambda c: c.bot),
-         "ideal images disagree with generators"),
     ]
     for name, fake, message in cases:
         with monkeypatch.context() as m:
@@ -463,20 +450,29 @@ def test_sigma_explicit_oracle_agrees(corpus):
         direct = sigma_extension(p)
         explicit = sigma_extension_explicit(p)
         assert check_uniqueness(direct, explicit) is not None, name
-    # the generators sigma_extension takes from its pi build, swapped,
-    # against those make_extension derives from the carrier
-    checked = 0
-    for p in every_proximity_lattice(corpus):
-        if not p.meet_strong:
-            continue
-        k = sigma_extension(p)
-        epi = pi_extension(opposite_proximity(p))
-        want = make_extension("sigma", p, opposite(epi.C), epi.embed,
-                              extents=epi.extents)
-        for name in ("filters", "ideals", "f", "g", "extents"):
-            assert getattr(k, name) == getattr(want, name), (p.R.rows, name)
-        checked += 1
-    assert checked == 30
+
+
+def test_round_subset_images_are_the_embedded_fixed_points():
+    """The images a record derives, on the labelled proximity lattices
+    with at most 5 elements: on every pi build f[i] = embed(p_i) and
+    g[j] = embed(q_j) for Fix nu and Fix mu in canonical order (canext
+    module docstring); on every sigma build, those of its pi build of
+    the opposite with filters and ideals swapped."""
+    pis = sigmas = 0
+    for p in labelled_proximity_lattices(5):
+        if p.join_strong:
+            e = pi_extension(p)
+            assert e.f == tuple(e.embed[x] for x in
+                                fixed_points(opposite_proximity(p))), p.R.rows
+            assert e.g == tuple(e.embed[x] for x in fixed_points(p)), p.R.rows
+            pis += 1
+        if p.meet_strong:
+            k = sigma_extension(p)
+            epi = pi_extension(opposite_proximity(p))
+            assert (k.filters, k.ideals) == (epi.ideals, epi.filters), p.R.rows
+            assert (k.f, k.g) == (epi.g, epi.f), p.R.rows
+            sigmas += 1
+    assert (pis, sigmas) == (393, 393)
 
 
 def test_round_subset_images_are_generators(corpus):
@@ -526,7 +522,7 @@ def test_hand_built_bad_extension(corpus):
     # to top is meet- but not join-preserving, with the middle as witness
     c3r = corpus["C3R"]
     c2 = corpus["C2"].lattice
-    bad = make_extension("pi", c3r, c2, (0, 1, 1))
+    bad = CanonicalExtension("pi", c3r, c2, (0, 1, 1))
     rep = verify_extension(bad)
     assert not rep.join_preserving
     assert rep.witness("join_preserving") == (1,)
@@ -540,11 +536,29 @@ def test_check_uniqueness_identity_and_rejection(corpus):
     assert phi is not None and phi.table == tuple(range(e.C.size))
 
     k = sigma_extension(corpus["C3R"])
-    fake_pi = CanonicalExtension(
-        kind="pi", source=k.source, C=k.C, embed=k.embed,
-        filters=k.filters, ideals=k.ideals, f=k.f, g=k.g)
+    fake_pi = CanonicalExtension("pi", k.source, k.C, k.embed)
     with pytest.raises(ExtensionError):
         check_uniqueness(e, fake_pi)
+
+
+def test_an_extension_is_verified_once(corpus, monkeypatch):
+    # check_uniqueness(e, e) runs the body of verify_extension once,
+    # counted by its one call of the order-violation kernel, and keeps
+    # the report that verify_extension then returns
+    import proxlat.canext as canext
+    runs = []
+
+    def counting(*args, real=canext._unordered_pair):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(canext, "_unordered_pair", counting)
+    e = pi_extension(dataclasses.replace(corpus["C3R"]))  # a fresh build
+    assert kept_value(e, verify_extension) is None
+    assert check_uniqueness(e, e) is not None
+    report = kept_value(e, verify_extension)
+    assert report is not None and len(runs) == 1
+    assert verify_extension(e) is report and len(runs) == 1
 
 
 def commuting_permutations(c1, embed1, c2, embed2):
@@ -611,7 +625,7 @@ def test_an_extension_missing_an_element_is_refused(corpus):
     # off the embeddings is no bijection either way round
     c2 = corpus["C2"]
     e = pi_extension(c2)
-    bad = make_extension("pi", c2, chain(3), (0, 2))
+    bad = CanonicalExtension("pi", c2, chain(3), (0, 2))
     report = verify_extension(bad)
     assert not report.passes("pi")
     assert report.witness("dense") == (1,)
@@ -625,7 +639,7 @@ def test_forced_table_must_be_an_order_isomorphism(corpus):
     # reverses the order; on C3R the pi and sigma embeddings pin the
     # image of the middle twice
     e = pi_extension(corpus["C2"])
-    flipped = make_extension("pi", corpus["C2"], opposite(e.C), e.embed)
+    flipped = CanonicalExtension("pi", corpus["C2"], opposite(e.C), e.embed)
     assert _forced_iso(e, e)[1].table == (0, 1)
     assert _forced_iso(e, flipped) == (None, None)
     c3r = corpus["C3R"]

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from oracles import kept_value
-from proxlat.canext import pi_extension
+from proxlat.canext import CanonicalExtension, pi_extension, verify_extension
 from proxlat.fixtures import CORPUS, load
 from proxlat.lattice import down_index, is_distributive, join_sets, kept, opposite
 from proxlat.proximity import (
@@ -177,12 +177,15 @@ def test_the_check_sees_an_unreferenced_private_definition():
         ["a._loop", "a.public"]
 
 
-# every build kept on a lattice, a relation or a proximity lattice
+# every build kept on a lattice, a relation, a proximity lattice or an
+# extension
 KEPT = {
     "lattice": (opposite, is_distributive, down_index, join_sets),
     "relation": (Relation.converse,),
     "carrier": (ProximityLattice.mu, opposite_proximity, round_ideal_masks,
                 pi_extension, spectrum, canext_via_duality),
+    "extension": (CanonicalExtension.f, CanonicalExtension.g,
+                  verify_extension),
 }
 KEPT_CODE = kept(len).__code__  # the code of every kept build's wrapper
 
@@ -235,6 +238,8 @@ def test_kept_builds_are_invisible():
         p, fresh = load(name), load(name)
         holders = {"lattice": (p.lattice, fresh.lattice),
                    "relation": (p.R, fresh.R), "carrier": (p, fresh)}
+        if p.join_strong:
+            holders["extension"] = (pi_extension(p), pi_extension(fresh))
         before = {kind: (repr(x), hash(x)) for kind, (x, _) in holders.items()}
         for build in KEPT["lattice"]:
             build(p.lattice)
@@ -242,9 +247,10 @@ def test_kept_builds_are_invisible():
         opposite_proximity(p)
         round_ideal_masks(p)
         if p.join_strong:
-            pi_extension(p)
             if p.distributive:
                 canext_via_duality(p)  # and the spectrum
+            ext = holders["extension"][0]
+            assert ext.f and ext.g and verify_extension(ext)
         for kind, (x, y) in holders.items():
             assert (repr(x), hash(x)) == before[kind], (name, kind)
             assert x == y and hash(x) == hash(y), (name, kind)

@@ -17,11 +17,12 @@ from oracles import (
 )
 from proxlat.bitset import bits, transpose
 from proxlat.canext import concept_lattice, pi_extension, sigma_extension
-from proxlat.errors import NotALattice, NotAPartialOrder
+from proxlat.errors import DimensionMismatch, NotALattice, NotAPartialOrder
 from proxlat.lattice import (
     FiniteLattice,
     LatticeMap,
     _lattice_of_sets,
+    compose_maps,
     dedekind_macneille,
     down_index,
     find_isomorphism,
@@ -34,7 +35,7 @@ from proxlat.lattice import (
     preorder_from_up,
 )
 from proxlat.proximity import proximity_lattice, round_ideal_lattice
-from proxlat.relations import Relation
+from proxlat.relations import Relation, relation_from_pairs
 from proxlat.spectra import all_posets
 
 
@@ -327,6 +328,40 @@ def test_homomorphism_checks(corpus):
     c2 = corpus["C2"].lattice
     const_top = LatticeMap(c2, c2, (1, 1))
     assert not is_homomorphism(const_top)
+
+
+def test_lattice_map_needs_one_target_element_per_source_element(corpus):
+    # too long, too short, and out of the target: each refused up front
+    # rather than judged by is_homomorphism or read into an IndexError
+    c2 = corpus["C2"].lattice
+    for table in ((0, 1, 1), (0,), (0, 5), (-1, 1)):
+        with pytest.raises(DimensionMismatch):
+            LatticeMap(c2, c2, table)
+    assert LatticeMap(c2, c2, (0, 1)).table == (0, 1)
+
+
+def test_compose_maps_refuses_a_mismatched_middle(corpus):
+    c2, c3 = corpus["C2"].lattice, corpus["C3"].lattice
+    f = LatticeMap(c2, c2, (0, 1))
+    g = LatticeMap(c3, c2, (0, 1, 1))
+    with pytest.raises(DimensionMismatch, match="share the middle lattice"):
+        compose_maps(f, g)
+    assert compose_maps(g, f).table == (0, 1, 1)
+
+
+def test_pair_readers_keep_their_errors():
+    # preorder and relation_from_pairs read pairs by one loop, each with
+    # its own refusal
+    with pytest.raises(NotAPartialOrder,
+                       match=r"pair \(0,2\) outside carrier of size 2"):
+        preorder(["0", "1"], [(0, 0), (0, 2)])
+    with pytest.raises(NotAPartialOrder,
+                       match=r"pair \(-1,0\) outside carrier of size 2"):
+        lattice_from_order(["0", "1"], [(-1, 0)])
+    with pytest.raises(DimensionMismatch, match=r"pair \(2,0\) outside carriers"):
+        relation_from_pairs(2, 3, [(0, 2), (2, 0)])
+    assert relation_from_pairs(2, 3, [(0, 2), (1, 0)]).rows == (4, 1)
+    assert preorder(["0", "1"], [(0, 0), (1, 1), (0, 1)]).up == (3, 2)
 
 
 def test_homomorphism_exhaustive_pair_oracle(corpus):

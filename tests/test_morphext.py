@@ -211,11 +211,12 @@ def test_duality_is_built_once_per_carrier(distributive_corpus, monkeypatch):
         return run
 
     # each runs once per build, with the carrier as argument `at`:
-    # prime_round_filters in spectrum, make_extension in canext_via_duality
+    # prime_round_filters in spectrum, the record of the saturated-set
+    # extension in canext_via_duality
     monkeypatch.setattr(spectra, "prime_round_filters",
                         counting("spectrum", spectra.prime_round_filters, 0))
-    monkeypatch.setattr(spectra, "make_extension",
-                        counting("duality", spectra.make_extension, 1))
+    monkeypatch.setattr(spectra, "CanonicalExtension",
+                        counting("duality", spectra.CanonicalExtension, 1))
     carriers = [dataclasses.replace(p) for p in distributive_corpus.values()]
     morphisms = 0
     for a, b in itertools.product(carriers, repeat=2):

@@ -11,7 +11,7 @@ from oracles import (
     proximity_by_round_sets,
     verify_morphism_exhaustive,
 )
-from proxlat.errors import NotAJMorphism, TransposeError
+from proxlat.errors import DimensionMismatch, NotAJMorphism, TransposeError
 from proxlat.lattice import LatticeMap, compose_maps, is_homomorphism
 from proxlat.proximity import (
     IdealValuedHom,
@@ -239,6 +239,17 @@ def test_transpose_rejects_empty_valued_map(corpus):
     bad = IdealValuedHom(c2.lattice, c2, (0, 0))
     with pytest.raises(TransposeError):
         transpose_to_morphism(bad)
+
+
+def test_a_short_table_is_refused_by_dimension(corpus):
+    # one value for a two-element source: refused where the map of
+    # round-ideal indices is built, as is a short lattice map before
+    # hom_as_morphism reads it
+    c2 = corpus["C2"]
+    with pytest.raises(DimensionMismatch):
+        transpose_to_morphism(IdealValuedHom(c2.lattice, c2, (1,)))
+    with pytest.raises(DimensionMismatch):
+        hom_as_morphism(LatticeMap(c2.lattice, c2.lattice, (0,)))
 
 
 def test_transpose_rejects_non_order_source(corpus):
