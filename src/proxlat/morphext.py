@@ -1,47 +1,72 @@
 """Extending proximity morphisms to the canonical extensions.
 
-The pi-extension of a map is defined in two stages (Gehrke & Jonsson,
-"Bounded distributive lattice expansions", Math. Scand. 94, 2004):
-stage 1 sends a round ideal element y to the join of the embedded image
-of T over {a : embed(a) <= y}, stage 2 sends u to the meet of stage 1
-over the round ideal elements above u. On a finite C stage 2 is the
-identity, so the table is stage 1 over all of C:
+A proximity morphism T from (L, R) to (M, S) has principal rows
+T[a] = down tau(a) and principal columns T^-1[m] = up rho(m), with
+tau(a) in Fix mu_S and rho(m) in Fix nu_R; tau preserves finite meets
+and tau o mu_R = tau, and dually rho preserves finite joins (proximity
+module docstring). A verified extension embeds its fixed points one to
+one onto C and reflects their order: C_pi is (Fix mu, <=) with
+e(a) = e(mu(a)), C_sigma is (Fix nu, <=) with e(a) = e(nu(a)) (canext
+module docstring). As a R b iff a <= mu(b) iff nu(a) <= b, q R nu(q)
+gives q <= mu(nu(q)), and for q in Fix mu, q R q gives nu(q) <= q, so
+mu(nu(q)) = q; dually nu(mu(x)) = x on Fix nu. So nu maps Fix mu one
+to one onto Fix nu, and a sigma build too embeds Fix mu one to one
+onto C. _fixed_point_at reads the q in Fix mu at each element of C,
+and raises ExtensionError for a record that is no such bijection. Both
+extensions are then one read of tau, e(q) -> e(tau(q)), which agrees
+with T and is monotone by construction; neither is checked.
 
-* In a pi build, embed maps Fix mu onto C: the closed sets are member[q]
-  for q in Fix mu, and embed(q) = member[mu(q)] = member[q] (canext).
-* The image of the round ideal down q is embed(q), as embed is monotone
-  and q is the top of down q. So every element of C is a round ideal
-  element.
-* Stage 1 is monotone in y, so the stage-2 meet over the ideal elements
-  above u, u among them, is stage 1 at u.
+* pi(T). The pi-extension is defined in two stages (Gehrke & Jonsson,
+  "Bounded distributive lattice expansions", Math. Scand. 94, 2004):
+  stage 1 sends a round ideal element y to the join of the embedded
+  image of T over {a : e(a) <= y}, stage 2 sends u to the meet of
+  stage 1 over the round ideal elements above u. Every element of C is
+  an ideal element e(q). {a : e(a) <= e(q)} is {a : mu_R(a) <= q},
+  whose T-image is down tau(q), as tau is monotone, tau o mu_R = tau
+  and q is a member; so stage 1 sends e(q) to e(tau(q)), it is
+  monotone, and stage 2 is the identity. On e(a) it gives
+  e(tau(mu_R(a))) = e(tau(a)), the join of e[T[a]].
+* sigma(T). T^-1 is a proximity morphism from (M^op, S^-1) to
+  (L^op, R^-1) with tau = rho, and a sigma build is the pi build of
+  the opposite upside down, so pi(T^-1) in the sigma order is
+  g(e(y)) = e(rho(y)), y in Fix nu_S. nu preserves finite joins and
+  fixes bot, so joins in C_sigma are joins of the carrier, g preserves
+  all of them with rho, and sigma(T) is its upper adjoint,
+  e(x) -> e(join {y : rho(y) <= x}). rho(y) <= x iff x T y iff
+  y <= tau(x) = z, and the y in Fix nu_S below z are those below
+  nu_S(z), itself below z as z <= mu_S(z). So the join is nu_S(z),
+  and sigma(T)(e(x)) = e(nu_S(tau(x))) = e(tau(x)). For q in Fix mu_R,
+  e(q) = e(x) with x = nu_R(q), and tau(x) = tau(mu_R(x)) = tau(q).
 
-The extended map agrees with T on embedded elements, preserves all
-meets and directed joins of round ideal elements, and for j-morphisms
-finite joins of round ideal elements as well. Whether it preserves all
-joins is settled here only through the duality, in the distributive
-case.
+pi(T) preserves all meets, as tau does and Fix mu is meet-closed;
+sigma(T) does as an upper adjoint; both preserve directed joins of
+round ideal elements, being monotone (check_preservation). For
+j-morphisms pi(T) also preserves nonempty finite joins of round ideal
+elements; whether it preserves all joins is settled here only through
+the duality, in the distributive case.
 
-Sigma extensions of m-morphisms run the same construction through the
-pi builds of the opposite carriers, so their preservation report reads
-in the opposite order: the 'meets' slots are joins of the original
-orientation.
+Both are functorial on every composable pair of proximity morphisms.
+Row a of T;U is the union of down tau_U(m) over m <= tau_T(a), so
+tau_{T;U} = tau_U o tau_T and pi(T;U) = pi(U) o pi(T). Column c of T;U
+is {a : rho_U(c) <= tau_T(a)} = up rho_T(rho_U(c)), so
+rho_{T;U} = rho_T o rho_U, g_{T;U} = g_T o g_U, and their upper
+adjoints compose in reverse: sigma(T;U) = sigma(U) o sigma(T).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import preimage, transpose
-from .canext import CanonicalExtension, _join_of_image, _mask_of, pi_extension
+from .bitset import preimage
+from .canext import CanonicalExtension, _mask_of
 from .errors import (
-    InternalCheckError,
+    ExtensionError,
     KindMismatch,
     NotAProximityMorphism,
     NotDistributive,
 )
-from .lattice import FiniteLattice, _unordered_pair, _unpreserved_join, opposite
-from .proximity import ProximityMorphism, opposite_proximity
-from .relations import Relation
+from .lattice import _unordered_pair, _unpreserved_join, opposite
+from .proximity import ProximityMorphism, _tops, fixed_points
 
 
 @dataclass(frozen=True)
@@ -53,30 +78,15 @@ class ExtendedMap:
     table: tuple[int, ...]
 
 
-def _pi_table(rel: Relation, e_src: CanonicalExtension,
-              e_tgt: CanonicalExtension) -> tuple[int, ...]:
-    """y -> the join of the embedded image of T over {a : embed(a) <= y}
-    for every y in C, the whole pi-extension (module docstring)."""
-    c_src = e_src.C
-    # below[y] = {a : embed(a) <= y}, the preimage of down y
-    below = transpose([c_src.up[t] for t in e_src.embed], c_src.size)
-    return tuple(_join_of_image(e_tgt.C, e_tgt.embed, rel.image(b))
-                 for b in below)
-
-
-def _check_agrees_on_embedding(rel: Relation, e_src, e_tgt, table) -> None:
-    for a in range(e_src.source.size):
-        expected = _join_of_image(e_tgt.C, e_tgt.embed, rel.rows[a])
-        if table[e_src.embed[a]] != expected:
-            raise InternalCheckError(
-                "extended map disagrees with the morphism on an embedded element",
-                witness=a)
-
-
-def _check_monotone(c_src: FiniteLattice, c_tgt: FiniteLattice, table) -> None:
-    pair = _unordered_pair(c_tgt, table, c_src.up)
-    if pair is not None:
-        raise InternalCheckError("extended map is not monotone", witness=pair)
+def _fixed_point_at(e: CanonicalExtension) -> tuple[int, ...]:
+    """The fixed point of mu that e embeds at each element of C, pi or
+    sigma; ExtensionError unless e maps Fix mu one to one onto C."""
+    fixed = fixed_points(e.source)
+    at = {e.embed[q]: q for q in fixed}
+    if len(at) != len(fixed) or sorted(at) != list(range(e.C.size)):
+        raise ExtensionError(f"the {e.kind} embedding does not map Fix mu "
+                             "one to one onto C")
+    return tuple(map(at.__getitem__, range(e.C.size)))
 
 
 def require_proximity(t: ProximityMorphism, verb: str = "extend_pi") -> None:
@@ -85,48 +95,44 @@ def require_proximity(t: ProximityMorphism, verb: str = "extend_pi") -> None:
         raise NotAProximityMorphism(f"{verb} needs a proximity morphism")
 
 
-def extend_pi(t: ProximityMorphism, e_src: CanonicalExtension,
-              e_tgt: CanonicalExtension) -> ExtendedMap:
-    """Extend a proximity morphism between the pi extensions of its
-    endpoints; also asserts the extension property and monotonicity."""
-    if e_src.kind != "pi" or e_tgt.kind != "pi":
-        raise KindMismatch("extend_pi needs pi extensions on both sides")
-    require_proximity(t)
+def _extend(kind: str, t: ProximityMorphism, e_src: CanonicalExtension,
+            e_tgt: CanonicalExtension) -> ExtendedMap:
+    """e(q) -> e(tau(q)) for q in Fix mu of the source, the kind's
+    extension of t (module docstring)."""
+    verb = f"extend_{kind}"
+    if e_src.kind != kind or e_tgt.kind != kind:
+        raise KindMismatch(f"{verb} needs {kind} extensions on both sides")
+    require_proximity(t, verb)
     if not (t.source.same_carrier(e_src.source)
             and t.target.same_carrier(e_tgt.source)):
         raise KindMismatch("morphism endpoints do not match the extensions")
-    table = _pi_table(t.T, e_src, e_tgt)
-    _check_agrees_on_embedding(t.T, e_src, e_tgt, table)
-    _check_monotone(e_src.C, e_tgt.C, table)
-    return ExtendedMap("pi", t, e_src, e_tgt, table)
+    _fixed_point_at(e_tgt)  # the table reads the target's embedding too
+    tau, embed = _tops(t.target.lattice, t.T.rows), e_tgt.embed
+    table = tuple(embed[tau[q]] for q in _fixed_point_at(e_src))
+    return ExtendedMap(kind, t, e_src, e_tgt, table)
 
 
-def extend_sigma(u: ProximityMorphism, e_src: CanonicalExtension,
+def extend_pi(t: ProximityMorphism, e_src: CanonicalExtension,
+              e_tgt: CanonicalExtension) -> ExtendedMap:
+    """Extend a proximity morphism between the pi extensions of its
+    endpoints: e(q) -> e(tau(q)) for q in Fix mu."""
+    return _extend("pi", t, e_src, e_tgt)
+
+
+def extend_sigma(t: ProximityMorphism, e_src: CanonicalExtension,
                  e_tgt: CanonicalExtension) -> ExtendedMap:
-    """Extend an m-morphism between sigma extensions by running the pi
-    construction through the pi builds the opposite carriers keep."""
-    if e_src.kind != "sigma" or e_tgt.kind != "sigma":
-        raise KindMismatch("extend_sigma needs sigma extensions on both sides")
-    require_proximity(u, "extend_sigma")
-    if not (u.source.same_carrier(e_src.source)
-            and u.target.same_carrier(e_tgt.source)):
-        raise KindMismatch("morphism endpoints do not match the extensions")
-    op_src = pi_extension(opposite_proximity(e_src.source))
-    op_tgt = pi_extension(opposite_proximity(e_tgt.source))
-    table = _pi_table(u.T, op_src, op_tgt)
-    # the dual extension property: read through the opposite build, the
-    # embedded image condition is the same equation
-    _check_agrees_on_embedding(u.T, op_src, op_tgt, table)
-    _check_monotone(e_src.C, e_tgt.C, table)
-    return ExtendedMap("sigma", u, e_src, e_tgt, table)
+    """Extend a proximity morphism between the sigma extensions of its
+    endpoints: the upper adjoint of the pi-extension of T^-1 between the
+    opposites, e(q) -> e(tau(q)) for q in Fix mu."""
+    return _extend("sigma", t, e_src, e_tgt)
 
 
 @dataclass(frozen=True)
 class PreservationReport:
-    """Preservation checks over the whole (finite) extension.
-
-    For sigma maps the checks run on the opposite lattices, so each
-    field names the order-dual property of the original orientation.
+    """Preservation checks over the whole (finite) extension, read in
+    the map's own lattices whatever its kind: a sigma map is an upper
+    adjoint, so it preserves all meets of C_sigma as a pi map does those
+    of C_pi (module docstring). `approximable` is the j flag.
 
     `finite_ideal_joins` is about nonempty finite joins of round ideal
     elements, checked at the binary instances. The empty join, the
@@ -136,7 +142,7 @@ class PreservationReport:
     """
 
     kind: str
-    approximable: bool          # j flag for pi, m flag for sigma
+    approximable: bool
     all_meets: bool
     directed_ideal_joins: bool
     finite_ideal_joins: bool
@@ -173,15 +179,8 @@ def check_preservation(m: ExtendedMap) -> PreservationReport:
     table[y] <= table[g]. Every pair y <= g of ideal elements is such a
     family, so the check over pairs is exact at every size.
     """
-    if m.kind == "pi":
-        c_src, c_tgt = m.source_ext.C, m.target_ext.C
-        ideal_elems = m.source_ext.ideal_elements()
-        approx = m.morphism.is_j
-    else:
-        c_src = opposite(m.source_ext.C)
-        c_tgt = opposite(m.target_ext.C)
-        ideal_elems = tuple(sorted(set(m.source_ext.f)))
-        approx = m.morphism.is_m
+    c_src, c_tgt = m.source_ext.C, m.target_ext.C
+    ideal_elems = m.source_ext.ideal_elements()
     table = m.table
     every = range(c_src.size)
     ideal_mask = _mask_of(ideal_elems)
@@ -200,7 +199,7 @@ def check_preservation(m: ExtendedMap) -> PreservationReport:
     flags = {name: witness is None for name, witness in found}
     return PreservationReport(
         kind=m.kind,
-        approximable=approx,
+        approximable=m.morphism.is_j,
         witnesses=tuple((name, w) for name, w in found if w is not None),
         **flags,
     )
@@ -211,14 +210,17 @@ def compare_with_dual(m: ExtendedMap, dual) -> bool:
     lattices of the spectra, is the preimage map of the dual point map.
 
     `dual` is the DualMap of the same morphism, or of one with the same
-    endpoints and relation; any other raises KindMismatch. Requires
-    distributive sources and extensions built by pi_extension. The
+    endpoints and relation; any other raises KindMismatch, as does a
+    map that is not a pi map. Requires distributive sources and
+    extensions built by pi_extension. The
     duality builds of both carriers are the ones kept on them
     (canext_via_duality), so a run over many morphisms between a few
     carriers builds each once.
     """
     from .spectra import canext_via_duality
 
+    if m.kind != "pi":
+        raise KindMismatch("the duality transport reads pi maps only")
     t, s = m.morphism, dual.morphism
     if not (t.source.distributive and t.target.distributive):
         raise NotDistributive("the duality transport needs distributive carriers")

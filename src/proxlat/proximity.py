@@ -39,8 +39,8 @@ axioms and idempotence off mu and nu, and runs the loops over pairs
 only on a relation that fails, to name the least witness. Most
 relations fail an empty instance, bot R b or a R top, whose least
 witness is the lowest bit missing from rows[bot] or cols[top], so no
-pair loop runs for it. A relation that fails compatibility is decided
-in verify_axioms with one helper, the binary kernel
+pair loop runs for it. A relation that fails compatibility or
+idempotence is decided in verify_axioms with one helper, the binary kernel
 _first_binary_failure, called once per side with the join or meet
 table and the join sets kept on the lattice or its opposite; R;R and
 the order flags are read inline. Such a relation keeps nothing; a
@@ -96,11 +96,14 @@ The rest follows from the rows being up-sets and mu being monotone:
   compatible on both sides but not idempotent the binary instances are
   the flags, but that they give the larger ones is not proved; the
   tests check it against every finite instance.
-* When mu is idempotent a comparable pair b1 <= b2 never fails: then
-  b1 v b2 = b2 and mu(b1) v mu(b2) = mu(b2), so the instance asks
-  mu(b2) <= mu(mu(b2)), an equality. So does nu, R^-1 being idempotent
-  with R. verify_axioms visits only the incomparable pairs, in order,
-  so the first failing pair is unchanged; on a chain none is left.
+* A comparable pair b1 <= b2 never fails: tau is monotone, so the
+  instance asks T[b2] = down tau(b2) to lie in down mu_S(tau(b2)),
+  which it is, tau(b2) being a fixed point of mu_S. So _join_approx_mu
+  visits only the incomparable pairs, in order, and the first failing
+  pair is unchanged; on a chain none is left. A relation compatible on
+  both sides but not idempotent goes to the binary kernel, which fails
+  at the same m: the rows of S are up-sets, so S[m] meets J iff
+  m S (tau(b1) v tau(b2)).
 * R^-1[down m] = down mu(m), so down m is a round ideal iff mu(m) = m:
   the round ideals are the down-sets of the fixed points of mu, and
   round-set membership is read off mu, which ProximityLattice keeps.
@@ -231,9 +234,9 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
 
     Most relations fail an empty instance, bot R b or a R top, and the
     witness is read off rows[bot] or cols[top] before any loop. A
-    relation that fails compatibility is decided here, with the binary
-    strongness instances read by _first_binary_failure, and keeps
-    nothing. A proximity relation keeps its columns as its converse.
+    relation that fails compatibility or idempotence is decided here,
+    with the binary strongness instances read by _first_binary_failure,
+    and keeps nothing. A proximity relation keeps its columns as its converse.
     The report's nine fields are stored as one __dict__, not by the
     nine stores of the frozen dataclass's __init__.
     """
@@ -274,10 +277,12 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
                 witnesses.append(("idempotent",
                                   (a, (delta & -delta).bit_length() - 1)))
                 break
-    if compatible:
-        js_wit = _join_approx_mu(lat, lat, rows, cols, cols, mu, idempotent)[1]
-        ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu,
-                                 idempotent)[1]
+    if compatible and idempotent:
+        js_wit = _join_approx_mu(lat, lat, rows, cols, cols, mu)[1]
+        ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu)[1]
+        # a proximity relation keeps its columns as R^-1; one that fails
+        # keeps nothing, so a one-shot candidate builds no Relation more
+        keep(rel, Relation.converse, _from_valid_rows(n, n, cols))
     else:
         if jc_wit is None and None in mu:
             jc_wit = _join_compatible(lat, rows)[1]
@@ -297,11 +302,6 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
         witnesses.append(("join_strong", js_wit[-1:] + js_wit[:-1]))
     if ms_wit is not None:
         witnesses.append(("meet_strong", ms_wit))
-
-    if compatible and idempotent:
-        # a proximity relation keeps its columns as R^-1; one that fails
-        # keeps nothing, so a one-shot candidate builds no Relation more
-        keep(rel, Relation.converse, _from_valid_rows(n, n, cols))
     increasing = reflexive = True
     up = lat.up
     for a, row in enumerate(rows):
@@ -685,22 +685,19 @@ def _first_binary_failure(sjoin, tjoin, memo, n, rows, tgt_rows):
     return None
 
 
-def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau,
-                    incomparable=False):
-    """_join_approx_binary for T with principal rows T[b] = down tau(b)
-    between proximity lattices, tau the tops of the rows: at (b1, b2) it
-    fails for m in T[b1 v b2] minus S^-1[tau(b1) v tau(b2)].
-    `incomparable` skips the comparable pairs, which pass when tau is an
-    idempotent mu (module docstring)."""
+def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau):
+    """_join_approx_binary for a proximity morphism T, with principal
+    rows T[b] = down tau(b), tau the tops of the rows: at (b1, b2) it
+    fails for m in T[b1 v b2] minus S^-1[tau(b1) v tau(b2)]. Only the
+    pairs with b2 > b1 by index and incomparable to b1 are visited; the
+    comparable ones pass (module docstring)."""
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return False, ((stray & -stray).bit_length() - 1,)
-    join, tjoin, up, down, n = sl.join, tl.join, sl.up, sl.down, sl.size
+    join, tjoin, up, down, full = sl.join, tl.join, sl.up, sl.down, sl.full
     for b1, t1 in enumerate(tau):
         row, trow = join[b1], tjoin[t1]
-        # with `incomparable`, b2 > b1 by index and incomparable to b1
-        for b2 in (bits(sl.full & -(2 << b1) & ~(up[b1] | down[b1]))
-                   if incomparable else range(b1, n)):
+        for b2 in bits(full & -(2 << b1) & ~(up[b1] | down[b1])):
             stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
             if stray:
                 return False, (b1, b2, (stray & -stray).bit_length() - 1)
@@ -774,20 +771,17 @@ class IdealLatticeHom:
 
 def ideal_lattice_hom(t: ProximityMorphism) -> IdealLatticeHom:
     """Push a j-morphism forward to a homomorphism of round-ideal lattices,
-    sending an ideal I to the image T[I]."""
+    sending an ideal I to the image T[I]. The image of down q is
+    down tau(q), tau being monotone, so the table is tau read on Fix mu,
+    in the order of the round ideals."""
     if not t.is_j:
         raise NotAJMorphism("only j-morphisms act on round-ideal lattices")
     ridl_src = round_ideal_lattice(t.source)
     ridl_tgt = round_ideal_lattice(t.target)
-    table = []
-    for mask in ridl_src.ideals:
-        image = t.T.image(mask)
-        try:
-            table.append(ridl_tgt.index_of(image))
-        except ValueError:  # pragma: no cover - theorem guard
-            raise InternalCheckError(
-                "image of a round ideal is not a round ideal", witness=mask)
-    lm = LatticeMap(ridl_src.lattice, ridl_tgt.lattice, tuple(table))
+    tau = _tops(t.target.lattice, t.T.rows)
+    position = {q: i for i, q in enumerate(fixed_points(t.target))}
+    table = tuple(position[tau[q]] for q in fixed_points(t.source))
+    lm = LatticeMap(ridl_src.lattice, ridl_tgt.lattice, table)
     if not is_homomorphism(lm):  # pragma: no cover - theorem guard
         raise InternalCheckError("induced ideal map is not a homomorphism")
     return IdealLatticeHom(lm, ridl_src, ridl_tgt)

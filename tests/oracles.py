@@ -16,6 +16,7 @@ from proxlat.canext import (
     _first_unpreserved,
     _join_of_image,
     concept_lattice,
+    pi_extension,
 )
 from proxlat.errors import (
     InternalCheckError,
@@ -749,8 +750,8 @@ def finite_space_by_pairs(labels, opens) -> FiniteSpace:
 def pi_table_two_stage(rel: Relation, e_src: CanonicalExtension,
                        e_tgt: CanonicalExtension) -> tuple[int, ...]:
     """The pi-extension of rel by both stages of its definition, as
-    morphext._pi_table computed it before stage 2 was shown to be the
-    identity: a round ideal element y goes to the join of the embedded
+    morphext computed it before it read the extension off the tops of
+    the rows: a round ideal element y goes to the join of the embedded
     image of rel over {a : embed(a) <= y}, and every u to the meet of
     those values over the ideal elements y >= u."""
     c_src, c_tgt = e_src.C, e_tgt.C
@@ -764,5 +765,26 @@ def pi_table_two_stage(rel: Relation, e_src: CanonicalExtension,
         for y in ideal_elems:
             if c_src.leq(u, y):
                 out = c_tgt.meet[out][stage1[y]]
+        table.append(out)
+    return tuple(table)
+
+
+def sigma_table_by_adjoint(rel: Relation, e_src: CanonicalExtension,
+                           e_tgt: CanonicalExtension) -> tuple[int, ...]:
+    """The sigma-extension of rel between the sigma builds e_src and
+    e_tgt as an upper adjoint, by loops: g is the two-stage
+    pi-extension of rel^-1 between the pi builds of the opposites, and
+    x goes to the join in C_sigma of every y with g(y) <= x. A sigma
+    build is its opposite's pi build upside down, on the same indices."""
+    op_src, op_tgt = (pi_extension(opposite_proximity(e.source))
+                      for e in (e_src, e_tgt))
+    g = pi_table_two_stage(rel.converse(), op_tgt, op_src)
+    c_src, c_tgt = e_src.C, e_tgt.C
+    table = []
+    for x in range(c_src.size):
+        out = c_tgt.bot
+        for y in range(c_tgt.size):
+            if c_src.leq(g[y], x):
+                out = c_tgt.join[out][y]
         table.append(out)
     return tuple(table)

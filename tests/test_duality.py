@@ -203,25 +203,34 @@ def test_opposite_report_is_the_swapped_report(corpus):
 
 
 def test_mu_strongness_against_the_loops(corpus):
+    """On every relation compatible on both sides the binary kernel
+    fails where the mu oracle does; the mu kernel, which skips the
+    comparable pairs, is asked only on the idempotent ones, the
+    proximity relations verify_axioms gives it."""
     cases = []
     for lat in (chain(3), chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
-        cases.extend((lat, rel) for rel, _ in compatible_relations(lat))
+        cases.extend((lat, rel, report.idempotent)
+                     for rel, report in compatible_relations(lat))
     for lat in (chain(16), boolean(4)):
-        cases.extend((lat, rel) for rel in (order_relation(lat), c3r_style(lat)))
+        cases.extend((lat, rel, True)
+                     for rel in (order_relation(lat), c3r_style(lat)))
     verdicts = set()
-    for lat, rel in cases:
+    for lat, rel, idempotent in cases:
         rows, cols = rel.rows, rel.converse().rows
         for side in ((lat, rows, cols), (opposite(lat), cols, rows)):
             found = join_strong_mu(*side)
             assert found == join_strong_binary(*side), (lat.size, rows)
-            # the mu kernel gets the tops of the columns by join and compare
-            tau = tops_by_join(side[0], side[2])
-            for kernel, args in ((_join_approx_mu, (tau,)),
-                                 (_join_approx_binary, ())):
-                assert strong_by_approx(kernel, *side, *args) == found, \
-                    (lat.size, rows)
-            verdicts.add(found[0])
-    assert verdicts == {True, False}
+            assert strong_by_approx(_join_approx_binary, *side) == found, \
+                (lat.size, rows)
+            if idempotent:
+                # the mu kernel gets the tops of the columns by join and
+                # compare
+                tau = tops_by_join(side[0], side[2])
+                assert strong_by_approx(_join_approx_mu, *side, tau) == \
+                    found, (lat.size, rows)
+            verdicts.add((found[0], idempotent))
+    assert verdicts == {(True, True), (False, True), (True, False),
+                        (False, False)}
 
 
 def test_strongness_is_approximability_of_the_converse(corpus):

@@ -6,11 +6,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import directed_pair_by_filter, pi_table_two_stage
+from oracles import (
+    directed_pair_by_filter,
+    pi_table_two_stage,
+    sigma_table_by_adjoint,
+)
 from proxlat import spectra
-from proxlat.canext import pi_extension, sigma_extension
-from proxlat.errors import KindMismatch, NotAProximityMorphism
-from proxlat.lattice import LatticeMap, is_homomorphism, lattice_from_up, opposite
+from proxlat.canext import _join_of_image, pi_extension, sigma_extension
+from proxlat.errors import ExtensionError, KindMismatch, NotAProximityMorphism
+from proxlat.lattice import LatticeMap, is_homomorphism, lattice_from_up
 from proxlat.morphext import (
     check_preservation,
     compare_with_dual,
@@ -20,6 +24,7 @@ from proxlat.morphext import (
 from proxlat.proximity import (
     all_j_morphisms,
     all_proximity_morphisms,
+    fixed_points,
     identity_morphism,
     morph_compose,
     opposite_proximity,
@@ -28,7 +33,11 @@ from proxlat.proximity import (
 )
 from proxlat.relations import Relation, full_relation
 from proxlat.spectra import dual_map
-from test_canext import perturbed, proximity_lattices_on
+from test_canext import (
+    labelled_proximity_lattices,
+    perturbed,
+    proximity_lattices_on,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,38 +88,50 @@ def test_full_relation_extension_against_brute_force(corpus, pi_exts):
 
 
 def test_one_stage_against_the_two_stage_definition(corpus):
-    """extend_pi and extend_sigma give the table of both stages of the
-    definition (oracles.pi_table_two_stage) on every proximity morphism
-    between the proximity lattices on C2, C3, C4, B2 and M3: on a finite
-    carrier stage 2 is the identity (morphext module docstring). The
-    sigma side runs through the pi builds of the opposites."""
-    carriers = [p for lat in (chain(2), chain(3), chain(4),
-                              corpus["B2"].lattice, corpus["M3"].lattice)
-                for p in proximity_lattices_on(lat)]
-    checked = {"pi": 0, "sigma": 0}
+    """extend_pi gives the table of both stages of the definition
+    (oracles.pi_table_two_stage), and extend_sigma the upper adjoint of
+    that table for T^-1 between the opposites
+    (oracles.sigma_table_by_adjoint), on every proximity morphism
+    between the proximity lattices on the labelled lattices with at
+    most 4 elements and on M3 (morphext module docstring). Every report
+    is required_ok, the sigma ones read with the j flag too."""
+    carriers = labelled_proximity_lattices(4) + list(
+        proximity_lattices_on(corpus["M3"].lattice))
+    checked = {"pi": 0, "sigma": 0, "sigma_m": 0}
     for a, b in itertools.product(carriers, repeat=2):
         for t in all_proximity_morphisms(a, b):
-            if a.join_strong and b.join_strong:
-                e_a, e_b = pi_extension(a), pi_extension(b)
-                assert extend_pi(t, e_a, e_b).table == \
-                    pi_table_two_stage(t.T, e_a, e_b), (a.R.rows, t.T.rows)
-                checked["pi"] += 1
-            if a.meet_strong and b.meet_strong:
-                op_a, op_b = (pi_extension(opposite_proximity(x))
-                              for x in (a, b))
-                m = extend_sigma(t, sigma_extension(a), sigma_extension(b))
-                assert m.table == pi_table_two_stage(t.T, op_a, op_b), \
-                    (a.R.rows, t.T.rows)
-                checked["sigma"] += 1
-    assert checked == {"pi": 2315, "sigma": 2315}
+            for kind, strong, build, extend, oracle in (
+                    ("pi", "join_strong", pi_extension, extend_pi,
+                     pi_table_two_stage),
+                    ("sigma", "meet_strong", sigma_extension, extend_sigma,
+                     sigma_table_by_adjoint)):
+                if not (getattr(a, strong) and getattr(b, strong)):
+                    continue
+                e_a, e_b = build(a), build(b)
+                m = extend(t, e_a, e_b)
+                assert m.table == oracle(t.T, e_a, e_b), (kind, t.T.rows)
+                assert check_preservation(m).required_ok, (kind, t.T.rows)
+                checked[kind] += 1
+                checked["sigma_m"] += kind == "sigma" and t.is_m
+    assert checked == {"pi": 5315, "sigma": 5315, "sigma_m": 2402}
 
 
 def test_extension_property_for_all_corpus_morphisms(distributive_corpus, pi_exts):
-    # extend_pi itself asserts agreement on embedded elements; this runs
-    # it across every proximity morphism between distributive fixtures
+    """On every proximity morphism between distributive fixtures the
+    extended map sends each embedded element e(a) to the join of the
+    embedded image of T[a], and is monotone: extend_pi reads both off
+    tau without checking them (morphext module docstring)."""
     for (na, a), (nb, b) in itertools.product(distributive_corpus.items(), repeat=2):
+        e_a, e_b = pi_exts[na], pi_exts[nb]
+        c_a, c_b = e_a.C, e_b.C
         for t in all_proximity_morphisms(a, b):
-            extend_pi(t, pi_exts[na], pi_exts[nb])
+            table = extend_pi(t, e_a, e_b).table
+            for x in range(a.size):
+                assert table[e_a.embed[x]] == \
+                    _join_of_image(c_b, e_b.embed, t.T.rows[x]), (na, nb, x)
+            assert all(c_b.leq(table[u], table[v])
+                       for u in range(c_a.size) for v in range(c_a.size)
+                       if c_a.leq(u, v)), (na, nb, t.T.rows)
 
 
 def test_preservation_for_j_morphisms(distributive_corpus, pi_exts):
@@ -152,28 +173,34 @@ def test_preservation_for_non_j_morphisms(distributive_corpus, pi_exts):
     assert seen_non_j > 0
 
 
-def test_functoriality_of_extension_measured(distributive_corpus, pi_exts):
-    # asserted: extend_pi preserves composition on every composable
-    # pair of j-morphisms of the distributive corpus. Whether it does in
-    # general is open; canonical extensions of maps need not compose
-    # (Gehrke & Jónsson, "Bounded distributive lattice expansions",
-    # Math. Scand. 94, 2004)
-    agree = 0
-    total = 0
-    names = list(distributive_corpus)
-    for na, nb, nc in itertools.product(names, repeat=3):
-        a, b, c = (distributive_corpus[k] for k in (na, nb, nc))
-        for t in all_j_morphisms(a, b):
-            for u in all_j_morphisms(b, c):
-                m_t = extend_pi(t, pi_exts[na], pi_exts[nb])
-                m_u = extend_pi(u, pi_exts[nb], pi_exts[nc])
-                m_tu = extend_pi(morph_compose(t, u), pi_exts[na], pi_exts[nc])
-                composite = tuple(m_u.table[x] for x in m_t.table)
-                total += 1
-                if composite == m_tu.table:
-                    agree += 1
-    assert total > 0
-    assert agree == total
+def test_functoriality_of_both_extensions():
+    """pi(T;U) = pi(U) o pi(T) and sigma(T;U) = sigma(U) o sigma(T) on
+    every composable pair of proximity morphisms among the first 20
+    labelled carriers with at most 4 elements; the morphext module
+    docstring proves both for every pair. Canonical extensions of maps
+    need not compose in general (Gehrke & Jonsson, "Bounded
+    distributive lattice expansions", Math. Scand. 94, 2004). The sigma
+    pairs include 2,877 pairs of m-morphisms."""
+    carriers = labelled_proximity_lattices(4)[:20]
+    morphisms = {(a, b): all_proximity_morphisms(carriers[a], carriers[b])
+                 for a in range(20) for b in range(20)}
+    checked = {"pi": 0, "sigma": 0, "sigma_m": 0}
+    for a, b, c in itertools.product(range(20), repeat=3):
+        kinds = [(kind, build, extend) for kind, strong, build, extend in (
+            ("pi", "join_strong", pi_extension, extend_pi),
+            ("sigma", "meet_strong", sigma_extension, extend_sigma))
+            if all(getattr(carriers[x], strong) for x in (a, b, c))]
+        for t, u in itertools.product(morphisms[a, b], morphisms[b, c]):
+            tu = morph_compose(t, u)
+            for kind, build, extend in kinds:
+                e_a, e_b, e_c = (build(carriers[x]) for x in (a, b, c))
+                first = extend(t, e_a, e_b).table
+                then = extend(u, e_b, e_c).table
+                assert extend(tu, e_a, e_c).table == \
+                    tuple(then[x] for x in first), (kind, t.T.rows, u.T.rows)
+                checked[kind] += 1
+                checked["sigma_m"] += kind == "sigma" and t.is_m and u.is_m
+    assert checked == {"pi": 14810, "sigma": 14810, "sigma_m": 2877}
 
 
 def test_compare_with_dual(distributive_corpus, pi_exts):
@@ -196,6 +223,17 @@ def test_compare_with_dual_refuses_the_dual_of_another_morphism(corpus):
     assert other.is_j
     with pytest.raises(KindMismatch):
         compare_with_dual(m, dual_map(other))
+
+
+def test_compare_with_dual_refuses_a_sigma_map(corpus):
+    # under the full relation on C2 both extensions are one element, so
+    # a sigma map has the C of the kept pi build; it still gets no verdict
+    full2 = corpus["FULL2"]
+    ident = identity_morphism(full2)
+    k = sigma_extension(full2)
+    assert k.C == pi_extension(full2).C and k.C.size == 1
+    with pytest.raises(KindMismatch):
+        compare_with_dual(extend_sigma(ident, k, k), dual_map(ident))
 
 
 def test_duality_is_built_once_per_carrier(distributive_corpus, monkeypatch):
@@ -239,45 +277,66 @@ def test_extend_pi_rejects_bad_inputs(corpus, pi_exts):
                   sigma_extension(c3r))
 
 
+@pytest.mark.parametrize("build,extend", [(pi_extension, extend_pi),
+                                          (sigma_extension, extend_sigma)])
+def test_an_embedding_that_collapses_fixed_points_is_refused(corpus, build,
+                                                             extend):
+    # on the order proximity of B2 every element is a fixed point; a
+    # record that sends the top where the bottom goes is no extension,
+    # on either side of the morphism
+    p = corpus["B2"]
+    e = build(p)
+    embed = list(e.embed)
+    embed[p.lattice.top] = embed[p.lattice.bot]
+    bad = dataclasses.replace(e, embed=tuple(embed))
+    ident = identity_morphism(p)
+    for ends in ((bad, e), (e, bad)):
+        with pytest.raises(ExtensionError, match="one to one onto C"):
+            extend(ident, *ends)
+
+
 def test_sigma_extension_of_m_morphisms(distributive_corpus):
-    # mirror of the pi suite: m-morphisms extend between sigma
-    # extensions, preserving the order-dual properties
-    sigma_exts = {k: sigma_extension(v) for k, v in distributive_corpus.items()}
+    """m-morphisms between the distributive fixtures extend between
+    sigma extensions: sigma(T) is the upper adjoint of g, the
+    pi-extension of T^-1 between the opposites read in the sigma order,
+    it agrees with T on the embedded fixed points of nu, e(x) going to
+    the join of the embedded image of T[x], and its report, read in
+    C_sigma, is required_ok."""
     checked = 0
-    for (na, a), (nb, b) in itertools.product(distributive_corpus.items(), repeat=2):
+    for a, b in itertools.product(distributive_corpus.values(), repeat=2):
+        s_a, s_b = sigma_extension(a), sigma_extension(b)
+        op_a, op_b = opposite_proximity(a), opposite_proximity(b)
         for t in all_proximity_morphisms(a, b):
             if not t.is_m:
                 continue
-            m = extend_sigma(t, sigma_exts[na], sigma_exts[nb])
-            rep = check_preservation(m)
-            assert rep.kind == "sigma"
-            assert rep.all_meets and rep.directed_ideal_joins, (na, nb)
-            assert rep.finite_ideal_joins, (na, nb)
-            # dual extension property: on embedded elements the map is
-            # the meet of the embedded image
-            c = sigma_exts[nb].C
-            for x in range(a.size):
-                expected = c.top
-                for y in range(b.size):
-                    if t.T.has(x, y):
-                        expected = c.meet[expected][sigma_exts[nb].embed[y]]
-                assert m.table[sigma_exts[na].embed[x]] == expected
+            m = extend_sigma(t, s_a, s_b)
+            assert check_preservation(m).required_ok, t.T.rows
+            g = extend_pi(proximity_morphism(op_b, op_a, t.T.converse()),
+                          pi_extension(op_b), pi_extension(op_a)).table
+            for x, y in itertools.product(range(s_a.C.size), range(s_b.C.size)):
+                assert s_a.C.leq(g[y], x) == s_b.C.leq(y, m.table[x]), \
+                    (t.T.rows, x, y)
+            for x in fixed_points(op_a):
+                assert m.table[s_a.embed[x]] == \
+                    _join_of_image(s_b.C, s_b.embed, t.T.rows[x]), t.T.rows
             checked += 1
     assert checked > 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "extend_sigma runs the pi construction on the opposite builds with T "
-    "itself, so every embedded element goes to one value (ROADMAP.md)"))
 def test_sigma_extension_of_the_identity_is_the_identity(corpus):
     """The sigma extension of the identity j-morphism R^-1 is the
-    identity of C; today its table on the order proximity of B2 is
-    (3, 3, 3, 3). Mending extend_sigma turns this into a pass, which
-    strict=True reports as a failure until the mark goes."""
-    p = order_proximity(corpus["B2"].lattice)
-    ext = sigma_extension(p)
-    m = extend_sigma(identity_morphism(p), ext, ext)
-    assert m.table == tuple(range(ext.C.size))
+    identity of C, as is its pi extension, on the order proximity of B2
+    and on the 334 doubly strong labelled carriers with at most 5
+    elements."""
+    carriers = [p for p in labelled_proximity_lattices(5) if p.doubly_strong]
+    assert len(carriers) == 334
+    for p in [order_proximity(corpus["B2"].lattice)] + carriers:
+        ident = identity_morphism(p)
+        for build, extend in ((pi_extension, extend_pi),
+                              (sigma_extension, extend_sigma)):
+            ext = build(p)
+            assert extend(ident, ext, ext).table == tuple(range(ext.C.size)), \
+                (ext.kind, p.R.rows)
 
 
 def test_directed_joins_fail_for_a_non_monotone_map(corpus):
@@ -300,7 +359,8 @@ def test_directed_joins_fail_for_a_non_monotone_map(corpus):
 def test_directed_joins_against_the_pair_filter(corpus):
     # the identity extended both ways on C3, B2 and the 16-chain, with
     # every entry of its table moved and every pair of entries swapped:
-    # the first failed pair is the one the filter over all pairs finds
+    # the first failed pair is the one the filter over all pairs finds,
+    # each map read in its own lattices
     failed = 0
     for p in (corpus["C3"], corpus["B2"], order_proximity(chain(16))):
         pi_ext, sigma_ext = pi_extension(p), sigma_extension(p)
@@ -308,9 +368,6 @@ def test_directed_joins_against_the_pair_filter(corpus):
                   extend_sigma(identity_morphism(p), sigma_ext, sigma_ext)):
             c_src, c_tgt = m.source_ext.C, m.target_ext.C
             ideal_elems = m.source_ext.ideal_elements()
-            if m.kind == "sigma":
-                c_src, c_tgt = opposite(c_src), opposite(c_tgt)
-                ideal_elems = tuple(sorted(set(m.source_ext.f)))
             for table in perturbed(m.table, c_tgt.size):
                 rep = check_preservation(dataclasses.replace(m, table=table))
                 want = directed_pair_by_filter(c_src, c_tgt, table,
@@ -392,29 +449,26 @@ def loop_is_homomorphism(src, tgt, t):
                                  ("C3", "M3")])
 def test_preservation_kernel_against_loops(corpus, a, b):
     # every map between the two carriers, read as an extended map of
-    # either kind; the pi reading takes every element as an ideal
-    # element, the sigma reading those of even index
+    # either kind and in the map's own lattices whatever the kind, with
+    # every element as an ideal element or those of even index
     src, tgt = corpus[a].lattice, corpus[b].lattice
-    families = {"pi": tuple(range(src.size)),
-                "sigma": tuple(range(0, src.size, 2))}
+    families = (tuple(range(src.size)), tuple(range(0, src.size, 2)))
     for table in itertools.product(range(tgt.size), repeat=src.size):
         assert is_homomorphism(LatticeMap(src, tgt, table)) == \
             loop_is_homomorphism(src, tgt, table)
-        for kind, family in families.items():
-            ext = SimpleNamespace(C=src, f=family, ideal_elements=lambda: family)
+        for kind, family in itertools.product(("pi", "sigma"), families):
+            ext = SimpleNamespace(C=src, ideal_elements=lambda: family)
             m = SimpleNamespace(kind=kind, source_ext=ext,
                                 target_ext=SimpleNamespace(C=tgt),
-                                morphism=SimpleNamespace(is_j=True, is_m=True),
+                                morphism=SimpleNamespace(is_j=True),
                                 table=table)
             rep = check_preservation(m)
-            c_src, c_tgt = ((src, tgt) if kind == "pi"
-                            else (opposite(src), opposite(tgt)))
             first = {}
-            for name, witness in loop_witnesses(c_src, c_tgt, table, family):
+            for name, witness in loop_witnesses(src, tgt, table, family):
                 first.setdefault(name, witness)
             got = dict(rep.witnesses)
             assert got.pop("directed_ideal_joins", None) == \
-                directed_pair_by_filter(c_src, c_tgt, table, family)
+                directed_pair_by_filter(src, tgt, table, family)
             assert got == first, (kind, table)
             for name in ("all_meets", "finite_ideal_joins", "all_joins"):
                 assert getattr(rep, name) == (name not in first)
