@@ -13,9 +13,9 @@ Meet-strongness is the order dual. It is join-approximability of R^-1
 as a morphism from (L, R) to itself, which is why R^-1 is the identity
 j-morphism: with T = R^-1 and S = R, (join B) T a says a R (join B),
 and a finite B' inside T[B] with a S (join B') is what strongness asks
-for. So one kernel per form (binary, mu) decides both properties:
-verify_axioms runs it on (L, L, R, R^-1) and rotates the witness
-(b1, b2, a) to (a, b1, b2).
+for. So one kernel per form (binary, mu) decides both properties: a
+report of verify_axioms runs it on (L, L, R, R^-1) on the first read
+of its strongness and rotates the witness (b1, b2, a) to (a, b1, b2).
 
 Quantifiers over finite subsets are checked at the empty and binary
 instances. For the compatibility axioms this is exact: they are
@@ -35,18 +35,24 @@ the increasing witness, which depends on the row order, is recomputed.
 
 Write R^-1[b] for the column {a : a R b}, mu(b) for its join and nu(a)
 for the meet of the row R[a]. verify_axioms reads both compatibility
-axioms and idempotence off mu and nu, and runs the loops over pairs
-only on a relation that fails, to name the least witness. Most
-relations fail an empty instance, bot R b or a R top, whose least
-witness is the lowest bit missing from rows[bot] or cols[top], so no
-pair loop runs for it. A relation that fails compatibility or
-idempotence is decided in verify_axioms with one helper, the binary kernel
-_first_binary_failure, called once per side with the join or meet
-table and the join sets kept on the lattice or its opposite; R;R and
-the order flags are read inline. Such a relation keeps nothing; a
-proximity relation keeps its columns as its converse. A carrier keeps
-its mu, opposite and round ideals, and the pi, spectrum and duality
-builds of canext and spectra, each a build decorated with lattice.kept.
+axioms and idempotence off mu and nu, comparing R;R with R row by row
+only where they cannot decide it, and decides nothing else when
+called. Most relations fail an empty instance, bot R b or a R top,
+whose least witness is the lowest bit missing from rows[bot] or
+cols[top], so no pair loop runs for it. Until one of the other six
+fields is first read, the report holds those three flags with the
+lattice, rows, columns, mu, nu and the witnesses found so far; that
+read decides all six at once. For a relation that fails compatibility
+or idempotence, this names the least compatibility witnesses by the
+loops over pairs and reads strongness with one helper, the binary
+kernel _first_binary_failure, called once per side with the join or
+meet table and the join sets kept on the lattice or its opposite; the
+order flags are read inline. So a relation filtered by axioms_ok alone
+runs no kernel and fills no join sets. A failing relation keeps
+nothing; a proximity relation keeps its columns as its converse. A
+carrier keeps its mu, opposite and round ideals, and the pi, spectrum
+and duality builds of canext and spectra, each a build decorated with
+lattice.kept.
 
 * R is join-compatible iff every column is a principal down-set. The
   empty instance puts bot in each column, the binary ones with a <= a2
@@ -179,7 +185,8 @@ class AxiomReport:
 
     Witness tuples are element indices: (a, b) for idempotence and
     increasing, (a, a2, b) / (a, b1, b2) for the binary instances,
-    (a,) for reflexivity.
+    (a,) for reflexivity. A report from verify_axioms decides all but
+    its first three fields on the first read of any of them.
     """
 
     idempotent: bool
@@ -205,6 +212,20 @@ class AxiomReport:
 
     def flags(self) -> dict[str, bool]:
         return {"axioms_ok": self.axioms_ok, **_flag_fields(self)}
+
+    def __getattr__(self, name: str):
+        # called only for a name missing from the instance dict: one of
+        # the six fields a report from verify_axioms leaves to the first
+        # read, all decided by one _decide_rest call
+        if name in _DEFERRED and "_pending" in self.__dict__:
+            _decide_rest(self)
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+_DEFERRED = frozenset(("join_strong", "meet_strong", "increasing",
+                       "reflexive", "distributive", "witnesses"))
 
 
 def _flag_fields(report) -> dict[str, bool]:
@@ -232,38 +253,40 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     approximability of R^-1 from (L, R) to itself. Compatibility and
     idempotence are read off mu and nu (module docstring).
 
-    Most relations fail an empty instance, bot R b or a R top, and the
-    witness is read off rows[bot] or cols[top] before any loop. A
-    relation that fails compatibility or idempotence is decided here,
-    with the binary strongness instances read by _first_binary_failure,
-    and keeps nothing. A proximity relation keeps its columns as its converse.
-    The report's nine fields are stored as one __dict__, not by the
-    nine stores of the frozen dataclass's __init__.
+    Only idempotent, join_compatible and meet_compatible, the three
+    fields axioms_ok reads, are decided here. Most relations fail an
+    empty instance, bot R b or a R top, read off rows[bot] or cols[top]
+    before any loop; R;R is compared with R row by row only where mu
+    and nu cannot decide it. The report holds those three fields and
+    what _decide_rest needs for the other six: join_strong,
+    meet_strong, increasing, reflexive, distributive and witnesses. The
+    first read of any of them runs _decide_rest once, which stores all
+    nine fields as one __dict__ and drops what the report held, so a
+    relation filtered by axioms_ok alone runs no strongness kernel. A
+    proximity relation keeps its columns as its converse; a failing one
+    keeps nothing.
     """
     n = lat.size
     if rel.source_size != n or rel.target_size != n:
         raise DimensionMismatch("relation carrier does not match the lattice")
     rows = rel.rows
     cols = transpose(rows, n)
-    full, bot, top = lat.full, lat.bot, lat.top
-    lat_op = opposite(lat)
+    full = lat.full
     # mu and nu hold None where R is not compatible on that side; most
     # relations fail an empty instance, and its witness needs no loop
     mu = nu = (None,)
-    jc_wit = mc_wit = None
-    missing = full & ~rows[bot]
+    jc_wit = mc_wit = idem_wit = None
+    missing = full & ~rows[lat.bot]
     if missing:
-        jc_wit = (bot, (missing & -missing).bit_length() - 1)
+        jc_wit = (lat.bot, (missing & -missing).bit_length() - 1)
     else:
         mu = _tops(lat, cols)
-    missing = full & ~cols[top]
+    missing = full & ~cols[lat.top]
     if missing:
-        mc_wit = ((missing & -missing).bit_length() - 1, top)
+        mc_wit = ((missing & -missing).bit_length() - 1, lat.top)
     else:
-        nu = _tops(lat_op, rows)
+        nu = _tops(opposite(lat), rows)
     compatible = None not in mu and None not in nu
-    witnesses = []
-    idempotent = True
     # R;R = R iff mu o mu = mu; otherwise R;R is compared with R row by
     # row for the witness
     if not compatible or tuple(map(mu.__getitem__, mu)) != mu:
@@ -272,17 +295,42 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
             for b in _SMALL[row] if row < 256 else bits(row):
                 twice |= rows[b]
             if twice != row:
-                idempotent = False
                 delta = twice ^ row
-                witnesses.append(("idempotent",
-                                  (a, (delta & -delta).bit_length() - 1)))
+                idem_wit = (a, (delta & -delta).bit_length() - 1)
                 break
-    if compatible and idempotent:
-        js_wit = _join_approx_mu(lat, lat, rows, cols, cols, mu)[1]
-        ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu)[1]
+    if compatible and idem_wit is None:
         # a proximity relation keeps its columns as R^-1; one that fails
         # keeps nothing, so a one-shot candidate builds no Relation more
         keep(rel, Relation.converse, _from_valid_rows(n, n, cols))
+    report = object.__new__(AxiomReport)
+    object.__setattr__(report, "__dict__", {
+        "idempotent": idem_wit is None,
+        "join_compatible": None not in mu,
+        "meet_compatible": None not in nu,
+        "_pending": (lat, rows, cols, mu, nu, idem_wit, jc_wit, mc_wit),
+    })
+    return report
+
+
+def _decide_rest(report: AxiomReport) -> None:
+    """Decide the six fields verify_axioms leaves to the first read and
+    store all nine as the report's one __dict__, dropping the lattice,
+    rows and columns it held.
+
+    A relation that fails compatibility or idempotence gets its
+    compatibility witnesses from the loops over pairs and its binary
+    strongness instances from _first_binary_failure, once per side with
+    the join sets kept on the lattice or its opposite; a proximity
+    relation gets them from _join_approx_mu on mu and nu. The order
+    flags are read inline.
+    """
+    lat, rows, cols, mu, nu, idem_wit, jc_wit, mc_wit = (
+        report.__dict__["_pending"])
+    n = lat.size
+    lat_op = opposite(lat)
+    if report.axioms_ok:
+        js_wit = _join_approx_mu(lat, lat, rows, cols, cols, mu)[1]
+        ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu)[1]
     else:
         if jc_wit is None and None in mu:
             jc_wit = _join_compatible(lat, rows)[1]
@@ -294,14 +342,12 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
                                        cols, rows)
         ms_wit = _first_binary_failure(lat.meet, lat.meet, join_sets(lat_op),
                                        n, rows, cols)
-    if jc_wit is not None:
-        witnesses.append(("join_compatible", jc_wit))
-    if mc_wit is not None:
-        witnesses.append(("meet_compatible", mc_wit))
-    if js_wit is not None:
-        witnesses.append(("join_strong", js_wit[-1:] + js_wit[:-1]))
-    if ms_wit is not None:
-        witnesses.append(("meet_strong", ms_wit))
+    witnesses = [(name, wit) for name, wit in (
+        ("idempotent", idem_wit),
+        ("join_compatible", jc_wit),
+        ("meet_compatible", mc_wit),
+        ("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
+        ("meet_strong", ms_wit)) if wit is not None]
     increasing = reflexive = True
     up = lat.up
     for a, row in enumerate(rows):
@@ -316,11 +362,10 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
             reflexive = False
             witnesses.append(("reflexive", (a,)))
             break
-    report = object.__new__(AxiomReport)
     object.__setattr__(report, "__dict__", {
-        "idempotent": idempotent,
-        "join_compatible": jc_wit is None,
-        "meet_compatible": mc_wit is None,
+        "idempotent": report.idempotent,
+        "join_compatible": report.join_compatible,
+        "meet_compatible": report.meet_compatible,
         "join_strong": js_wit is None,
         "meet_strong": ms_wit is None,
         "increasing": increasing,
@@ -328,7 +373,6 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
         "distributive": is_distributive(lat),
         "witnesses": tuple(witnesses),
     })
-    return report
 
 
 def _tops(lat: FiniteLattice, masks) -> tuple[Optional[int], ...]:

@@ -26,10 +26,11 @@ from oracles import (
     verify_axioms_exhaustive,
     verify_morphism_exhaustive,
 )
+from proxlat import proximity
 from proxlat.bitset import bits, is_subset, transpose
 from proxlat.canext import pi_extension, sigma_extension, verify_extension
 from proxlat.fixtures import CORPUS
-from proxlat.lattice import join_sets, lattice_from_up, opposite
+from proxlat.lattice import is_distributive, join_sets, lattice_from_up, opposite
 from proxlat.proximity import (
     MorphismReport,
     ProximityLattice,
@@ -388,9 +389,11 @@ def test_binary_kernel_against_the_loops(corpus):
 
 def test_join_sets_are_kept_and_invisible(corpus):
     """A lattice that only ever checked valid inputs keeps no join sets;
-    one that ran failing relations keeps its own, apart from its
-    opposite's, and stays equal to a fresh build in equality, hash and
-    repr."""
+    neither does one that filtered failing relations by axioms_ok alone,
+    nor does it keep its distributivity verdict. Reading the flags of
+    those reports fills both: the lattice keeps its join sets, apart
+    from its opposite's, and stays equal to a fresh build in equality,
+    hash and repr."""
     for name, p in corpus.items():
         lat = lattice_from_up(p.lattice.labels, p.lattice.up)
         q = verify_axioms(lat, p.R)
@@ -403,8 +406,16 @@ def test_join_sets_are_kept_and_invisible(corpus):
         assert kept_value(lat, join_sets) is None, name
         assert kept_value(opposite(lat), join_sets) is None, name
 
-        for rel in relations(lat, 200, seed=1):
-            verify_axioms(lat, rel)
+        lat = lattice_from_up(p.lattice.labels, p.lattice.up)
+        reports = [verify_axioms(lat, rel) for rel in relations(lat, 200, seed=1)]
+        failing = [r for r in reports if not r.axioms_ok]
+        assert failing, name
+        assert kept_value(lat, join_sets) is None, name
+        assert kept_value(opposite(lat), join_sets) is None, name
+        assert kept_value(lat, is_distributive) is None, name
+        for r in failing:
+            r.flags()
+        assert kept_value(lat, is_distributive) is not None, name
         memo = kept_value(lat, join_sets)
         op_memo = kept_value(opposite(lat), join_sets)
         assert memo and op_memo, name
@@ -413,6 +424,68 @@ def test_join_sets_are_kept_and_invisible(corpus):
         assert lat == fresh and hash(lat) == hash(fresh), name
         assert repr(lat) == repr(fresh), name
         assert opposite(lat) == opposite(fresh), name
+
+
+# what a caller may read first on a report from verify_axioms
+FIRST_READS = {
+    "axioms_ok": lambda report: report.axioms_ok,
+    "witnesses": lambda report: report.witnesses,
+    "join_strong": lambda report: report.join_strong,
+    "hash": hash,
+    "repr": repr,
+    "flags": lambda report: report.flags(),
+}
+
+
+def test_deferred_fields_are_decided_once(corpus, monkeypatch):
+    """verify_axioms decides idempotence and compatibility and leaves
+    the other six fields to the first read. Whatever is read first, the
+    reports of one relation equal one another and
+    verify_axioms_by_loops, in equality, hash, repr, asdict, flags and
+    witnesses, on every relation on C3 and on seeded samples on B2 and
+    M3 (every other one with bot R b for every b) with the relations
+    compatible on both sides. The binary kernel runs on no relation
+    filtered by axioms_ok alone, and at most once per side over all the
+    reads of any report."""
+    calls = []
+    real = proximity._first_binary_failure
+
+    def counting(sjoin, *args):
+        calls.append(id(sjoin))  # the join or the meet table: the side
+        return real(sjoin, *args)
+
+    monkeypatch.setattr(proximity, "_first_binary_failure", counting)
+    c3 = corpus["C3"].lattice
+    cases = [(c3, rel) for rel in relations(c3, None, seed=0)]
+    for lat in (corpus["B2"].lattice, corpus["M3"].lattice):
+        for i, rel in enumerate(relations(lat, 400, seed=lat.size + 4)):
+            rows = list(rel.rows)
+            rows[lat.bot] |= lat.full if i % 2 else 0
+            cases.append((lat, Relation(lat.size, lat.size, tuple(rows))))
+        cases.extend((lat, rel) for rel, _ in compatible_relations(lat))
+    ran = 0
+    for lat, rel in cases:
+        expected = verify_axioms_by_loops(lat, rel)
+        reports = []
+        for first, read in FIRST_READS.items():
+            calls.clear()
+            report = verify_axioms(lat, rel)
+            read(report)
+            if first == "axioms_ok":
+                assert report.axioms_ok == expected.axioms_ok
+                assert not calls, rel.rows
+            assert report == expected, (first, lat.size, rel.rows)
+            assert hash(report) == hash(expected), (first, rel.rows)
+            assert repr(report) == repr(expected), (first, rel.rows)
+            assert dataclasses.asdict(report) == dataclasses.asdict(expected)
+            assert report.flags() == expected.flags(), (first, rel.rows)
+            for name, wit in expected.witnesses:
+                assert report.witness(name) == wit, (first, name, rel.rows)
+            assert max(collections.Counter(calls).values(), default=0) <= 1
+            ran += len(calls)
+            reports.append(report)
+        assert all(r == reports[0] for r in reports), rel.rows
+    assert ran > 0
 
 
 def test_round_ideals_against_the_definition(corpus):
