@@ -328,12 +328,8 @@ def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
     if not p.meet_strong:
         raise NotMeetStrong("sigma extension needs a meet-strong proximity lattice")
     epi = pi_extension(opposite_proximity(p))
-    ext = CanonicalExtension("sigma", p, opposite(epi.C), epi.embed, epi.extents)
-    bad = _first_unpreserved(epi.C, ext.embed, p.R.rows)
-    if bad is not None:  # pragma: no cover - theorem guard
-        raise InternalCheckError("sigma embedding is not R-meet-preserving",
-                                 witness=bad)
-    return ext
+    return CanonicalExtension("sigma", p, opposite(epi.C), epi.embed,
+                              epi.extents)
 
 
 # ---------------------------------------------------------------------------

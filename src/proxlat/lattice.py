@@ -11,9 +11,7 @@ values are immutable after construction and every function here is
 pure; a lattice keeps, once asked for them, its opposite, its
 distributivity verdict (read off its join-irreducibles, each of which
 must be join-prime: is_prime_up_set, the one prime test of the
-library), its down-set table and the join sets
-{u v v : u in U, v in V} that the binary approximability kernel asks
-for, keyed by the pair of masks (U, V). Every memo held by a value is a
+library) and its down-set table. Every memo held by a value is a
 one-argument build decorated with `kept`, which stores its value on
 the argument under a name that is no field; `keep` stores a value a
 caller already has. None of it shows in the repr, equality or the hash.
@@ -251,14 +249,6 @@ def down_index(lat: FiniteLattice) -> dict[int, int]:
     made otherwise (an opposite). Read it, do not change it."""
     # filled from the top, so low indices win
     return dict(zip(reversed(lat.down), range(lat.size - 1, -1, -1)))
-
-
-@kept
-def join_sets(lat: FiniteLattice) -> dict[int, int]:
-    """{U << n | V: the mask of {u v v : u in U, v in V}}, filled by the
-    caller on a miss and kept on the lattice; a lattice that never asks
-    keeps nothing. It holds only ints, so it forms no reference cycle."""
-    return {}
 
 
 def is_prime_up_set(lat: FiniteLattice, mask: int) -> bool:

@@ -28,10 +28,12 @@ meets of L are the joins of L^op, and R^-1 swaps rows and columns. The
 witnesses are rotated back: meet-compatibility (b, b2, a) becomes
 (a, b, b2) and (top, a) becomes (a, top); the meet-strong witness
 (b1, b2, a) keeps its orientation. Meet-approximability of T is
-join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1). So the
-opposite of a proximity lattice needs no new check: (L^op, R^-1) is
-again one, its join side the old meet side and vice versa, and only
-the increasing witness, which depends on the row order, is recomputed.
+join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1). So
+(L^op, R^-1) is again a proximity lattice, its join side the old meet
+side and vice versa, its mu the old nu and its nu the old mu: the
+opposite of a carrier gets the report verify_axioms would give it,
+made from the rows and columns of R with mu and nu swapped, and that
+report too decides its strongness and shape fields on their first read.
 
 Write R^-1[b] for the column {a : a R b}, mu(b) for its join and nu(a)
 for the meet of the row R[a]. verify_axioms reads both compatibility
@@ -46,9 +48,8 @@ read decides all six at once. For a relation that fails compatibility
 or idempotence, this names the least compatibility witnesses by the
 loops over pairs and reads strongness with one helper, the binary
 kernel _first_binary_failure, called once per side with the join or
-meet table and the join sets kept on the lattice or its opposite; the
-order flags are read inline. So a relation filtered by axioms_ok alone
-runs no kernel and fills no join sets. A failing relation keeps
+meet table; the order flags are read inline. So a relation filtered by
+axioms_ok alone runs no kernel. A failing relation keeps
 nothing; a proximity relation keeps its columns as its converse. A
 carrier keeps its mu, opposite and round ideals, and the pi, spectrum
 and duality builds of canext and spectra, each a build decorated with
@@ -171,7 +172,6 @@ from .lattice import (
     down_index,
     is_distributive,
     is_homomorphism,
-    join_sets,
     keep,
     kept,
     opposite,
@@ -185,8 +185,9 @@ class AxiomReport:
 
     Witness tuples are element indices: (a, b) for idempotence and
     increasing, (a, a2, b) / (a, b1, b2) for the binary instances,
-    (a,) for reflexivity. A report from verify_axioms decides all but
-    its first three fields on the first read of any of them.
+    (a,) for reflexivity. A report from verify_axioms or
+    opposite_proximity decides all but its first three fields on the
+    first read of any of them.
     """
 
     idempotent: bool
@@ -302,6 +303,15 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
         # a proximity relation keeps its columns as R^-1; one that fails
         # keeps nothing, so a one-shot candidate builds no Relation more
         keep(rel, Relation.converse, _from_valid_rows(n, n, cols))
+    return _pending_report(lat, rows, cols, mu, nu, idem_wit, jc_wit, mc_wit)
+
+
+def _pending_report(lat, rows, cols, mu, nu, idem_wit, jc_wit,
+                    mc_wit) -> AxiomReport:
+    """The report of (lat, R), R given by its rows and columns, with mu
+    and nu holding None where R is not compatible on that side: its
+    first three fields and what _decide_rest needs for the other six.
+    The one place the library makes an AxiomReport."""
     report = object.__new__(AxiomReport)
     object.__setattr__(report, "__dict__", {
         "idempotent": idem_wit is None,
@@ -319,10 +329,10 @@ def _decide_rest(report: AxiomReport) -> None:
 
     A relation that fails compatibility or idempotence gets its
     compatibility witnesses from the loops over pairs and its binary
-    strongness instances from _first_binary_failure, once per side with
-    the join sets kept on the lattice or its opposite; a proximity
-    relation gets them from _join_approx_mu on mu and nu. The order
-    flags are read inline.
+    strongness instances from _first_binary_failure, once per side, on
+    the join table of the lattice and on that of its opposite; a
+    proximity relation gets them from _join_approx_mu on mu and nu. The
+    order flags are read inline.
     """
     lat, rows, cols, mu, nu, idem_wit, jc_wit, mc_wit = (
         report.__dict__["_pending"])
@@ -338,10 +348,8 @@ def _decide_rest(report: AxiomReport) -> None:
             wit = _join_compatible(lat_op, cols)[1]
             mc_wit = wit and wit[-1:] + wit[:-1]
         # the empty strongness instance, R^-1[bot] inside itself, holds
-        js_wit = _first_binary_failure(lat.join, lat.join, join_sets(lat), n,
-                                       cols, rows)
-        ms_wit = _first_binary_failure(lat.meet, lat.meet, join_sets(lat_op),
-                                       n, rows, cols)
+        js_wit = _first_binary_failure(lat.join, lat.join, n, cols, rows)
+        ms_wit = _first_binary_failure(lat.meet, lat.meet, n, rows, cols)
     witnesses = [(name, wit) for name, wit in (
         ("idempotent", idem_wit),
         ("join_compatible", jc_wit),
@@ -473,46 +481,22 @@ def order_proximity(lat: FiniteLattice) -> ProximityLattice:
 def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
     """(L^op, R^-1); swaps join-strong with meet-strong.
 
-    The report is p's with the join and meet sides swapped (see the
-    module docstring), so the axioms are not checked again; p must
-    satisfy them, as every carrier built by proximity_lattice does.
-    R is inside <= iff R^-1 is inside >=, and R^-1 has the diagonal of
-    R, so the increasing and reflexive flags and the reflexive witness
-    are p's; the increasing witness is found when that flag is false.
-    Kept on p; it keeps no link back, and its mu is the nu of p.
+    Its report is the one verify_axioms gives (L^op, R^-1), made from
+    p's rows and columns, its mu the nu of p and its nu the mu of p
+    (module docstring), and like that one it decides its strongness and
+    shape fields on their first read; nothing is decided here and no
+    field of p's report is read. p must satisfy the axioms, as every
+    carrier built by proximity_lattice does: a proximity relation has no
+    idempotence or compatibility witness. Kept on p; it keeps no link
+    back, and its mu is the nu of p.
     """
     lat = opposite(p.lattice)
     rel = p.R.converse()
-    r = p.report
-    js_wit = r.witness("meet_strong")
-    ms_wit = r.witness("join_strong")
-    inc_wit = None
-    if not r.increasing:  # the first row of R^-1 with a member outside up a
-        up = lat.up
-        a, stray = next((a, row & ~up[a]) for a, row in enumerate(rel.rows)
-                        if row & ~up[a])
-        inc_wit = (a, (stray & -stray).bit_length() - 1)
-    witnesses = []
-    for name, wit in (("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
-                      ("meet_strong", ms_wit and ms_wit[1:] + ms_wit[:1]),
-                      ("increasing", inc_wit),
-                      ("reflexive", r.witness("reflexive"))):
-        if wit is not None:
-            witnesses.append((name, wit))
-    report = AxiomReport(
-        idempotent=r.idempotent,
-        join_compatible=r.meet_compatible,
-        meet_compatible=r.join_compatible,
-        join_strong=r.meet_strong,
-        meet_strong=r.join_strong,
-        increasing=r.increasing,
-        reflexive=r.reflexive,
-        distributive=r.distributive,
-        witnesses=tuple(witnesses),
-    )
-    op = ProximityLattice(lat, rel, report)
-    nu = _tops(lat, p.R.rows)  # None in it: op.mu raises, as p.mu does
-    keep(op, ProximityLattice.mu.fget, None if None in nu else nu)
+    mu = _tops(lat, p.R.rows)  # None in it: op.mu raises, as p.mu does
+    nu = _tops(p.lattice, rel.rows)
+    op = ProximityLattice(lat, rel, _pending_report(
+        lat, rel.rows, p.R.rows, mu, nu, None, None, None))
+    keep(op, ProximityLattice.mu.fget, None if None in mu else mu)
     return op
 
 
@@ -686,43 +670,35 @@ def _join_approx_binary(sl, tl, tgt_rows, tgt_cols, rows):
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return False, ((stray & -stray).bit_length() - 1,)
-    wit = _first_binary_failure(sl.join, tl.join, join_sets(tl), tl.size,
-                                rows, tgt_rows)
+    wit = _first_binary_failure(sl.join, tl.join, tl.size, rows, tgt_rows)
     return wit is None, wit
 
 
-def _first_binary_failure(sjoin, tjoin, memo, n, rows, tgt_rows):
+def _first_binary_failure(sjoin, tjoin, n, rows, tgt_rows):
     """The first binary instance (b1, b2, m) of join-approximability
     that fails, b1 <= b2 in index order and m least, or None. sjoin and
-    tjoin are the join tables of the source and the target, memo the
-    target's join_sets and n its size; rows are the rows of T and
-    tgt_rows those of S.
+    tjoin are the join tables of the source and the target and n the
+    target's size; rows are the rows of T and tgt_rows those of S.
 
-    With J the join set {u v v : u in T[b1], v in T[b2]}, the instance
-    at (b1, b2) fails for the m in T[b1 v b2] whose row S[m] misses J.
-    J depends only on the target and the two rows, so it is read from
-    memo, keyed by T[b1] << n | T[b2], and made and kept on a miss.
+    With J the join set {u v v : u in T[b1], v in T[b2]}, built for
+    each pair that has targets, the instance at (b1, b2) fails for the
+    m in T[b1 v b2] whose row S[m] misses J.
     """
     # the members of a row, by its mask: off the byte table up to n = 8,
     # else listed once per call
     members = _SMALL if n <= 8 else {r: tuple(bits(r)) for r in rows}
     for b1, row in enumerate(sjoin):
-        us = rows[b1]
-        high = us << n
+        us = members[rows[b1]]
         for b2 in range(b1, len(sjoin)):
             targets = rows[row[b2]]
             if not targets:
                 continue
-            vs = rows[b2]
-            joined = memo.get(high | vs)
-            if joined is None:
-                joined = 0
-                vlist = members[vs]
-                for u in members[us]:
-                    ujoin = tjoin[u]
-                    for v in vlist:
-                        joined |= 1 << ujoin[v]
-                memo[high | vs] = joined
+            joined = 0
+            vs = members[rows[b2]]
+            for u in us:
+                ujoin = tjoin[u]
+                for v in vs:
+                    joined |= 1 << ujoin[v]
             for m in members[targets]:
                 if not tgt_rows[m] & joined:
                     return (b1, b2, m)

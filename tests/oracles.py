@@ -344,8 +344,8 @@ def join_strong_exhaustive(lat: FiniteLattice, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# The binary approximability kernel as a loop over the targets that
-# builds every join set afresh, before the lattice kept them
+# The binary approximability kernel with the empty instance read member
+# by member and every row listed by bits, not by the byte table
 # ---------------------------------------------------------------------------
 
 def join_approx_binary_by_loops(sl, tl, tgt_rows, tgt_cols, rows):

@@ -30,7 +30,7 @@ from proxlat import proximity
 from proxlat.bitset import bits, is_subset, transpose
 from proxlat.canext import pi_extension, sigma_extension, verify_extension
 from proxlat.fixtures import CORPUS
-from proxlat.lattice import is_distributive, join_sets, lattice_from_up, opposite
+from proxlat.lattice import is_distributive, lattice_from_up, opposite
 from proxlat.proximity import (
     MorphismReport,
     ProximityLattice,
@@ -200,7 +200,10 @@ def test_opposite_report_is_the_swapped_report(corpus):
     for p in carriers:
         assert p.report.axioms_ok
         expected = verify_axioms(opposite(p.lattice), p.R.converse())
-        assert opposite_proximity(p).report == expected, p.R.rows
+        op = opposite_proximity(p)
+        assert op.report == expected, p.R.rows
+        # and taking the opposite twice gives the report back
+        assert opposite_proximity(op).report == p.report, p.R.rows
 
 
 def test_mu_strongness_against_the_loops(corpus):
@@ -289,25 +292,16 @@ def test_c4_reports_are_pinned():
 
 def test_b2_reports_are_pinned():
     """Every relation on B2, the census carrier next to C4: the reports
-    on a lattice whose join sets are all filled beforehand match their
-    pinned digest and equal those on a new lattice per relation, whose
-    join sets and opposite start cold. Only a proximity relation keeps
-    its converse, equal to one built from the transpose."""
+    match their pinned digest and equal those on a new lattice per
+    relation, whose opposite starts cold. Only a proximity relation
+    keeps its converse, equal to one built from the transpose."""
     b2 = boolean(2)
-    for lat in (b2, opposite(b2)):
-        join_sets(lat).update(
-            (u << 4 | v, sum({1 << lat.join[x][y]
-                              for x in bits(u) for y in bits(v)}))
-            for u in range(16) for v in range(16))
-    warm = (dict(kept_value(b2, join_sets)),
-            dict(kept_value(opposite(b2), join_sets)))
     rels = list(relations(b2, None, seed=0))
     reports = [verify_axioms(b2, rel) for rel in rels]
     assert digest(reports) == B2_SHA256
     kept = 0
     for rel, report in zip(rels, reports):
         cold = dataclasses.replace(b2)
-        assert kept_value(cold, join_sets) is None
         assert kept_value(cold, opposite) is None
         assert verify_axioms(cold, rel) == report, rel.rows
         conv = kept_value(rel, Relation.converse)
@@ -318,8 +312,6 @@ def test_b2_reports_are_pinned():
             assert conv == built, rel.rows
             assert hash(conv) == hash(built), rel.rows
     assert kept == sum(1 for _ in proximity_lattices(b2)) > 0
-    assert (kept_value(b2, join_sets),
-            kept_value(opposite(b2), join_sets)) == warm
 
 
 def kernel_sides(lat, rel):
@@ -337,36 +329,17 @@ def morphism_sides(src, tgt, rel):
              src.R.converse().rows, src.R.rows, rel.converse().rows))
 
 
-def join_sets_by_definition(lat):
-    """Every kept join set recomputed from its key U << n | V."""
-    n = lat.size
-    return {key: sum({1 << lat.join[u][v]
-                      for u in bits(key >> n) for v in bits(key & lat.full)})
-            for key in kept_value(lat, join_sets)}
-
-
 def test_binary_kernel_against_the_loops(corpus):
-    """The kernel over the join sets kept on the lattice gives the flags
-    and witnesses of the loop that builds each join set afresh: on every
-    relation on C3, on seeded samples on C4, B2 and M3, run twice on the
-    same lattices (warm memo) and once on fresh equal ones (cold memo),
-    and on every map into the principal down-sets, where the two
-    lattices differ. Every kept join set is the join set of its key."""
+    """The binary kernel gives the flags and witnesses of the loop over
+    the targets: on every relation on C3, on seeded samples on C4, B2
+    and M3, and on every map into the principal down-sets, where the two
+    lattices differ."""
     calls = []
-    c3 = chain(3)
-    calls.extend(side for rel in relations(c3, None, seed=0)
-                 for side in kernel_sides(c3, rel))
-    lattices = [c3]
-    for lat in (chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
-        fresh = lattice_from_up(lat.labels, lat.up)
-        assert fresh == lat and fresh is not lat
-        assert kept_value(fresh, join_sets) is None
-        assert kept_value(opposite(fresh), join_sets) is None
-        sample = list(relations(lat, 5000, seed=lat.size + 3))
-        for target in (lat, lat, fresh):
-            calls.extend(side for rel in sample
-                         for side in kernel_sides(target, rel))
-        lattices += [lat, fresh]
+    for lat, count in ((chain(3), None), (chain(4), 5000),
+                       (corpus["B2"].lattice, 5000),
+                       (corpus["M3"].lattice, 5000)):
+        calls.extend(side for rel in relations(lat, count, seed=lat.size + 3)
+                     for side in kernel_sides(lat, rel))
     for src, tgt, rel in morphism_candidates(corpus, principal_down_sets):
         calls.extend(morphism_sides(src, tgt, rel))
     verdicts = set()
@@ -378,52 +351,35 @@ def test_binary_kernel_against_the_loops(corpus):
     # both flags, both witness shapes, and maps between two lattices
     assert {(True, 0, False), (False, 1, False), (False, 3, False),
             (True, 0, True), (False, 3, True)} <= verdicts
-    for lat in lattices:
-        for kept in (lat, opposite(lat)):
-            memo = kept_value(kept, join_sets)
-            assert memo, lat.labels
-            assert memo == join_sets_by_definition(kept)
-            # at most one entry per pair of masks
-            assert len(memo) <= 1 << 2 * kept.size
 
 
-def test_join_sets_are_kept_and_invisible(corpus):
-    """A lattice that only ever checked valid inputs keeps no join sets;
-    neither does one that filtered failing relations by axioms_ok alone,
-    nor does it keep its distributivity verdict. Reading the flags of
-    those reports fills both: the lattice keeps its join sets, apart
-    from its opposite's, and stays equal to a fresh build in equality,
-    hash and repr."""
+def test_lattice_memos_are_invisible(corpus):
+    """A lattice that filtered failing relations by axioms_ok alone
+    keeps no distributivity verdict, and reading the flags of those
+    reports keeps it. Neither that lattice nor one that the builds of a
+    valid carrier ran on shows what it keeps in equality, hash or repr."""
     for name, p in corpus.items():
-        lat = lattice_from_up(p.lattice.labels, p.lattice.up)
-        q = verify_axioms(lat, p.R)
-        carrier = ProximityLattice(lat, p.R, q)
+        built = lattice_from_up(p.lattice.labels, p.lattice.up)
+        carrier = ProximityLattice(built, p.R, verify_axioms(built, p.R))
         for ext in (pi_extension(carrier), sigma_extension(carrier)):
             assert verify_extension(ext).passes(ext.kind), name
         assert all_proximity_morphisms(carrier, carrier), name
         if carrier.distributive:
             canext_via_duality(carrier)
-        assert kept_value(lat, join_sets) is None, name
-        assert kept_value(opposite(lat), join_sets) is None, name
 
         lat = lattice_from_up(p.lattice.labels, p.lattice.up)
         reports = [verify_axioms(lat, rel) for rel in relations(lat, 200, seed=1)]
         failing = [r for r in reports if not r.axioms_ok]
         assert failing, name
-        assert kept_value(lat, join_sets) is None, name
-        assert kept_value(opposite(lat), join_sets) is None, name
         assert kept_value(lat, is_distributive) is None, name
         for r in failing:
             r.flags()
         assert kept_value(lat, is_distributive) is not None, name
-        memo = kept_value(lat, join_sets)
-        op_memo = kept_value(opposite(lat), join_sets)
-        assert memo and op_memo, name
-        assert op_memo is not memo, name
         fresh = lattice_from_up(lat.labels, lat.up)
-        assert lat == fresh and hash(lat) == hash(fresh), name
-        assert repr(lat) == repr(fresh), name
-        assert opposite(lat) == opposite(fresh), name
+        for used in (built, lat):
+            assert used == fresh and hash(used) == hash(fresh), name
+            assert repr(used) == repr(fresh), name
+            assert opposite(used) == opposite(fresh), name
 
 
 # what a caller may read first on a report from verify_axioms

@@ -30,7 +30,7 @@ import pytest
 from oracles import kept_value
 from proxlat.canext import CanonicalExtension, pi_extension, verify_extension
 from proxlat.fixtures import CORPUS, load
-from proxlat.lattice import down_index, is_distributive, join_sets, kept, opposite
+from proxlat.lattice import down_index, is_distributive, kept, opposite
 from proxlat.proximity import (
     AxiomReport,
     ProximityLattice,
@@ -180,7 +180,7 @@ def test_the_check_sees_an_unreferenced_private_definition():
 # every build kept on a lattice, a relation, a proximity lattice or an
 # extension
 KEPT = {
-    "lattice": (opposite, is_distributive, down_index, join_sets),
+    "lattice": (opposite, is_distributive, down_index),
     "relation": (Relation.converse,),
     "carrier": (ProximityLattice.mu, opposite_proximity, round_ideal_masks,
                 pi_extension, spectrum, canext_via_duality),

@@ -3,12 +3,14 @@
 import dataclasses
 import gc
 import itertools
+import json
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxlat import fixtures, proximity
 from proxlat.bitset import bits, is_subset, transpose
 from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import (
@@ -19,6 +21,8 @@ from proxlat.errors import (
     NotDistributive,
     NotJoinStrong,
 )
+from proxlat.fixtures import CORPUS
+from proxlat.formats import proximity_from_doc
 from proxlat.lattice import _order_isomorphism, lattice_from_up, opposite
 from proxlat.proximity import (
     ProximityLattice,
@@ -128,6 +132,33 @@ def test_mu_and_the_opposite_are_kept(corpus):
         # its mu, the nu of fresh, is read off the rows of R, so R^-1
         # is not transposed back
         assert kept_value(op.R, Relation.converse) is None, name
+
+
+def test_building_the_opposite_decides_nothing(monkeypatch):
+    """The opposite's report, like one from verify_axioms, leaves its
+    strongness and shape fields to the first read, and building it reads
+    no such field of the carrier's report; so dualize decides neither."""
+    from test_golden_cli import GOLDEN, call, sha256
+
+    for name in CORPUS:
+        p = proximity_from_doc(fixtures.document(name))
+        op = opposite_proximity(p)
+        assert "_pending" in vars(p.report), name
+        assert "_pending" in vars(op.report), name
+        join_strong = op.join_strong
+        assert "_pending" not in vars(op.report), name
+        assert "_pending" in vars(p.report), name
+        assert join_strong == p.meet_strong, name
+
+    def refuse(report):
+        raise AssertionError("a deferred field was decided")
+
+    monkeypatch.setattr(proximity, "_decide_rest", refuse)
+    golden = json.loads(GOLDEN.read_text())
+    for name in CORPUS:
+        code, stdout = call(["dualize", name])
+        assert {"exit": code, "sha256": sha256(stdout)} == \
+            golden[f"{name} dualize"] and code == 0, name
 
 
 def test_carrier_memos_are_invisible_to_equality_and_hash(corpus):
