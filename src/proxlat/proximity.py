@@ -33,27 +33,30 @@ join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1). So
 side and vice versa, its mu the old nu and its nu the old mu: the
 opposite of a carrier gets the report verify_axioms would give it,
 made from the rows and columns of R with mu and nu swapped, and that
-report too decides its strongness and shape fields on their first read.
+report decides all its fields on the first read of any of them.
 
 Write R^-1[b] for the column {a : a R b}, mu(b) for its join and nu(a)
 for the meet of the row R[a]. verify_axioms reads both compatibility
-axioms and idempotence off mu and nu, comparing R;R with R row by row
-only where they cannot decide it, and decides nothing else when
-called. Most relations fail an empty instance, bot R b or a R top,
-whose least witness is the lowest bit missing from rows[bot] or
-cols[top], so no pair loop runs for it. Until one of the other six
-fields is first read, the report holds those three flags with the
-lattice, rows, columns, mu, nu and the witnesses found so far; that
-read decides all six at once. For a relation that fails compatibility
-or idempotence, this names the least compatibility witnesses by the
-loops over pairs and reads strongness with one helper, the binary
-kernel _first_binary_failure, called once per side with the join or
-meet table; the order flags are read inline. So a relation filtered by
-axioms_ok alone runs no kernel. A failing relation keeps
-nothing; a proximity relation keeps its columns as its converse. A
-carrier keeps its mu, opposite and round ideals, and the pi, spectrum
-and duality builds of canext and spectra, each a build decorated with
-lattice.kept.
+axioms and idempotence off mu and nu, and decides only the three
+conjuncts of axioms_ok when called, in the order axioms_ok reads them,
+join-compatibility, meet-compatibility, idempotence, up to the first
+that fails. Most relations fail the empty instance bot R b, a mask test
+on rows[bot], so they build no columns, no mu and no nu. Idempotence is
+read off mu o mu, which decides it on a relation compatible on both
+sides, the only one that reaches it. Until another field is first
+read, the report holds the flags decided so far with the lattice, rows
+and whichever of the columns, mu and nu were built; that read decides
+everything left at once. For a relation that fails compatibility or
+idempotence, this compares R;R with R row by row for the idempotence
+witness, names the least compatibility witnesses by the loops over
+pairs and reads strongness with one helper, the binary kernel
+_first_binary_failure, called once per side with the join or meet
+table; the order flags are read inline. So a relation filtered by
+axioms_ok alone runs no R;R comparison, no loop over pairs and no
+kernel. A failing relation keeps nothing; a proximity relation keeps
+its columns as its converse. A carrier keeps its mu, opposite and round
+ideals, and the pi, spectrum and duality builds of canext and spectra,
+each a build decorated with lattice.kept.
 
 * R is join-compatible iff every column is a principal down-set. The
   empty instance puts bot in each column, the binary ones with a <= a2
@@ -185,9 +188,11 @@ class AxiomReport:
 
     Witness tuples are element indices: (a, b) for idempotence and
     increasing, (a, a2, b) / (a, b1, b2) for the binary instances,
-    (a,) for reflexivity. A report from verify_axioms or
-    opposite_proximity decides all but its first three fields on the
-    first read of any of them.
+    (a,) for reflexivity. A report from verify_axioms decides the
+    conjuncts of axioms_ok in the order axioms_ok reads them,
+    join_compatible, meet_compatible, idempotent, up to the first that
+    fails, and every other field on the first read of any of them; one
+    from opposite_proximity decides all nine on that read.
     """
 
     idempotent: bool
@@ -202,7 +207,7 @@ class AxiomReport:
 
     @property
     def axioms_ok(self) -> bool:
-        return self.idempotent and self.join_compatible and self.meet_compatible
+        return self.join_compatible and self.meet_compatible and self.idempotent
 
     @property
     def doubly_strong(self) -> bool:
@@ -215,9 +220,9 @@ class AxiomReport:
         return {"axioms_ok": self.axioms_ok, **_flag_fields(self)}
 
     def __getattr__(self, name: str):
-        # called only for a name missing from the instance dict: one of
-        # the six fields a report from verify_axioms leaves to the first
-        # read, all decided by one _decide_rest call
+        # called only for a name missing from the instance dict: a field
+        # a report from _pending_report leaves to the first read, all
+        # decided by one _decide_rest call
         if name in _DEFERRED and "_pending" in self.__dict__:
             _decide_rest(self)
             return self.__dict__[name]
@@ -225,8 +230,7 @@ class AxiomReport:
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
-_DEFERRED = frozenset(("join_strong", "meet_strong", "increasing",
-                       "reflexive", "distributive", "witnesses"))
+_DEFERRED = frozenset(f.name for f in fields(AxiomReport))
 
 
 def _flag_fields(report) -> dict[str, bool]:
@@ -254,42 +258,89 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     approximability of R^-1 from (L, R) to itself. Compatibility and
     idempotence are read off mu and nu (module docstring).
 
-    Only idempotent, join_compatible and meet_compatible, the three
-    fields axioms_ok reads, are decided here. Most relations fail an
-    empty instance, bot R b or a R top, read off rows[bot] or cols[top]
-    before any loop; R;R is compared with R row by row only where mu
-    and nu cannot decide it. The report holds those three fields and
-    what _decide_rest needs for the other six: join_strong,
-    meet_strong, increasing, reflexive, distributive and witnesses. The
-    first read of any of them runs _decide_rest once, which stores all
-    nine fields as one __dict__ and drops what the report held, so a
-    relation filtered by axioms_ok alone runs no strongness kernel. A
-    proximity relation keeps its columns as its converse; a failing one
-    keeps nothing.
+    Only the three conjuncts of axioms_ok are decided here, in the
+    order it reads them, join_compatible, meet_compatible, idempotent,
+    and only up to the first that fails. Most relations fail the empty
+    instance bot R b, read off rows[bot] before the columns are built;
+    idempotence is read off mu o mu on a relation compatible on both
+    sides and on no other. The report holds the fields decided so far
+    and the lattice, rows and whichever of the columns, mu and nu were
+    built. The first read of any other field, by name, equality, hash,
+    repr or flags(), runs _decide_rest once, which stores all nine
+    fields as one __dict__ and drops what the report held. So a
+    relation filtered by axioms_ok alone builds no more than it needs:
+    one mask test for a relation whose row of bot is not full, and no
+    R;R loop or strongness kernel for any. A proximity relation keeps
+    its columns as its converse; a failing one keeps nothing.
     """
     n = lat.size
     if rel.source_size != n or rel.target_size != n:
         raise DimensionMismatch("relation carrier does not match the lattice")
     rows = rel.rows
+    # the empty instance bot R b, before the columns are built
+    if rows[lat.bot] != lat.full:
+        return _pending_report(lat, rows, join_compatible=False)
     cols = transpose(rows, n)
-    full = lat.full
-    # mu and nu hold None where R is not compatible on that side; most
-    # relations fail an empty instance, and its witness needs no loop
-    mu = nu = (None,)
-    jc_wit = mc_wit = idem_wit = None
-    missing = full & ~rows[lat.bot]
-    if missing:
-        jc_wit = (lat.bot, (missing & -missing).bit_length() - 1)
-    else:
+    mu = _tops(lat, cols)
+    if None in mu:
+        return _pending_report(lat, rows, cols, mu, join_compatible=False)
+    nu = _tops(opposite(lat), rows)
+    if None in nu:
+        return _pending_report(lat, rows, cols, mu, nu, join_compatible=True,
+                               meet_compatible=False)
+    # with both sides compatible, R;R = R iff mu o mu = mu
+    idempotent = tuple(map(mu.__getitem__, mu)) == mu
+    if idempotent:
+        # a proximity relation keeps its columns as R^-1; one that fails
+        # keeps nothing, so a one-shot candidate builds no Relation more
+        keep(rel, Relation.converse, _from_valid_rows(n, n, cols))
+    return _pending_report(lat, rows, cols, mu, nu, join_compatible=True,
+                           meet_compatible=True, idempotent=idempotent)
+
+
+def _pending_report(lat, rows, cols=None, mu=None, nu=None,
+                    **decided) -> AxiomReport:
+    """The report of (lat, R), R given by its rows, holding the fields
+    already `decided` and what _decide_rest needs for the others: the
+    columns of R, mu and nu, each None if not yet built, mu and nu
+    holding None where R is not compatible on that side. The one place
+    the library makes an AxiomReport."""
+    report = object.__new__(AxiomReport)
+    decided["_pending"] = (lat, rows, cols, mu, nu)
+    object.__setattr__(report, "__dict__", decided)
+    return report
+
+
+def _decide_rest(report: AxiomReport) -> None:
+    """Decide every field of a report from _pending_report and store all
+    nine as its one __dict__, dropping the lattice, rows and columns it
+    held.
+
+    The columns, mu and nu are built if the report does not hold them,
+    and the three conjuncts of axioms_ok are read off them as
+    verify_axioms reads them, so a field it decided is decided again to
+    the same value. A relation that fails compatibility or idempotence
+    gets its idempotence witness from comparing R;R with R row by row,
+    its compatibility witnesses from the loops over pairs and its binary
+    strongness instances from _first_binary_failure, once per side, on
+    the join table of the lattice and on that of its opposite; a
+    proximity relation gets them from _join_approx_mu on mu and nu. The
+    order flags are read inline.
+    """
+    lat, rows, cols, mu, nu = report.__dict__["_pending"]
+    n = lat.size
+    lat_op = opposite(lat)
+    if cols is None:
+        cols = transpose(rows, n)
+    if mu is None:
         mu = _tops(lat, cols)
-    missing = full & ~cols[lat.top]
-    if missing:
-        mc_wit = ((missing & -missing).bit_length() - 1, lat.top)
-    else:
-        nu = _tops(opposite(lat), rows)
-    compatible = None not in mu and None not in nu
-    # R;R = R iff mu o mu = mu; otherwise R;R is compared with R row by
-    # row for the witness
+    if nu is None:
+        nu = _tops(lat_op, rows)
+    join_compatible, meet_compatible = None not in mu, None not in nu
+    compatible = join_compatible and meet_compatible
+    idem_wit = jc_wit = mc_wit = None
+    # R;R = R iff mu o mu = mu on a relation compatible on both sides;
+    # otherwise R;R is compared with R row by row for the witness
     if not compatible or tuple(map(mu.__getitem__, mu)) != mu:
         for a, row in enumerate(rows):
             twice = 0
@@ -300,51 +351,12 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
                 idem_wit = (a, (delta & -delta).bit_length() - 1)
                 break
     if compatible and idem_wit is None:
-        # a proximity relation keeps its columns as R^-1; one that fails
-        # keeps nothing, so a one-shot candidate builds no Relation more
-        keep(rel, Relation.converse, _from_valid_rows(n, n, cols))
-    return _pending_report(lat, rows, cols, mu, nu, idem_wit, jc_wit, mc_wit)
-
-
-def _pending_report(lat, rows, cols, mu, nu, idem_wit, jc_wit,
-                    mc_wit) -> AxiomReport:
-    """The report of (lat, R), R given by its rows and columns, with mu
-    and nu holding None where R is not compatible on that side: its
-    first three fields and what _decide_rest needs for the other six.
-    The one place the library makes an AxiomReport."""
-    report = object.__new__(AxiomReport)
-    object.__setattr__(report, "__dict__", {
-        "idempotent": idem_wit is None,
-        "join_compatible": None not in mu,
-        "meet_compatible": None not in nu,
-        "_pending": (lat, rows, cols, mu, nu, idem_wit, jc_wit, mc_wit),
-    })
-    return report
-
-
-def _decide_rest(report: AxiomReport) -> None:
-    """Decide the six fields verify_axioms leaves to the first read and
-    store all nine as the report's one __dict__, dropping the lattice,
-    rows and columns it held.
-
-    A relation that fails compatibility or idempotence gets its
-    compatibility witnesses from the loops over pairs and its binary
-    strongness instances from _first_binary_failure, once per side, on
-    the join table of the lattice and on that of its opposite; a
-    proximity relation gets them from _join_approx_mu on mu and nu. The
-    order flags are read inline.
-    """
-    lat, rows, cols, mu, nu, idem_wit, jc_wit, mc_wit = (
-        report.__dict__["_pending"])
-    n = lat.size
-    lat_op = opposite(lat)
-    if report.axioms_ok:
         js_wit = _join_approx_mu(lat, lat, rows, cols, cols, mu)[1]
         ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu)[1]
     else:
-        if jc_wit is None and None in mu:
+        if not join_compatible:
             jc_wit = _join_compatible(lat, rows)[1]
-        if mc_wit is None and None in nu:
+        if not meet_compatible:
             wit = _join_compatible(lat_op, cols)[1]
             mc_wit = wit and wit[-1:] + wit[:-1]
         # the empty strongness instance, R^-1[bot] inside itself, holds
@@ -371,9 +383,9 @@ def _decide_rest(report: AxiomReport) -> None:
             witnesses.append(("reflexive", (a,)))
             break
     object.__setattr__(report, "__dict__", {
-        "idempotent": report.idempotent,
-        "join_compatible": report.join_compatible,
-        "meet_compatible": report.meet_compatible,
+        "idempotent": idem_wit is None,
+        "join_compatible": join_compatible,
+        "meet_compatible": meet_compatible,
         "join_strong": js_wit is None,
         "meet_strong": ms_wit is None,
         "increasing": increasing,
@@ -483,19 +495,16 @@ def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
 
     Its report is the one verify_axioms gives (L^op, R^-1), made from
     p's rows and columns, its mu the nu of p and its nu the mu of p
-    (module docstring), and like that one it decides its strongness and
-    shape fields on their first read; nothing is decided here and no
-    field of p's report is read. p must satisfy the axioms, as every
-    carrier built by proximity_lattice does: a proximity relation has no
-    idempotence or compatibility witness. Kept on p; it keeps no link
-    back, and its mu is the nu of p.
+    (module docstring). It decides all nine fields on the first read of
+    any of them; nothing is decided here and no field of p's report is
+    read. Kept on p; it keeps no link back, and its mu is the nu of p.
     """
     lat = opposite(p.lattice)
     rel = p.R.converse()
     mu = _tops(lat, p.R.rows)  # None in it: op.mu raises, as p.mu does
     nu = _tops(p.lattice, rel.rows)
-    op = ProximityLattice(lat, rel, _pending_report(
-        lat, rel.rows, p.R.rows, mu, nu, None, None, None))
+    op = ProximityLattice(lat, rel,
+                          _pending_report(lat, rel.rows, p.R.rows, mu, nu))
     keep(op, ProximityLattice.mu.fget, None if None in mu else mu)
     return op
 

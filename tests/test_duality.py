@@ -101,6 +101,16 @@ def relations(lat, count, seed):
         yield Relation(n, n, tuple(code >> (a * n) & full for a in range(n)))
 
 
+def half_with_full_bot(lat, count, seed):
+    """A seeded sample of relations on lat, every other one with its
+    row of bot made full (bot R b for every b), so that verify_axioms
+    reads its columns."""
+    for i, rel in enumerate(relations(lat, count, seed)):
+        rows = list(rel.rows)
+        rows[lat.bot] |= lat.full if i % 2 else 0
+        yield Relation(lat.size, lat.size, tuple(rows))
+
+
 def compatible_relations(lat):
     """Every relation on lat compatible on both sides, with its report.
     Join-compatibility makes each R^-1[b] a principal ideal, so R is
@@ -385,6 +395,9 @@ def test_lattice_memos_are_invisible(corpus):
 # what a caller may read first on a report from verify_axioms
 FIRST_READS = {
     "axioms_ok": lambda report: report.axioms_ok,
+    "idempotent": lambda report: report.idempotent,
+    "join_compatible": lambda report: report.join_compatible,
+    "meet_compatible": lambda report: report.meet_compatible,
     "witnesses": lambda report: report.witnesses,
     "join_strong": lambda report: report.join_strong,
     "hash": hash,
@@ -394,15 +407,15 @@ FIRST_READS = {
 
 
 def test_deferred_fields_are_decided_once(corpus, monkeypatch):
-    """verify_axioms decides idempotence and compatibility and leaves
-    the other six fields to the first read. Whatever is read first, the
-    reports of one relation equal one another and
-    verify_axioms_by_loops, in equality, hash, repr, asdict, flags and
-    witnesses, on every relation on C3 and on seeded samples on B2 and
-    M3 (every other one with bot R b for every b) with the relations
-    compatible on both sides. The binary kernel runs on no relation
-    filtered by axioms_ok alone, and at most once per side over all the
-    reads of any report."""
+    """verify_axioms decides the conjuncts of axioms_ok up to the first
+    that fails and leaves the other fields to the first read of any of
+    them. Whatever is read first, the reports of one relation equal one
+    another and verify_axioms_by_loops, in equality, hash, repr, asdict,
+    flags and witnesses, on every relation on C3 and on seeded samples
+    on B2 and M3 (every other one with bot R b for every b) with the
+    relations compatible on both sides. The binary kernel runs on no
+    relation filtered by axioms_ok alone, and at most once per side over
+    all the reads of any report."""
     calls = []
     real = proximity._first_binary_failure
 
@@ -414,10 +427,8 @@ def test_deferred_fields_are_decided_once(corpus, monkeypatch):
     c3 = corpus["C3"].lattice
     cases = [(c3, rel) for rel in relations(c3, None, seed=0)]
     for lat in (corpus["B2"].lattice, corpus["M3"].lattice):
-        for i, rel in enumerate(relations(lat, 400, seed=lat.size + 4)):
-            rows = list(rel.rows)
-            rows[lat.bot] |= lat.full if i % 2 else 0
-            cases.append((lat, Relation(lat.size, lat.size, tuple(rows))))
+        cases.extend((lat, rel) for rel in
+                     half_with_full_bot(lat, 400, seed=lat.size + 4))
         cases.extend((lat, rel) for rel, _ in compatible_relations(lat))
     ran = 0
     for lat, rel in cases:
@@ -442,6 +453,41 @@ def test_deferred_fields_are_decided_once(corpus, monkeypatch):
             reports.append(report)
         assert all(r == reports[0] for r in reports), rel.rows
     assert ran > 0
+
+
+def test_a_filtered_relation_builds_no_columns(corpus, monkeypatch):
+    """axioms_ok on a report from verify_axioms transposes R only when
+    its row of bot is full, and then once, and runs neither _decide_rest
+    nor the binary kernel: on every relation on C3 and on the seeded
+    samples on C4 and B2 of test_axioms_read_off_mu_against_the_loops."""
+    transposed = []
+    real = proximity.transpose
+
+    def counting(rows, width):
+        transposed.append(rows)
+        return real(rows, width)
+
+    def refuse(*args):
+        raise AssertionError("a filtered relation decided more")
+
+    monkeypatch.setattr(proximity, "transpose", counting)
+    monkeypatch.setattr(proximity, "_decide_rest", refuse)
+    monkeypatch.setattr(proximity, "_first_binary_failure", refuse)
+    c3 = chain(3)
+    cases = [(c3, rel) for rel in relations(c3, None, seed=0)]
+    for lat in (chain(4), corpus["B2"].lattice):
+        cases.extend((lat, rel) for rel in
+                     half_with_full_bot(lat, 3000, seed=lat.size + 2))
+    full = 0
+    for lat, rel in cases:
+        transposed.clear()
+        verify_axioms(lat, rel).axioms_ok
+        if rel.rows[lat.bot] == lat.full:
+            full += 1
+            assert transposed == [rel.rows], (lat.size, rel.rows)
+        else:
+            assert not transposed, (lat.size, rel.rows)
+    assert 0 < full < len(cases)
 
 
 def test_round_ideals_against_the_definition(corpus):
@@ -487,10 +533,8 @@ def test_axioms_read_off_mu_against_the_loops(corpus):
     c3 = chain(3)
     cases = [(c3, rel) for rel in relations(c3, None, seed=0)]
     for lat in (chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
-        for i, rel in enumerate(relations(lat, 3000, seed=lat.size + 2)):
-            rows = list(rel.rows)
-            rows[lat.bot] |= lat.full if i % 2 else 0
-            cases.append((lat, Relation(lat.size, lat.size, tuple(rows))))
+        cases.extend((lat, rel) for rel in
+                     half_with_full_bot(lat, 3000, seed=lat.size + 2))
     for lat in (c3, chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
         cases.extend((lat, rel) for rel, _ in compatible_relations(lat))
     for lat in (chain(16), boolean(4)):
@@ -509,3 +553,19 @@ def test_axioms_read_off_mu_against_the_loops(corpus):
         (F, T, T, F): 6, (F, T, T, T): 2, (T, F, F, F): 26,
         (T, F, F, T): 158, (T, F, T, T): 33, (T, T, F, F): 31,
         (T, T, F, T): 15, (T, T, T, F): 25, (T, T, T, T): 43}
+
+
+def test_axioms_on_every_relation_with_a_full_row_of_bot(corpus):
+    """Every relation on C4 and on B2 whose row of bot is full, the
+    relations whose columns verify_axioms builds, gets the report of
+    verify_axioms_by_loops, witnesses included."""
+    for lat in (chain(4), corpus["B2"].lattice):
+        n, full = lat.size, lat.full
+        others = [a for a in range(n) if a != lat.bot]
+        for code in range(1 << (n * len(others))):
+            rows = [full] * n
+            for i, a in enumerate(others):
+                rows[a] = code >> (i * n) & full
+            rel = Relation(n, n, tuple(rows))
+            expected = verify_axioms_by_loops(lat, rel)
+            assert verify_axioms(lat, rel) == expected, (lat.size, rel.rows)
