@@ -168,22 +168,29 @@ def _mask_of(elems) -> int:
     return out
 
 
-def _join_below(lat: FiniteLattice, mask: int, u: int) -> int:
-    """Join of the members of mask that lie below u."""
-    return lat.join_mask(lat.down[u] & mask)
+def _first_ungenerated(lat: FiniteLattice, f, g) -> Optional[tuple[int, bool]]:
+    """The least u that is not the join of the images f[x] below it,
+    as (u, True), or not the meet of the images g[y] above it, as
+    (u, False), the join tested first; None when f join-generates and g
+    meet-generates lat. The meet is the join in the opposite."""
+    lat_op = opposite(lat)
+    fmask, gmask = _mask_of(f), _mask_of(g)
+    for u in range(lat.size):
+        if lat.join_mask(lat.down[u] & fmask) != u:
+            return u, True
+        if lat_op.join_mask(lat_op.down[u] & gmask) != u:
+            return u, False
+    return None
 
 
 def _assert_generation(cl: ConceptLattice) -> None:
     lat = cl.lattice
-    lat_op = opposite(lat)
-    fmask, gmask = _mask_of(cl.f), _mask_of(cl.g)
-    for u in range(lat.size):
-        if _join_below(lat, fmask, u) != u:
-            raise InternalCheckError("filter images fail to join-generate",
-                                     witness=u)
-        if _join_below(lat_op, gmask, u) != u:
-            raise InternalCheckError("ideal images fail to meet-generate",
-                                     witness=u)
+    ungenerated = _first_ungenerated(lat, cl.f, cl.g)
+    if ungenerated is not None:
+        u, joins = ungenerated
+        raise InternalCheckError("filter images fail to join-generate" if joins
+                                 else "ideal images fail to meet-generate",
+                                 witness=u)
     # above[u] = {y : u <= g(y)}, the preimage of up u under g
     above = transpose([lat.down[t] for t in cl.g], lat.size)
     for x, row in enumerate(cl.polarity.z.rows):
@@ -378,16 +385,11 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
     if not increasing:
         witnesses.append(("increasing", unordered))
 
-    c_op = opposite(c)
     fe, ie = ext.f, ext.g
-
-    dense = True
-    fmask, imask = _mask_of(fe), _mask_of(ie)
-    for u in range(c.size):
-        if _join_below(c, fmask, u) != u or _join_below(c_op, imask, u) != u:
-            dense = False
-            witnesses.append(("dense", (u,)))
-            break
+    ungenerated = _first_ungenerated(c, fe, ie)
+    dense = ungenerated is None
+    if not dense:
+        witnesses.append(("dense", ungenerated[:1]))
 
     compact = True
     above = transpose([c.down[t] for t in ie], c.size)  # {j : u <= ie[j]}
@@ -402,7 +404,7 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
             break
 
     join_bad = _first_unpreserved(c, embed, p.R.converse().rows)
-    meet_bad = _first_unpreserved(c_op, embed, p.R.rows)
+    meet_bad = _first_unpreserved(opposite(c), embed, p.R.rows)
     for name, bad in (("join_preserving", join_bad), ("meet_preserving", meet_bad)):
         if bad is not None:
             witnesses.append((name, (bad,)))

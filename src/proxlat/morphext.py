@@ -67,6 +67,7 @@ from .errors import (
 )
 from .lattice import _unordered_pair, _unpreserved_join, opposite
 from .proximity import ProximityMorphism, _tops, fixed_points
+from .spectra import canext_via_duality
 
 
 @dataclass(frozen=True)
@@ -212,13 +213,10 @@ def compare_with_dual(m: ExtendedMap, dual) -> bool:
     `dual` is the DualMap of the same morphism, or of one with the same
     endpoints and relation; any other raises KindMismatch, as does a
     map that is not a pi map. Requires distributive sources and
-    extensions built by pi_extension. The
-    duality builds of both carriers are the ones kept on them
-    (canext_via_duality), so a run over many morphisms between a few
-    carriers builds each once.
+    extensions built by pi_extension. The duality builds of both
+    carriers are the ones kept on them (canext_via_duality), so a run
+    over many morphisms between a few carriers builds each once.
     """
-    from .spectra import canext_via_duality
-
     if m.kind != "pi":
         raise KindMismatch("the duality transport reads pi maps only")
     t, s = m.morphism, dual.morphism

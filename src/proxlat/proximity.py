@@ -13,9 +13,11 @@ Meet-strongness is the order dual. It is join-approximability of R^-1
 as a morphism from (L, R) to itself, which is why R^-1 is the identity
 j-morphism: with T = R^-1 and S = R, (join B) T a says a R (join B),
 and a finite B' inside T[B] with a S (join B') is what strongness asks
-for. So one kernel per form (binary, mu) decides both properties: a
-report of verify_axioms runs it on (L, L, R, R^-1) on the first read
-of its strongness and rotates the witness (b1, b2, a) to (a, b1, b2).
+for. So one routine, _first_unapproximated, decides both properties
+and approximability of morphisms: a report of verify_axioms runs it on
+(L, L, R, R^-1) on the first read of its strongness and rotates the
+witness (b1, b2, a) to (a, b1, b2), and on (L^op, L^op, R^-1, R) for
+meet-strongness.
 
 Quantifiers over finite subsets are checked at the empty and binary
 instances. For the compatibility axioms this is exact: they are
@@ -46,17 +48,19 @@ read off mu o mu, which decides it on a relation compatible on both
 sides, the only one that reaches it. Until another field is first
 read, the report holds the flags decided so far with the lattice, rows
 and whichever of the columns, mu and nu were built; that read decides
-everything left at once. For a relation that fails compatibility or
-idempotence, this compares R;R with R row by row for the idempotence
-witness, names the least compatibility witnesses by the loops over
-pairs and reads strongness with one helper, the binary kernel
-_first_binary_failure, called once per side with the join or meet
-table; the order flags are read inline. So a relation filtered by
-axioms_ok alone runs no R;R comparison, no loop over pairs and no
-kernel. A failing relation keeps nothing; a proximity relation keeps
-its columns as its converse. A carrier keeps its mu, opposite and round
-ideals, and the pi, spectrum and duality builds of canext and spectra,
-each a build decorated with lattice.kept.
+everything left at once, each witness by a kernel the library has:
+for a relation that fails compatibility or idempotence, R;R is
+compared with R by compose_rows and _first_diff, as verify_morphism
+compares its compositions, and _join_compatible names the least
+compatibility witnesses by the loops over pairs; strongness is one
+_first_unapproximated call per side, given mu and nu on a proximity
+relation, and _first_diff compares R with its rows cut down to the
+up-sets for the increasing flag. So a relation filtered by axioms_ok
+alone runs no R;R comparison, no loop over pairs and no
+approximability instance. A failing relation keeps nothing; a
+proximity relation keeps its columns as its converse. A carrier keeps
+its mu, opposite and round ideals, and the pi, spectrum and duality
+builds of canext and spectra, each a build decorated with lattice.kept.
 
 * R is join-compatible iff every column is a principal down-set. The
   empty instance puts bot in each column, the binary ones with a <= a2
@@ -108,12 +112,13 @@ The rest follows from the rows being up-sets and mu being monotone:
   tests check it against every finite instance.
 * A comparable pair b1 <= b2 never fails: tau is monotone, so the
   instance asks T[b2] = down tau(b2) to lie in down mu_S(tau(b2)),
-  which it is, tau(b2) being a fixed point of mu_S. So _join_approx_mu
-  visits only the incomparable pairs, in order, and the first failing
-  pair is unchanged; on a chain none is left. A relation compatible on
-  both sides but not idempotent goes to the binary kernel, which fails
-  at the same m: the rows of S are up-sets, so S[m] meets J iff
-  m S (tau(b1) v tau(b2)).
+  which it is, tau(b2) being a fixed point of mu_S. So
+  _first_unapproximated, given tau, visits only the incomparable pairs,
+  in order, and the first failing pair is unchanged; on a chain none is
+  left. Without tau, as on a relation compatible on both sides but not
+  idempotent, it reads the binary instances with _first_binary_failure,
+  which fails at the same m: the rows of S are up-sets, so S[m] meets J
+  iff m S (tau(b1) v tau(b2)).
 * R^-1[down m] = down mu(m), so down m is a round ideal iff mu(m) = m:
   the round ideals are the down-sets of the fixed points of mu, and
   round-set membership is read off mu, which ProximityLattice keeps.
@@ -270,8 +275,8 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     fields as one __dict__ and drops what the report held. So a
     relation filtered by axioms_ok alone builds no more than it needs:
     one mask test for a relation whose row of bot is not full, and no
-    R;R loop or strongness kernel for any. A proximity relation keeps
-    its columns as its converse; a failing one keeps nothing.
+    R;R comparison or strongness instance for any. A proximity relation
+    keeps its columns as its converse; a failing one keeps nothing.
     """
     n = lat.size
     if rel.source_size != n or rel.target_size != n:
@@ -319,13 +324,15 @@ def _decide_rest(report: AxiomReport) -> None:
     The columns, mu and nu are built if the report does not hold them,
     and the three conjuncts of axioms_ok are read off them as
     verify_axioms reads them, so a field it decided is decided again to
-    the same value. A relation that fails compatibility or idempotence
-    gets its idempotence witness from comparing R;R with R row by row,
-    its compatibility witnesses from the loops over pairs and its binary
-    strongness instances from _first_binary_failure, once per side, on
-    the join table of the lattice and on that of its opposite; a
-    proximity relation gets them from _join_approx_mu on mu and nu. The
-    order flags are read inline.
+    the same value. Strongness is approximability of R^-1 from (L, R) to
+    itself, the meet side that of R from (L^op, R^-1): one
+    _first_unapproximated call per side, given mu resp. nu on a
+    proximity relation. A relation that fails compatibility or
+    idempotence gets its idempotence witness from comparing R;R with R
+    and its compatibility witnesses from _join_compatible. R is
+    increasing iff each row lies in the up-set of its element, read by
+    _first_diff like idempotence, and reflexive iff each row holds its
+    element.
     """
     lat, rows, cols, mu, nu = report.__dict__["_pending"]
     n = lat.size
@@ -337,61 +344,38 @@ def _decide_rest(report: AxiomReport) -> None:
     if nu is None:
         nu = _tops(lat_op, rows)
     join_compatible, meet_compatible = None not in mu, None not in nu
-    compatible = join_compatible and meet_compatible
-    idem_wit = jc_wit = mc_wit = None
     # R;R = R iff mu o mu = mu on a relation compatible on both sides;
-    # otherwise R;R is compared with R row by row for the witness
-    if not compatible or tuple(map(mu.__getitem__, mu)) != mu:
-        for a, row in enumerate(rows):
-            twice = 0
-            for b in _SMALL[row] if row < 256 else bits(row):
-                twice |= rows[b]
-            if twice != row:
-                delta = twice ^ row
-                idem_wit = (a, (delta & -delta).bit_length() - 1)
-                break
-    if compatible and idem_wit is None:
-        js_wit = _join_approx_mu(lat, lat, rows, cols, cols, mu)[1]
-        ms_wit = _join_approx_mu(lat_op, lat_op, cols, rows, rows, nu)[1]
-    else:
-        if not join_compatible:
-            jc_wit = _join_compatible(lat, rows)[1]
-        if not meet_compatible:
-            wit = _join_compatible(lat_op, cols)[1]
-            mc_wit = wit and wit[-1:] + wit[:-1]
-        # the empty strongness instance, R^-1[bot] inside itself, holds
-        js_wit = _first_binary_failure(lat.join, lat.join, n, cols, rows)
-        ms_wit = _first_binary_failure(lat.meet, lat.meet, n, rows, cols)
-    witnesses = [(name, wit) for name, wit in (
-        ("idempotent", idem_wit),
-        ("join_compatible", jc_wit),
-        ("meet_compatible", mc_wit),
+    # any other relation compares R;R with R for the witness
+    proximity = (join_compatible and meet_compatible
+                 and tuple(map(mu.__getitem__, mu)) == mu)
+    twice = rows if proximity else compose_rows(rows, rows)
+    mc_wit = None if meet_compatible else _join_compatible(lat_op, cols)
+    js_wit = _first_unapproximated(lat, lat, rows, cols, cols,
+                                   mu if proximity else None)
+    ms_wit = _first_unapproximated(lat_op, lat_op, cols, rows, rows,
+                                   nu if proximity else None)
+    inside = tuple(map(int.__and__, rows, lat.up))
+    irreflexive = next(((a,) for a, row in enumerate(rows)
+                        if not row >> a & 1), None)
+    witnesses = tuple((name, wit) for name, wit in (
+        ("idempotent", twice != rows and _first_diff(twice, rows)),
+        ("join_compatible",
+         not join_compatible and _join_compatible(lat, rows)),
+        ("meet_compatible", mc_wit and mc_wit[-1:] + mc_wit[:-1]),
         ("join_strong", js_wit and js_wit[-1:] + js_wit[:-1]),
-        ("meet_strong", ms_wit)) if wit is not None]
-    increasing = reflexive = True
-    up = lat.up
-    for a, row in enumerate(rows):
-        stray = row & ~up[a]
-        if stray:
-            increasing = False
-            witnesses.append(("increasing",
-                              (a, (stray & -stray).bit_length() - 1)))
-            break
-    for a, row in enumerate(rows):
-        if not row >> a & 1:
-            reflexive = False
-            witnesses.append(("reflexive", (a,)))
-            break
+        ("meet_strong", ms_wit),
+        ("increasing", inside != rows and _first_diff(rows, inside)),
+        ("reflexive", irreflexive)) if wit)
     object.__setattr__(report, "__dict__", {
-        "idempotent": idem_wit is None,
+        "idempotent": twice == rows,
         "join_compatible": join_compatible,
         "meet_compatible": meet_compatible,
         "join_strong": js_wit is None,
         "meet_strong": ms_wit is None,
-        "increasing": increasing,
-        "reflexive": reflexive,
+        "increasing": inside == rows,
+        "reflexive": irreflexive is None,
         "distributive": is_distributive(lat),
-        "witnesses": tuple(witnesses),
+        "witnesses": witnesses,
     })
 
 
@@ -402,22 +386,22 @@ def _tops(lat: FiniteLattice, masks) -> tuple[Optional[int], ...]:
     return tuple(map(down_index(lat).get, masks))
 
 
-def _join_compatible(lat, rows):
-    """bot R b for every b, and (a v a2) R b iff a R b and a2 R b; the
-    least witness, or None."""
+def _join_compatible(lat, rows) -> Optional[tuple[int, ...]]:
+    """The least witness that bot R b fails for some b, (bot, b), or
+    that (a v a2) R b iff a R b and a2 R b fails, (a, a2, b); None when
+    R is join-compatible."""
     n = lat.size
-    fullmask = lat.full
-    if rows[lat.bot] != fullmask:
-        missing = fullmask & ~rows[lat.bot]
-        return False, (lat.bot, (missing & -missing).bit_length() - 1)
+    missing = lat.full & ~rows[lat.bot]
+    if missing:
+        return (lat.bot, (missing & -missing).bit_length() - 1)
     for a in range(n):
         for a2 in range(a, n):
             want = rows[a] & rows[a2]
             got = rows[lat.join[a][a2]]
             if got != want:
                 delta = got ^ want
-                return False, (a, a2, (delta & -delta).bit_length() - 1)
-    return True, None
+                return (a, a2, (delta & -delta).bit_length() - 1)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -650,37 +634,49 @@ def verify_morphism(src: ProximityLattice, tgt: ProximityLattice,
     raw = not witnesses
 
     # meet-approximability of T is join-approximability of its converse
-    # from (tgt^op, S^-1) to (src^op, R^-1)
-    j_args = (src.lattice, tgt.lattice, tgt.R.rows, tgt_cols, rows)
-    m_args = (opposite(tgt.lattice), src_op, src_cols, src.R.rows, cols)
-    if raw:
-        japprox, j_wit = _join_approx_mu(*j_args, row_tops)
-        mapprox, m_wit = _join_approx_mu(*m_args, col_tops)
-    else:
-        japprox, j_wit = _join_approx_binary(*j_args)
-        mapprox, m_wit = _join_approx_binary(*m_args)
+    # from (tgt^op, S^-1) to (src^op, R^-1); a proximity morphism has
+    # the tops of its rows and columns as tau
+    j_wit = _first_unapproximated(src.lattice, tgt.lattice, tgt.R.rows,
+                                  tgt_cols, rows, row_tops if raw else None)
+    m_wit = _first_unapproximated(opposite(tgt.lattice), src_op, src_cols,
+                                  src.R.rows, cols, col_tops if raw else None)
     witnesses += [(name, wit) for name, wit in (
         ("join_approximable", j_wit), ("meet_approximable", m_wit)) if wit]
 
     return MorphismReport(
         proximity=raw,
-        join_approximable=japprox,
-        meet_approximable=mapprox,
+        join_approximable=j_wit is None,
+        meet_approximable=m_wit is None,
         witnesses=tuple(witnesses),
     )
 
 
-def _join_approx_binary(sl, tl, tgt_rows, tgt_cols, rows):
-    """(b1 v b2) T m demands u in T[b1], v in T[b2] with m S (u v v);
-    the empty instance demands m S bot for every m in T[bot], so it
-    fails for the m in T[bot] & ~S^-1[bot]. The binary instances are
-    read by _first_binary_failure. Every approximability kernel takes
-    the rows and the columns of S and the rows of T."""
+def _first_unapproximated(sl, tl, tgt_rows, tgt_cols, rows, tau=None):
+    """The least instance of join-approximability of T from sl to tl
+    that fails, or None; S is given by its rows and columns, T by its
+    rows. The empty instance demands m S bot for every m in T[bot], so
+    it fails with (m,) for the least m in T[bot] & ~S^-1[bot]. A binary
+    one fails with (b1, b2, m), b1 <= b2 in index order and m least.
+
+    Without tau the binary instances are read by _first_binary_failure.
+    With tau, the tops of the rows of a proximity morphism,
+    T[b] = down tau(b), the one at (b1, b2) fails for the m in
+    T[b1 v b2] minus S^-1[tau(b1) v tau(b2)], and only the pairs with
+    b2 > b1 by index and incomparable to b1 are visited: the comparable
+    ones pass (module docstring)."""
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
-        return False, ((stray & -stray).bit_length() - 1,)
-    wit = _first_binary_failure(sl.join, tl.join, tl.size, rows, tgt_rows)
-    return wit is None, wit
+        return ((stray & -stray).bit_length() - 1,)
+    if tau is None:
+        return _first_binary_failure(sl.join, tl.join, tl.size, rows, tgt_rows)
+    join, tjoin, up, down, full = sl.join, tl.join, sl.up, sl.down, sl.full
+    for b1, t1 in enumerate(tau):
+        row, trow = join[b1], tjoin[t1]
+        for b2 in bits(full & -(2 << b1) & ~(up[b1] | down[b1])):
+            stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
+            if stray:
+                return (b1, b2, (stray & -stray).bit_length() - 1)
+    return None
 
 
 def _first_binary_failure(sjoin, tjoin, n, rows, tgt_rows):
@@ -712,25 +708,6 @@ def _first_binary_failure(sjoin, tjoin, n, rows, tgt_rows):
                 if not tgt_rows[m] & joined:
                     return (b1, b2, m)
     return None
-
-
-def _join_approx_mu(sl, tl, tgt_rows, tgt_cols, rows, tau):
-    """_join_approx_binary for a proximity morphism T, with principal
-    rows T[b] = down tau(b), tau the tops of the rows: at (b1, b2) it
-    fails for m in T[b1 v b2] minus S^-1[tau(b1) v tau(b2)]. Only the
-    pairs with b2 > b1 by index and incomparable to b1 are visited; the
-    comparable ones pass (module docstring)."""
-    stray = rows[sl.bot] & ~tgt_cols[tl.bot]
-    if stray:
-        return False, ((stray & -stray).bit_length() - 1,)
-    join, tjoin, up, down, full = sl.join, tl.join, sl.up, sl.down, sl.full
-    for b1, t1 in enumerate(tau):
-        row, trow = join[b1], tjoin[t1]
-        for b2 in bits(full & -(2 << b1) & ~(up[b1] | down[b1])):
-            stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
-            if stray:
-                return False, (b1, b2, (stray & -stray).bit_length() - 1)
-    return True, None
 
 
 @dataclass(frozen=True)

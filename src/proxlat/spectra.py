@@ -87,6 +87,7 @@ from .proximity import (
     fixed_points,
     is_round_filter,
     is_round_ideal,
+    opposite_proximity,
     order_proximity,
     proximity_lattice,
     proximity_morphism,
@@ -313,7 +314,6 @@ def compsat_basis_presentation(space: FiniteSpace) -> ProximityLattice:
     """Meet-strong presentation on the compact saturated sets, realized
     as the opposite of the open-basis presentation of the co-compact
     dual (complements identify the two carriers)."""
-    from .proximity import opposite_proximity
     p = open_basis_presentation(co_compact_dual(space))
     out = opposite_proximity(p)
     if not (out.meet_strong and out.distributive):

@@ -421,8 +421,8 @@ def verify_axioms_by_loops(lat: FiniteLattice, rel: Relation) -> AxiomReport:
             delta = twice ^ row
             witnesses.append(("idempotent", (a, (delta & -delta).bit_length() - 1)))
             break
-    join_compatible, jc_wit = _join_compatible(lat, rows)
-    meet_compatible, mc_wit = _join_compatible(lat_op, cols)
+    jc_wit, mc_wit = _join_compatible(lat, rows), _join_compatible(lat_op, cols)
+    join_compatible, meet_compatible = jc_wit is None, mc_wit is None
     strong = join_strong_mu if join_compatible and meet_compatible \
         else join_strong_binary
     join_strong, js_wit = strong(lat, rows, cols)

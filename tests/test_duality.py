@@ -34,8 +34,7 @@ from proxlat.lattice import is_distributive, lattice_from_up, opposite
 from proxlat.proximity import (
     MorphismReport,
     ProximityLattice,
-    _join_approx_binary,
-    _join_approx_mu,
+    _first_unapproximated,
     all_proximity_morphisms,
     is_round_filter,
     is_round_ideal,
@@ -47,6 +46,7 @@ from proxlat.proximity import (
 )
 from proxlat.relations import Relation, order_relation
 from proxlat.spectra import canext_via_duality
+from test_canext import labelled_proximity_lattices
 
 # sha256 of the reports below, computed before the meet-side kernels
 # were derived from the join-side ones
@@ -144,10 +144,17 @@ def principal_down_sets(p):
     return p.lattice.down
 
 
+def approximable(*args):
+    """_first_unapproximated as a flag and a witness, the form of the
+    loop oracles; a sixth argument, tau, takes its principal-row path."""
+    wit = _first_unapproximated(*args)
+    return wit is None, wit
+
+
 def strong_by_approx(kernel, lat, rows, cols, *tau):
     """Join-strongness as join-approximability of R^-1 from (L, R) to
     itself, the witness rotated from (b1, b2, a) to (a, b1, b2); tau,
-    the tops of the columns, goes to the mu kernel."""
+    the tops of the columns, goes to the principal-row path."""
     found, wit = kernel(lat, lat, rows, cols, cols, *tau)
     return found, wit and wit[-1:] + wit[:-1]
 
@@ -217,10 +224,11 @@ def test_opposite_report_is_the_swapped_report(corpus):
 
 
 def test_mu_strongness_against_the_loops(corpus):
-    """On every relation compatible on both sides the binary kernel
-    fails where the mu oracle does; the mu kernel, which skips the
-    comparable pairs, is asked only on the idempotent ones, the
-    proximity relations verify_axioms gives it."""
+    """On every relation compatible on both sides _first_unapproximated
+    without tau, the binary path, fails where the mu oracle does; its
+    path with tau, which skips the comparable pairs, is asked only on
+    the idempotent ones, the proximity relations verify_axioms gives it
+    tau on."""
     cases = []
     for lat in (chain(3), chain(4), corpus["B2"].lattice, corpus["M3"].lattice):
         cases.extend((lat, rel, report.idempotent)
@@ -234,13 +242,13 @@ def test_mu_strongness_against_the_loops(corpus):
         for side in ((lat, rows, cols), (opposite(lat), cols, rows)):
             found = join_strong_mu(*side)
             assert found == join_strong_binary(*side), (lat.size, rows)
-            assert strong_by_approx(_join_approx_binary, *side) == found, \
+            assert strong_by_approx(approximable, *side) == found, \
                 (lat.size, rows)
             if idempotent:
-                # the mu kernel gets the tops of the columns by join and
-                # compare
+                # the path with tau gets the tops of the columns by join
+                # and compare
                 tau = tops_by_join(side[0], side[2])
-                assert strong_by_approx(_join_approx_mu, *side, tau) == \
+                assert strong_by_approx(approximable, *side, tau) == \
                     found, (lat.size, rows)
             verdicts.add((found[0], idempotent))
     assert verdicts == {(True, True), (False, True), (True, False),
@@ -248,10 +256,10 @@ def test_mu_strongness_against_the_loops(corpus):
 
 
 def test_strongness_is_approximability_of_the_converse(corpus):
-    """The binary and exhaustive approximability kernels, run on
-    (L, L, R, R^-1), give the flags and witnesses of the direct
-    strongness loops, compatible relation or not: every relation on C3
-    and seeded samples on C4, B2 and M3."""
+    """The binary path of _first_unapproximated and the exhaustive
+    approximability oracle, run on (L, L, R, R^-1), give the flags and
+    witnesses of the direct strongness loops, compatible relation or
+    not: every relation on C3 and seeded samples on C4, B2 and M3."""
     cases = [(chain(3), None)] + [
         (lat, 5000) for lat in (chain(4), corpus["B2"].lattice,
                                 corpus["M3"].lattice)]
@@ -261,7 +269,7 @@ def test_strongness_is_approximability_of_the_converse(corpus):
             rows, cols = rel.rows, rel.converse().rows
             for side in ((lat, rows, cols), (opposite(lat), cols, rows)):
                 found = join_strong_binary(*side)
-                assert strong_by_approx(_join_approx_binary, *side) == found, \
+                assert strong_by_approx(approximable, *side) == found, \
                     (lat.size, rows)
                 exhaustive = join_strong_exhaustive(*side)
                 assert strong_by_approx(join_approx_exhaustive, *side) == \
@@ -272,9 +280,36 @@ def test_strongness_is_approximability_of_the_converse(corpus):
     assert verdicts >= {(True, True), (False, False)}
 
 
+def test_strongness_is_the_report_of_the_identity_morphism():
+    """On every proximity lattice on a labelled lattice with at most 5
+    elements, the strongness flags and witnesses of its report are the
+    approximability flags and witnesses verify_morphism gives R^-1 from
+    (L, R) to itself, the join witness rotated from (b1, b2, a) to
+    (a, b1, b2): the two reports read both sides with the same
+    _first_unapproximated calls."""
+    carriers = labelled_proximity_lattices(5)
+    flags = set()
+    for p in carriers:
+        ident = verify_morphism(p, p, p.R.converse())
+        assert ident.proximity, p.R.rows
+        found = dict(ident.witnesses)
+        j_wit = found.get("join_approximable")
+        m_wit = found.get("meet_approximable")
+        assert (p.report.join_strong, p.report.meet_strong) == \
+            (ident.join_approximable, ident.meet_approximable), p.R.rows
+        assert p.report.witness("join_strong") == \
+            (j_wit and j_wit[-1:] + j_wit[:-1]), p.R.rows
+        assert p.report.witness("meet_strong") == m_wit, p.R.rows
+        flags.add((p.join_strong, p.meet_strong))
+    assert len(carriers) == 576
+    assert flags == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
 def test_principal_map_reports_are_pinned(corpus):
     """Every map into the principal down-sets of the target; on the
-    proximity morphisms among them approximability is read off mu."""
+    proximity morphisms among them approximability is read off tau, the
+    tops of the rows, and agrees with the binary path."""
     reports = []
     hits = 0
     for src, tgt, rel in morphism_candidates(corpus, principal_down_sets):
@@ -289,7 +324,7 @@ def test_principal_map_reports_are_pinned(corpus):
                       src.R.converse().rows, src.R.rows, rel.converse().rows)):
             tau = tops_by_join(side[1], side[4])
             assert None not in tau
-            assert _join_approx_mu(*side, tau) == _join_approx_binary(*side)
+            assert approximable(*side, tau) == approximable(*side)
     assert (len(reports), hits, sum(r.j_morphism for r in reports)) == (6426, 231, 56)
     assert digest(reports) == PRINCIPAL_SHA256
 
@@ -325,14 +360,16 @@ def test_b2_reports_are_pinned():
 
 
 def kernel_sides(lat, rel):
-    """Both binary kernel calls of verify_axioms: (L, R^-1) and (L^op, R)."""
+    """Both _first_unapproximated calls of verify_axioms: (L, R^-1) and
+    (L^op, R)."""
     rows, cols = rel.rows, rel.converse().rows
     op = opposite(lat)
     return (lat, lat, rows, cols, cols), (op, op, cols, rows, rows)
 
 
 def morphism_sides(src, tgt, rel):
-    """Both binary kernel calls of verify_morphism on T from src to tgt."""
+    """Both _first_unapproximated calls of verify_morphism on T from src
+    to tgt."""
     return ((src.lattice, tgt.lattice, tgt.R.rows, tgt.R.converse().rows,
              rel.rows),
             (opposite(tgt.lattice), opposite(src.lattice),
@@ -340,10 +377,10 @@ def morphism_sides(src, tgt, rel):
 
 
 def test_binary_kernel_against_the_loops(corpus):
-    """The binary kernel gives the flags and witnesses of the loop over
-    the targets: on every relation on C3, on seeded samples on C4, B2
-    and M3, and on every map into the principal down-sets, where the two
-    lattices differ."""
+    """The binary path of _first_unapproximated gives the flags and
+    witnesses of the loop over the targets: on every relation on C3, on
+    seeded samples on C4, B2 and M3, and on every map into the principal
+    down-sets, where the two lattices differ."""
     calls = []
     for lat, count in ((chain(3), None), (chain(4), 5000),
                        (corpus["B2"].lattice, 5000),
@@ -354,7 +391,7 @@ def test_binary_kernel_against_the_loops(corpus):
         calls.extend(morphism_sides(src, tgt, rel))
     verdicts = set()
     for side in calls:
-        found = _join_approx_binary(*side)
+        found = approximable(*side)
         assert found == join_approx_binary_by_loops(*side), \
             (side[0].size, side[1].size, side[2:])
         verdicts.add((found[0], len(found[1] or ()), side[0] is not side[1]))
