@@ -190,14 +190,16 @@ def _assert_generation(cl: ConceptLattice) -> None:
         u, joins = ungenerated
         raise InternalCheckError("filter images fail to join-generate" if joins
                                  else "ideal images fail to meet-generate",
-                                 witness=u)
+                                 (("ungenerated", (u,)),), lat.labels)
     # above[u] = {y : u <= g(y)}, the preimage of up u under g
     above = transpose([lat.down[t] for t in cl.g], lat.size)
     for x, row in enumerate(cl.polarity.z.rows):
         wrong = above[cl.f[x]] ^ row
         if wrong:
+            y = next(bits(wrong))
             raise InternalCheckError("generator order disagrees with Z",
-                                     witness=(x, next(bits(wrong))))
+                                     (("f", (cl.f[x],)), ("g", (cl.g[y],))),
+                                     lat.labels)
 
 
 def polarity_preorder_pairs(p: Polarity) -> list[tuple[int, int]]:
@@ -322,7 +324,7 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     for a, m in enumerate(mu):
         if member[m] != member[a]:  # pragma: no cover - theorem guard
             raise InternalCheckError("embedding disagrees with membership",
-                                     witness=a)
+                                     (("element", (a,)),), p.lattice.labels)
     hom = LatticeMap(p.lattice, c, embed)
     if not is_homomorphism(hom):  # pragma: no cover - theorem guard
         raise InternalCheckError("pi embedding is not a homomorphism")

@@ -7,9 +7,11 @@ Exit status: 0 all checked properties hold, 1 a property failed, 2 the
 command line or the input did not parse or a file could not be read or
 written. Diagnostics go to stderr as JSON; results go to stdout (or
 --out) and are byte-identical across runs on equal inputs. Only -h
-prints usage. extend refuses a morphism before it builds any extension:
-NotJoinStrong if the source, then if the target, is not join-strong,
-then NotAProximityMorphism.
+prints usage. A command line that starts with a verb is read once, by
+that verb's parser; any other goes through the full parser, which
+reads it to the same result or diagnostic. extend refuses a morphism
+before it builds any extension: NotJoinStrong if the source, then if
+the target, is not join-strong, then NotAProximityMorphism.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def _load_doc(path: str) -> dict:
     if path.upper() in fixtures.CORPUS:
         return fixtures.document(path)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -172,7 +175,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared after that;
     nothing changes it once built and each parse_args call returns a
-    fresh namespace."""
+    fresh namespace. Its `verbs` maps each verb to its subparser."""
     parser = _Parser(
         prog="proxlat",
         description="finite proximity lattices, canonical extensions, spectra")
@@ -193,12 +196,31 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kind", choices=("pi", "sigma"), default="pi")
             p.add_argument("--dot", help="also write the Hasse diagram here")
         p.set_defaults(run=run)
+    parser.verbs = sub.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns or raises. A
+    command line that starts with a verb goes straight to its
+    subparser, as the full parser would pass it on, and its leftover
+    arguments are refused as the full parser refuses them."""
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = parser.verbs.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:],
+                                       argparse.Namespace(verb=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return args.run(args)
     except (ParseError, OSError) as exc:  # OSError: --out or --dot not written
         _diag("parse-error", type(exc).__name__, str(exc))

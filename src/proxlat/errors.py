@@ -6,11 +6,14 @@ class ProxlatError(Exception):
 
     `witnesses` holds (name, element indices) pairs and `labels` the
     element names the indices refer to; both are empty unless the error
-    carries witnesses.
+    carries witnesses. An error with witnesses always has the labels
+    they index, since the CLI writes each index as its label.
     """
 
-    witnesses: tuple = ()
-    labels: tuple = ()
+    def __init__(self, message="", witnesses=(), labels=()):
+        super().__init__(message)
+        self.witnesses = tuple(witnesses)
+        self.labels = tuple(labels)
 
 
 class NotAPartialOrder(ProxlatError):
@@ -25,12 +28,10 @@ class NotALattice(ProxlatError):
     """
 
     def __init__(self, message, witness=None, missing=None, labels=()):
-        super().__init__(message)
+        super().__init__(message, () if witness is None
+                         else ((missing, tuple(witness)),), labels)
         self.witness = witness
         self.missing = missing
-        self.labels = tuple(labels)
-        if witness is not None:
-            self.witnesses = ((missing, tuple(witness)),)
 
 
 class DimensionMismatch(ProxlatError):
@@ -39,11 +40,6 @@ class DimensionMismatch(ProxlatError):
 
 class NotAProximityLattice(ProxlatError):
     """The relation violates idempotence or join/meet compatibility."""
-
-    def __init__(self, message, witnesses=(), labels=()):
-        super().__init__(message)
-        self.witnesses = tuple(witnesses)
-        self.labels = tuple(labels)
 
 
 class InvalidRoundSubset(ProxlatError):
@@ -92,8 +88,4 @@ class ExtensionError(ProxlatError):
 
 class InternalCheckError(ProxlatError):
     """A property that is a theorem for valid inputs failed; indicates a bug
-    or a violated precondition. Carries the witness for debugging."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    or a violated precondition. Carries its witnesses for debugging."""

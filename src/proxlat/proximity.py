@@ -571,7 +571,8 @@ def round_ideal_lattice(p: ProximityLattice) -> RoundIdealLattice:
         lat = _lattice_of_sets(ideals, p.lattice.labels)
     except NotALattice as exc:  # pragma: no cover - theorem guard
         raise InternalCheckError(
-            "round ideals failed to form a lattice", exc.witness) from exc
+            "round ideals failed to form a lattice", exc.witnesses,
+            exc.labels) from exc
     return RoundIdealLattice(p, lat, ideals, order_relation(lat))
 
 
@@ -951,7 +952,7 @@ def all_proximity_morphisms(src: ProximityLattice, tgt: ProximityLattice,
         if not report.proximity:  # pragma: no cover - theorem guard
             raise InternalCheckError(
                 "a meet-preserving tau fixed by mu_R is not a proximity morphism",
-                witness=tuple(rows))
+                (("tau", tuple(tau)),), tl.labels)
         found.append(ProximityMorphism(src, tgt, rel, report))
     return found
 

@@ -256,7 +256,8 @@ def prime_filter_between(p: ProximityLattice, g: RoundSubset,
     chosen = min(maximal)
     if not is_prime_up_set(p.lattice, chosen):
         raise InternalCheckError(
-            "maximal separating filter failed to be prime", witness=chosen)
+            "maximal separating filter failed to be prime",
+            (("filter", tuple(bits(chosen))),), p.lattice.labels)
     return RoundSubset(p, chosen, "filter")
 
 
@@ -360,6 +361,22 @@ class DualityResult:
     iso: LatticeMap                      # pi_ext.C -> sat_lattice
 
 
+def _one_index_space(ext: CanonicalExtension, report):
+    """The witnesses of a report on ext, with the labels they index.
+    A report names elements of the source, elements of C (dense) and
+    round filter/ideal pairs (compact); here they index one list of the
+    source's labels, C's labels, the filters and the ideals."""
+    labels = ext.source.lattice.labels
+    n, m = ext.source.size, ext.C.size
+    shift = {"dense": (n,), "compact": (n + m, n + m + len(ext.filters))}
+    witnesses = tuple(
+        (name, tuple(i + s for i, s in zip(wit, shift.get(name, (0, 0)))))
+        for name, wit in report.witnesses)
+    return witnesses, (labels + ext.C.labels
+                       + tuple(_set_label(fm, labels) for fm in ext.filters)
+                       + tuple(_set_label(im, labels) for im in ext.ideals))
+
+
 @kept
 def canext_via_duality(p: ProximityLattice) -> DualityResult:
     """Realize the pi extension on the saturated sets of the spectrum.
@@ -389,7 +406,7 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     report = verify_extension(ext)
     if not report.passes("pi"):
         raise InternalCheckError("saturated-set realization failed to verify",
-                                 witness=report.witnesses)
+                                 *_one_index_space(ext, report))
     pi = pi_extension(p)
     iso = check_uniqueness(pi, ext)  # reads the report of ext kept above
     if iso is None:
@@ -430,11 +447,13 @@ def dual_map(t: ProximityMorphism) -> DualMap:
         pre = t.T.preimage(fm)
         if pre not in position:
             raise InternalCheckError(
-                "preimage of a prime filter is not a prime filter", witness=fm)
+                "preimage of a prime filter is not a prime filter",
+                (("filter", tuple(bits(fm))),), t.target.lattice.labels)
         point_map.append(position[pre])
     for d in range(t.source.size):
         if not dom.space.is_open(preimage(point_map, cod.basic_open[d])):
-            raise InternalCheckError("dual map is not continuous", witness=d)
+            raise InternalCheckError("dual map is not continuous",
+                                     (("element", (d,)),), t.source.lattice.labels)
     return DualMap(t, dom, cod, tuple(point_map))
 
 
@@ -531,8 +550,10 @@ def spectral_case_check(p: ProximityLattice) -> SpectralCaseReport:
     fixed = fixed_points(p)
     fixed_at = {basic[q]: q for q in fixed}
     if len(fixed_at) != len(fixed) or len(fixed_at) != len(opens):
+        # each fixed point names the points of its basic open
         raise InternalCheckError("Fix mu does not match the opens one to one",
-                                 witness=tuple(basic[q] for q in fixed))
+                                 tuple((p.lattice.labels[q], tuple(bits(basic[q])))
+                                       for q in fixed), spec_res.space.labels)
     e = order_proximity(saturated_lattice(spec_res.space))
     position = {u: i for i, u in enumerate(opens)}
     phi_rows = tuple(e.lattice.down[position[basic[d]]] for d in range(p.size))

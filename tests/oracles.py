@@ -577,15 +577,16 @@ def assert_generation_by_loops(cl: ConceptLattice) -> None:
     for u in range(lat.size):
         if join_below_by_loop(lat, cl.f, u) != u:
             raise InternalCheckError("filter images fail to join-generate",
-                                     witness=u)
+                                     (("ungenerated", (u,)),), lat.labels)
         if join_below_by_loop(lat_op, cl.g, u) != u:
             raise InternalCheckError("ideal images fail to meet-generate",
-                                     witness=u)
+                                     (("ungenerated", (u,)),), lat.labels)
     for x in range(cl.polarity.nx):
         for y in range(cl.polarity.ny):
             if lat.leq(cl.f[x], cl.g[y]) != cl.polarity.z.has(x, y):
-                raise InternalCheckError("generator order disagrees with Z",
-                                         witness=(x, y))
+                raise InternalCheckError(
+                    "generator order disagrees with Z",
+                    (("f", (cl.f[x],)), ("g", (cl.g[y],))), lat.labels)
 
 
 def verify_extension_by_loops(ext: CanonicalExtension) -> ExtensionReport:

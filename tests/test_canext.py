@@ -284,7 +284,7 @@ def raised(check, cl):
     try:
         check(cl)
     except InternalCheckError as exc:
-        return str(exc), exc.witness
+        return str(exc), exc.witnesses, exc.labels
     return None
 
 

@@ -1,10 +1,16 @@
 """Command-line behaviour: verbs, exit codes, and determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from proxlat.cli import main
+from proxlat import canext, cli, fixtures, proximity, spectra
+from proxlat.canext import ExtensionReport
+from proxlat.cli import _load_doc, main
+from proxlat.errors import InternalCheckError
+from proxlat.formats import diagnostic_doc
+from proxlat.proximity import RoundSubset, identity_morphism
 
 FIXTURE_NAMES = ("C2", "C3", "B2", "M3", "FULL2", "C3R")
 DISTRIBUTIVE = ("C2", "C3", "B2", "FULL2", "C3R")
@@ -162,6 +168,50 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert json.loads(err)["status"] == "parse-error"
+
+
+def test_crlf_document_reads_as_its_lf_twin(tmp_path, capsys):
+    text = json.dumps(fixtures.document("C3R"), indent=1)
+    (tmp_path / "lf.json").write_bytes(text.encode())
+    (tmp_path / "crlf.json").write_bytes(text.replace("\n", "\r\n").encode())
+    assert _load_doc(str(tmp_path / "crlf.json")) == \
+        _load_doc(str(tmp_path / "lf.json")) == fixtures.document("C3R")
+    assert run(capsys, "canext", str(tmp_path / "crlf.json")) == \
+        run(capsys, "canext", "C3R")
+
+
+@pytest.mark.parametrize("content,detail", [
+    ("\ufeff{}".encode(), "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                          "line 1 column 1 (char 0)"),
+    ('{"kind": "caf\xe9"}'.encode("latin-1"),
+     "'utf-8' codec can't decode byte 0xe9 in position 13: "
+     "invalid continuation byte"),
+    ("dir", "[Errno 21] Is a directory: '{path}'"),
+    (None, "[Errno 2] No such file or directory: '{path}'"),
+], ids=["utf-8-bom", "latin-1", "directory", "missing"])
+def test_unreadable_input_detail(tmp_path, capsys, content, detail):
+    path = tmp_path / "in.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    diag = json.loads(err)
+    assert (diag["status"], diag["error"]) == ("parse-error", "ParseError")
+    assert diag["detail"] == f"cannot read {path}: " + detail.format(path=path)
+
+
+@pytest.mark.parametrize("path,detail", [
+    ("", "[Errno 2] No such file or directory: ''"),
+    ("./no/such.json", "[Errno 2] No such file or directory: './no/such.json'"),
+], ids=["empty", "dot-slash"])
+def test_unreadable_path_is_quoted_as_given(capsys, path, detail):
+    # the path is opened as given, not normalised first: "" is no file,
+    # not the working directory
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["detail"] == f"cannot read {path}: {detail}"
 
 
 def test_export_dot(capsys):
@@ -421,19 +471,122 @@ def test_oversized_space_is_refused(tmp_path, capsys, verb, points, opens,
     assert detail in diag["detail"]
 
 
+def _fail_pi_guard(m):
+    # a non-round filter up a on C3R holds a but not mu(a) = 0
+    real = canext.round_filter_masks
+    m.setattr(canext, "round_filter_masks",
+              lambda q: real(q) + (q.lattice.up[1],))
+
+
+def _fail_round_ideal_guard(m):
+    # no verb reaches a proximity guard that names a witness, so dualize
+    # is pointed at round_ideal_lattice; without the bottom ideal, the
+    # round ideals {0,p} and {0,q} of B2 have no meet
+    real = proximity._lattice_of_sets
+    m.setattr(proximity, "_lattice_of_sets",
+              lambda masks, labels: real(masks[1:], labels))
+    m.setattr(cli, "opposite_proximity", proximity.round_ideal_lattice)
+
+
+def _fail_realization_guard(m):
+    # one witness of each index space of an extension report
+    m.setattr(spectra, "verify_extension", lambda ext: ExtensionReport(
+        False, False, False, False, True,
+        (("increasing", (1, 2)), ("dense", (1,)), ("compact", (0, 1)),
+         ("join_preserving", (3,)))))
+
+
+@pytest.mark.parametrize("fail,argv,detail,witnesses", [
+    (_fail_pi_guard, ("canext", "C3R"), "embedding disagrees with membership",
+     {"element": ["a"]}),
+    (_fail_round_ideal_guard, ("dualize", "B2"),
+     "round ideals failed to form a lattice", {"meet": ["{0,p}", "{0,q}"]}),
+    (_fail_realization_guard, ("roundtrip", "B2"),
+     "saturated-set realization failed to verify",
+     {"increasing": ["p", "q"], "dense": ["{{p,1}}"],
+      "compact": ["{1}", "{0,p}"], "join_preserving": ["1"]}),
+], ids=["canext", "proximity", "spectra"])
+def test_a_failed_theorem_guard_names_its_witness(capsys, monkeypatch, fail,
+                                                  argv, detail, witnesses):
+    with monkeypatch.context() as m:
+        fail(m)
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "schema": "proxlat/1", "kind": "diagnostic",
+        "status": "property-failure", "error": "InternalCheckError",
+        "detail": detail, "witnesses": witnesses}
+
+
+def test_the_guards_no_verb_reaches_name_their_witnesses(monkeypatch):
+    """Each is made to fail on B2 or C3 and written as main writes a
+    diagnostic: every index has its label."""
+    b2, c3 = fixtures.load("B2"), fixtures.load("C3")
+    lat = b2.lattice
+    top = RoundSubset(b2, lat.up[lat.top], "filter")
+    bot = RoundSubset(b2, lat.down[lat.bot], "ideal")
+    fixed, verify = spectra.fixed_points, proximity.verify_morphism
+    cases = [
+        (spectra, "is_prime_up_set", lambda lat, mask: False,
+         lambda: spectra.prime_filter_between(b2, top, bot),
+         "maximal separating filter failed to be prime",
+         {"filter": ["p", "1"]}),
+        (spectra, "preimage", lambda table, mask: -1,
+         lambda: spectra.dual_map(identity_morphism(b2)),
+         "dual map is not continuous", {"element": ["0"]}),
+        (spectra, "fixed_points", lambda q: fixed(q)[1:],
+         lambda: spectra.spectral_case_check(b2),
+         "Fix mu does not match the opens one to one",
+         {"p": ["{p,1}"], "q": ["{q,1}"], "1": ["{p,1}", "{q,1}"]}),
+        (proximity, "verify_morphism",
+         lambda s, t, r: dataclasses.replace(verify(s, t, r), proximity=False),
+         lambda: proximity.all_proximity_morphisms(c3, c3),
+         "a meet-preserving tau fixed by mu_R is not a proximity morphism",
+         {"tau": ["0", "0", "1"]}),
+    ]
+    for module, name, fake, call, detail, witnesses in cases:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, fake)
+            with pytest.raises(InternalCheckError) as exc:
+                call()
+        assert str(exc.value) == detail
+        assert diagnostic_doc("property-failure", "InternalCheckError", detail,
+                              exc.value.witnesses, exc.value.labels)[
+            "witnesses"] == witnesses, detail
+
+
 @pytest.mark.parametrize("argv,detail", [
-    (("nosuchverb", "M3"), "argument verb: invalid choice: 'nosuchverb'"),
-    (("check",), "the following arguments are required: input"),
-    (("canext", "M3", "--kind", "tau"), "argument --kind: invalid choice: 'tau'"),
-    (("check", "C3", "--bogus"), "unrecognized arguments: --bogus"),
-    ((), "the following arguments are required: verb"),
-])
+    (("nosuchverb", "M3"), "proxlat: argument verb: invalid choice: 'nosuchverb'"),
+    (("check",), "proxlat check: the following arguments are required: input"),
+    (("canext", "M3", "--kind", "tau"),
+     "proxlat canext: argument --kind: invalid choice: 'tau'"),
+    (("check", "C3", "--bogus"), "proxlat: unrecognized arguments: --bogus"),
+    ((), "proxlat: the following arguments are required: verb"),
+    (("bogus", "C3"), "proxlat: argument verb: invalid choice: 'bogus'"),
+    (("--out", "x.json", "check", "C3"),
+     "proxlat: argument verb: invalid choice: 'x.json'"),
+    (("check", "C3", "--kind", "pi"), "proxlat: unrecognized arguments: --kind pi"),
+    (("check", "C3", "extra"), "proxlat: unrecognized arguments: extra"),
+    (("canext", "C3", "--kind"), "proxlat canext: argument --kind: expected one argument"),
+], ids=lambda v: v.split(": ", 1)[1] if isinstance(v, str) else None)
 def test_bad_command_line_is_a_parse_error(capsys, argv, detail):
+    """The whole detail, prog prefix included; an invalid choice only up
+    to the value, since the list of choices after it is worded
+    differently across Python versions."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     diag = json.loads(err)
     assert (diag["status"], diag["error"]) == ("parse-error", "ParseError")
-    assert detail in diag["detail"]
+    if "invalid choice" in detail:
+        assert diag["detail"].startswith(detail + " ")
+    else:
+        assert diag["detail"] == detail
+
+
+def test_double_dash_before_the_input_is_accepted(capsys):
+    code, out, err = run(capsys, "check", "--", "C3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["axioms_ok"] is True
 
 
 @pytest.mark.parametrize("argv", [("-h",), ("canext", "-h")])

@@ -1,9 +1,11 @@
-"""Every CLI verb on mutated corpus documents.
+"""Every CLI verb on mutated corpus documents, and random command lines.
 
 One or two subtrees of a corpus document are replaced by random JSON
 values. Whatever comes out, the CLI answers with an exit code in
 {0, 1, 2}, raises nothing, and writes to stderr either nothing or
-exactly one JSON diagnostic.
+exactly one JSON diagnostic. A random command line is read the same
+whether a leading verb goes straight to its subparser or the full
+parser reads it all.
 """
 
 import contextlib
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxlat import fixtures
-from proxlat.cli import main
-from proxlat.formats import lattice_to_doc, morphism_to_doc, space_to_doc
+from proxlat.cli import _parse_args, build_parser, main
+from proxlat.formats import (
+    ParseError, lattice_to_doc, morphism_to_doc, space_to_doc)
 from proxlat.proximity import identity_morphism
 from proxlat.spectra import spectrum
 
@@ -104,3 +107,38 @@ def test_every_verb_answers_a_mutated_document(doc_dir, doc):
         assert code in (0, 1, 2), verb
         if stderr.getvalue():
             assert json.loads(stderr.getvalue())["kind"] == "diagnostic", verb
+
+
+# argv pieces: an option and its value stay together
+PIECES = ([(verb,) for verb in build_parser().verbs]
+          + [(name,) for name in fixtures.CORPUS]
+          + [("-o", "x"), ("--out=x",), ("--dot", "d"), ("--", ), ("-h",),
+             ("--he",)]
+          + [("--kind", kind) for kind in ("pi", "sigma", "tau")]
+          + [(junk,) for junk in ("", "x", "-", "-x", "--kin", "--out", "-o",
+                                  "=", "check=x", "--kind=pi")])
+tails = st.lists(st.sampled_from(PIECES), max_size=6).map(
+    lambda pieces: [token for piece in pieces for token in piece])
+argvs = tails | st.builds(lambda verb, tail: [verb, *tail],
+                          st.sampled_from(list(build_parser().verbs)), tails)
+
+
+def _outcome(parse, argv):
+    """The namespace parse returns, the ParseError it raises, or its
+    exit code with what it printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return "namespace", parse(argv)
+    except ParseError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(argv=argvs)
+def test_a_verb_first_command_line_reads_as_the_full_parser_reads_it(argv):
+    assert _outcome(_parse_args, argv) == \
+        _outcome(build_parser().parse_args, argv)
