@@ -75,13 +75,16 @@ from .lattice import (
     _lattice_of_sets,
     _set_label,
     _unordered_pair,
+    down_preimages,
     is_homomorphism,
+    join_irreducibles,
     kept,
     opposite,
 )
 from .proximity import (
     ProximityLattice,
     _flag_fields,
+    _tops,
     fixed_points,
     opposite_proximity,
     round_filter_masks,
@@ -172,9 +175,13 @@ def _first_ungenerated(lat: FiniteLattice, f, g) -> Optional[tuple[int, bool]]:
     """The least u that is not the join of the images f[x] below it,
     as (u, True), or not the meet of the images g[y] above it, as
     (u, False), the join tested first; None when f join-generates and g
-    meet-generates lat. The meet is the join in the opposite."""
+    meet-generates lat. The meet is the join in the opposite. They
+    generate iff they hold every join- resp. meet-irreducible element
+    (lattice.join_irreducibles); the loop only names a failure."""
     lat_op = opposite(lat)
     fmask, gmask = _mask_of(f), _mask_of(g)
+    if not (join_irreducibles(lat) & ~fmask or join_irreducibles(lat_op) & ~gmask):
+        return None
     for u in range(lat.size):
         if lat.join_mask(lat.down[u] & fmask) != u:
             return u, True
@@ -262,32 +269,41 @@ class CanonicalExtension:
 
     @property
     @kept
+    def over(self) -> tuple[int, ...]:
+        """over[u] = {a : u <= embed[a]}, the preimage of up u."""
+        return down_preimages(opposite(self.C), self.embed)
+
+    @property
+    @kept
+    def monotone(self) -> bool:
+        return _unordered_pair(self.over, self.embed, self.source.lattice.up) is None
+
+    @property
+    @kept
     def f(self) -> tuple[int, ...]:
-        c_op = opposite(self.C)
-        return tuple(_join_of_image(c_op, self.embed, m) for m in self.filters)
+        return _images(self, opposite(self.C), self.filters,
+                       opposite(self.source.lattice))
 
     @property
     @kept
     def g(self) -> tuple[int, ...]:
-        return tuple(_join_of_image(self.C, self.embed, m) for m in self.ideals)
+        return _images(self, self.C, self.ideals, self.source.lattice)
 
     def ideal_elements(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.g)))
 
 
-def _join_of_image(lat: FiniteLattice, embed, mask: int) -> int:
-    out = lat.bot
-    for a in bits(mask):
-        out = lat.join[out][embed[a]]
-    return out
-
-
-def _first_unpreserved(lat: FiniteLattice, embed, rows) -> Optional[int]:
-    """First a whose embedding is not the join of the embedded rows[a]."""
-    for a, row in enumerate(rows):
-        if embed[a] != _join_of_image(lat, embed, row):
-            return a
-    return None
+def _images(ext: CanonicalExtension, lat: FiniteLattice, masks,
+            order: FiniteLattice) -> tuple[int, ...]:
+    """The join in lat (C or its opposite) of e[m] for each mask m; a
+    monotone e sends down q of `order` (L or its opposite) to e(q)."""
+    embed = ext.embed
+    if ext.monotone:
+        return tuple(map(embed.__getitem__, _tops(order, masks)))
+    out = []
+    for mask in masks:
+        out.append(lat.join_mask(_mask_of(map(embed.__getitem__, bits(mask)))))
+    return tuple(out)
 
 
 def require_join_strong(p: ProximityLattice) -> None:
@@ -347,6 +363,11 @@ def sigma_extension(p: ProximityLattice) -> CanonicalExtension:
 
 @dataclass(frozen=True)
 class ExtensionReport:
+    """The flags of verify_extension, a least witness per failure:
+    source elements (a, b) for increasing and (a,) for join_preserving
+    and meet_preserving, an element (u,) of C for dense, and indices
+    (i, j) into the round filters and round ideals for compact."""
+
     increasing: bool
     dense: bool
     compact: bool
@@ -374,51 +395,32 @@ def verify_extension(ext: CanonicalExtension) -> ExtensionReport:
     """Check density, compactness and the two preservation properties.
 
     Density: every element is a join of round-filter elements below it
-    and a meet of round-ideal elements above it. Compactness is
-    quantified over round filter/ideal pairs (sound for R-increasing
-    embeddings, which is checked first): whenever the filter image lies
-    below the ideal image, the two round subsets intersect. Run once
-    per record and kept on it, so check_uniqueness(e, e) verifies once.
+    and a meet of round-ideal elements above it (_first_ungenerated).
+    Compactness is quantified over round filter/ideal pairs (sound for
+    R-increasing embeddings, which is checked first): whenever the
+    filter image lies below the ideal image, the two round subsets
+    intersect; filter i is up p_i, ideal j down q_j, and they meet iff
+    p_i <= q_j. A monotone e sends e[R^-1[a]] = e[down mu(a)] to the
+    join e(mu(a)) (_images): join preservation is e o mu = e, meet
+    preservation e o nu = e. Run once per record and kept on it.
     """
     p, c, embed = ext.source, ext.C, ext.embed
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
-    unordered = _unordered_pair(c, embed, p.R.rows)
-    increasing = unordered is None
-    if not increasing:
-        witnesses.append(("increasing", unordered))
-
     fe, ie = ext.f, ext.g
     ungenerated = _first_ungenerated(c, fe, ie)
-    dense = ungenerated is None
-    if not dense:
-        witnesses.append(("dense", ungenerated[:1]))
-
-    compact = True
-    above = transpose([c.down[t] for t in ie], c.size)  # {j : u <= ie[j]}
-    ideals = ext.ideals
-    for i, fm in enumerate(ext.filters):
-        for j in bits(above[fe[i]]):
-            if not fm & ideals[j]:
-                compact = False
-                witnesses.append(("compact", (i, j)))
-                break
-        if not compact:
-            break
-
-    join_bad = _first_unpreserved(c, embed, p.R.converse().rows)
-    meet_bad = _first_unpreserved(opposite(c), embed, p.R.rows)
-    for name, bad in (("join_preserving", join_bad), ("meet_preserving", meet_bad)):
-        if bad is not None:
-            witnesses.append((name, (bad,)))
-
-    return ExtensionReport(
-        increasing=increasing,
-        dense=dense,
-        compact=compact,
-        join_preserving=join_bad is None,
-        meet_preserving=meet_bad is None,
-        witnesses=tuple(witnesses),
-    )
+    above = down_preimages(opposite(c), ie)  # {j : u <= g[j]} for each u
+    found = [("increasing", _unordered_pair(ext.over, embed, p.R.rows)),
+             ("dense", ungenerated and ungenerated[:1]),
+             ("compact", _unordered_pair(transpose(ext.ideals, p.size),  # {j : x <= q_j}
+                                         _tops(opposite(p.lattice), ext.filters),
+                                         tuple(map(above.__getitem__, fe))))]
+    for name, lat, rows, order in (
+            ("join_preserving", c, p.R.converse().rows, p.lattice),
+            ("meet_preserving", opposite(c), p.R.rows, opposite(p.lattice))):
+        wrong = tuple(map(int.__ne__, embed, _images(ext, lat, rows, order)))
+        found.append((name, (wrong.index(True),) if True in wrong else None))
+    return ExtensionReport(**{name: wit is None for name, wit in found},
+                           witnesses=tuple((name, wit) for name, wit in found
+                                           if wit is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +491,7 @@ def pi_sigma_comparison(p: ProximityLattice) -> ComparisonReport:
         raise NotDoublyStrong("comparison needs both strongness properties")
     k = sigma_extension(p)
     conflict, phi = _forced_iso(pi_extension(p), k)
-    sigma_as_pi = _first_unpreserved(k.C, k.embed, p.R.converse().rows) is None
+    sigma_as_pi = _images(k, k.C, p.R.converse().rows, p.lattice) == k.embed
     witnesses: list[tuple[str, tuple[int, ...]]] = []
     if conflict is not None:
         witnesses.append(("embedding_conflict", (conflict,)))

@@ -10,11 +10,11 @@ preorder repeats a mask), and the meet likewise from down-sets. All
 values are immutable after construction and every function here is
 pure; a lattice keeps, once asked for them, its opposite, its
 distributivity verdict (read off its join-irreducibles, each of which
-must be join-prime: is_prime_up_set, the one prime test of the
-library) and its down-set table. Every memo held by a value is a
-one-argument build decorated with `kept`, which stores its value on
-the argument under a name that is no field; `keep` stores a value a
-caller already has. None of it shows in the repr, equality or the hash.
+must be join-prime: the test of is_prime_up_set) and its down-set
+table. Every memo held by a value is a one-argument build decorated
+with `kept`, which stores its value on the argument under a name that
+is no field; `keep` stores a value a caller already has. None of it
+shows in the repr, equality or the hash.
 """
 
 from __future__ import annotations
@@ -274,13 +274,24 @@ def is_distributive(lat: FiniteLattice) -> bool:
     A finite lattice is distributive iff every join-irreducible j is
     join-prime, that is, j <= x v y only if j <= x or j <= y (Davey and
     Priestley, Introduction to Lattices and Order, 2nd ed., 2002): iff
-    up j is a prime up-set. An element is join-irreducible iff the
-    elements strictly below it form a principal down-set. So both tests
-    are lookups in the down-set index, O(n) in all.
+    up j is a prime up-set, the test of is_prime_up_set inlined. Both
+    tests are lookups in the down-set index, O(n) in all.
     """
-    index, up = down_index(lat), lat.up
-    return all(is_prime_up_set(lat, up[j]) for j, d in enumerate(lat.down)
-               if d & ~(1 << j) in index)
+    index, full, up = down_index(lat), lat.full, lat.up
+    return all(full & ~up[j] in index for j in bits(join_irreducibles(lat)))
+
+
+def join_irreducibles(lat: FiniteLattice) -> int:
+    """The join-irreducibles as a mask: j is one iff the elements below
+    it but j form a principal down-set down m. A subset X join-generates
+    lat iff it holds them all: the members of X below j but j lie in
+    down m, and every u is the join of the join-irreducibles below it."""
+    index, out, bit = down_index(lat), 0, 1
+    for d in lat.down:
+        if d ^ bit in index:
+            out |= bit
+        bit <<= 1
+    return out
 
 
 @kept
@@ -293,6 +304,11 @@ def opposite(lat: FiniteLattice) -> FiniteLattice:
         join=lat.meet, bot=lat.top, top=lat.bot, labels=lat.labels)
 
 
+def down_preimages(tgt: FiniteLattice, table: Sequence[int]) -> tuple[int, ...]:
+    """out[c] = {a : table[a] <= c}, one transpose; for up c pass opposite(tgt)."""
+    return transpose(list(map(tgt.up.__getitem__, table)), tgt.size)
+
+
 def _unpreserved_join(src: FiniteLattice, tgt: FiniteLattice,
                       table: Sequence[int], elems: Sequence[int],
                       empty: bool = True) -> Optional[tuple[int, ...]]:
@@ -302,8 +318,17 @@ def _unpreserved_join(src: FiniteLattice, tgt: FiniteLattice,
     The empty join comes first, as (src.bot,), unless `empty` is False;
     then the binary joins (a, b), a no later than b in `elems`. Binary
     and empty instances give every finite join by induction. Meet
-    preservation is this check on the opposite lattices.
+    preservation is this check on the opposite lattices. Over every
+    element the loop only names a failure: f = table preserves finite
+    joins iff each f^-1(down c) is principal (residuation; Davey and
+    Priestley, ch. 7). If f does, f^-1(down c) holds bot and is down-
+    and join-closed. Conversely, a <= b puts a in f^-1(down f(b)), so f
+    is monotone; f^-1(down bot) is nonempty, so f(bot) = bot; and a, b
+    lie in f^-1(down (f(a) v f(b))) = down m, so f(a v b) <= f(a) v f(b).
     """
+    if len(elems) == src.size and all(map(down_index(src).__contains__,
+                                          down_preimages(tgt, table))):
+        return None
     if empty and table[src.bot] != tgt.bot:
         return (src.bot,)
     join, tjoin = src.join, tgt.join
@@ -315,23 +340,22 @@ def _unpreserved_join(src: FiniteLattice, tgt: FiniteLattice,
     return None
 
 
-def _unordered_pair(tgt: FiniteLattice, table: Sequence[int],
+def _unordered_pair(over: Sequence[int], table: Sequence[int],
                     rows: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The first pair (a, b), b in rows[a], whose images are out of
-    order, table[a] not below table[b] in tgt; None when there is none.
-    Pairs come by a, then by b. With the up-sets of a source order as
-    rows this is the monotonicity check of table."""
-    up = tgt.up
+    """The first pair (a, b), b in rows[a] - over[table[a]], by a, then
+    by b, or None. With over[c] = {x : c <= table[x]} these are the
+    pairs whose images are out of order; with the up-sets of a source
+    order as rows this is the monotonicity check of table."""
     for a, row in enumerate(rows):
-        above = up[table[a]]
-        for b in bits(row):
-            if not above >> table[b] & 1:
-                return (a, b)
+        stray = row & ~over[table[a]]
+        if stray:
+            return (a, (stray & -stray).bit_length() - 1)
     return None
 
 
 def is_homomorphism(f: LatticeMap) -> bool:
-    """True iff f preserves binary meets and joins and both bounds."""
+    """True iff f preserves binary meets and joins and both bounds: iff
+    the preimages of principal down- and up-sets are principal."""
     src, tgt, t = f.source, f.target, f.table
     every = range(src.size)
     return (_unpreserved_join(src, tgt, t, every) is None

@@ -65,7 +65,7 @@ from .errors import (
     NotAProximityMorphism,
     NotDistributive,
 )
-from .lattice import _unordered_pair, _unpreserved_join, opposite
+from .lattice import _unordered_pair, _unpreserved_join, down_preimages, opposite
 from .proximity import ProximityMorphism, _tops, fixed_points
 from .spectra import canext_via_duality
 
@@ -184,19 +184,19 @@ def check_preservation(m: ExtendedMap) -> PreservationReport:
     ideal_elems = m.source_ext.ideal_elements()
     table = m.table
     every = range(c_src.size)
-    ideal_mask = _mask_of(ideal_elems)
-
-    directed = _unordered_pair(c_tgt, table, [
-        c_src.up[y] & ideal_mask if ideal_mask >> y & 1 else 0 for y in every])
-
-    found = (
-        ("all_meets", _unpreserved_join(opposite(c_src), opposite(c_tgt),
-                                        table, every)),
-        ("directed_ideal_joins", directed),
-        ("finite_ideal_joins", _unpreserved_join(c_src, c_tgt, table,
-                                                 ideal_elems, empty=False)),
-        ("all_joins", _unpreserved_join(c_src, c_tgt, table, every)),
-    )
+    all_meets = _unpreserved_join(opposite(c_src), opposite(c_tgt), table, every)
+    all_joins = _unpreserved_join(c_src, c_tgt, table, every)
+    # preserved meets make the map monotone, preserved joins those of ideals
+    directed = finite = None
+    if all_meets is not None:
+        ideal_mask, rows = _mask_of(ideal_elems), [0] * c_src.size
+        for y in ideal_elems:
+            rows[y] = c_src.up[y] & ideal_mask
+        directed = _unordered_pair(down_preimages(opposite(c_tgt), table), table, rows)
+    if all_joins is not None:
+        finite = _unpreserved_join(c_src, c_tgt, table, ideal_elems, empty=False)
+    found = (("all_meets", all_meets), ("directed_ideal_joins", directed),
+             ("finite_ideal_joins", finite), ("all_joins", all_joins))
     flags = {name: witness is None for name, witness in found}
     return PreservationReport(
         kind=m.kind,

@@ -100,6 +100,12 @@ The rest follows from the rows being up-sets and mu being monotone:
                  <= mu_S(mu_S(J v tau(z)))         mu_S monotone
                   = mu_S(J v tau(z))               idempotence,
   the instance at B + {z}; from B empty this reaches every finite B.
+* So the binary instances all hold iff each tau^-1(down q), q in
+  Fix mu_S, is empty or principal. If they hold, it is a down-set
+  (tau is monotone) closed under binary joins: tau(b1 v b2) <=
+  mu_S(tau(b1) v tau(b2)) <= mu_S(q) = q. Conversely, take
+  q = mu_S(tau(b1) v tau(b2)), in Fix mu_S; tau(bi) = mu_S(tau(bi)) <= q,
+  so b1 v b2 lies in tau^-1(down q), principal, and the instance holds.
 * Join-strongness is this test for T = R^-1, whose tau is mu: at
   (b1, b2) it fails exactly for a in down mu(b1 v b2) minus
   down mu(mu(b1) v mu(b2)). Meet-strongness is the same test on
@@ -178,6 +184,7 @@ from .lattice import (
     LatticeMap,
     _lattice_of_sets,
     down_index,
+    down_preimages,
     is_distributive,
     is_homomorphism,
     keep,
@@ -662,18 +669,25 @@ def _first_unapproximated(sl, tl, tgt_rows, tgt_cols, rows, tau=None):
     Without tau the binary instances are read by _first_binary_failure.
     With tau, the tops of the rows of a proximity morphism,
     T[b] = down tau(b), the one at (b1, b2) fails for the m in
-    T[b1 v b2] minus S^-1[tau(b1) v tau(b2)], and only the pairs with
-    b2 > b1 by index and incomparable to b1 are visited: the comparable
-    ones pass (module docstring)."""
+    T[b1 v b2] minus S^-1[tau(b1) v tau(b2)], and only the b2 > b1 by
+    index and incomparable to b1 can fail. After n of these pairs, the
+    rest are skipped if they all hold: iff each tau^-1(down q),
+    S^-1[q] = down q, is empty or principal (module docstring)."""
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return ((stray & -stray).bit_length() - 1,)
     if tau is None:
         return _first_binary_failure(sl.join, tl.join, tl.size, rows, tgt_rows)
     join, tjoin, up, down, full = sl.join, tl.join, sl.up, sl.down, sl.full
+    budget = sl.size  # pairs walked before the verdict is read
     for b1, t1 in enumerate(tau):
         row, trow = join[b1], tjoin[t1]
         for b2 in bits(full & -(2 << b1) & ~(up[b1] | down[b1])):
+            budget -= 1
+            if not budget and {pre for col, down_q, pre in zip(
+                    tgt_cols, tl.down, down_preimages(tl, tau))
+                    if col == down_q and pre} <= down_index(sl).keys():
+                return None
             stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
             if stray:
                 return (b1, b2, (stray & -stray).bit_length() - 1)

@@ -13,8 +13,6 @@ from proxlat.canext import (
     ConceptLattice,
     ExtensionReport,
     Polarity,
-    _first_unpreserved,
-    _join_of_image,
     concept_lattice,
     pi_extension,
 )
@@ -540,13 +538,27 @@ def verify_morphism_exhaustive(src: ProximityLattice, tgt: ProximityLattice,
     """verify_morphism with approximability checked at every finite B
     by join_approx_exhaustive, meet-approximability as
     join-approximability of T^-1 from (M^op, S^-1) to (L^op, R^-1)."""
+    return morphism_report_by(join_approx_exhaustive, src, tgt, rel)
+
+
+def verify_morphism_by_loops(src: ProximityLattice, tgt: ProximityLattice,
+                             rel: Relation) -> MorphismReport:
+    """verify_morphism with both approximability flags and witnesses
+    read by join_approx_binary_by_loops, every pair of the source
+    visited and no tau read."""
+    return morphism_report_by(join_approx_binary_by_loops, src, tgt, rel)
+
+
+def morphism_report_by(kernel, src: ProximityLattice, tgt: ProximityLattice,
+                       rel: Relation) -> MorphismReport:
+    """The report of verify_morphism with its approximability fields
+    replaced by those `kernel` finds on both sides."""
     report = verify_morphism(src, tgt, rel)
     rows, cols = rel.rows, rel.converse().rows
     src_cols, tgt_cols = src.R.converse().rows, tgt.R.converse().rows
-    japprox, j_wit = join_approx_exhaustive(
-        src.lattice, tgt.lattice, tgt.R.rows, tgt_cols, rows)
-    mapprox, m_wit = join_approx_exhaustive(
-        opposite(tgt.lattice), opposite(src.lattice), src_cols, src.R.rows, cols)
+    japprox, j_wit = kernel(src.lattice, tgt.lattice, tgt.R.rows, tgt_cols, rows)
+    mapprox, m_wit = kernel(opposite(tgt.lattice), opposite(src.lattice),
+                            src_cols, src.R.rows, cols)
     witnesses = [(name, wit) for name, wit in report.witnesses
                  if name not in ("join_approximable", "meet_approximable")]
     if not japprox:
@@ -589,6 +601,22 @@ def assert_generation_by_loops(cl: ConceptLattice) -> None:
                     (("f", (cl.f[x],)), ("g", (cl.g[y],))), lat.labels)
 
 
+def join_of_image(lat: FiniteLattice, embed, mask: int) -> int:
+    """The join in lat of the embedded members of mask, one at a time."""
+    out = lat.bot
+    for a in bits(mask):
+        out = lat.join[out][embed[a]]
+    return out
+
+
+def first_unpreserved(lat: FiniteLattice, embed, rows) -> Optional[int]:
+    """First a whose embedding is not the join of the embedded rows[a]."""
+    for a, row in enumerate(rows):
+        if embed[a] != join_of_image(lat, embed, row):
+            return a
+    return None
+
+
 def verify_extension_by_loops(ext: CanonicalExtension) -> ExtensionReport:
     p = ext.source
     c = ext.C
@@ -606,8 +634,8 @@ def verify_extension_by_loops(ext: CanonicalExtension) -> ExtensionReport:
             break
 
     c_op = opposite(c)
-    fe = [_join_of_image(c_op, embed, fm) for fm in ext.filters]
-    ie = [_join_of_image(c, embed, im) for im in ext.ideals]
+    fe = [join_of_image(c_op, embed, fm) for fm in ext.filters]
+    ie = [join_of_image(c, embed, im) for im in ext.ideals]
 
     dense = True
     for u in range(c.size):
@@ -627,8 +655,8 @@ def verify_extension_by_loops(ext: CanonicalExtension) -> ExtensionReport:
         if not compact:
             break
 
-    join_bad = _first_unpreserved(c, embed, p.R.converse().rows)
-    meet_bad = _first_unpreserved(c_op, embed, p.R.rows)
+    join_bad = first_unpreserved(c, embed, p.R.converse().rows)
+    meet_bad = first_unpreserved(c_op, embed, p.R.rows)
     for name, bad in (("join_preserving", join_bad), ("meet_preserving", meet_bad)):
         if bad is not None:
             witnesses.append((name, (bad,)))
@@ -758,7 +786,7 @@ def pi_table_two_stage(rel: Relation, e_src: CanonicalExtension,
     c_src, c_tgt = e_src.C, e_tgt.C
     ideal_elems = e_src.ideal_elements()
     below = transpose_by_loop([c_src.up[t] for t in e_src.embed], c_src.size)
-    stage1 = {y: _join_of_image(c_tgt, e_tgt.embed, rel.image(below[y]))
+    stage1 = {y: join_of_image(c_tgt, e_tgt.embed, rel.image(below[y]))
               for y in ideal_elems}
     table = []
     for u in range(c_src.size):

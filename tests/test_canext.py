@@ -543,16 +543,16 @@ def test_check_uniqueness_identity_and_rejection(corpus):
 
 def test_an_extension_is_verified_once(corpus, monkeypatch):
     # check_uniqueness(e, e) runs the body of verify_extension once,
-    # counted by its one call of the order-violation kernel, and keeps
-    # the report that verify_extension then returns
+    # counted by its one call of the density kernel, and keeps the
+    # report that verify_extension then returns
     import proxlat.canext as canext
     runs = []
 
-    def counting(*args, real=canext._unordered_pair):
+    def counting(*args, real=canext._first_ungenerated):
         runs.append(args)
         return real(*args)
 
-    monkeypatch.setattr(canext, "_unordered_pair", counting)
+    monkeypatch.setattr(canext, "_first_ungenerated", counting)
     e = pi_extension(dataclasses.replace(corpus["C3R"]))  # a fresh build
     assert kept_value(e, verify_extension) is None
     assert check_uniqueness(e, e) is not None

@@ -184,8 +184,8 @@ KEPT = {
     "relation": (Relation.converse,),
     "carrier": (ProximityLattice.mu, opposite_proximity, round_ideal_masks,
                 pi_extension, spectrum, canext_via_duality),
-    "extension": (CanonicalExtension.f, CanonicalExtension.g,
-                  verify_extension),
+    "extension": (CanonicalExtension.over, CanonicalExtension.monotone,
+                  CanonicalExtension.f, CanonicalExtension.g, verify_extension),
 }
 KEPT_CODE = kept(len).__code__  # the code of every kept build's wrapper
 

@@ -385,6 +385,30 @@ def test_homomorphism_exhaustive_pair_oracle(corpus):
     assert is_homomorphism(g) == oracle(g) is False
 
 
+def homomorphism_by_pairs(src, tgt, t):
+    """Both bounds kept and every binary meet and join, pair by pair."""
+    return (t[src.bot] == tgt.bot and t[src.top] == tgt.top
+            and all(t[src.join[a][b]] == tgt.join[t[a]][t[b]]
+                    and t[src.meet[a][b]] == tgt.meet[t[a]][t[b]]
+                    for a in range(src.size) for b in range(src.size)))
+
+
+def test_homomorphism_against_the_pair_loop():
+    """is_homomorphism, read off the preimages of principal down- and
+    up-sets, on every map between the lattices 0 + P + 1 with at most 4
+    elements, against the loop over all pairs."""
+    lats = [lat for lat in labelled_lattices(4)
+            if lat.bot == 0 and lat.top == lat.size - 1]
+    verdicts = collections.Counter()
+    for src, tgt in itertools.product(lats, repeat=2):
+        for table in itertools.product(range(tgt.size), repeat=src.size):
+            got = is_homomorphism(LatticeMap(src, tgt, table))
+            assert got == homomorphism_by_pairs(src, tgt, table), \
+                (src.up, tgt.up, table)
+            verdicts[got] += 1
+    assert (verdicts[True], verdicts[False]) == (116, 2790)
+
+
 def test_macneille_of_chain_and_antichain():
     q = preorder(["0", "1"], [(0, 0), (1, 1), (0, 1)])
     mc = dedekind_macneille(q)

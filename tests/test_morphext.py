@@ -8,11 +8,12 @@ import pytest
 
 from oracles import (
     directed_pair_by_filter,
+    join_of_image,
     pi_table_two_stage,
     sigma_table_by_adjoint,
 )
 from proxlat import spectra
-from proxlat.canext import _join_of_image, pi_extension, sigma_extension
+from proxlat.canext import pi_extension, sigma_extension
 from proxlat.errors import ExtensionError, KindMismatch, NotAProximityMorphism
 from proxlat.lattice import LatticeMap, is_homomorphism, lattice_from_up
 from proxlat.morphext import (
@@ -128,7 +129,7 @@ def test_extension_property_for_all_corpus_morphisms(distributive_corpus, pi_ext
             table = extend_pi(t, e_a, e_b).table
             for x in range(a.size):
                 assert table[e_a.embed[x]] == \
-                    _join_of_image(c_b, e_b.embed, t.T.rows[x]), (na, nb, x)
+                    join_of_image(c_b, e_b.embed, t.T.rows[x]), (na, nb, x)
             assert all(c_b.leq(table[u], table[v])
                        for u in range(c_a.size) for v in range(c_a.size)
                        if c_a.leq(u, v)), (na, nb, t.T.rows)
@@ -318,7 +319,7 @@ def test_sigma_extension_of_m_morphisms(distributive_corpus):
                     (t.T.rows, x, y)
             for x in fixed_points(op_a):
                 assert m.table[s_a.embed[x]] == \
-                    _join_of_image(s_b.C, s_b.embed, t.T.rows[x]), t.T.rows
+                    join_of_image(s_b.C, s_b.embed, t.T.rows[x]), t.T.rows
             checked += 1
     assert checked > 0
 
