@@ -78,6 +78,7 @@ from .lattice import (
     down_preimages,
     is_homomorphism,
     join_irreducibles,
+    keep,
     kept,
     opposite,
 )
@@ -344,7 +345,9 @@ def pi_extension(p: ProximityLattice) -> CanonicalExtension:
     hom = LatticeMap(p.lattice, c, embed)
     if not is_homomorphism(hom):  # pragma: no cover - theorem guard
         raise InternalCheckError("pi embedding is not a homomorphism")
-    return CanonicalExtension("pi", p, c, embed, extents)
+    ext = CanonicalExtension("pi", p, c, embed, extents)
+    keep(ext, CanonicalExtension.over.fget, hom.over)
+    return ext
 
 
 def sigma_extension(p: ProximityLattice) -> CanonicalExtension:

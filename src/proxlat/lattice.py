@@ -109,6 +109,12 @@ class LatticeMap:
     def __call__(self, a: int) -> int:
         return self.table[a]
 
+    @property
+    @kept
+    def over(self) -> tuple[int, ...]:
+        """over[c] = {a : c <= table[a]}, the preimage of up c."""
+        return down_preimages(opposite(self.target), self.table)
+
 
 @dataclass(frozen=True)
 class Preorder:
@@ -355,11 +361,11 @@ def _unordered_pair(over: Sequence[int], table: Sequence[int],
 
 def is_homomorphism(f: LatticeMap) -> bool:
     """True iff f preserves binary meets and joins and both bounds: iff
-    the preimages of principal down- and up-sets are principal."""
-    src, tgt, t = f.source, f.target, f.table
-    every = range(src.size)
-    return (_unpreserved_join(src, tgt, t, every) is None
-            and _unpreserved_join(opposite(src), opposite(tgt), t, every) is None)
+    the preimages of principal down- and up-sets (f.over) are principal."""
+    src = f.source
+    return (all(map(down_index(src).__contains__,
+                    down_preimages(f.target, f.table)))
+            and all(map(down_index(opposite(src)).__contains__, f.over)))
 
 
 def compose_maps(f: LatticeMap, g: LatticeMap) -> LatticeMap:

@@ -191,7 +191,7 @@ from .lattice import (
     kept,
     opposite,
 )
-from .relations import Relation, _from_valid_rows, compose, order_relation
+from .relations import Relation, compose, order_relation
 
 
 @dataclass(frozen=True)
@@ -275,11 +275,9 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     and only up to the first that fails. Most relations fail the empty
     instance bot R b, read off rows[bot] before the columns are built;
     idempotence is read off mu o mu on a relation compatible on both
-    sides and on no other. The report holds the fields decided so far
-    and the lattice, rows and whichever of the columns, mu and nu were
-    built. The first read of any other field, by name, equality, hash,
-    repr or flags(), runs _decide_rest once, which stores all nine
-    fields as one __dict__ and drops what the report held. So a
+    sides and on no other. The first read of any other field, by name,
+    equality, hash, repr or flags(), runs _decide_rest once, which
+    stores all nine fields as one __dict__ (_pending_report). So a
     relation filtered by axioms_ok alone builds no more than it needs:
     one mask test for a relation whose row of bot is not full, and no
     R;R comparison or strongness instance for any. A proximity relation
@@ -289,34 +287,31 @@ def verify_axioms(lat: FiniteLattice, rel: Relation) -> AxiomReport:
     if rel.source_size != n or rel.target_size != n:
         raise DimensionMismatch("relation carrier does not match the lattice")
     rows = rel.rows
-    # the empty instance bot R b, before the columns are built
-    if rows[lat.bot] != lat.full:
-        return _pending_report(lat, rows, join_compatible=False)
+    if rows[lat.bot] != (1 << n) - 1:
+        return _pending_report({"join_compatible": False}, lat, rows)
     cols = transpose(rows, n)
     mu = _tops(lat, cols)
     if None in mu:
-        return _pending_report(lat, rows, cols, mu, join_compatible=False)
+        return _pending_report({"join_compatible": False}, lat, rows, cols, mu)
     nu = _tops(opposite(lat), rows)
     if None in nu:
-        return _pending_report(lat, rows, cols, mu, nu, join_compatible=True,
-                               meet_compatible=False)
-    # with both sides compatible, R;R = R iff mu o mu = mu
+        return _pending_report({"join_compatible": True,
+                                "meet_compatible": False},
+                               lat, rows, cols, mu, nu)
     idempotent = tuple(map(mu.__getitem__, mu)) == mu
     if idempotent:
-        # a proximity relation keeps its columns as R^-1; one that fails
-        # keeps nothing, so a one-shot candidate builds no Relation more
-        keep(rel, Relation.converse, _from_valid_rows(n, n, cols))
-    return _pending_report(lat, rows, cols, mu, nu, join_compatible=True,
-                           meet_compatible=True, idempotent=idempotent)
+        keep(rel, Relation.converse, Relation(n, n, cols))
+    return _pending_report({"join_compatible": True, "meet_compatible": True,
+                            "idempotent": idempotent}, lat, rows, cols, mu, nu)
 
 
-def _pending_report(lat, rows, cols=None, mu=None, nu=None,
-                    **decided) -> AxiomReport:
-    """The report of (lat, R), R given by its rows, holding the fields
-    already `decided` and what _decide_rest needs for the others: the
-    columns of R, mu and nu, each None if not yet built, mu and nu
-    holding None where R is not compatible on that side. The one place
-    the library makes an AxiomReport."""
+def _pending_report(decided, lat, rows, cols=None, mu=None,
+                    nu=None) -> AxiomReport:
+    """The report of (lat, R), R given by its rows, whose __dict__ is the
+    dict of fields already `decided` and what _decide_rest needs for
+    the others: the columns of R, mu and nu, each None if not yet built,
+    mu and nu holding None where R is not compatible on that side. The
+    one place the library makes an AxiomReport."""
     report = object.__new__(AxiomReport)
     decided["_pending"] = (lat, rows, cols, mu, nu)
     object.__setattr__(report, "__dict__", decided)
@@ -495,7 +490,7 @@ def opposite_proximity(p: ProximityLattice) -> ProximityLattice:
     mu = _tops(lat, p.R.rows)  # None in it: op.mu raises, as p.mu does
     nu = _tops(p.lattice, rel.rows)
     op = ProximityLattice(lat, rel,
-                          _pending_report(lat, rel.rows, p.R.rows, mu, nu))
+                          _pending_report({}, lat, rel.rows, p.R.rows, mu, nu))
     keep(op, ProximityLattice.mu.fget, None if None in mu else mu)
     return op
 

@@ -3,25 +3,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator
 
 from .bitset import bits, compose_rows, rows_of_pairs, transpose
 from .errors import DimensionMismatch
 from .lattice import FiniteLattice, kept
 
+_setattr = object.__setattr__  # sets the fields of a frozen instance
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Relation:
     source_size: int
     target_size: int
     rows: tuple[int, ...]  # rows[a] = {b : a R b}
 
-    def __post_init__(self):
-        if len(self.rows) != self.source_size:
+    def __init__(self, source_size: int, target_size: int,
+                 rows: tuple[int, ...]):
+        """One row per source element and each within the target carrier,
+        tested on their union, else DimensionMismatch."""
+        if len(rows) != source_size:
             raise DimensionMismatch("one row per source element required")
-        rows, full = self.rows, (1 << self.target_size) - 1
-        if rows and (min(rows) < 0 or max(rows) > full):
+        if reduce(or_, rows, 0) >> target_size:
             raise DimensionMismatch("row mask exceeds target carrier")
+        _setattr(self, "source_size", source_size)
+        _setattr(self, "target_size", target_size)
+        _setattr(self, "rows", rows)
 
     def has(self, a: int, b: int) -> bool:
         return bool(self.rows[a] >> b & 1)
@@ -36,18 +45,15 @@ class Relation:
         """R^-1, whose rows are the columns of R. Built once per
         relation and kept on it; the converse keeps no link back, so the
         two form no reference cycle."""
-        return _from_valid_rows(self.target_size, self.source_size,
-                                transpose(self.rows, self.target_size))
+        return Relation(self.target_size, self.source_size,
+                        transpose(self.rows, self.target_size))
 
     def image(self, mask: int) -> int:
         """R[A] = union of rows over a in A; A must be a subset of the
         source carrier, else DimensionMismatch."""
         if mask >> self.source_size:  # also every negative mask
             raise DimensionMismatch(f"mask {mask} is outside the carrier")
-        out = 0
-        for a in bits(mask):
-            out |= self.rows[a]
-        return out
+        return reduce(or_, map(self.rows.__getitem__, bits(mask)), 0)
 
     def preimage(self, mask: int) -> int:
         """R^{-1}[B] = {a : row a meets B}, the image under R^-1; B must
@@ -56,17 +62,6 @@ class Relation:
 
     def is_empty(self) -> bool:
         return all(r == 0 for r in self.rows)
-
-
-def _from_valid_rows(source_size: int, target_size: int, rows) -> Relation:
-    """A Relation on rows known to fit the carriers, such as the columns
-    that bitset.transpose returns: its fields are stored as one
-    __dict__, without the checks of __post_init__."""
-    rel = object.__new__(Relation)
-    object.__setattr__(rel, "__dict__", {
-        "source_size": source_size, "target_size": target_size,
-        "rows": rows})
-    return rel
 
 
 def relation_from_pairs(source_size: int, target_size: int, pairs) -> Relation:

@@ -17,6 +17,7 @@ from proxlat.canext import (
     pi_extension,
 )
 from proxlat.errors import (
+    DimensionMismatch,
     InternalCheckError,
     NotJoinStrong,
     NotMeetStrong,
@@ -57,6 +58,24 @@ def kept_value(x, build):
     keeps none: the one way the tests read a memo. `build` is a kept
     function, or a property over one such as ProximityLattice.mu."""
     return getattr(x, _key(getattr(build, "fget", build)), None)
+
+
+@dataclasses.dataclass(frozen=True)
+class RelationByPostInit:
+    """relations.Relation as the dataclass __init__ builds it, its
+    checks run on the stored fields by __post_init__: the row count,
+    then each row against min and max of the rows."""
+
+    source_size: int
+    target_size: int
+    rows: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.rows) != self.source_size:
+            raise DimensionMismatch("one row per source element required")
+        rows, full = self.rows, (1 << self.target_size) - 1
+        if rows and (min(rows) < 0 or max(rows) > full):
+            raise DimensionMismatch("row mask exceeds target carrier")
 
 
 def transpose_by_loop(rows, width: int) -> tuple[int, ...]:

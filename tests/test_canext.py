@@ -561,6 +561,40 @@ def test_an_extension_is_verified_once(corpus, monkeypatch):
     assert verify_extension(e) is report and len(runs) == 1
 
 
+def test_a_verified_pi_build_transposes_its_up_preimages_once(corpus,
+                                                                monkeypatch):
+    # the homomorphism guard of pi_extension and the record's kept
+    # `over` read one down_preimages(opposite(C), embed), and so does
+    # verify_extension after them; a sigma build, through the pi build
+    # of the opposite, the same
+    import proxlat.canext as canext
+    import proxlat.lattice as lattice
+    calls = []
+
+    def counting(tgt, table, real=lattice.down_preimages):
+        calls.append((tgt, table))
+        return real(tgt, table)
+
+    for module in (canext, lattice):
+        monkeypatch.setattr(module, "down_preimages", counting)
+    builds = 0
+    for name, kept in corpus.items():
+        p = dataclasses.replace(kept)  # a fresh carrier keeps no build
+        for kind, strong, build, pi_source in (
+                ("pi", "join_strong", pi_extension, lambda q: q),
+                ("sigma", "meet_strong", sigma_extension, opposite_proximity)):
+            if not getattr(p, strong):
+                continue
+            calls.clear()
+            assert verify_extension(build(p)).passes(kind), (name, kind)
+            pi = pi_extension(pi_source(p))
+            ups = [table for tgt, table in calls
+                   if tgt is opposite(pi.C) and table is pi.embed]
+            assert len(ups) == 1, (name, kind)
+            builds += 1
+    assert builds > 10
+
+
 def commuting_permutations(c1, embed1, c2, embed2):
     """Every order isomorphism c1 -> c2, by brute force over all
     permutations, that carries embed1 to embed2."""

@@ -9,8 +9,9 @@ indexing `.down` with a join_mask call.
 Memos are checked at run time: every memo held by a value is a build
 decorated with lattice.kept (listed in KEPT), no dataclass has a private
 field, filling every kept build leaves the repr, equality and hash of
-its holder unchanged, and the two builds that store an instance's
-fields as one __dict__ store exactly the fields.
+its holder unchanged, every relation the library builds holds exactly
+its fields, and the build that stores a report's fields as one
+__dict__ stores exactly the fields.
 
 No linter runs on this repository, so a refactor can leave an import or
 a helper behind; this reads each module's syntax tree with the stdlib
@@ -30,7 +31,14 @@ import pytest
 from oracles import kept_value
 from proxlat.canext import CanonicalExtension, pi_extension, verify_extension
 from proxlat.fixtures import CORPUS, load
-from proxlat.lattice import down_index, is_distributive, kept, opposite
+from proxlat.lattice import (
+    LatticeMap,
+    down_index,
+    is_distributive,
+    is_homomorphism,
+    kept,
+    opposite,
+)
 from proxlat.proximity import (
     AxiomReport,
     ProximityLattice,
@@ -38,7 +46,7 @@ from proxlat.proximity import (
     round_ideal_masks,
     verify_axioms,
 )
-from proxlat.relations import Relation, _from_valid_rows
+from proxlat.relations import Relation
 from proxlat.spectra import canext_via_duality, spectrum
 
 TESTS = Path(__file__).resolve().parent
@@ -181,6 +189,7 @@ def test_the_check_sees_an_unreferenced_private_definition():
 # extension
 KEPT = {
     "lattice": (opposite, is_distributive, down_index),
+    "map": (LatticeMap.over,),
     "relation": (Relation.converse,),
     "carrier": (ProximityLattice.mu, opposite_proximity, round_ideal_masks,
                 pi_extension, spectrum, canext_via_duality),
@@ -236,14 +245,17 @@ def test_kept_builds_are_invisible():
     seen = set()
     for name in CORPUS:
         p, fresh = load(name), load(name)
+        ident = tuple(range(p.size))
         holders = {"lattice": (p.lattice, fresh.lattice),
-                   "relation": (p.R, fresh.R), "carrier": (p, fresh)}
+                   "relation": (p.R, fresh.R), "carrier": (p, fresh),
+                   "map": (LatticeMap(p.lattice, p.lattice, ident),
+                           LatticeMap(fresh.lattice, fresh.lattice, ident))}
         if p.join_strong:
             holders["extension"] = (pi_extension(p), pi_extension(fresh))
         before = {kind: (repr(x), hash(x)) for kind, (x, _) in holders.items()}
         for build in KEPT["lattice"]:
             build(p.lattice)
-        assert p.R.converse() and p.mu
+        assert p.R.converse() and p.mu and is_homomorphism(holders["map"][0])
         opposite_proximity(p)
         round_ideal_masks(p)
         if p.join_strong:
@@ -263,14 +275,22 @@ def test_kept_builds_are_invisible():
 
 
 def test_whole_instance_builds_hold_exactly_the_fields(corpus):
-    """_from_valid_rows stores a relation's fields as one __dict__, and
-    so does the first read of a deferred field of a verify_axioms
-    report: exactly the fields, so nothing is left pending and no memo
-    is filled, and equal to the instance the constructor builds."""
-    rel = _from_valid_rows(2, 3, (1, 6))
-    assert set(vars(rel)) == _field_names(Relation)
-    built = Relation(2, 3, (1, 6))
-    assert rel == built and hash(rel) == hash(built)
+    """Every Relation comes from its one checked constructor, a converse
+    and the converse verify_axioms keeps on a proximity relation too:
+    each holds exactly its fields and equals the relation built from
+    its rows. The first read of a deferred field of a verify_axioms
+    report stores all its fields as one __dict__: exactly the fields,
+    so nothing is left pending and no memo is filled, and equal to the
+    instance the constructor builds."""
+    assert "__post_init__" not in vars(Relation)
+    c3 = corpus["C3"]
+    proximity = Relation(3, 3, c3.R.rows)
+    verify_axioms(c3.lattice, proximity)
+    for rel in (Relation(2, 3, (1, 6)), Relation(2, 3, (1, 6)).converse(),
+                kept_value(proximity, Relation.converse)):
+        assert set(vars(rel)) == _field_names(Relation), rel
+        built = Relation(rel.source_size, rel.target_size, rel.rows)
+        assert rel == built and hash(rel) == hash(built)
     lat = corpus["C3"].lattice
     deferred = _field_names(AxiomReport) - {
         "idempotent", "join_compatible", "meet_compatible"}
