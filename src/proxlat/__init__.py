@@ -11,7 +11,6 @@ from .canext import (
     galois_maps,
     pi_extension,
     pi_sigma_comparison,
-    polarity_preorder_pairs,
     sigma_extension,
     verify_extension,
 )
@@ -19,15 +18,11 @@ from .errors import ProxlatError
 from .lattice import (
     FiniteLattice,
     LatticeMap,
-    MacNeilleCompletion,
-    Preorder,
-    dedekind_macneille,
     find_isomorphism,
     is_distributive,
     is_homomorphism,
     lattice_from_order,
     opposite,
-    preorder,
 )
 from .morphext import (
     ExtendedMap,

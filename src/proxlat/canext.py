@@ -57,9 +57,9 @@ e(p) <= u.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .bitset import bits, is_subset, transpose
+from .bitset import bits, transpose
 from .errors import (
     ExtensionError,
     InternalCheckError,
@@ -71,7 +71,6 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     LatticeMap,
-    _intersection_closure,
     _lattice_of_sets,
     _set_label,
     _unordered_pair,
@@ -143,6 +142,25 @@ class ConceptLattice:
     g: tuple[int, ...]         # y in Y -> element index of the polar of {y}
 
 
+def _intersection_closure(top: int, gens: Sequence[int]) -> list[int]:
+    """`top` and every intersection of it with members of `gens`,
+    sorted by (popcount, mask): with the polars of the points of Y as
+    `gens`, the closed sets of concept_lattice. A worklist adds f & g
+    for every set f found so far and every generator g, so each
+    intersection is reached one generator at a time."""
+    gens = set(gens)
+    seen = {top}
+    queue = [top]
+    while queue:
+        cur = queue.pop()
+        for g in gens:
+            nxt = cur & g
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return sorted(seen, key=lambda m: (m.bit_count(), m))
+
+
 def concept_lattice(p: Polarity, labels_x: Optional[list[str]] = None) -> ConceptLattice:
     """All Galois-closed subsets of X ordered by inclusion.
 
@@ -151,6 +169,17 @@ def concept_lattice(p: Polarity, labels_x: Optional[list[str]] = None) -> Concep
     f(x) <= g(y) holds exactly when x Z y; violations would be bugs and
     raise InternalCheckError. This is the tool for any polarity; on the
     intersection polarity it is the tests' oracle for `pi_extension`.
+
+    On the order polarity (Q, Q, <=) of a preorder Q it is the
+    Dedekind-MacNeille completion (Davey and Priestley, ch. 7). The
+    polar r({y}) is down y, so the closed sets are Q and the
+    intersections of principal down-sets: the cuts. And f(x) = r(up x)
+    is the intersection of down y over y >= x, which is down x (y = x
+    is one, and x <= y puts down x inside down y), so f = g is the
+    canonical embedding x -> down x, which reflects the order. On a
+    lattice every cut is principal (the intersection of the down y_i is
+    down of their meet, and Q is down top), so f is an isomorphism: a
+    finite lattice is its own completion.
     """
     _, r, _ = galois_maps(p)
     labels = labels_x or [f"x{i}" for i in range(p.nx)]
@@ -208,35 +237,6 @@ def _assert_generation(cl: ConceptLattice) -> None:
             raise InternalCheckError("generator order disagrees with Z",
                                      (("f", (cl.f[x],)), ("g", (cl.g[y],))),
                                      lat.labels)
-
-
-def polarity_preorder_pairs(p: Polarity) -> list[tuple[int, int]]:
-    """The preorder on X + Y whose completion recovers the concept lattice.
-
-    Indices 0..nx-1 are X, nx..nx+ny-1 are Y. x precedes y when x Z y;
-    x1 precedes x2 when every Z-successor of x2 is one of x1; dually for
-    Y; y precedes x when every Z-box around (x, y) is filled.
-    """
-    cols = p.z.converse().rows
-    pairs = []
-    for x1 in range(p.nx):
-        for x2 in range(p.nx):
-            if is_subset(p.z.rows[x2], p.z.rows[x1]):
-                pairs.append((x1, x2))
-    for y1 in range(p.ny):
-        for y2 in range(p.ny):
-            if is_subset(cols[y1], cols[y2]):
-                pairs.append((p.nx + y1, p.nx + y2))
-    for x in range(p.nx):
-        for y in range(p.ny):
-            if p.z.has(x, y):
-                pairs.append((x, p.nx + y))
-    # y precedes x when x' Z y and x Z y' always force x' Z y'
-    for y in range(p.ny):
-        for x in range(p.nx):
-            if all(p.z.rows[x] & ~p.z.rows[x2] == 0 for x2 in bits(cols[y])):
-                pairs.append((p.nx + y, x))
-    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def cmd_roundtrip(args) -> int:
     lines = [
         f"PASS spectrum: {result.spectrum.space.points} point(s)",
         f"PASS saturated-set extension verifies as pi "
-        f"({len(result.sat_sets)} saturated sets)",
+        f"({len(result.spectrum.space.opens)} saturated sets)",
         "PASS unique isomorphism onto the polarity construction",
     ]
     _emit(args, "\n".join(lines) + "\n")

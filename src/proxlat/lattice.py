@@ -116,21 +116,6 @@ class LatticeMap:
         return down_preimages(opposite(self.target), self.table)
 
 
-@dataclass(frozen=True)
-class Preorder:
-    """A reflexive transitive relation on 0..n-1, stored as up-set masks."""
-
-    size: int
-    up: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def rel(self, a: int, b: int) -> bool:
-        return bool(self.up[a] >> b & 1)
-
-    def down_masks(self) -> tuple[int, ...]:
-        return transpose(self.up, self.size)
-
-
 def antisymmetry_witness(up: Sequence[int]) -> Optional[tuple[int, int]]:
     """The first pair (a, b), a != b, with a <= b and b <= a in the
     relation given by up-set masks; None when it is antisymmetric."""
@@ -163,18 +148,6 @@ def _check_preorder(n: int, up: Sequence[int]) -> None:
                     f"relation is not transitive at ({a},{b})")
 
 
-def preorder(labels: Sequence[str], pairs) -> Preorder:
-    n = len(labels)
-    return preorder_from_up(labels, rows_of_pairs(
-        pairs, n, n, lambda a, b: NotAPartialOrder(
-            f"pair ({a},{b}) outside carrier of size {n}")))
-
-
-def preorder_from_up(labels: Sequence[str], up: Sequence[int]) -> Preorder:
-    _check_preorder(len(labels), up)
-    return Preorder(len(labels), tuple(up), tuple(labels))
-
-
 def lattice_from_order(labels: Sequence[str], pairs) -> FiniteLattice:
     """Build a FiniteLattice from a partial order given as (a, b) pairs.
 
@@ -182,7 +155,10 @@ def lattice_from_order(labels: Sequence[str], pairs) -> FiniteLattice:
     transitive); raises NotAPartialOrder otherwise and NotALattice, with
     a witness pair, if some pair of elements has no meet or no join.
     """
-    up = preorder(labels, pairs).up
+    n = len(labels)
+    up = rows_of_pairs(pairs, n, n, lambda a, b: NotAPartialOrder(
+        f"pair ({a},{b}) outside carrier of size {n}"))
+    _check_preorder(n, up)
     witness = antisymmetry_witness(up)
     if witness is not None:
         raise NotAPartialOrder("antisymmetry fails at ({},{})".format(*witness))
@@ -376,39 +352,8 @@ def compose_maps(f: LatticeMap, g: LatticeMap) -> LatticeMap:
 
 
 # ---------------------------------------------------------------------------
-# Dedekind-MacNeille completion of a preorder
+# Lattices of sets
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MacNeilleCompletion:
-    lattice: FiniteLattice
-    cuts: tuple[int, ...]      # cut index -> member mask over Q
-    embed: tuple[int, ...]     # q in Q -> cut index of the principal cut
-
-
-def _intersection_closure(top: int, gens: Sequence[int]) -> list[int]:
-    """`top` and every intersection of it with members of `gens`,
-    sorted by (popcount, mask).
-
-    The closed sets of a polarity are the intersections of the polars
-    of single points (the empty intersection being the whole carrier),
-    so this is the closed family of a Galois closure with those polars
-    as `gens`. A worklist adds f & g for every set f found so far and
-    every generator g; each intersection is reached one generator at a
-    time.
-    """
-    gens = set(gens)
-    seen = {top}
-    queue = [top]
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            nxt = cur & g
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return sorted(seen, key=lambda m: (m.bit_count(), m))
-
 
 def _set_label(mask: int, labels: Sequence[str]) -> str:
     return "{" + ",".join(labels[i] for i in bits(mask)) + "}"
@@ -426,23 +371,6 @@ def _lattice_of_sets(masks: Sequence[int], labels: Sequence[str]) -> FiniteLatti
             u &= holding[x]
         up.append(u)
     return lattice_from_up([_set_label(m, labels) for m in masks], up)
-
-
-def dedekind_macneille(q: Preorder) -> MacNeilleCompletion:
-    """Complete lattice of cuts of a preorder, with the canonical map.
-
-    A cut is a subset closed under lower-bounds-of-upper-bounds, that
-    is, an intersection of principal down-sets; each element maps to
-    the cut it generates, which for a preorder is its down-set. Every
-    cut is a join of embedded elements below it and a meet of embedded
-    elements above it.
-    """
-    down = q.down_masks()
-    cuts = _intersection_closure((1 << q.size) - 1, down)
-    position = {m: i for i, m in enumerate(cuts)}
-    lat = _lattice_of_sets(cuts, q.labels)
-    embed = tuple(position[d] for d in down)
-    return MacNeilleCompletion(lattice=lat, cuts=tuple(cuts), embed=embed)
 
 
 # ---------------------------------------------------------------------------

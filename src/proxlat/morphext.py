@@ -230,9 +230,10 @@ def compare_with_dual(m: ExtendedMap, dual) -> bool:
     if d_src.pi_ext.C != m.source_ext.C or d_tgt.pi_ext.C != m.target_ext.C:
         raise KindMismatch("extensions must be the canonical pi extensions")
 
+    src_opens, tgt_opens = d_src.spectrum.space.opens, d_tgt.spectrum.space.opens
     for u in range(m.source_ext.C.size):
-        sat_u = d_src.sat_sets[d_src.iso.table[u]]
-        if d_tgt.sat_sets[d_tgt.iso.table[m.table[u]]] != preimage(
+        sat_u = src_opens[d_src.iso.table[u]]
+        if tgt_opens[d_tgt.iso.table[m.table[u]]] != preimage(
                 dual.point_map, sat_u):
             return False
     return True

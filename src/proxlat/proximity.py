@@ -774,8 +774,7 @@ def hom_as_morphism(h: LatticeMap) -> ProximityMorphism:
     src = order_proximity(h.source)
     tgt = order_proximity(h.target)
     rows = tuple(h.target.down[h.table[a]] for a in range(h.source.size))
-    rel = Relation(h.source.size, h.target.size, rows)
-    return ProximityMorphism(src, tgt, rel, verify_morphism(src, tgt, rel))
+    return proximity_morphism(src, tgt, Relation(h.source.size, h.target.size, rows))
 
 
 @dataclass(frozen=True)

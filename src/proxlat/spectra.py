@@ -354,11 +354,9 @@ def pairs_presentation(space: FiniteSpace) -> ProximityLattice:
 @dataclass(frozen=True)
 class DualityResult:
     spectrum: SpectrumResult
-    sat_lattice: FiniteLattice
-    sat_sets: tuple[int, ...]
     extension: CanonicalExtension        # the saturated-set realization
     pi_ext: CanonicalExtension           # the polarity construction
-    iso: LatticeMap                      # pi_ext.C -> sat_lattice
+    iso: LatticeMap                      # pi_ext.C -> extension.C
 
 
 def _one_index_space(ext: CanonicalExtension, report):
@@ -411,7 +409,7 @@ def canext_via_duality(p: ProximityLattice) -> DualityResult:
     iso = check_uniqueness(pi, ext)  # reads the report of ext kept above
     if iso is None:
         raise InternalCheckError("no isomorphism onto the saturated sets")
-    return DualityResult(spec_res, sat_lat, sats, ext, pi, iso)
+    return DualityResult(spec_res, ext, pi, iso)
 
 
 def spectrum_roundtrip(space: FiniteSpace) -> bool:

@@ -27,6 +27,7 @@ from proxlat.formats import ParseError
 from proxlat.lattice import (
     FiniteLattice,
     LatticeMap,
+    _check_preorder,
     _key,
     _set_label,
     antisymmetry_witness,
@@ -244,6 +245,46 @@ def sigma_extension_explicit(p: ProximityLattice) -> CanonicalExtension:
     embed = tuple(cl.g[filter_index[p.R.rows[a]]] for a in range(p.size))
     return CanonicalExtension("sigma", p, opposite(cl.lattice), embed,
                               cl.extents)
+
+
+def cut_completion(up) -> ConceptLattice:
+    """The Dedekind-MacNeille completion of the preorder given by up-set
+    masks: the concept lattice of its order polarity (Q, Q, <=), whose
+    closed sets are the cuts and whose f and g both send x to down x
+    (canext.concept_lattice). NotAPartialOrder unless `up` is reflexive
+    and transitive."""
+    n = len(up)
+    _check_preorder(n, up)
+    return concept_lattice(Polarity(n, n, Relation(n, n, tuple(up))))
+
+
+def polarity_preorder_pairs(p: Polarity) -> list[tuple[int, int]]:
+    """The preorder on X + Y whose completion recovers the concept lattice.
+
+    Indices 0..nx-1 are X, nx..nx+ny-1 are Y. x precedes y when x Z y;
+    x1 precedes x2 when every Z-successor of x2 is one of x1; dually for
+    Y; y precedes x when every Z-box around (x, y) is filled.
+    """
+    cols = p.z.converse().rows
+    pairs = []
+    for x1 in range(p.nx):
+        for x2 in range(p.nx):
+            if is_subset(p.z.rows[x2], p.z.rows[x1]):
+                pairs.append((x1, x2))
+    for y1 in range(p.ny):
+        for y2 in range(p.ny):
+            if is_subset(cols[y1], cols[y2]):
+                pairs.append((p.nx + y1, p.nx + y2))
+    for x in range(p.nx):
+        for y in range(p.ny):
+            if p.z.has(x, y):
+                pairs.append((x, p.nx + y))
+    # y precedes x when x' Z y and x Z y' always force x' Z y'
+    for y in range(p.ny):
+        for x in range(p.nx):
+            if all(p.z.rows[x] & ~p.z.rows[x2] == 0 for x2 in bits(cols[y])):
+                pairs.append((p.nx + y, x))
+    return pairs
 
 
 def lattice_laws_hold(lat: FiniteLattice) -> bool:

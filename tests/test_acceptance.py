@@ -9,18 +9,21 @@ import time
 
 import pytest
 
-from oracles import generator_iso_by_loops, intersection_polarity
+from oracles import (
+    cut_completion,
+    generator_iso_by_loops,
+    intersection_polarity,
+    polarity_preorder_pairs,
+)
 from proxlat import fixtures
 from proxlat.canext import (
     concept_lattice,
     pi_extension,
     pi_sigma_comparison,
-    polarity_preorder_pairs,
     sigma_extension,
     verify_extension,
 )
 from proxlat.cli import main as cli_main
-from proxlat.lattice import dedekind_macneille, preorder
 from proxlat.morphext import check_preservation, compare_with_dual, extend_pi
 from proxlat.proximity import (
     all_j_morphisms,
@@ -32,7 +35,7 @@ from proxlat.proximity import (
     transpose_to_morphism,
     verify_axioms,
 )
-from proxlat.relations import compose
+from proxlat.relations import compose, relation_from_pairs
 from proxlat.spectra import (
     all_t0_spaces,
     canext_via_duality,
@@ -97,13 +100,11 @@ def test_criterion_03_uniqueness_oracle():
     for name, p in CORPUS.items():
         pol, _, _ = intersection_polarity(p)
         cl = concept_lattice(pol)
-        labels = [f"F{i}" for i in range(pol.nx)] + \
-                 [f"I{j}" for j in range(pol.ny)]
-        q = preorder(labels, polarity_preorder_pairs(pol))
-        mc = dedekind_macneille(q)
+        n = pol.nx + pol.ny
+        pairs = polarity_preorder_pairs(pol)
+        mc = cut_completion(relation_from_pairs(n, n, pairs).rows)
         phi = generator_iso_by_loops(cl.lattice, cl.f, cl.g, mc.lattice,
-                                     tuple(mc.embed[: pol.nx]),
-                                     tuple(mc.embed[pol.nx:]))
+                                     mc.f[: pol.nx], mc.f[pol.nx:])
         ok = ok and phi is not None
     _verdict(3, ok, "concept lattice isomorphic to the cut completion of the "
                     "two-sorted preorder, generators commuting, all fixtures")

@@ -10,10 +10,12 @@ import pytest
 from oracles import (
     assert_generation_by_loops,
     closed_family,
+    cut_completion,
     generator_iso_by_loops,
     intersection_polarity,
     kept_value,
     pi_extension_by_polarity,
+    polarity_preorder_pairs,
     sigma_extension_explicit,
     verify_extension_by_loops,
 )
@@ -23,12 +25,12 @@ from proxlat.canext import (
     Polarity,
     _assert_generation,
     _forced_iso,
+    _intersection_closure,
     check_uniqueness,
     concept_lattice,
     galois_maps,
     pi_extension,
     pi_sigma_comparison,
-    polarity_preorder_pairs,
     sigma_extension,
     verify_extension,
 )
@@ -38,14 +40,7 @@ from proxlat.errors import (
     NotJoinStrong,
     NotMeetStrong,
 )
-from proxlat.lattice import (
-    _intersection_closure,
-    dedekind_macneille,
-    find_isomorphism,
-    lattice_from_up,
-    opposite,
-    preorder,
-)
+from proxlat.lattice import find_isomorphism, lattice_from_up, opposite
 from proxlat.proximity import (
     ProximityLattice,
     fixed_points,
@@ -54,7 +49,7 @@ from proxlat.proximity import (
     round_filter_masks,
     verify_axioms,
 )
-from proxlat.relations import Relation, order_relation
+from proxlat.relations import Relation, order_relation, relation_from_pairs
 from proxlat.spectra import all_posets
 
 
@@ -201,8 +196,7 @@ def test_pi_extension_runs_no_closure(corpus, monkeypatch):
 
     for target in ("proxlat.canext.concept_lattice",
                    "proxlat.canext.galois_maps",
-                   "proxlat.canext._intersection_closure",
-                   "proxlat.lattice._intersection_closure"):
+                   "proxlat.canext._intersection_closure"):
         monkeypatch.setattr(target, closure)
     for name, kept in corpus.items():
         p = dataclasses.replace(kept)  # a fresh carrier keeps no build
@@ -371,13 +365,11 @@ def test_macneille_oracle_for_concept_lattices(corpus):
     for name, p in corpus.items():
         pol = polarity_of(p)
         cl = concept_lattice(pol)
-        labels = [f"F{i}" for i in range(pol.nx)] + \
-                 [f"I{j}" for j in range(pol.ny)]
-        q = preorder(labels, polarity_preorder_pairs(pol))
-        mc = dedekind_macneille(q)
+        n = pol.nx + pol.ny
+        pairs = polarity_preorder_pairs(pol)
+        mc = cut_completion(relation_from_pairs(n, n, pairs).rows)
         phi = generator_iso_by_loops(cl.lattice, cl.f, cl.g, mc.lattice,
-                                     tuple(mc.embed[: pol.nx]),
-                                     tuple(mc.embed[pol.nx:]))
+                                     mc.f[: pol.nx], mc.f[pol.nx:])
         assert phi is not None, name
 
 
@@ -689,7 +681,7 @@ def test_commuting_isomorphism_is_unique(corpus):
         result = canext_via_duality(corpus[name])
         assert commuting_permutations(
             result.pi_ext.C, result.pi_ext.embed,
-            result.sat_lattice, result.extension.embed,
+            result.extension.C, result.extension.embed,
         ) == [tuple(result.iso.table)], name
     # between the pi and the sigma extension there is one exactly when
     # the comparison reports phi, and phi is it

@@ -1,4 +1,4 @@
-"""Lattice construction, order primitives, and the MacNeille completion."""
+"""Lattice construction, order primitives, and the cut completion."""
 
 import collections
 import itertools
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     closed_family,
+    cut_completion,
     distributive_by_pairs,
     intersection_polarity,
     kept_value,
@@ -23,7 +24,6 @@ from proxlat.lattice import (
     LatticeMap,
     _lattice_of_sets,
     compose_maps,
-    dedekind_macneille,
     down_index,
     find_isomorphism,
     is_distributive,
@@ -31,8 +31,6 @@ from proxlat.lattice import (
     lattice_from_order,
     lattice_from_up,
     opposite,
-    preorder,
-    preorder_from_up,
 )
 from proxlat.proximity import proximity_lattice, round_ideal_lattice
 from proxlat.relations import Relation, relation_from_pairs
@@ -66,9 +64,13 @@ def test_n_poset_is_not_a_lattice():
 
 
 def test_not_a_partial_order_rejected():
-    with pytest.raises(NotAPartialOrder):
-        lattice_from_order(["0", "1"], [(0, 1)])  # not reflexive
-    with pytest.raises(NotAPartialOrder):
+    # reflexivity, then transitivity, then antisymmetry
+    with pytest.raises(NotAPartialOrder, match=r"not reflexive at 0"):
+        lattice_from_order(["0", "1"], [(0, 1), (1, 0)])
+    with pytest.raises(NotAPartialOrder, match=r"not transitive at \(0,1\)"):
+        lattice_from_order(["0", "1", "2"],
+                           [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2)])
+    with pytest.raises(NotAPartialOrder, match=r"antisymmetry fails at \(0,1\)"):
         lattice_from_order(["0", "1"], [(0, 0), (1, 1), (0, 1), (1, 0)])
 
 
@@ -350,18 +352,18 @@ def test_compose_maps_refuses_a_mismatched_middle(corpus):
 
 
 def test_pair_readers_keep_their_errors():
-    # preorder and relation_from_pairs read pairs by one loop, each with
-    # its own refusal
+    # lattice_from_order and relation_from_pairs read pairs by one loop,
+    # each with its own refusal, before any order check
     with pytest.raises(NotAPartialOrder,
                        match=r"pair \(0,2\) outside carrier of size 2"):
-        preorder(["0", "1"], [(0, 0), (0, 2)])
+        lattice_from_order(["0", "1"], [(0, 0), (0, 2)])
     with pytest.raises(NotAPartialOrder,
                        match=r"pair \(-1,0\) outside carrier of size 2"):
         lattice_from_order(["0", "1"], [(-1, 0)])
     with pytest.raises(DimensionMismatch, match=r"pair \(2,0\) outside carriers"):
         relation_from_pairs(2, 3, [(0, 2), (2, 0)])
     assert relation_from_pairs(2, 3, [(0, 2), (1, 0)]).rows == (4, 1)
-    assert preorder(["0", "1"], [(0, 0), (1, 1), (0, 1)]).up == (3, 2)
+    assert lattice_from_order(["0", "1"], [(0, 0), (1, 1), (0, 1)]).up == (3, 2)
 
 
 def test_homomorphism_exhaustive_pair_oracle(corpus):
@@ -410,26 +412,23 @@ def test_homomorphism_against_the_pair_loop():
 
 
 def test_macneille_of_chain_and_antichain():
-    q = preorder(["0", "1"], [(0, 0), (1, 1), (0, 1)])
-    mc = dedekind_macneille(q)
-    assert mc.lattice.size == 2
+    assert cut_completion([0b11, 0b10]).lattice.size == 2
 
-    anti = preorder(["x", "y"], [(0, 0), (1, 1)])
-    mc2 = dedekind_macneille(anti)
+    anti = cut_completion([0b01, 0b10])
     # bottom, the two (incomparable) elements, top: the Boolean square
-    assert mc2.lattice.size == 4
-    assert is_distributive(mc2.lattice)
-    ex, ey = mc2.embed
-    assert not mc2.lattice.leq(ex, ey) and not mc2.lattice.leq(ey, ex)
+    assert anti.lattice.size == 4
+    assert is_distributive(anti.lattice)
+    ex, ey = anti.f
+    assert not anti.lattice.leq(ex, ey) and not anti.lattice.leq(ey, ex)
 
 
 def test_macneille_density():
     # every cut is a join of embedded cuts below it and a meet of
     # embedded cuts above it
-    q = preorder(["a", "b", "c"], [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)])
-    mc = dedekind_macneille(q)
-    lat = mc.lattice
-    embedded = set(mc.embed)
+    # a <= c and b <= c
+    cl = cut_completion([0b101, 0b110, 0b100])
+    lat = cl.lattice
+    embedded = set(cl.f)
     for u in range(lat.size):
         jn = lat.bot
         mt = lat.top
@@ -462,8 +461,7 @@ def test_macneille_cuts_against_the_closure():
         counts.append(0)
         for up in preorders(n):
             counts[-1] += 1
-            q = preorder_from_up([f"q{i}" for i in range(n)], up)
-            down = q.down_masks()
+            down = transpose(up, n)
 
             def close(mask):
                 ub = lb = (1 << n) - 1
@@ -474,11 +472,11 @@ def test_macneille_cuts_against_the_closure():
                 return lb
 
             cuts = closed_family(n, close)
-            mc = dedekind_macneille(q)
-            assert mc.cuts == tuple(cuts), up
-            assert mc.embed == tuple(cuts.index(close(1 << x))
-                                     for x in range(n)), up
-            assert mc.lattice.up == tuple(inclusion_up(cuts)), up
+            cl = cut_completion(up)
+            assert cl.extents == tuple(cuts), up
+            assert cl.f == cl.g == tuple(cuts.index(close(1 << x))
+                                         for x in range(n)), up
+            assert cl.lattice.up == tuple(inclusion_up(cuts)), up
     assert counts == [1, 4, 29, 355]
 
 
@@ -503,25 +501,38 @@ def test_macneille_of_random_preorders_is_a_lattice(seedbits, n):
             if out != up[a]:
                 up[a] = out
                 changed = True
-    q = preorder_from_up([str(i) for i in range(n)], up)
-    mc = dedekind_macneille(q)
-    assert lattice_laws_hold(mc.lattice)
+    cl = cut_completion(up)
+    assert lattice_laws_hold(cl.lattice)
     # embedding is monotone both ways modulo preorder equivalence
     for a in range(n):
         for b in range(n):
-            if q.rel(a, b):
-                assert mc.lattice.leq(mc.embed[a], mc.embed[b])
+            assert cl.lattice.leq(cl.f[a], cl.f[b]) == bool(up[a] >> b & 1)
     # density: every cut is a join of embedded elements below it and a
     # meet of embedded elements above it
-    lat = mc.lattice
+    lat = cl.lattice
     for u in range(lat.size):
         jn, mt = lat.bot, lat.top
-        for e in mc.embed:
+        for e in cl.f:
             if lat.leq(e, u):
                 jn = lat.join[jn][e]
             if lat.leq(u, e):
                 mt = lat.meet[mt][e]
         assert jn == u and mt == u
+
+
+def test_completion_of_a_lattice_is_itself():
+    """On every lattice with at most 5 elements the concept lattice of
+    the order polarity has the principal down-sets as its closed sets,
+    f == g, and f is a bijective homomorphism L -> C."""
+    count = 0
+    for lat in labelled_lattices(5):
+        cl = cut_completion(lat.up)
+        assert sorted(cl.extents) == sorted(lat.down), lat.up
+        assert cl.f == cl.g, lat.up
+        assert sorted(cl.f) == list(range(lat.size)), lat.up
+        assert is_homomorphism(LatticeMap(lat, cl.lattice, cl.f)), lat.up
+        count += 1
+    assert count == 425
 
 
 def test_find_isomorphism_basics(corpus):

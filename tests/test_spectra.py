@@ -256,6 +256,9 @@ def test_canext_via_duality_on_fixtures(distributive_corpus):
     for name, p in distributive_corpus.items():
         result = canext_via_duality(p)
         assert result.iso is not None, name
+        # element i of C is the i-th open, as roundtrip and
+        # compare_with_dual read it
+        assert result.extension.C == saturated_lattice(result.spectrum.space), name
         # embeddings commute through the isomorphism
         for a in range(p.size):
             assert result.iso.table[result.pi_ext.embed[a]] == \
