@@ -176,7 +176,7 @@ def lattice_from_doc(doc: dict) -> FiniteLattice:
           enumerate(_pair_rows(raw_pairs, index, index, "order"))]
     below = transpose(up, n)
     left = [row.bit_count() - 1 for row in up]  # successors not yet closed
-    ready = [a for a in range(n) if not left[a]]
+    ready = [a for a, k in enumerate(left) if not k]
     for b in ready:  # grows while it is read
         for a in bits(below[b] & ~(1 << b)):
             up[a] |= up[b]

@@ -2,19 +2,23 @@
 
 A lattice lives on the carrier 0..n-1. The order is stored twice, as
 up-set masks and down-set masks, so that bound computations are single
-AND operations; meet and join are precomputed tables. For a <= b the
-join is b and the meet a; any other pair is one cone lookup: the join
-of a and b is the element whose up-set is up[a] & up[b], found in a
-table from up-set masks to elements (the lowest index wins where a
-preorder repeats a mask), and the meet likewise from down-sets. All
-values are immutable after construction and every function here is
+AND operations. A bound is one lookup in an index of cones: the join
+of a and b is the element whose up-set is up[a] & up[b], found in the
+up-set index, a table from up-set masks to elements (the lowest index
+wins where a preorder repeats a mask), and the meet likewise in the
+down-set index. A build makes both indices and keeps them, and checks
+that there is a top and that every incomparable pair has a meet, one
+lookup each, which gives every join too: O(n + incomparable pairs)
+lookups after the transpose. The n x n meet and join tables are built
+from the indices on their first read and kept.
+All values are immutable after construction and every function here is
 pure; a lattice keeps, once asked for them, its opposite, its
 distributivity verdict (read off its join-irreducibles, each of which
-must be join-prime: the test of is_prime_up_set) and its down-set
-table. Every memo held by a value is a one-argument build decorated
-with `kept`, which stores its value on the argument under a name that
-is no field; `keep` stores a value a caller already has. None of it
-shows in the repr, equality or the hash.
+must be join-prime: the test of is_prime_up_set), its two indices and
+its two tables. Every memo held by a value is a one-argument build
+decorated with `kept`, which stores its value on the argument under a
+name that is no field; `keep` stores a value a caller already has.
+None of it shows in the repr, equality or the hash.
 """
 
 from __future__ import annotations
@@ -67,8 +71,6 @@ class FiniteLattice:
     size: int
     up: tuple[int, ...]    # up[a] = {b : a <= b}
     down: tuple[int, ...]  # down[a] = {b : b <= a}
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
     bot: int
     top: int
     labels: tuple[str, ...]
@@ -77,15 +79,28 @@ class FiniteLattice:
     def full(self) -> int:
         return (1 << self.size) - 1
 
+    @property
+    @kept
+    def meet(self) -> tuple[tuple[int, ...], ...]:
+        """meet[a][b], read off the down-set index on the first read."""
+        return _bound_table(self.down, down_index(self))
+
+    @property
+    @kept
+    def join(self) -> tuple[tuple[int, ...], ...]:
+        """join[a][b], read off the up-set index on the first read."""
+        return _bound_table(self.up, up_index(self))
+
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 
     def join_mask(self, mask: int) -> int:
-        """Join of a subset given as a bitmask; the empty join is bot."""
-        out = self.bot
+        """Join of a subset given as a bitmask; the empty join is bot:
+        the element whose up-set is the meet of the members' up-sets."""
+        common, up = self.full, self.up
         for a in bits(mask):
-            out = self.join[out][a]
-        return out
+            common &= up[a]
+        return up_index(self)[common]
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a < b and nothing strictly between."""
@@ -168,69 +183,101 @@ def lattice_from_order(labels: Sequence[str], pairs) -> FiniteLattice:
 def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
     """Like lattice_from_order but from validated up-set masks.
 
-    For a <= b the join is b and the meet a. The join of an
-    incomparable pair is the element whose up-set is up[a] & up[b], and
-    the meet the element whose down-set is down[a] & down[b]: one
-    lookup in a table from masks to elements, once for both rows, so a
-    build is O(n^2). For a preorder (equal masks on distinct elements)
-    the lowest index with the mask wins. NotALattice names the first
-    pair (a, b), a <= b, without a bound, the meet tested before the
-    join."""
+    The join of a and b is the element whose up-set is up[a] & up[b],
+    and the meet the element whose down-set is down[a] & down[b]: one
+    lookup each in the up-set and the down-set index, which the build
+    makes and keeps. A comparable pair has both bounds, so only the
+    incomparable pairs are looked up, each once and for its meet alone:
+    a finite order with a top in which every pair has a meet is a
+    lattice, the join of a and b being the meet of their common upper
+    bounds. That is O(n + incomparable pairs) lookups after the
+    transpose, and no table is built until meet or join is read. For a
+    preorder (equal masks on distinct elements) the lowest index with
+    the mask wins. NotALattice names the first pair (a, b), a <= b,
+    without a bound, the meet tested before the join."""
     n = len(labels)
     if n == 0:
         raise NotALattice("a bounded lattice needs at least one element")
     down = transpose(up, n)
-    up_of: dict[int, int] = {}
-    down_of: dict[int, int] = {}
-    for a in range(n):
-        up_of.setdefault(up[a], a)
-        down_of.setdefault(down[a], a)
-    jrep = [up_of[u] for u in up]
-    mrep = [down_of[d] for d in down]
-
-    meet = [mrep[:] for _ in range(n)]
-    join = [jrep[:] for _ in range(n)]
+    up_of, down_of = _index(up), _index(down)
     full = (1 << n) - 1
-    for a in range(n):
-        ua, da = up[a], down[a]
-        mrow, jrow = meet[a], join[a]
-        ja, ma = jrep[a], mrep[a]
-        for b in bits(da):
-            jrow[b] = ja
-        for b in bits(ua):
-            mrow[b] = ma
-        # incomparable pairs (b, a) with b < a were filled from earlier rows
-        for b in bits(full & ~(ua | da) & -(2 << a)):
-            m = down_of.get(da & down[b])
-            j = up_of.get(ua & up[b])
-            if m is None or j is None:
-                kind = "meet" if m is None else "join"
-                raise NotALattice(
-                    f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
-                    witness=(a, b), missing=kind, labels=labels)
-            mrow[b] = meet[b][a] = m
-            jrow[b] = join[b][a] = j
+    if full not in down_of or not _every_meet(up, down, down_of):
+        _refuse(labels, up, down, up_of, down_of)
     lat = FiniteLattice(
         size=n,
         up=tuple(up),
         down=down,
-        meet=tuple(map(tuple, meet)),
-        join=tuple(map(tuple, join)),
         bot=up_of[full],  # every pair has a meet, so some element is least
         top=down_of[full],
         labels=tuple(labels),
     )
+    keep(lat, up_index, up_of)
     keep(lat, down_index, down_of)
     return lat
+
+
+def _every_meet(up: Sequence[int], down: Sequence[int],
+                down_of: dict[int, int]) -> bool:
+    """Whether every incomparable pair has a meet: down[a] & down[b] in
+    the down-set index."""
+    full = (1 << len(up)) - 1
+    for a, da in enumerate(down):
+        for b in bits(full & ~(up[a] | da) & -(2 << a)):
+            if da & down[b] not in down_of:
+                return False
+    return True
+
+
+def _refuse(labels: Sequence[str], up: Sequence[int], down: Sequence[int],
+            up_of: dict[int, int], down_of: dict[int, int]) -> None:
+    """Raise NotALattice at the first pair (a, b), a < b, without a
+    meet or a join, the meet tested first, by a and then b; some pair
+    has none when the order lacks a meet or a top."""
+    full = (1 << len(up)) - 1
+    for a in range(len(up)):
+        ua, da = up[a], down[a]
+        for b in bits(full & ~(ua | da) & -(2 << a)):
+            if da & down[b] not in down_of:
+                kind = "meet"
+            elif ua & up[b] not in up_of:
+                kind = "join"
+            else:
+                continue
+            raise NotALattice(
+                f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
+                witness=(a, b), missing=kind, labels=labels)
 
 
 @kept
 def down_index(lat: FiniteLattice) -> dict[int, int]:
     """{down[a]: a}, the lowest index winning where a preorder repeats a
-    mask: the table lattice_from_up keeps, or built once on a lattice
-    made otherwise (an opposite). Read it, do not change it."""
+    mask: the index lattice_from_up keeps, the up-set index of the
+    lattice an opposite is built from, or built once on a lattice made
+    otherwise. Read it, do not change it."""
+    return _index(lat.down)
+
+
+@kept
+def up_index(lat: FiniteLattice) -> dict[int, int]:
+    """{up[a]: a}, the down-set index of the opposite, kept and shared
+    as down_index is."""
+    return _index(lat.up)
+
+
+def _index(masks: Sequence[int]) -> dict[int, int]:
+    """{masks[a]: a}, the lowest index winning where masks repeat."""
     # filled from the top, so low indices win
-    return dict(zip(reversed(lat.down), range(lat.size - 1, -1, -1)))
+    return dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
+
+
+def _bound_table(cones: Sequence[int], index: dict[int, int],
+                 ) -> tuple[tuple[int, ...], ...]:
+    """table[a][b] = index[cones[a] & cones[b]]: the meet table from the
+    down-sets and their index, the join table from the up-sets."""
+    rows = []
+    for c in cones:
+        rows.append(tuple(map(index.__getitem__, map(c.__and__, cones))))
+    return tuple(rows)
 
 
 def is_prime_up_set(lat: FiniteLattice, mask: int) -> bool:
@@ -279,11 +326,14 @@ def join_irreducibles(lat: FiniteLattice) -> int:
 @kept
 def opposite(lat: FiniteLattice) -> FiniteLattice:
     """Same carrier with the order reversed; an involution. Built once
-    per lattice and kept on it; the opposite keeps no link back, so the
-    two form no reference cycle."""
-    return FiniteLattice(
-        size=lat.size, up=lat.down, down=lat.up, meet=lat.join,
-        join=lat.meet, bot=lat.top, top=lat.bot, labels=lat.labels)
+    per lattice and kept on it, with the two indices of lat swapped as
+    its own; the opposite keeps no link back, so the two form no
+    reference cycle."""
+    op = FiniteLattice(size=lat.size, up=lat.down, down=lat.up,
+                       bot=lat.top, top=lat.bot, labels=lat.labels)
+    keep(op, down_index, up_index(lat))
+    keep(op, up_index, down_index(lat))
+    return op
 
 
 def down_preimages(tgt: FiniteLattice, table: Sequence[int]) -> tuple[int, ...]:
@@ -341,7 +391,7 @@ def is_homomorphism(f: LatticeMap) -> bool:
     src = f.source
     return (all(map(down_index(src).__contains__,
                     down_preimages(f.target, f.table)))
-            and all(map(down_index(opposite(src)).__contains__, f.over)))
+            and all(map(up_index(src).__contains__, f.over)))
 
 
 def compose_maps(f: LatticeMap, g: LatticeMap) -> LatticeMap:
@@ -356,7 +406,7 @@ def compose_maps(f: LatticeMap, g: LatticeMap) -> LatticeMap:
 # ---------------------------------------------------------------------------
 
 def _set_label(mask: int, labels: Sequence[str]) -> str:
-    return "{" + ",".join(labels[i] for i in bits(mask)) + "}"
+    return "{" + ",".join(map(labels.__getitem__, bits(mask))) + "}"
 
 
 def _lattice_of_sets(masks: Sequence[int], labels: Sequence[str]) -> FiniteLattice:
@@ -364,13 +414,14 @@ def _lattice_of_sets(masks: Sequence[int], labels: Sequence[str]) -> FiniteLatti
     are those holding every element of m."""
     every = (1 << len(masks)) - 1
     holding = transpose(masks, len(labels))  # holding[x] = {j : x in masks[j]}
-    up = []
+    up, names = [], []
     for m in masks:
         u = every
         for x in bits(m):
             u &= holding[x]
         up.append(u)
-    return lattice_from_up([_set_label(m, labels) for m in masks], up)
+        names.append(_set_label(m, labels))
+    return lattice_from_up(names, up)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,7 @@ from .lattice import (
     keep,
     kept,
     opposite,
+    up_index,
 )
 from .relations import Relation, compose, order_relation
 
@@ -391,15 +392,17 @@ def _tops(lat: FiniteLattice, masks) -> tuple[Optional[int], ...]:
 def _join_compatible(lat, rows) -> Optional[tuple[int, ...]]:
     """The least witness that bot R b fails for some b, (bot, b), or
     that (a v a2) R b iff a R b and a2 R b fails, (a, a2, b); None when
-    R is join-compatible."""
-    n = lat.size
+    R is join-compatible. Each join a v a2 is one lookup of
+    up[a] & up[a2] in the up-set index."""
+    n, up, index = lat.size, lat.up, up_index(lat)
     missing = lat.full & ~rows[lat.bot]
     if missing:
         return (lat.bot, (missing & -missing).bit_length() - 1)
     for a in range(n):
+        ua = up[a]
         for a2 in range(a, n):
             want = rows[a] & rows[a2]
-            got = rows[lat.join[a][a2]]
+            got = rows[index[ua & up[a2]]]
             if got != want:
                 delta = got ^ want
                 return (a, a2, (delta & -delta).bit_length() - 1)
@@ -667,23 +670,26 @@ def _first_unapproximated(sl, tl, tgt_rows, tgt_cols, rows, tau=None):
     T[b1 v b2] minus S^-1[tau(b1) v tau(b2)], and only the b2 > b1 by
     index and incomparable to b1 can fail. After n of these pairs, the
     rest are skipped if they all hold: iff each tau^-1(down q),
-    S^-1[q] = down q, is empty or principal (module docstring)."""
+    S^-1[q] = down q, is empty or principal (module docstring). The two
+    joins of a pair are lookups in the up-set indices of sl and tl."""
     stray = rows[sl.bot] & ~tgt_cols[tl.bot]
     if stray:
         return ((stray & -stray).bit_length() - 1,)
     if tau is None:
         return _first_binary_failure(sl.join, tl.join, tl.size, rows, tgt_rows)
-    join, tjoin, up, down, full = sl.join, tl.join, sl.up, sl.down, sl.full
+    up, down, full, tup = sl.up, sl.down, sl.full, tl.up
+    index, tindex = up_index(sl), up_index(tl)
     budget = sl.size  # pairs walked before the verdict is read
     for b1, t1 in enumerate(tau):
-        row, trow = join[b1], tjoin[t1]
-        for b2 in bits(full & -(2 << b1) & ~(up[b1] | down[b1])):
+        u1, tu1 = up[b1], tup[t1]
+        for b2 in bits(full & -(2 << b1) & ~(u1 | down[b1])):
             budget -= 1
             if not budget and {pre for col, down_q, pre in zip(
                     tgt_cols, tl.down, down_preimages(tl, tau))
                     if col == down_q and pre} <= down_index(sl).keys():
                 return None
-            stray = rows[row[b2]] & ~tgt_cols[trow[tau[b2]]]
+            stray = (rows[index[u1 & up[b2]]]
+                     & ~tgt_cols[tindex[tu1 & tup[tau[b2]]]])
             if stray:
                 return (b1, b2, (stray & -stray).bit_length() - 1)
     return None

@@ -9,7 +9,9 @@ output change:
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import collections
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -18,6 +20,7 @@ from pathlib import Path
 
 from proxlat.cli import main
 from proxlat.fixtures import CORPUS, document
+from proxlat.lattice import FiniteLattice, kept
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 VERBS = (("check",), ("canext", "--kind", "pi"), ("canext", "--kind", "sigma"),
@@ -162,6 +165,43 @@ def wide_outputs(directory: Path) -> dict:
 
 def test_wide_cli_outputs_match_golden(tmp_path):
     assert wide_outputs(tmp_path) == json.loads(WIDE_GOLDEN.read_text())
+
+
+def test_no_verb_builds_a_meet_or_join_table(tmp_path, monkeypatch):
+    """Every verb reads the bounds it needs off the cone indices, so
+    none builds the n x n meet or join table: counted at the two table
+    builds, on the fixtures and on the 64-chain and B6 with their
+    orders, extend and check also on the identity j-morphism of each."""
+    builds = collections.Counter()
+    for name in ("meet", "join"):
+        build = getattr(FiniteLattice, name).fget.__wrapped__
+
+        @functools.wraps(build)
+        def counted(lat, build=build):
+            builds[build.__name__] += 1
+            return build(lat)
+        monkeypatch.setattr(FiniteLattice, name, property(kept(counted)))
+    n = 64
+    chain = [((1 << n) - 1) & ~((1 << a) - 1) for a in range(n)]
+    b6 = [sum(1 << t for t in range(n) if s & ~t == 0) for s in range(n)]
+    docs = {name: document(name) for name in CORPUS}
+    docs["chain64"] = _proximity_doc("c", chain, chain)
+    docs["B6"] = _proximity_doc("s", b6, b6)
+    codes = collections.Counter()
+    for name, doc in docs.items():
+        part = {"lattice": doc["lattice"], "R": doc["R"]}
+        identity = {"schema": "proxlat/1", "kind": "morphism", "source": part,
+                    "target": part, "T": [[b, a] for a, b in doc["R"]]}
+        for kind, verbs in (("", VERBS[:-1]), ("-id", VERBS[-1:] + VERBS[:1])):
+            path = tmp_path / f"{name}{kind}.json"
+            path.write_text(json.dumps(identity if kind else doc))
+            for verb in verbs:
+                codes[call([verb[0], str(path), *verb[1:]])[0]] += 1
+                assert not builds, (name + kind, verb, builds)
+    assert set(codes) == {0, 1}, codes
+    # the count sees a build
+    assert FiniteLattice(1, (1,), (1,), 0, 0, ("x",)).join == ((0,),)
+    assert builds == {"join": 1}
 
 
 # Morphisms T = {(x, y) : y <= h(x)} for a map h of the underlying

@@ -32,12 +32,14 @@ from oracles import kept_value
 from proxlat.canext import CanonicalExtension, pi_extension, verify_extension
 from proxlat.fixtures import CORPUS, load
 from proxlat.lattice import (
+    FiniteLattice,
     LatticeMap,
     down_index,
     is_distributive,
     is_homomorphism,
     kept,
     opposite,
+    up_index,
 )
 from proxlat.proximity import (
     AxiomReport,
@@ -188,7 +190,8 @@ def test_the_check_sees_an_unreferenced_private_definition():
 # every build kept on a lattice, a relation, a proximity lattice or an
 # extension
 KEPT = {
-    "lattice": (opposite, is_distributive, down_index),
+    "lattice": (opposite, is_distributive, down_index, up_index,
+                FiniteLattice.meet, FiniteLattice.join),
     "map": (LatticeMap.over,),
     "relation": (Relation.converse,),
     "carrier": (ProximityLattice.mu, opposite_proximity, round_ideal_masks,
@@ -254,7 +257,7 @@ def test_kept_builds_are_invisible():
             holders["extension"] = (pi_extension(p), pi_extension(fresh))
         before = {kind: (repr(x), hash(x)) for kind, (x, _) in holders.items()}
         for build in KEPT["lattice"]:
-            build(p.lattice)
+            getattr(build, "fget", build)(p.lattice)
         assert p.R.converse() and p.mu and is_homomorphism(holders["map"][0])
         opposite_proximity(p)
         round_ideal_masks(p)

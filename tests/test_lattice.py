@@ -19,10 +19,12 @@ from oracles import (
 from proxlat.bitset import bits, transpose
 from proxlat.canext import concept_lattice, pi_extension, sigma_extension
 from proxlat.errors import DimensionMismatch, NotALattice, NotAPartialOrder
+from proxlat.formats import lattice_from_doc
 from proxlat.lattice import (
     FiniteLattice,
     LatticeMap,
     _lattice_of_sets,
+    _set_label,
     compose_maps,
     down_index,
     find_isomorphism,
@@ -31,6 +33,7 @@ from proxlat.lattice import (
     lattice_from_order,
     lattice_from_up,
     opposite,
+    up_index,
 )
 from proxlat.proximity import proximity_lattice, round_ideal_lattice
 from proxlat.relations import Relation, relation_from_pairs
@@ -106,7 +109,8 @@ def tables_by_cone_scan(labels, up):
 
 def build_matches_cone_scan(labels, up):
     """Assert that lattice_from_up agrees with the cone scan, tables or
-    failure; True when up is a lattice."""
+    failure, and that a build keeps each table only once it is read;
+    True when up is a lattice."""
     try:
         expected = tables_by_cone_scan(labels, up)
     except NotALattice as want:
@@ -118,7 +122,12 @@ def build_matches_cone_scan(labels, up):
              want.witnesses), up
         return False
     lat = lattice_from_up(labels, up)
-    assert (lat.meet, lat.join, lat.bot, lat.top) == expected, up
+    assert kept_value(lat, FiniteLattice.meet) is None, up
+    meet = lat.meet
+    assert kept_value(lat, FiniteLattice.meet) is meet, up
+    assert kept_value(lat, FiniteLattice.join) is None, up
+    assert (meet, lat.join, lat.bot, lat.top) == expected, up
+    assert lat.join is kept_value(lat, FiniteLattice.join), up
     return True
 
 
@@ -129,7 +138,25 @@ def inclusion_up(masks):
             for m in masks]
 
 
+def bounded_posets(n):
+    """The up-sets of 0 + P + 1 on the labels 0..n-1, n >= 2: a choice
+    of bottom and top, and a poset P from all_posets on the other
+    labels."""
+    for bot, top in itertools.permutations(range(n), 2):
+        rest = [x for x in range(n) if x not in (bot, top)]
+        for up in all_posets(n - 2):
+            ups = [0] * n
+            ups[bot], ups[top] = (1 << n) - 1, 1 << top
+            for i, x in enumerate(rest):
+                ups[x] = 1 << top | sum(1 << rest[j] for j in bits(up[i]))
+            yield ups
+
+
 def test_build_against_cone_scan_on_small_posets():
+    """Every labelled poset with at most 5 points, and 0 + P + 1 for
+    every labelled 4-point poset P with its bottom and top at every two
+    of the 6 labels, so that the first pair without a bound is named
+    among 6 elements."""
     lattices = others = 0
     for n in range(1, 6):
         labels = [f"p{i}" for i in range(n)]
@@ -139,6 +166,12 @@ def test_build_against_cone_scan_on_small_posets():
             else:
                 others += 1
     assert lattices > 0 and others > 0
+    labels = [f"p{i}" for i in range(6)]
+    verdicts = collections.Counter(
+        build_matches_cone_scan(labels, up) for up in bounded_posets(6))
+    # the 2 + 2 bowtie, on each choice of its two lower points, is the
+    # only 4-point poset whose 0 + P + 1 is no lattice
+    assert verdicts == {True: 30 * 213, False: 30 * 6}
 
 
 def test_build_against_cone_scan_on_set_families():
@@ -190,6 +223,16 @@ def test_build_against_cone_scan_at_64_elements():
         assert build_matches_cone_scan(built.labels, built.up)
 
 
+@pytest.mark.parametrize(
+    "build", (lattice_from_up, lattice_from_doc, _set_label, _lattice_of_sets),
+    ids=lambda b: b.__qualname__)
+def test_lattice_builds_make_no_cells(build):
+    """A generator or comprehension that reads a local of its function
+    makes a cell for it on every call; no build on the lattice path
+    has one."""
+    assert build.__code__.co_cellvars == ()
+
+
 def test_distributivity(corpus):
     assert is_distributive(corpus["C2"].lattice)
     assert is_distributive(corpus["B2"].lattice)
@@ -231,23 +274,17 @@ def test_distributivity_against_the_law():
 
 def labelled_lattices(most):
     """Every lattice on the labels 0..n-1, n <= most: one element, or a
-    choice of bottom and top with a poset from all_posets on the other
-    labels, kept when it is a lattice. Filtering all_posets(n) itself
-    would give the same lattices, but takes tens of seconds at n = 6."""
+    bounded poset from bounded_posets(n), kept when it is a lattice.
+    Filtering all_posets(n) itself would give the same lattices, but
+    takes tens of seconds at n = 6."""
     yield lattice_from_up(["0"], [1])
     for n in range(2, most + 1):
         labels = [str(i) for i in range(n)]
-        for bot, top in itertools.permutations(range(n), 2):
-            rest = [x for x in range(n) if x not in (bot, top)]
-            for up in all_posets(n - 2):
-                ups = [0] * n
-                ups[bot], ups[top] = (1 << n) - 1, 1 << top
-                for i, x in enumerate(rest):
-                    ups[x] = 1 << top | sum(1 << rest[j] for j in bits(up[i]))
-                try:
-                    yield lattice_from_up(labels, ups)
-                except NotALattice:
-                    pass
+        for ups in bounded_posets(n):
+            try:
+                yield lattice_from_up(labels, ups)
+            except NotALattice:
+                pass
 
 
 def test_distributivity_on_every_small_lattice():
@@ -269,18 +306,25 @@ def test_down_index_is_kept_and_invisible(corpus):
     lattices["preorder"] = _lattice_of_sets([0, 1, 1], "a")
     for name, lat in lattices.items():
         fresh = lattice_from_up(lat.labels, lat.up)
-        # the build keeps the table it made
-        index = kept_value(fresh, down_index)
+        # the build keeps the two indices it made and no table
+        index, up_of = kept_value(fresh, down_index), kept_value(fresh, up_index)
         assert index == {d: lat.down.index(d) for d in lat.down}, name
-        assert down_index(fresh) is index, name
-        # an opposite builds its own table on the first call
+        assert up_of == {u: lat.up.index(u) for u in lat.up}, name
+        assert down_index(fresh) is index and up_index(fresh) is up_of, name
+        assert kept_value(fresh, FiniteLattice.meet) is None, name
+        assert kept_value(fresh, FiniteLattice.join) is None, name
+        # an opposite keeps the two indices of the lattice, swapped
         op = opposite(fresh)
-        assert kept_value(op, down_index) is None, name
-        assert down_index(op) == {u: lat.up.index(u) for u in lat.up}, name
-        assert down_index(op) is down_index(op), name
-        bare = FiniteLattice(lat.size, lat.up, lat.down, lat.meet, lat.join,
-                             lat.bot, lat.top, lat.labels)
+        assert kept_value(op, down_index) is up_of, name
+        assert kept_value(op, up_index) is index, name
+        # a lattice made otherwise builds each index once, on first read
+        bare = FiniteLattice(lat.size, lat.up, lat.down, lat.bot, lat.top,
+                             lat.labels)
         assert kept_value(bare, down_index) is None, name
+        assert kept_value(bare, up_index) is None, name
+        assert down_index(bare) == index and up_index(bare) == up_of, name
+        assert down_index(bare) is down_index(bare), name
+        assert up_index(bare) is up_index(bare), name
         assert fresh == bare and hash(fresh) == hash(bare), name
         assert repr(fresh) == repr(bare), name
 
