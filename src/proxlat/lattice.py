@@ -7,10 +7,10 @@ of a and b is the element whose up-set is up[a] & up[b], found in the
 up-set index, a table from up-set masks to elements (the lowest index
 wins where a preorder repeats a mask), and the meet likewise in the
 down-set index. A build makes both indices and keeps them, and checks
-that there is a top and that every incomparable pair has a meet, one
-lookup each, which gives every join too: O(n + incomparable pairs)
-lookups after the transpose. The n x n meet and join tables are built
-from the indices on their first read and kept.
+the meet and the join of every incomparable pair, one lookup each:
+O(n + incomparable pairs) lookups after the transpose. The n x n meet
+and join tables are built from the indices on their first read and
+kept.
 All values are immutable after construction and every function here is
 pure; a lattice keeps, once asked for them, its opposite, its
 distributivity verdict (read off its join-irreducibles, each of which
@@ -187,13 +187,13 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
     and the meet the element whose down-set is down[a] & down[b]: one
     lookup each in the up-set and the down-set index, which the build
     makes and keeps. A comparable pair has both bounds, so only the
-    incomparable pairs are looked up, each once and for its meet alone:
-    a finite order with a top in which every pair has a meet is a
-    lattice, the join of a and b being the meet of their common upper
-    bounds. That is O(n + incomparable pairs) lookups after the
-    transpose, and no table is built until meet or join is read. For a
-    preorder (equal masks on distinct elements) the lowest index with
-    the mask wins. NotALattice names the first pair (a, b), a <= b,
+    incomparable pairs are looked up, each once, the meet before the
+    join; a nonempty finite order in which every pair has both is a
+    lattice, so it has a bot and a top. That is O(n + incomparable
+    pairs) lookups after the transpose, and no table is built until
+    meet or join is read. For a preorder (equal masks on distinct
+    elements) the lowest index with the mask wins. NotALattice names
+    the first pair of indices (a, b), a < b, in order of a and then b,
     without a bound, the meet tested before the join."""
     n = len(labels)
     if n == 0:
@@ -201,40 +201,7 @@ def lattice_from_up(labels: Sequence[str], up: Sequence[int]) -> FiniteLattice:
     down = transpose(up, n)
     up_of, down_of = _index(up), _index(down)
     full = (1 << n) - 1
-    if full not in down_of or not _every_meet(up, down, down_of):
-        _refuse(labels, up, down, up_of, down_of)
-    lat = FiniteLattice(
-        size=n,
-        up=tuple(up),
-        down=down,
-        bot=up_of[full],  # every pair has a meet, so some element is least
-        top=down_of[full],
-        labels=tuple(labels),
-    )
-    keep(lat, up_index, up_of)
-    keep(lat, down_index, down_of)
-    return lat
-
-
-def _every_meet(up: Sequence[int], down: Sequence[int],
-                down_of: dict[int, int]) -> bool:
-    """Whether every incomparable pair has a meet: down[a] & down[b] in
-    the down-set index."""
-    full = (1 << len(up)) - 1
-    for a, da in enumerate(down):
-        for b in bits(full & ~(up[a] | da) & -(2 << a)):
-            if da & down[b] not in down_of:
-                return False
-    return True
-
-
-def _refuse(labels: Sequence[str], up: Sequence[int], down: Sequence[int],
-            up_of: dict[int, int], down_of: dict[int, int]) -> None:
-    """Raise NotALattice at the first pair (a, b), a < b, without a
-    meet or a join, the meet tested first, by a and then b; some pair
-    has none when the order lacks a meet or a top."""
-    full = (1 << len(up)) - 1
-    for a in range(len(up)):
+    for a in range(n):
         ua, da = up[a], down[a]
         for b in bits(full & ~(ua | da) & -(2 << a)):
             if da & down[b] not in down_of:
@@ -246,6 +213,17 @@ def _refuse(labels: Sequence[str], up: Sequence[int], down: Sequence[int],
             raise NotALattice(
                 f"elements {labels[a]!r} and {labels[b]!r} have no {kind}",
                 witness=(a, b), missing=kind, labels=labels)
+    lat = FiniteLattice(
+        size=n,
+        up=tuple(up),
+        down=down,
+        bot=up_of[full],
+        top=down_of[full],
+        labels=tuple(labels),
+    )
+    keep(lat, up_index, up_of)
+    keep(lat, down_index, down_of)
+    return lat
 
 
 @kept
